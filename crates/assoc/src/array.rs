@@ -46,40 +46,44 @@ impl<V: Clone + PartialEq> Assoc<V> {
         // Stable sort so that "last wins" is well defined for equal keys.
         triples.sort_by(|a, b| (a.0.as_str(), a.1.as_str()).cmp(&(b.0.as_str(), b.1.as_str())));
         let mut merged: Vec<(String, String, V)> = Vec::with_capacity(triples.len());
-        for (r, c, v) in triples {
-            match merged.last_mut() {
-                Some((lr, lc, lv)) if *lr == r && *lc == c => {
-                    let old = lv.clone();
-                    *lv = combine(old, v);
-                }
-                _ => merged.push((r, c, v)),
+        let mut it = triples.into_iter().peekable();
+        while let Some((r, c, mut v)) = it.next() {
+            while let Some((_, _, next)) = it.next_if(|(nr, nc, _)| *nr == r && *nc == c) {
+                v = combine(v, next);
             }
+            merged.push((r, c, v));
         }
         Self::from_sorted_dedup(merged)
     }
 
+    /// Build from triples already sorted by `(row, col)` with no duplicate
+    /// coordinate (every caller's shape; checked in debug). Row keys are
+    /// moved out of their runs, each distinct column key is cloned once,
+    /// and values are moved — no re-sort of either axis.
     fn from_sorted_dedup(triples: Vec<(String, String, V)>) -> Self {
-        let row_keys: KeySet = triples.iter().map(|(r, _, _)| r.clone()).collect();
-        let col_keys: KeySet = triples.iter().map(|(_, c, _)| c.clone()).collect();
-        let mut row_ptr = Vec::with_capacity(row_keys.len() + 1);
-        row_ptr.push(0usize);
+        debug_assert!(
+            triples.windows(2).all(|w| (&w[0].0, &w[0].1) < (&w[1].0, &w[1].1)),
+            "triples must be (row, col)-sorted and unique"
+        );
+        let mut cols: Vec<&str> = triples.iter().map(|(_, c, _)| c.as_str()).collect();
+        cols.sort_unstable();
+        cols.dedup();
+        let col_keys = KeySet::from_sorted_unique(cols.into_iter().map(String::from).collect());
+        let mut rows: Vec<String> = Vec::new();
+        let mut row_ptr = Vec::new();
         let mut col_idx = Vec::with_capacity(triples.len());
         let mut vals = Vec::with_capacity(triples.len());
-        let mut cur_row = 0usize;
-        for (r, c, v) in &triples {
-            // audit:allow(panic-path) — row_keys was built from these same triples, so lookup cannot fail
-            let ri = row_keys.index_of(r).expect("row key present");
-            while cur_row < ri {
+        for (r, c, v) in triples {
+            if rows.last() != Some(&r) {
                 row_ptr.push(col_idx.len());
-                cur_row += 1;
+                rows.push(r);
             }
             // audit:allow(panic-path) — col_keys was built from these same triples, so lookup cannot fail
-            col_idx.push(col_keys.index_of(c).expect("col key present"));
-            vals.push(v.clone());
+            col_idx.push(col_keys.index_of(&c).expect("col key present"));
+            vals.push(v);
         }
-        while row_ptr.len() < row_keys.len() + 1 {
-            row_ptr.push(col_idx.len());
-        }
+        row_ptr.push(col_idx.len());
+        let row_keys = KeySet::from_sorted_unique(rows);
         let assoc = Self { row_keys, col_keys, row_ptr, col_idx, vals };
         #[cfg(feature = "strict-invariants")]
         {

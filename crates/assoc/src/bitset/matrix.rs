@@ -47,19 +47,24 @@ impl MonthMatrix {
     }
 
     /// Build from already-compressed monthly sets, preserving order.
+    ///
+    /// One gather of every `(hi, month, container)` cell, one stable sort
+    /// by `hi`, and one grouping pass: `O(cells · log cells)` however the
+    /// months' chunks interleave. Cells are gathered month by month, so
+    /// the stable sort leaves each chunk's months in ascending order.
     pub fn from_bit_sets(months: &[BitSet]) -> Self {
         let month_lens = months.iter().map(BitSet::len).collect();
-        // Gather every (hi, month) pair, then group by hi. Months are
-        // visited in index order so each chunk's month list arrives sorted.
+        let mut cells: Vec<(u16, usize, &Container)> = months
+            .iter()
+            .enumerate()
+            .flat_map(|(m, set)| set.chunks().iter().map(move |(hi, c)| (*hi, m, c)))
+            .collect();
+        cells.sort_by_key(|&(hi, _, _)| hi);
         let mut chunks: Vec<ChunkEntry> = Vec::new();
-        for (m, set) in months.iter().enumerate() {
-            for (hi, c) in set.chunks() {
-                match chunks.binary_search_by_key(hi, |e| e.hi) {
-                    Ok(i) => chunks[i].months.push((m, c.clone())),
-                    Err(i) => {
-                        chunks.insert(i, ChunkEntry { hi: *hi, months: vec![(m, c.clone())] })
-                    }
-                }
+        for (hi, m, c) in cells {
+            match chunks.last_mut() {
+                Some(entry) if entry.hi == hi => entry.months.push((m, c.clone())),
+                _ => chunks.push(ChunkEntry { hi, months: vec![(m, c.clone())] }),
             }
         }
         Self { chunks, month_lens }

@@ -188,20 +188,62 @@ proptest! {
             })
             .collect();
         let mm = MonthMatrix::from_months(&months);
-        mm.check_invariants().unwrap();
-        prop_assert_eq!(mm.n_months(), n_months);
+        check_month_matrix(&mm, &months, &mut rng)?;
+    }
+}
+
+/// Invariants, per-month cardinality and round trip, and the one-sweep
+/// overlap counts against pairwise `NumKeySet` overlaps on random probes.
+fn check_month_matrix(
+    mm: &MonthMatrix,
+    months: &[NumKeySet],
+    rng: &mut StdRng,
+) -> Result<(), TestCaseError> {
+    mm.check_invariants().unwrap();
+    prop_assert_eq!(mm.n_months(), months.len());
+    for (m, month) in months.iter().enumerate() {
+        prop_assert_eq!(mm.month_len(m), month.len());
+        let back = mm.month_set(m);
+        back.check_invariants().unwrap();
+        prop_assert_eq!(back.to_num_key_set(), month.clone());
+    }
+    for _ in 0..3 {
+        let shape = rng.random_range(0u32..8);
+        let probe_keys = gen_keys(rng, shape);
+        let probe_num = NumKeySet::from_iter(probe_keys.iter().copied());
+        let probe = BitSet::from_num_key_set(&probe_num);
+        let counts = mm.overlap_counts(&probe);
         for (m, month) in months.iter().enumerate() {
-            prop_assert_eq!(mm.month_len(m), month.len());
-        }
-        for _ in 0..3 {
-            let shape = rng.random_range(0u32..8);
-            let probe_keys = gen_keys(&mut rng, shape);
-            let probe_num = NumKeySet::from_iter(probe_keys.iter().copied());
-            let probe = BitSet::from_num_key_set(&probe_num);
-            let counts = mm.overlap_counts(&probe);
-            for (m, month) in months.iter().enumerate() {
-                prop_assert_eq!(counts[m], probe_num.overlap_count(month));
-            }
+            prop_assert_eq!(counts[m], probe_num.overlap_count(month));
         }
     }
+    Ok(())
+}
+
+/// The honeyfarm-background shape: fifteen months of keys scattered over
+/// the whole `u32` space, so nearly every key opens its own chunk and the
+/// months' chunk lists interleave (each month's chunks fall between the
+/// others'). Shared keys put several months in one chunk, in month order.
+#[test]
+fn month_matrix_interleaved_fifteen_months() {
+    let mut rng = StdRng::seed_from_u64(0x15);
+    let shared: Vec<u32> = (0..500).map(|_| rng.random()).collect();
+    let months: Vec<NumKeySet> = (0..15)
+        .map(|m| {
+            let own = (0..3000).map(|_| rng.random::<u32>());
+            // Every month keeps a different subset of the shared keys, so
+            // chunks hold varying month lists.
+            let common = shared.iter().copied().filter(|k| (k >> 3) % 15 != m);
+            NumKeySet::from_iter(own.chain(common))
+        })
+        .collect();
+    let mm = MonthMatrix::from_months(&months);
+    let (arrays, bitmaps, runs) = mm.container_census();
+    // Sparse scatter: one array container per (month, occupied chunk).
+    assert_eq!((bitmaps, runs), (0, 0));
+    assert!(arrays > 15 * 3000 / 2, "chunks should barely repeat within a month: {arrays}");
+    check_month_matrix(&mm, &months, &mut rng).unwrap();
+    // Probing with a month itself counts its full size in its own row.
+    let probe = BitSet::from_num_key_set(&months[7]);
+    assert_eq!(mm.overlap_counts(&probe)[7], months[7].len());
 }

@@ -2,6 +2,7 @@
 
 use obscor_assoc::{io, Assoc, KeySet};
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn arb_keys() -> impl Strategy<Value = Vec<String>> {
     prop::collection::vec("[a-z]{1,6}", 0..40)
@@ -82,6 +83,36 @@ proptest! {
         // All stored entries came from the input.
         for (r, c, v) in a.iter() {
             prop_assert!(t.iter().any(|(tr, tc, tv)| tr == r && tc == c && tv == v));
+        }
+    }
+
+    /// `from_triples_last` equals a `BTreeMap` last-wins reference on
+    /// inputs dense in duplicate coordinates: same row axis, same column
+    /// axis, same `get` on every probe, same row-major iteration order.
+    #[test]
+    fn assoc_last_wins_matches_btreemap(t in prop::collection::vec(
+        ("[a-d]{1,2}", "[x-z]", "[0-9]{1,2}"), 0..80)
+    ) {
+        let a = Assoc::from_triples_last(t.clone());
+        a.check_invariants().unwrap();
+        let mut reference: BTreeMap<(String, String), String> = BTreeMap::new();
+        for (r, c, v) in &t {
+            reference.insert((r.clone(), c.clone()), v.clone());
+        }
+        let rows: BTreeSet<&str> = reference.keys().map(|(r, _)| r.as_str()).collect();
+        let cols: BTreeSet<&str> = reference.keys().map(|(_, c)| c.as_str()).collect();
+        prop_assert_eq!(a.row_keys().iter().collect::<Vec<_>>(), rows.into_iter().collect::<Vec<_>>());
+        prop_assert_eq!(a.col_keys().iter().collect::<Vec<_>>(), cols.into_iter().collect::<Vec<_>>());
+        prop_assert_eq!(a.nnz(), reference.len());
+        let got: Vec<(&str, &str, &String)> = a.iter().collect();
+        let want: Vec<(&str, &str, &String)> =
+            reference.iter().map(|((r, c), v)| (r.as_str(), c.as_str(), v)).collect();
+        prop_assert_eq!(got, want);
+        // Probes over the whole key alphabet, present or not.
+        for r in ["a", "b", "d", "aa", "cd", "dd", "e"] {
+            for c in ["x", "y", "z", "w"] {
+                prop_assert_eq!(a.get(r, c), reference.get(&(r.to_string(), c.to_string())));
+            }
         }
     }
 

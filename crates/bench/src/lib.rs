@@ -36,19 +36,36 @@ type FixtureCache = HashMap<(usize, u64), Arc<BenchFixture>>;
 
 static CACHE: Mutex<Option<FixtureCache>> = Mutex::new(None);
 
-/// Read the bench window size from `OBSCOR_BENCH_NV` (supports `2^NN`),
-/// defaulting to [`BENCH_NV`].
+/// Read the bench window size from `OBSCOR_BENCH_NV` (see
+/// [`parse_bench_nv`]), defaulting to [`BENCH_NV`].
+///
+/// # Panics
+/// Panics, naming the problem, on a value [`parse_bench_nv`] refuses,
+/// instead of running the bench at a wrapped or garbage size.
 pub fn bench_nv() -> usize {
     match std::env::var("OBSCOR_BENCH_NV") {
-        Ok(v) => {
-            if let Some(e) = v.strip_prefix("2^") {
-                1usize << e.parse::<u32>().expect("bad OBSCOR_BENCH_NV exponent")
-            } else {
-                v.parse().expect("bad OBSCOR_BENCH_NV")
-            }
-        }
+        Ok(v) => parse_bench_nv(&v).unwrap_or_else(|e| panic!("OBSCOR_BENCH_NV: {e}")),
         Err(_) => BENCH_NV,
     }
+}
+
+/// Parse a window size written as `2^NN` or as a decimal count. Refuses
+/// garbage, zero, and exponents of `usize::BITS` or more (which a plain
+/// `1usize << NN` would panic on in debug builds and wrap in release).
+pub fn parse_bench_nv(s: &str) -> Result<usize, String> {
+    let n = match s.strip_prefix("2^") {
+        Some(exp) => {
+            let e: u32 = exp.parse().map_err(|_| format!("bad exponent in {s:?}"))?;
+            1usize
+                .checked_shl(e)
+                .ok_or_else(|| format!("exponent {e} does not fit in {} bits", usize::BITS))?
+        }
+        None => s.parse().map_err(|_| format!("bad window size {s:?} (want 2^NN or a count)"))?,
+    };
+    if n == 0 {
+        return Err("window size must be positive".into());
+    }
+    Ok(n)
 }
 
 /// Build (or fetch) the fixture for `(n_v, seed)`.
@@ -91,8 +108,23 @@ mod tests {
 
     #[test]
     fn bench_nv_parses_forms() {
-        // Can't set env vars safely in parallel tests; just exercise the
-        // default path.
+        // Can't set env vars safely in parallel tests; exercise the
+        // default path as it stands and the parser directly.
         assert!(bench_nv() >= 1 << 12);
+        if std::env::var_os("OBSCOR_BENCH_NV").is_none() {
+            assert_eq!(bench_nv(), BENCH_NV);
+        }
+        assert_eq!(parse_bench_nv("2^17"), Ok(1 << 17));
+        assert_eq!(parse_bench_nv("131072"), Ok(131_072));
+        assert_eq!(parse_bench_nv("2^0"), Ok(1));
+        let top = usize::BITS - 1;
+        assert_eq!(parse_bench_nv(&format!("2^{top}")), Ok(1 << top));
+    }
+
+    #[test]
+    fn bench_nv_refuses_bad_sizes() {
+        for bad in ["2^64", "2^4294967295", "0", "2^x", "2^", "garbage", "-1", ""] {
+            assert!(parse_bench_nv(bad).is_err(), "{bad:?} must be refused");
+        }
     }
 }

@@ -4,7 +4,7 @@ use crate::config::AnalysisConfig;
 use crate::degree::WindowDegrees;
 use obscor_stats::binning::{differential_cumulative, Log2Binned};
 use obscor_stats::powerlaw::{fit_power_law, PowerLawFit};
-use obscor_stats::zipf::{fit_zipf_mandelbrot, ZmFit};
+use obscor_stats::zipf::{fit_zipf_mandelbrot_many, ZmFit};
 
 /// The Fig 3 content for one window.
 #[derive(Clone, Debug, PartialEq)]
@@ -35,6 +35,28 @@ pub fn binned_distribution(
     degrees: impl IntoIterator<Item = u64>,
     config: &AnalysisConfig,
 ) -> DegreeDistribution {
+    let mut dist = bin_quantity(label, degrees);
+    fit_zm(std::slice::from_mut(&mut dist), config);
+    dist
+}
+
+/// [`binned_distribution`] for several `(label, values)` quantities at
+/// once, in input order. Each is binned and tail-fitted in turn (so only
+/// one quantity's raw values are alive at a time), then every ZM fit
+/// comes out of one shared grid sweep instead of one sweep per quantity.
+/// The results equal the one-at-a-time calls bit for bit.
+pub fn binned_distributions<'a>(
+    quantities: impl IntoIterator<Item = (&'a str, Vec<u64>)>,
+    config: &AnalysisConfig,
+) -> Vec<DegreeDistribution> {
+    let mut dists: Vec<DegreeDistribution> =
+        quantities.into_iter().map(|(label, degrees)| bin_quantity(label, degrees)).collect();
+    fit_zm(&mut dists, config);
+    dists
+}
+
+/// Bin one quantity and fit its CSN tail; the ZM fit is left to [`fit_zm`].
+fn bin_quantity(label: &str, degrees: impl IntoIterator<Item = u64>) -> DegreeDistribution {
     let raw: Vec<u64> = degrees.into_iter().filter(|&d| d > 0).collect();
     let (binned, d_max) = {
         let _span = obscor_obs::span("core.binning");
@@ -42,13 +64,20 @@ pub fn binned_distribution(
         let h = obscor_stats::DegreeHistogram::from_degrees(raw.iter().copied());
         (differential_cumulative(&h), h.d_max())
     };
-    let fit = {
-        let _span = obscor_obs::span("core.zm_fit");
-        obscor_obs::counter("core.zm_fit.fits_total").inc();
-        fit_zipf_mandelbrot(&binned, d_max.max(2), &config.zm_alphas, &config.zm_deltas)
-    };
     let tail_fit = fit_power_law(&raw, 50);
-    DegreeDistribution { window_label: label.to_string(), binned, d_max, fit, tail_fit }
+    DegreeDistribution { window_label: label.to_string(), binned, d_max, fit: None, tail_fit }
+}
+
+/// Fill in every distribution's ZM fit from one sweep of the config grid.
+fn fit_zm(dists: &mut [DegreeDistribution], config: &AnalysisConfig) {
+    let _span = obscor_obs::span("core.zm_fit");
+    obscor_obs::counter("core.zm_fit.fits_total").add(dists.len() as u64);
+    let inputs: Vec<(&Log2Binned, u64)> =
+        dists.iter().map(|d| (&d.binned, d.d_max.max(2))).collect();
+    let fits = fit_zipf_mandelbrot_many(&inputs, &config.zm_alphas, &config.zm_deltas);
+    for (dist, fit) in dists.iter_mut().zip(fits) {
+        dist.fit = fit;
+    }
 }
 
 #[cfg(test)]
@@ -88,6 +117,24 @@ mod tests {
             "recovered alpha {} for planted 1.5",
             fit.alpha
         );
+    }
+
+    #[test]
+    fn shared_sweep_equals_one_call_per_quantity() {
+        let cfg = AnalysisConfig::fast();
+        let windows = [synthetic_window(1.5, 1.0, 5_000), synthetic_window(2.2, 0.0, 300)];
+        let quantities: Vec<(&str, Vec<u64>)> = vec![
+            ("a", windows[0].degrees.iter().map(|&(_, d)| d).collect()),
+            ("b", windows[1].degrees.iter().map(|&(_, d)| d * 3).collect()),
+            ("empty", vec![0, 0]),
+            ("two", vec![1, 2]),
+        ];
+        let shared = binned_distributions(quantities.clone(), &cfg);
+        let one_by_one: Vec<DegreeDistribution> =
+            quantities.into_iter().map(|(l, d)| binned_distribution(l, d, &cfg)).collect();
+        assert_eq!(shared, one_by_one);
+        assert!(shared[2].fit.is_none());
+        assert!(shared.iter().enumerate().all(|(i, d)| i == 2 || d.fit.is_some()));
     }
 
     #[test]

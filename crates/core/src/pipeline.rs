@@ -2,7 +2,7 @@
 
 use crate::config::AnalysisConfig;
 use crate::degree::WindowDegrees;
-use crate::distribution::{degree_distribution, DegreeDistribution};
+use crate::distribution::{binned_distributions, DegreeDistribution};
 use crate::fitscan::{fit_curves, BinFit};
 use crate::peak::{peak_correlation, peak_correlation_bits, PeakCorrelation};
 use crate::classes::{class_correlation, ClassCorrelation};
@@ -12,8 +12,8 @@ use crate::temporal::{temporal_curves, temporal_curves_bits, TemporalCurve};
 use obscor_anonymize::sharing::Holder;
 use obscor_assoc::{BitSet, KeySet, MonthMatrix, NumKeySet};
 use obscor_honeyfarm::observe_all_months;
-use obscor_hypersparse::reduce::NetworkQuantities;
-use obscor_hypersparse::SpillReport;
+use obscor_hypersparse::reduce::{self, NetworkQuantities};
+use obscor_hypersparse::{Csr, SpillReport};
 use obscor_netmodel::Scenario;
 use obscor_obs::MetricsSnapshot;
 use obscor_telescope::{
@@ -101,6 +101,17 @@ pub struct PaperAnalysis {
     /// the CLI's `--metrics` flag.
     pub metrics: MetricsSnapshot,
 }
+
+/// Fig 2's wider quantity menu, measured on the first window's matrix.
+type Quantity = fn(&Csr<u64>) -> Vec<u64>;
+const QUANTITY_MENU: [(&str, Quantity); 4] = [
+    ("source fan-out", |m| reduce::source_fan_out(m).into_iter().map(|(_, d)| d).collect()),
+    ("destination fan-in", |m| reduce::destination_fan_in(m).into_iter().map(|(_, d)| d).collect()),
+    ("destination packets", |m| {
+        reduce::destination_packets(m).into_iter().map(|(_, d)| d).collect()
+    }),
+    ("link packets", |m| m.values().to_vec()),
+];
 
 /// Run the complete paper pipeline on a scenario.
 ///
@@ -230,31 +241,29 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
     };
     obscor_obs::counter("stage.degrees.windows_total").add(degrees.len() as u64);
 
-    // 4. Honeyfarm months.
-    let months = {
+    // 4. Honeyfarm months, and the correlation sets built from them once
+    // per analysis: the string key sets, their numeric mirror (`None` — a
+    // month with non-IP keys — falls back to the string path), per-month
+    // BitSets for the coeval (peak) stage, and one month×source membership
+    // matrix for the temporal stage's one-sweep overlap counts. The
+    // compressed forms are bit-identical to the sorted vectors they derive
+    // from.
+    let (months, monthly_sources, monthly_ip, monthly_bits, month_matrix) = {
         let _s = obscor_obs::span("stage.honeyfarm");
-        observe_all_months(scenario)
+        let months = observe_all_months(scenario);
+        let sources: Vec<KeySet> = months.iter().map(|m| m.source_keys().clone()).collect();
+        let ip: Option<Vec<NumKeySet>> = sources.iter().map(NumKeySet::from_key_set).collect();
+        let bits: Option<Vec<BitSet>> =
+            ip.as_ref().map(|months| months.iter().map(BitSet::from_num_key_set).collect());
+        let matrix: Option<MonthMatrix> =
+            bits.as_ref().map(|bits| MonthMatrix::from_bit_sets(bits));
+        (months, sources, ip, bits, matrix)
     };
     obscor_obs::counter("stage.honeyfarm.months_total").add(months.len() as u64);
     let greynoise_inventory: Vec<GreyNoiseInventoryRow> = months
         .iter()
         .map(|m| GreyNoiseInventoryRow { label: m.label.clone(), sources: m.n_sources() })
         .collect();
-    let monthly_sources: Vec<KeySet> =
-        months.iter().map(|m| m.source_keys().clone()).collect();
-    // Numeric mirror of the monthly key sets, converted once. `None`
-    // (a month with non-IP keys) falls back to the string path.
-    let monthly_ip: Option<Vec<NumKeySet>> =
-        monthly_sources.iter().map(NumKeySet::from_key_set).collect();
-    // Compressed substrate, also built once per analysis: per-month
-    // BitSets for the coeval (peak) stage and one month×source membership
-    // matrix for the temporal stage's one-sweep overlap counts. Both are
-    // bit-identical to the sorted-vector mirror they derive from.
-    let monthly_bits: Option<Vec<BitSet>> = monthly_ip
-        .as_ref()
-        .map(|months| months.iter().map(BitSet::from_num_key_set).collect());
-    let month_matrix: Option<MonthMatrix> =
-        monthly_bits.as_ref().map(|bits| MonthMatrix::from_bit_sets(bits));
     if cfg!(any(debug_assertions, feature = "strict-invariants")) {
         for (m, keys) in months.iter().zip(&monthly_sources) {
             stage_check(&m.label, m.assoc.check_invariants());
@@ -308,55 +317,22 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
     );
     drop(_quadrant_span);
 
-    // 5. Per-window analyses.
-    let distributions: Vec<DegreeDistribution> = {
+    // 5. Per-window analyses. Fig 3 for every window and Fig 2's wider
+    // quantity menu on the first window's matrix share one ZM grid sweep.
+    let (distributions, quantity_distributions) = {
         let _s = obscor_obs::span("stage.distributions");
-        degrees.par_iter().map(|wd| degree_distribution(wd, config)).collect()
+        let per_window = degrees
+            .iter()
+            .map(|wd| (wd.label.as_str(), wd.degrees.iter().map(|&(_, d)| d).collect()));
+        let menu = matrices.first().zip(windows.first()).into_iter().flat_map(|(m, w)| {
+            QUANTITY_MENU.iter().map(move |(_, quantity)| (w.label.as_str(), quantity(m)))
+        });
+        let mut distributions = binned_distributions(per_window.chain(menu), config);
+        let menu = distributions.split_off(degrees.len());
+        let names = QUANTITY_MENU.iter().map(|(name, _)| name.to_string());
+        (distributions, names.zip(menu).collect::<Vec<(String, DegreeDistribution)>>())
     };
     obscor_obs::counter("stage.distributions.computed_total").add(distributions.len() as u64);
-    // Fig 2: the wider quantity menu, on the first window's matrix.
-    let quantity_distributions: Vec<(String, DegreeDistribution)> = match matrices.first() {
-        None => Vec::new(),
-        Some(m) => {
-            use crate::distribution::binned_distribution;
-            use obscor_hypersparse::reduce;
-            let label = &windows[0].label;
-            vec![
-                (
-                    "source fan-out".to_string(),
-                    binned_distribution(
-                        label,
-                        reduce::source_fan_out(m).into_iter().map(|(_, d)| d),
-                        config,
-                    ),
-                ),
-                (
-                    "destination fan-in".to_string(),
-                    binned_distribution(
-                        label,
-                        reduce::destination_fan_in(m).into_iter().map(|(_, d)| d),
-                        config,
-                    ),
-                ),
-                (
-                    "destination packets".to_string(),
-                    binned_distribution(
-                        label,
-                        reduce::destination_packets(m).into_iter().map(|(_, d)| d),
-                        config,
-                    ),
-                ),
-                (
-                    "link packets".to_string(),
-                    binned_distribution(
-                        label,
-                        m.values().iter().copied(),
-                        config,
-                    ),
-                ),
-            ]
-        }
-    };
     let peaks: Vec<PeakCorrelation> = {
         let _s = obscor_obs::span("stage.peaks");
         degrees

@@ -9,7 +9,6 @@
 use crate::binning::{log2_bin, Log2Binned};
 use crate::norms::residual_pnorm;
 use rand::{Rng, RngExt};
-use rayon::prelude::*;
 
 /// A Zipf–Mandelbrot distribution on `1..=d_max`.
 #[derive(Clone, Debug)]
@@ -114,38 +113,102 @@ pub struct ZmFit {
 /// fractional-norm objective). Bins beyond the data's support are ignored;
 /// both curves are normalized before comparison.
 ///
-/// Returns `None` if the data is empty or a grid is empty.
+/// Returns `None` if the data is empty or a grid is empty. The
+/// one-distribution case of [`fit_zipf_mandelbrot_many`].
 pub fn fit_zipf_mandelbrot(
     data: &Log2Binned,
     d_max: u64,
     alphas: &[f64],
     deltas: &[f64],
 ) -> Option<ZmFit> {
-    if data.is_empty() || alphas.is_empty() || deltas.is_empty() {
-        return None;
+    fit_zipf_mandelbrot_many(&[(data, d_max)], alphas, deltas).pop().flatten()
+}
+
+/// Fit every `(data, d_max)` input over one walk of the `(α, δ)` grid.
+///
+/// Each grid point's unnormalized cumulative masses
+/// `Σ_{d ≤ k} (d + δ)^{-α}` do not depend on `d_max`, so they are built
+/// once per point into one buffer sized to the largest `d_max` and every
+/// input is scored from its own prefix of it. Per input the result is
+/// bit-identical to fitting [`ZipfMandelbrot::new`]`(α, δ, d_max).binned()`
+/// point by point: the same running sum, the same `cdf` divisions and
+/// differences in the same order, and on a residual tie the first point in
+/// α-major, δ-minor order wins. Holds `O(max d_max)` floats.
+///
+/// Element `i` is `None` if input `i`'s data is empty or a grid is empty.
+///
+/// # Panics
+/// Panics unless every grid `α > 0`, every `δ ≥ 0`, and every non-empty
+/// input's `1 ≤ d_max ≤ 2^26` — the bounds of [`ZipfMandelbrot::new`].
+pub fn fit_zipf_mandelbrot_many(
+    inputs: &[(&Log2Binned, u64)],
+    alphas: &[f64],
+    deltas: &[f64],
+) -> Vec<Option<ZmFit>> {
+    let mut best: Vec<Option<ZmFit>> = vec![None; inputs.len()];
+    if alphas.is_empty() || deltas.is_empty() {
+        return best;
     }
-    let target = data.normalized();
-    let grid: Vec<(f64, f64)> = alphas
+    // (input index, normalized target, model support length).
+    let targets: Vec<(usize, Log2Binned, usize)> = inputs
         .iter()
-        .flat_map(|&a| deltas.iter().map(move |&d| (a, d)))
+        .enumerate()
+        .filter(|(_, (data, _))| !data.is_empty())
+        .map(|(i, (data, d_max))| {
+            assert!((1..=1u64 << 26).contains(d_max), "d_max out of sampler range");
+            let support = usize::try_from(*d_max).expect("d_max ≤ 2^26 fits in usize");
+            (i, data.normalized(), support)
+        })
         .collect();
-    grid.par_iter()
-        .map(|&(alpha, delta)| {
-            let model = ZipfMandelbrot::new(alpha, delta, d_max).binned();
-            // Compare over the data's bins only.
-            let mut m: Vec<f64> = model.values;
-            m.resize(target.len(), 0.0);
-            m.truncate(target.len());
-            let total: f64 = m.iter().sum();
-            if total > 0.0 {
-                for v in &mut m {
-                    *v /= total;
+    let Some(longest) = targets.iter().map(|&(_, _, support)| support).max() else {
+        return best;
+    };
+    assert!(alphas.iter().all(|&a| a > 0.0), "alpha must be positive");
+    assert!(deltas.iter().all(|&d| d >= 0.0), "delta must be non-negative");
+    let mut cumulative = vec![0.0f64; longest];
+    let mut model: Vec<f64> = Vec::new();
+    for &alpha in alphas {
+        for &delta in deltas {
+            let mut acc = 0.0f64;
+            for (slot, d) in cumulative.iter_mut().zip(1u64..) {
+                acc += (d as f64 + delta).powf(-alpha);
+                *slot = acc;
+            }
+            for (i, target, support) in &targets {
+                let residual = score(&cumulative[..*support], target, &mut model);
+                if best[*i].is_none_or(|b| residual.total_cmp(&b.residual).is_lt()) {
+                    best[*i] = Some(ZmFit { alpha, delta, residual });
                 }
             }
-            let residual = residual_pnorm(&m, &target.values, 0.5);
-            ZmFit { alpha, delta, residual }
-        })
-        .min_by(|a, b| a.residual.total_cmp(&b.residual))
+        }
+    }
+    best
+}
+
+/// The `| |^{1/2}` residual of the model whose unnormalized cumulative
+/// masses are `cumulative` (its support is `1..=cumulative.len()`) against
+/// a normalized `target`, over the target's bins. `model` is a reused buffer.
+fn score(cumulative: &[f64], target: &Log2Binned, model: &mut Vec<f64>) -> f64 {
+    model.clear();
+    model.resize(target.len(), 0.0);
+    let norm = cumulative.last().copied().unwrap_or(1.0);
+    let mut prev = 0.0f64;
+    for (&acc, d) in cumulative.iter().zip(1u64..) {
+        let cdf = acc / norm;
+        match model.get_mut(log2_bin(d) as usize) {
+            Some(bin) => *bin += cdf - prev,
+            // Bins grow with d: every later degree is past the target too.
+            None => break,
+        }
+        prev = cdf;
+    }
+    let total: f64 = model.iter().sum();
+    if total > 0.0 {
+        for v in model.iter_mut() {
+            *v /= total;
+        }
+    }
+    residual_pnorm(model, &target.values, 0.5)
 }
 
 /// A sensible default α grid for source-packet fits.
