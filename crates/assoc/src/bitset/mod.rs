@@ -7,8 +7,10 @@
 //! 1024-word bitmap, or run intervals — see [`container`]). On dense
 //! chunks, intersection and overlap counting become word-parallel
 //! `AND` + popcount over `u64` words; on sparse chunks they stay the
-//! merge/gallop the rest of the repo's `NumKeySet` uses, so the hybrid
-//! never loses to either pure form.
+//! merge/gallop of a sorted vector (`NumKeySet`), so the hybrid never
+//! loses to either pure form. It is the one set type of the correlation
+//! path: honeyfarm months enter through [`BitSet::from_ip_keys`] and
+//! telescope degree bins through `from_sorted_unique`.
 //!
 //! [`MonthMatrix`] (in [`matrix`]) layers a month×source membership
 //! matrix on the same containers so the temporal-curve analysis counts a
@@ -18,9 +20,11 @@
 //!
 //! Every count is an exact integer no matter which container forms meet;
 //! [`BitSet::overlap_fraction`] divides the same two integers as
-//! `NumKeySet::overlap_fraction`, so the resulting `f64` is bit-identical
-//! to the sorted-vector path (and, transitively, to the string oracle).
-//! The differential suites in `tests/` and `crates/assoc/tests/` pin this.
+//! `NumKeySet::overlap_fraction` and `KeySet::overlap_fraction`, so the
+//! resulting `f64` is bit-identical to both references. The differential
+//! suites in `crates/assoc/tests/` pin this against `NumKeySet`, and the
+//! workspace's `tests/correlation_reference.rs` pins the Fig 4–6
+//! fractions against a plain string-set reference.
 //!
 //! # Metrics (opt-in)
 //!
@@ -36,7 +40,7 @@ mod matrix;
 
 pub use matrix::MonthMatrix;
 
-use crate::keys::NumKeySet;
+use crate::keys::{KeySet, NumKeySet};
 use container::Container;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -154,6 +158,15 @@ impl BitSet {
             chunks.push((hi, c));
         }
         Self { chunks }
+    }
+
+    /// Intern the IP keys of a D4M key set: every key spelled exactly as
+    /// [`crate::convert::ip_key`] renders it. Any other key can never
+    /// equal a rendered address, so it is skipped. Rendered keys sort as
+    /// their addresses do, so the kept keys arrive sorted and unique.
+    pub fn from_ip_keys(keys: &KeySet) -> Self {
+        let ips: Vec<u32> = keys.iter().filter_map(crate::convert::parse_ip_key).collect();
+        Self::from_sorted_unique(&ips)
     }
 
     /// Intern a [`NumKeySet`] (already sorted unique).

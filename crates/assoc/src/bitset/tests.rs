@@ -62,6 +62,15 @@ fn bitset_constructors_uphold_invariants() {
     // Collected form too.
     let d: BitSet = [3u32, 1].into_iter().collect();
     d.check_invariants().unwrap();
+
+    // From D4M keys: only `ip_key` renders are kept.
+    let keys: crate::KeySet =
+        ["001.002.003.004", "1.2.3.5", "+01.002.003.006", "zebra", "255.255.255.255"]
+            .into_iter()
+            .collect();
+    let e = BitSet::from_ip_keys(&keys);
+    e.check_invariants().unwrap();
+    assert_eq!(e.iter().collect::<Vec<_>>(), vec![0x0102_0304, u32::MAX]);
 }
 
 #[test]

@@ -20,19 +20,33 @@ pub fn ip_key(ip: Index) -> String {
     )
 }
 
-/// Parse a dotted-quad key produced by [`ip_key`] (zero-padded or not).
+/// Parse a key produced by [`ip_key`], and only such a key: the exact
+/// inverse, four zero-padded 3-digit octets each at most 255. Any other
+/// spelling of an address (`"1.2.3.4"`, `"+01.002.003.004"`) is a
+/// different D4M key, which no set operation on [`KeySet`]s equates with
+/// the rendered one, so it does not parse either.
 pub fn parse_ip_key(key: &str) -> Option<Index> {
-    let mut parts = key.split('.');
-    let mut ip: u32 = 0;
-    for _ in 0..4 {
-        let octet: u32 = parts.next()?.parse().ok()?;
-        if octet > 255 {
+    let bytes = key.as_bytes();
+    if bytes.len() != 15 {
+        return None;
+    }
+    let mut ip: Index = 0;
+    // `ddd.ddd.ddd.ddd`: four chunks, the last without its dot.
+    for (i, octet) in bytes.chunks(4).enumerate() {
+        if i < 3 && octet[3] != b'.' {
             return None;
         }
-        ip = (ip << 8) | octet;
-    }
-    if parts.next().is_some() {
-        return None;
+        let mut value: Index = 0;
+        for &digit in &octet[..3] {
+            if !digit.is_ascii_digit() {
+                return None;
+            }
+            value = value * 10 + Index::from(digit - b'0');
+        }
+        if value > 255 {
+            return None;
+        }
+        ip = (ip << 8) | value;
     }
     Some(ip)
 }
@@ -79,7 +93,14 @@ mod tests {
         for ip in [0u32, 1, 0xFFFFFFFF, 0xC0A80001, 16843009] {
             assert_eq!(parse_ip_key(&ip_key(ip)), Some(ip));
         }
-        assert_eq!(parse_ip_key("1.2.3.4"), Some(0x01020304));
+        // Only the canonical spelling parses: any other is a different key.
+        assert_eq!(parse_ip_key("001.002.003.004"), Some(0x01020304));
+        assert_eq!(parse_ip_key("1.2.3.4"), None);
+        assert_eq!(parse_ip_key("+01.002.003.004"), None);
+        assert_eq!(parse_ip_key("0001.02.003.004"), None);
+        assert_eq!(parse_ip_key("256.000.000.001"), None);
+        assert_eq!(parse_ip_key("001.002.003.0a4"), None);
+        assert_eq!(parse_ip_key("001-002.003.004"), None);
         assert_eq!(parse_ip_key("256.0.0.1"), None);
         assert_eq!(parse_ip_key("1.2.3"), None);
         assert_eq!(parse_ip_key("1.2.3.4.5"), None);

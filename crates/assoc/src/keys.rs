@@ -1,11 +1,12 @@
-//! Sorted string key sets with set algebra, plus a numeric fast path.
+//! Sorted string key sets with set algebra, plus a sorted-`u32` mirror.
 //!
-//! Row/column axes of an associative array, and the carrier of the paper's
-//! correlation primitive: the intersection of a telescope window's source
-//! set with a honeyfarm month's source set. [`KeySet`] is the general
-//! D4M-style string-keyed form; [`NumKeySet`] interns IP-keyed sets into
-//! their `u32` domain so the 15-month × per-bin correlation grid computes
-//! overlaps without allocating (or comparing) a single `String`.
+//! Row/column axes of an associative array, and the carrier of the
+//! honeyfarm's monthly source sets. [`KeySet`] is the general D4M-style
+//! string-keyed form. The paper's correlation primitive runs on
+//! [`crate::BitSet`]s interned from those sets
+//! ([`crate::BitSet::from_ip_keys`]); [`NumKeySet`] holds the same IP-keyed
+//! sets as sorted `u32`s and is the plain reference the bitset's
+//! differential suites and benchmark rows compare against.
 
 use serde::{Deserialize, Serialize};
 
@@ -186,15 +187,16 @@ impl KeySet {
     }
 }
 
-/// A sorted, deduplicated set of `u32` keys — the numeric fast path for
-/// IP-keyed [`KeySet`]s.
+/// A sorted, deduplicated set of `u32` keys — the sorted-vector form of
+/// IP-keyed [`KeySet`]s, and the reference [`crate::BitSet`] is tested
+/// and benchmarked against.
 ///
 /// [`crate::convert::ip_key`] renders addresses as *zero-padded* dotted
 /// quads, so lexicographic order on those strings equals numeric order on
 /// the addresses; a `NumKeySet` is therefore order-isomorphic to its
 /// string form, and [`NumKeySet::overlap_fraction`] is bit-identical to
 /// [`KeySet::overlap_fraction`] (both divide the same two integer counts).
-/// The win: merges compare machine words instead of strings, and
+/// Merges compare machine words instead of strings, and
 /// [`NumKeySet::overlap_count`] allocates nothing at all.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NumKeySet {
@@ -226,14 +228,13 @@ impl NumKeySet {
         Self { keys }
     }
 
-    /// Intern a string key set whose keys are all dotted-quad IPs;
-    /// `None` if any key fails to parse as an IPv4 address.
+    /// Intern a string key set whose keys are all [`crate::convert::ip_key`]
+    /// renders; `None` if any key is spelled otherwise.
     pub fn from_key_set(ks: &KeySet) -> Option<Self> {
         let parsed: Option<Vec<u32>> =
             ks.iter().map(crate::convert::parse_ip_key).collect();
-        // Zero-padded keys arrive already in numeric order, but non-padded
-        // spellings parse fine while breaking it — normalize.
-        Some(Self::from_iter(parsed?))
+        // Zero-padded keys sort as their addresses do.
+        Some(Self::from_sorted_unique(parsed?))
     }
 
     /// Render back to the string key domain (zero-padded dotted quads, so
@@ -462,6 +463,7 @@ mod tests {
     fn num_from_key_set_rejects_non_ip_keys() {
         assert!(NumKeySet::from_key_set(&ks(&["not-an-ip"])).is_none());
         assert!(NumKeySet::from_key_set(&ks(&["001.002.003.004", "zebra"])).is_none());
+        assert!(NumKeySet::from_key_set(&ks(&["001.002.003.004", "1.2.3.5"])).is_none());
     }
 
     #[test]

@@ -28,7 +28,7 @@ fn bench(c: &mut Criterion) {
     let gn = &f.monthly_sources[wd.month];
     let mut g = c.benchmark_group("fig4");
     g.sample_size(30);
-    g.bench_function("bin_key_sets", |b| b.iter(|| black_box(wd.bin_key_sets(10))));
+    g.bench_function("bin_bit_sets", |b| b.iter(|| black_box(wd.bin_bit_sets(10))));
     g.bench_function("peak_correlation", |b| {
         b.iter(|| black_box(peak_correlation(wd, gn, bright_log2, 10)))
     });

@@ -20,7 +20,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use obscor_anonymize::{CryptoPan, MemoCryptoPan};
-use obscor_assoc::{BitSet, MonthMatrix, NumKeySet};
+use obscor_assoc::convert::ip_key;
+use obscor_assoc::{BitSet, KeySet, MonthMatrix, NumKeySet};
 use obscor_bench::fixture;
 use obscor_hypersparse::{Coo, Index};
 use obscor_netmodel::{PacketStream, TrafficConfig};
@@ -127,8 +128,8 @@ fn ingest_report(n_v: usize, seed: u64) {
     //    first window's sources against its coeval honeyfarm month.
     let wd = &f.degrees[0];
     let month = &f.monthly_sources[wd.month];
-    let str_keys = wd.key_set();
-    let num_keys = wd.ip_set();
+    let str_keys: KeySet = wd.degrees.iter().map(|&(ip, _)| ip_key(ip)).collect();
+    let num_keys: NumKeySet = wd.degrees.iter().map(|&(ip, _)| ip).collect();
     let num_month = NumKeySet::from_key_set(month).expect("monthly keys are dotted quads");
     let overlap = Comparison {
         name: "overlap_fraction_string_vs_numeric",

@@ -17,12 +17,13 @@ use obscor_assoc::KeySet;
 use obscor_hypersparse::spgemm::cooccurrence;
 use obscor_hypersparse::{Coo, Csr, Index};
 use obscor_stats::binning::{bin_representative, log2_bin};
+use std::collections::BTreeMap;
 
 /// Build the month × source pattern matrix: row `m` holds a 1 for every
 /// source key observed by the honeyfarm in month `m`.
 ///
-/// Keys that do not parse as dotted-quad IPs are skipped (the honeyfarm
-/// only emits IP row keys, so in practice nothing is skipped).
+/// Keys not spelled as `ip_key` renders them can never equal a window
+/// source, so they are skipped (the honeyfarm emits no other row key).
 pub fn month_source_matrix(monthly_sources: &[KeySet]) -> Csr<u64> {
     let mut coo = Coo::new();
     for (m, keys) in monthly_sources.iter().enumerate() {
@@ -40,8 +41,12 @@ pub fn month_source_matrix(monthly_sources: &[KeySet]) -> Csr<u64> {
 /// returned `bins[i]`. Only bins with at least `min_sources` sources are
 /// emitted.
 pub fn bin_source_matrix(window: &WindowDegrees, min_sources: usize) -> (Vec<u32>, Csr<u64>) {
-    let groups = window.bin_key_sets(min_sources);
-    let bins: Vec<u32> = groups.keys().copied().collect();
+    let mut sizes: BTreeMap<u32, usize> = BTreeMap::new();
+    for &(_, d) in &window.degrees {
+        *sizes.entry(log2_bin(d)).or_default() += 1;
+    }
+    let bins: Vec<u32> =
+        sizes.into_iter().filter(|&(_, n)| n >= min_sources).map(|(bin, _)| bin).collect();
     let mut coo = Coo::new();
     for &(ip, d) in &window.degrees {
         let bin = log2_bin(d);

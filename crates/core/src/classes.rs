@@ -9,6 +9,8 @@
 //! value-conditional row selection (`rows_where`).
 
 use crate::degree::WindowDegrees;
+use obscor_assoc::convert::parse_ip_key;
+use obscor_assoc::KeySet;
 use obscor_honeyfarm::MonthlyObservation;
 use obscor_netmodel::SourceClass;
 
@@ -42,8 +44,12 @@ pub fn class_correlation(
     window: &WindowDegrees,
     coeval: &MonthlyObservation,
 ) -> ClassCorrelation {
-    let telescope_keys = window.key_set();
-    let detected_total = telescope_keys.intersect(coeval.source_keys()).len().max(1);
+    let telescope = window.bit_set();
+    // Telescope sources among `keys`; only `ip_key` renders can be one.
+    let detected = |keys: &KeySet| {
+        keys.iter().filter_map(parse_ip_key).filter(|&ip| telescope.contains(ip)).count()
+    };
+    let detected_total = detected(coeval.source_keys()).max(1);
     let mut labels: Vec<String> =
         SourceClass::ALL.iter().map(|c| c.label().to_string()).collect();
     labels.push("unknown".to_string());
@@ -51,7 +57,7 @@ pub fn class_correlation(
         .into_iter()
         .map(|label| {
             let class_set = coeval.assoc.rows_where("class", |v| *v == label);
-            let shared = telescope_keys.intersect(&class_set).len();
+            let shared = detected(&class_set);
             ClassRow {
                 label,
                 shared,

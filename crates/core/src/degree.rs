@@ -11,8 +11,7 @@
 //! For this work, the first approach was used."
 
 use obscor_anonymize::sharing::Holder;
-use obscor_assoc::convert::ip_key;
-use obscor_assoc::{BitSet, KeySet, NumKeySet};
+use obscor_assoc::BitSet;
 use obscor_hypersparse::reduce;
 use obscor_netmodel::Scenario;
 use obscor_stats::binning::log2_bin;
@@ -96,51 +95,10 @@ impl WindowDegrees {
         DegreeHistogram::from_degrees(self.degrees.iter().map(|&(_, d)| d))
     }
 
-    /// Sources grouped into log2 degree bins: bin index → D4M key set.
-    /// Only bins holding at least `min_sources` sources are returned.
-    pub fn bin_key_sets(&self, min_sources: usize) -> BTreeMap<u32, KeySet> {
-        let mut groups: BTreeMap<u32, Vec<String>> = BTreeMap::new();
-        for &(ip, d) in &self.degrees {
-            groups.entry(log2_bin(d)).or_default().push(ip_key(ip));
-        }
-        groups
-            .into_iter()
-            .filter(|(_, v)| v.len() >= min_sources)
-            .map(|(bin, keys)| (bin, keys.into_iter().collect()))
-            .collect()
-    }
-
-    /// The full source key set of the window.
-    pub fn key_set(&self) -> KeySet {
-        self.degrees.iter().map(|&(ip, _)| ip_key(ip)).collect()
-    }
-
-    /// Sources grouped into log2 degree bins as numeric key sets — the
-    /// allocation-free counterpart of [`Self::bin_key_sets`]. Bin
-    /// membership is identical; keys are the `u32` addresses themselves
-    /// instead of dotted-quad strings, and because [`ip_key`] zero-pads,
-    /// both representations sort the same way.
-    pub fn bin_ip_sets(&self, min_sources: usize) -> BTreeMap<u32, NumKeySet> {
-        let mut groups: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-        for &(ip, d) in &self.degrees {
-            groups.entry(log2_bin(d)).or_default().push(ip);
-        }
-        groups
-            .into_iter()
-            .filter(|(_, v)| v.len() >= min_sources)
-            .map(|(bin, ips)| (bin, ips.into_iter().collect()))
-            .collect()
-    }
-
-    /// The full source set of the window as a numeric key set.
-    pub fn ip_set(&self) -> NumKeySet {
-        self.degrees.iter().map(|&(ip, _)| ip).collect()
-    }
-
-    /// Sources grouped into log2 degree bins as compressed bit sets — the
-    /// word-parallel counterpart of [`Self::bin_ip_sets`] with identical
-    /// bin membership. `degrees` is sorted by ip, so each bin's keys
-    /// arrive already sorted and unique.
+    /// Sources grouped into log2 degree bins: bin index → compressed bit
+    /// set of the bin's source addresses. Only bins holding at least
+    /// `min_sources` sources are returned. `degrees` is sorted by ip, so
+    /// each bin's keys arrive already sorted and unique.
     pub fn bin_bit_sets(&self, min_sources: usize) -> BTreeMap<u32, BitSet> {
         let mut groups: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
         for &(ip, d) in &self.degrees {
@@ -214,73 +172,35 @@ mod tests {
     #[test]
     fn bins_partition_the_sources() {
         let (_, wd) = fixture();
-        let bins = wd.bin_key_sets(1);
-        let total: usize = bins.values().map(|k| k.len()).sum();
+        let bins = wd.bin_bit_sets(1);
+        let total: usize = bins.values().map(BitSet::len).sum();
         assert_eq!(total, wd.n_sources());
-        // Each bin's sources really have degrees in that bin.
-        let by_ip: std::collections::HashMap<String, u64> =
-            wd.degrees.iter().map(|&(ip, d)| (ip_key(ip), d)).collect();
-        for (bin, keys) in &bins {
-            for k in keys.iter() {
-                assert_eq!(log2_bin(by_ip[k]), *bin);
-            }
+        // Each source sits in its own degree's bin, so with the total
+        // equal no bin holds anything else.
+        for &(ip, d) in &wd.degrees {
+            assert!(bins[&log2_bin(d)].contains(ip), "source {ip:#x} missing from its bin");
+        }
+        for keys in bins.values() {
+            keys.check_invariants().unwrap();
         }
     }
 
     #[test]
     fn min_sources_filters_sparse_bins() {
         let (_, wd) = fixture();
-        let all = wd.bin_key_sets(1);
-        let filtered = wd.bin_key_sets(50);
+        let all = wd.bin_bit_sets(1);
+        let filtered = wd.bin_bit_sets(50);
         assert!(filtered.len() <= all.len());
         assert!(filtered.values().all(|k| k.len() >= 50));
+        assert!(all.iter().all(|(bin, k)| filtered.contains_key(bin) == (k.len() >= 50)));
     }
 
     #[test]
-    fn key_set_has_one_key_per_source() {
+    fn bit_set_has_one_key_per_source() {
         let (_, wd) = fixture();
-        assert_eq!(wd.key_set().len(), wd.n_sources());
-    }
-
-    #[test]
-    fn numeric_bins_mirror_string_bins() {
-        let (_, wd) = fixture();
-        let s_bins = wd.bin_key_sets(1);
-        let n_bins = wd.bin_ip_sets(1);
-        assert_eq!(s_bins.len(), n_bins.len());
-        for (bin, keys) in &s_bins {
-            assert_eq!(&n_bins[bin].to_key_set(), keys, "bin {bin} diverged");
-        }
-        assert_eq!(wd.ip_set().to_key_set(), wd.key_set());
-    }
-
-    #[test]
-    fn bit_set_bins_mirror_numeric_bins() {
-        let (_, wd) = fixture();
-        let n_bins = wd.bin_ip_sets(1);
-        let b_bins = wd.bin_bit_sets(1);
-        assert_eq!(n_bins.len(), b_bins.len());
-        for (bin, keys) in &n_bins {
-            b_bins[bin].check_invariants().unwrap();
-            assert_eq!(&b_bins[bin].to_num_key_set(), keys, "bin {bin} diverged");
-        }
-        wd.bit_set().check_invariants().unwrap();
-        assert_eq!(wd.bit_set().to_num_key_set(), wd.ip_set());
-        // min_sources filters identically.
-        assert_eq!(
-            wd.bin_bit_sets(50).keys().collect::<Vec<_>>(),
-            wd.bin_ip_sets(50).keys().collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn numeric_bins_respect_min_sources() {
-        let (_, wd) = fixture();
-        let filtered = wd.bin_ip_sets(50);
-        assert_eq!(
-            filtered.keys().collect::<Vec<_>>(),
-            wd.bin_key_sets(50).keys().collect::<Vec<_>>()
-        );
-        assert!(filtered.values().all(|k| k.len() >= 50));
+        let all = wd.bit_set();
+        all.check_invariants().unwrap();
+        let ips: Vec<u32> = wd.degrees.iter().map(|&(ip, _)| ip).collect();
+        assert_eq!(all.iter().collect::<Vec<_>>(), ips);
     }
 }

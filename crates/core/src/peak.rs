@@ -7,7 +7,7 @@
 //! empirical law `log2(d)/log2(sqrt(N_V))`.
 
 use crate::degree::WindowDegrees;
-use obscor_assoc::{BitSet, KeySet, NumKeySet};
+use obscor_assoc::{BitSet, KeySet};
 use obscor_stats::binning::bin_representative;
 
 /// One point of the Fig 4 curve.
@@ -46,38 +46,25 @@ impl PeakCorrelation {
 }
 
 /// Compute the Fig 4 series: per-bin overlap of `window` sources with the
-/// coeval honeyfarm source set.
-///
-/// Dispatching wrapper: when every coeval key parses as a dotted-quad IP
-/// (the [`obscor_assoc::convert::ip_key`] convention), the overlap runs on
-/// the compressed-bitmap fast path ([`peak_correlation_bits`]); otherwise
-/// it falls back to the string-keyed oracle ([`peak_correlation_str`]).
-/// The sorted-vector path ([`peak_correlation_ip`]) is retained as the
-/// numeric differential oracle; all three are bit-identical on parseable
-/// keys. Callers holding the coeval set for many windows should convert
-/// once and call the `_bits` variant directly.
+/// coeval honeyfarm source set, interned once through
+/// [`BitSet::from_ip_keys`]. Keys not spelled as
+/// [`obscor_assoc::convert::ip_key`] renders them never equal a window
+/// source and are skipped. Callers holding the coeval set for many
+/// windows should intern it once and call [`peak_correlation_bits`].
 pub fn peak_correlation(
     window: &WindowDegrees,
     coeval_sources: &KeySet,
     bright_log2: f64,
     min_bin_sources: usize,
 ) -> PeakCorrelation {
-    match NumKeySet::from_key_set(coeval_sources) {
-        Some(coeval) => peak_correlation_bits(
-            window,
-            &BitSet::from_num_key_set(&coeval),
-            bright_log2,
-            min_bin_sources,
-        ),
-        None => peak_correlation_str(window, coeval_sources, bright_log2, min_bin_sources),
-    }
+    let coeval = BitSet::from_ip_keys(coeval_sources);
+    peak_correlation_bits(window, &coeval, bright_log2, min_bin_sources)
 }
 
-/// Compressed-bitmap fast path of [`peak_correlation`]: per-bin overlaps
-/// are popcount-only [`BitSet::overlap_count`]s — word-parallel `AND` on
-/// dense chunks, never materializing an intersection. The fraction
-/// divides the same two integers as the sorted-vector path, so results
-/// are bit-identical to [`peak_correlation_ip`].
+/// [`peak_correlation`] over an interned coeval set: per-bin overlaps are
+/// popcount-only [`BitSet::overlap_count`]s — word-parallel `AND` on
+/// dense chunks, never materializing an intersection. Each fraction
+/// divides the bin's shared-source count by its size.
 pub fn peak_correlation_bits(
     window: &WindowDegrees,
     coeval_sources: &BitSet,
@@ -88,53 +75,6 @@ pub fn peak_correlation_bits(
     obscor_obs::counter("core.peak_correlation.windows_total").inc();
     let points = window
         .bin_bit_sets(min_bin_sources)
-        .into_iter()
-        .map(|(bin, keys)| {
-            let d = bin_representative(bin);
-            let fraction = keys.overlap_fraction(coeval_sources).unwrap_or(0.0);
-            let empirical_law = ((d as f64).log2() / bright_log2).clamp(0.0, 1.0);
-            PeakPoint { bin, d, n_sources: keys.len(), fraction, empirical_law }
-        })
-        .collect();
-    PeakCorrelation { window_label: window.label.clone(), month: window.month, points }
-}
-
-/// Numeric fast path of [`peak_correlation`]: per-bin overlaps as `u32`
-/// merge/gallop counts, no string allocation in the inner loop.
-pub fn peak_correlation_ip(
-    window: &WindowDegrees,
-    coeval_sources: &NumKeySet,
-    bright_log2: f64,
-    min_bin_sources: usize,
-) -> PeakCorrelation {
-    let _span = obscor_obs::span("core.peak_correlation");
-    obscor_obs::counter("core.peak_correlation.windows_total").inc();
-    let points = window
-        .bin_ip_sets(min_bin_sources)
-        .into_iter()
-        .map(|(bin, keys)| {
-            let d = bin_representative(bin);
-            let fraction = keys.overlap_fraction(coeval_sources).unwrap_or(0.0);
-            let empirical_law = ((d as f64).log2() / bright_log2).clamp(0.0, 1.0);
-            PeakPoint { bin, d, n_sources: keys.len(), fraction, empirical_law }
-        })
-        .collect();
-    PeakCorrelation { window_label: window.label.clone(), month: window.month, points }
-}
-
-/// String-keyed path of [`peak_correlation`], kept as the differential
-/// oracle for the numeric fast path (and the fallback for key sets whose
-/// keys are not dotted-quad IPs).
-pub fn peak_correlation_str(
-    window: &WindowDegrees,
-    coeval_sources: &KeySet,
-    bright_log2: f64,
-    min_bin_sources: usize,
-) -> PeakCorrelation {
-    let _span = obscor_obs::span("core.peak_correlation");
-    obscor_obs::counter("core.peak_correlation.windows_total").inc();
-    let points = window
-        .bin_key_sets(min_bin_sources)
         .into_iter()
         .map(|(bin, keys)| {
             let d = bin_representative(bin);
@@ -202,27 +142,13 @@ mod tests {
     }
 
     #[test]
-    fn numeric_and_string_paths_are_bit_identical() {
+    fn keys_not_spelled_by_ip_key_never_match() {
         let w = window_with_bins();
-        let gn = keys_of(&[1, 2, 3, 11, 12, 13, 14, 99]);
-        let via_str = peak_correlation_str(&w, &gn, 8.0, 1);
-        let num = NumKeySet::from_key_set(&gn).unwrap();
-        let via_num = peak_correlation_ip(&w, &num, 8.0, 1);
-        assert_eq!(via_str, via_num);
-        let via_bits =
-            peak_correlation_bits(&w, &BitSet::from_num_key_set(&num), 8.0, 1);
-        assert_eq!(via_num, via_bits);
-        // The public entry point dispatches to the bitmap path here.
-        assert_eq!(peak_correlation(&w, &gn, 8.0, 1), via_bits);
-    }
-
-    #[test]
-    fn unparseable_keys_fall_back_to_the_string_path() {
-        let w = window_with_bins();
-        let gn: KeySet = ["scanner-x".to_string(), obscor_assoc::convert::ip_key(1)]
-            .into_iter()
-            .collect();
-        assert!(NumKeySet::from_key_set(&gn).is_none());
+        // Source 1 spelled four ways; only the `ip_key` render is it.
+        let gn: KeySet =
+            ["scanner-x", "0.0.0.1", "+00.000.000.001", "0000.00.000.001"].into_iter().collect();
+        assert!(peak_correlation(&w, &gn, 8.0, 1).points.iter().all(|p| p.fraction == 0.0));
+        let gn = gn.union(&keys_of(&[1]));
         let peak = peak_correlation(&w, &gn, 8.0, 1);
         assert_eq!(peak.points[0].n_sources, 8);
         assert!((peak.points[0].fraction - 0.125).abs() < 1e-12);

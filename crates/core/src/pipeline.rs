@@ -4,13 +4,13 @@ use crate::config::AnalysisConfig;
 use crate::degree::WindowDegrees;
 use crate::distribution::{binned_distributions, DegreeDistribution};
 use crate::fitscan::{fit_curves, BinFit};
-use crate::peak::{peak_correlation, peak_correlation_bits, PeakCorrelation};
+use crate::peak::{peak_correlation_bits, PeakCorrelation};
 use crate::classes::{class_correlation, ClassCorrelation};
 use crate::scaling::source_scaling;
 use crate::subnets::{aggregate_by_prefix, SubnetRow};
-use crate::temporal::{temporal_curves, temporal_curves_bits, TemporalCurve};
+use crate::temporal::{temporal_curves_bits, TemporalCurve};
 use obscor_anonymize::sharing::Holder;
-use obscor_assoc::{BitSet, KeySet, MonthMatrix, NumKeySet};
+use obscor_assoc::{BitSet, MonthMatrix};
 use obscor_honeyfarm::observe_all_months;
 use obscor_hypersparse::reduce::{self, NetworkQuantities};
 use obscor_hypersparse::{Csr, SpillReport};
@@ -242,22 +242,16 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
     obscor_obs::counter("stage.degrees.windows_total").add(degrees.len() as u64);
 
     // 4. Honeyfarm months, and the correlation sets built from them once
-    // per analysis: the string key sets, their numeric mirror (`None` — a
-    // month with non-IP keys — falls back to the string path), per-month
-    // BitSets for the coeval (peak) stage, and one month×source membership
-    // matrix for the temporal stage's one-sweep overlap counts. The
-    // compressed forms are bit-identical to the sorted vectors they derive
-    // from.
-    let (months, monthly_sources, monthly_ip, monthly_bits, month_matrix) = {
+    // per analysis: per-month BitSets for the coeval (peak) stage, and one
+    // month×source membership matrix for the temporal stage's one-sweep
+    // overlap counts.
+    let (months, monthly_bits, month_matrix) = {
         let _s = obscor_obs::span("stage.honeyfarm");
         let months = observe_all_months(scenario);
-        let sources: Vec<KeySet> = months.iter().map(|m| m.source_keys().clone()).collect();
-        let ip: Option<Vec<NumKeySet>> = sources.iter().map(NumKeySet::from_key_set).collect();
-        let bits: Option<Vec<BitSet>> =
-            ip.as_ref().map(|months| months.iter().map(BitSet::from_num_key_set).collect());
-        let matrix: Option<MonthMatrix> =
-            bits.as_ref().map(|bits| MonthMatrix::from_bit_sets(bits));
-        (months, sources, ip, bits, matrix)
+        let bits: Vec<BitSet> =
+            months.iter().map(|m| BitSet::from_ip_keys(m.source_keys())).collect();
+        let matrix = MonthMatrix::from_bit_sets(&bits);
+        (months, bits, matrix)
     };
     obscor_obs::counter("stage.honeyfarm.months_total").add(months.len() as u64);
     let greynoise_inventory: Vec<GreyNoiseInventoryRow> = months
@@ -265,28 +259,19 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
         .map(|m| GreyNoiseInventoryRow { label: m.label.clone(), sources: m.n_sources() })
         .collect();
     if cfg!(any(debug_assertions, feature = "strict-invariants")) {
-        for (m, keys) in months.iter().zip(&monthly_sources) {
-            stage_check(&m.label, m.assoc.check_invariants());
-            stage_check(&m.label, keys.check_invariants());
-        }
-        if let (Some(ip), Some(bits), Some(mm)) = (&monthly_ip, &monthly_bits, &month_matrix) {
-            stage_check("month-matrix", mm.check_invariants());
-            for (m, (nks, bs)) in ip.iter().zip(bits).enumerate() {
-                stage_check("monthly-bits", bs.check_invariants());
-                // The compressed mirror answers exactly like the vector:
-                // same cardinality (matrix rows included), and rank/select
-                // agree on the extremes.
-                let consistent = bs.len() == nks.len()
-                    && mm.month_len(m) == nks.len()
-                    && bs.select(0) == nks.as_slice().first().copied()
-                    && nks.as_slice().last().is_none_or(|&k| bs.rank(k) == nks.len() - 1);
-                stage_check(
-                    "monthly-bits",
-                    consistent
-                        .then_some(())
-                        .ok_or_else(|| format!("month {m}: compressed mirror diverged")),
-                );
-            }
+        stage_check("month-matrix", month_matrix.check_invariants());
+        for (m, (month, bits)) in months.iter().zip(&monthly_bits).enumerate() {
+            stage_check(&month.label, month.assoc.check_invariants());
+            stage_check("monthly-bits", bits.check_invariants());
+            // Every row key is an `ip_key` render, so interning skipped
+            // none of them, and the matrix row holds the same month.
+            let (n, row) = (month.n_sources(), month_matrix.month_len(m));
+            stage_check(
+                "monthly-bits",
+                (bits.len() == n && row == n).then_some(()).ok_or_else(|| {
+                    format!("month {m}: {} bits, {row} matrix keys, {n} sources", bits.len())
+                }),
+            );
         }
     }
 
@@ -337,20 +322,10 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
         let _s = obscor_obs::span("stage.peaks");
         degrees
             .par_iter()
-            .map(|wd| match &monthly_bits {
-                // audit:allow(blocking-in-par) — chain ends at the obs registry name-lookup mutex, a leaf lock with an O(1) critical section; same justification as the baselined oracle arm below
-                Some(months) => peak_correlation_bits(
-                    wd,
-                    &months[wd.month],
-                    scenario.bright_log2(),
-                    config.min_bin_sources,
-                ),
-                None => peak_correlation(
-                    wd,
-                    &monthly_sources[wd.month],
-                    scenario.bright_log2(),
-                    config.min_bin_sources,
-                ),
+            .map(|wd| {
+                let coeval = &monthly_bits[wd.month];
+                // audit:allow(blocking-in-par) — chain ends at the obs registry name-lookup mutex, a leaf lock with an O(1) critical section never held while calling user code
+                peak_correlation_bits(wd, coeval, scenario.bright_log2(), config.min_bin_sources)
             })
             .collect()
     };
@@ -359,11 +334,8 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
         let _s = obscor_obs::span("stage.curves");
         degrees
             .par_iter()
-            .flat_map(|wd| match &month_matrix {
-                // audit:allow(blocking-in-par) — chain ends at the obs registry name-lookup mutex, a leaf lock with an O(1) critical section; same justification as the baselined oracle arm below
-                Some(mm) => temporal_curves_bits(wd, mm, config.min_bin_sources),
-                None => temporal_curves(wd, &monthly_sources, config.min_bin_sources),
-            })
+            // audit:allow(blocking-in-par) — chain ends at the obs registry name-lookup mutex, a leaf lock with an O(1) critical section never held while calling user code
+            .flat_map(|wd| temporal_curves_bits(wd, &month_matrix, config.min_bin_sources))
             .collect()
     };
     obscor_obs::counter("stage.curves.computed_total").add(curves.len() as u64);

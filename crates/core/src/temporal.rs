@@ -5,7 +5,7 @@
 //! the 15-month span — overlap as a function of the month lag `t − t0`.
 
 use crate::degree::WindowDegrees;
-use obscor_assoc::{KeySet, MonthMatrix, NumKeySet};
+use obscor_assoc::{BitSet, KeySet, MonthMatrix};
 use obscor_stats::binning::bin_representative;
 
 /// One temporal correlation curve (one window × one degree bin).
@@ -43,39 +43,26 @@ impl TemporalCurve {
 }
 
 /// Compute the temporal curves of one window against all honeyfarm
-/// months (`monthly_sources[m]` is month `m`'s row-key set).
-///
-/// Dispatching wrapper: when every monthly key parses as a dotted-quad IP
-/// the 15-month × per-bin overlap grid runs one-sweep over a compressed
-/// month×source membership matrix ([`temporal_curves_bits`]); otherwise it
-/// falls back to the string-keyed oracle ([`temporal_curves_str`]). The
-/// pairwise sorted-vector path ([`temporal_curves_ip`]) is retained as the
-/// numeric differential oracle. Callers running many windows against the
-/// same months should build one [`MonthMatrix`] and call the `_bits`
-/// variant directly — that is what the pipeline does.
+/// months (`monthly_sources[m]` is month `m`'s row-key set), each month
+/// interned through [`BitSet::from_ip_keys`] into one [`MonthMatrix`].
+/// Callers running many windows against the same months should build the
+/// matrix once and call [`temporal_curves_bits`] — that is what the
+/// pipeline does.
 pub fn temporal_curves(
     window: &WindowDegrees,
     monthly_sources: &[KeySet],
     min_bin_sources: usize,
 ) -> Vec<TemporalCurve> {
-    let numeric: Option<Vec<NumKeySet>> =
-        monthly_sources.iter().map(NumKeySet::from_key_set).collect();
-    match numeric {
-        Some(months) => {
-            temporal_curves_bits(window, &MonthMatrix::from_months(&months), min_bin_sources)
-        }
-        None => temporal_curves_str(window, monthly_sources, min_bin_sources),
-    }
+    let months: Vec<BitSet> = monthly_sources.iter().map(BitSet::from_ip_keys).collect();
+    temporal_curves_bits(window, &MonthMatrix::from_bit_sets(&months), min_bin_sources)
 }
 
-/// Compressed-bitmap fast path of [`temporal_curves`]: instead of one
+/// [`temporal_curves`] over a built [`MonthMatrix`]: instead of one
 /// pairwise intersection per month (each re-walking the bin's keys), a
 /// single [`MonthMatrix::overlap_counts`] sweep visits every bin chunk
 /// once and scores it against all months sharing that chunk, with
-/// word-parallel popcounts on dense container pairs. Each count is the
-/// exact integer the pairwise path produces and each fraction divides the
-/// same two integers, so curves are bit-identical to
-/// [`temporal_curves_ip`].
+/// word-parallel popcounts on dense container pairs. Each fraction
+/// divides an exact shared-source count by the bin's size.
 pub fn temporal_curves_bits(
     window: &WindowDegrees,
     months_matrix: &MonthMatrix,
@@ -104,77 +91,6 @@ pub fn temporal_curves_bits(
                 bin,
                 d: bin_representative(bin),
                 n_sources,
-                months,
-                lags,
-                fractions,
-            }
-        })
-        .collect();
-    obscor_obs::counter("core.temporal_curves.curves_total").add(curves.len() as u64);
-    curves
-}
-
-/// Numeric fast path of [`temporal_curves`]: every per-bin × per-month
-/// overlap is a `u32` merge/gallop count with no string allocation.
-pub fn temporal_curves_ip(
-    window: &WindowDegrees,
-    monthly_sources: &[NumKeySet],
-    min_bin_sources: usize,
-) -> Vec<TemporalCurve> {
-    let _span = obscor_obs::span("core.temporal_curves");
-    let curves: Vec<TemporalCurve> = window
-        .bin_ip_sets(min_bin_sources)
-        .into_iter()
-        .map(|(bin, keys)| {
-            let months: Vec<usize> = (0..monthly_sources.len()).collect();
-            let lags: Vec<f64> =
-                months.iter().map(|&m| (m as f64 + 0.5) - window.coord).collect();
-            let fractions: Vec<f64> = months
-                .iter()
-                .map(|&m| keys.overlap_fraction(&monthly_sources[m]).unwrap_or(0.0))
-                .collect();
-            TemporalCurve {
-                window_label: window.label.clone(),
-                coord: window.coord,
-                bin,
-                d: bin_representative(bin),
-                n_sources: keys.len(),
-                months,
-                lags,
-                fractions,
-            }
-        })
-        .collect();
-    obscor_obs::counter("core.temporal_curves.curves_total").add(curves.len() as u64);
-    curves
-}
-
-/// String-keyed path of [`temporal_curves`], kept as the differential
-/// oracle for the numeric fast path (and the fallback for key sets whose
-/// keys are not dotted-quad IPs).
-pub fn temporal_curves_str(
-    window: &WindowDegrees,
-    monthly_sources: &[KeySet],
-    min_bin_sources: usize,
-) -> Vec<TemporalCurve> {
-    let _span = obscor_obs::span("core.temporal_curves");
-    let curves: Vec<TemporalCurve> = window
-        .bin_key_sets(min_bin_sources)
-        .into_iter()
-        .map(|(bin, keys)| {
-            let months: Vec<usize> = (0..monthly_sources.len()).collect();
-            let lags: Vec<f64> =
-                months.iter().map(|&m| (m as f64 + 0.5) - window.coord).collect();
-            let fractions: Vec<f64> = months
-                .iter()
-                .map(|&m| keys.overlap_fraction(&monthly_sources[m]).unwrap_or(0.0))
-                .collect();
-            TemporalCurve {
-                window_label: window.label.clone(),
-                coord: window.coord,
-                bin,
-                d: bin_representative(bin),
-                n_sources: keys.len(),
                 months,
                 lags,
                 fractions,
@@ -244,27 +160,12 @@ mod tests {
     }
 
     #[test]
-    fn numeric_and_string_paths_are_bit_identical() {
-        let w = window();
-        let gn = months(&[&[1, 2], &[1], &[], &[21, 22, 23], &[1, 21, 99]]);
-        let via_str = temporal_curves_str(&w, &gn, 1);
-        let gn_num: Vec<NumKeySet> =
-            gn.iter().map(|ks| NumKeySet::from_key_set(ks).unwrap()).collect();
-        let via_num = temporal_curves_ip(&w, &gn_num, 1);
-        assert_eq!(via_str, via_num);
-        let mm = MonthMatrix::from_months(&gn_num);
-        mm.check_invariants().unwrap();
-        let via_bits = temporal_curves_bits(&w, &mm, 1);
-        assert_eq!(via_num, via_bits);
-        // The public entry point dispatches to the one-sweep path here.
-        assert_eq!(temporal_curves(&w, &gn, 1), via_bits);
-    }
-
-    #[test]
-    fn unparseable_keys_fall_back_to_the_string_path() {
+    fn keys_not_spelled_by_ip_key_never_match() {
         let w = window();
         let mut gn = months(&[&[1, 2], &[1]]);
-        gn[1] = ["not-an-ip".to_string(), ip_key(1)].into_iter().collect();
+        // Sources 2 and 3 spelled otherwise than `ip_key` renders them.
+        let one = ip_key(1);
+        gn[1] = ["not-an-ip", "0.0.0.2", "+00.000.000.003", one.as_str()].into_iter().collect();
         let curves = temporal_curves(&w, &gn, 1);
         let dim = curves.iter().find(|c| c.bin == 2).unwrap();
         assert!((dim.fractions[0] - 0.2).abs() < 1e-12);

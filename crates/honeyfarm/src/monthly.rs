@@ -104,6 +104,7 @@ pub fn observe_all_months(scenario: &Scenario) -> Vec<MonthlyObservation> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obscor_assoc::convert::parse_ip_key;
     use obscor_netmodel::Scenario;
     use std::sync::OnceLock;
 
@@ -153,6 +154,25 @@ mod tests {
         }
         assert!(engaged > 0, "no engaged sources");
         assert!(background > 0, "no background sources");
+    }
+
+    #[test]
+    fn every_row_key_is_an_ip_key_render() {
+        // The correlation path interns month keys through `parse_ip_key`
+        // and skips any other spelling; no month, engaged or background
+        // rows, has one to skip.
+        let (mut engaged, mut background) = (0, 0);
+        for obs in observe_all_months(scenario()) {
+            for key in obs.source_keys().iter() {
+                let ip = parse_ip_key(key);
+                assert_eq!(ip.map(ip_key).as_deref(), Some(key), "row key {key:?}");
+                match obs.assoc.get(key, "intent") {
+                    Some(_) => engaged += 1,
+                    None => background += 1,
+                }
+            }
+        }
+        assert!(engaged > 0 && background > 0, "{engaged} engaged, {background} background");
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! All metrics live in a process-global [`Registry`] (lock-free to update,
 //! locked only on name lookup) and can be frozen into a
 //! [`MetricsSnapshot`], which serializes to the stable `obscor.metrics.v1`
-//! JSON schema (see [`snapshot`]) consumed by `obscor --metrics <path>` and
-//! the bench crate's `BENCH_pipeline.json`.
+//! JSON schema (see the [`snapshot`](mod@snapshot) module) consumed by
+//! `obscor --metrics <path>` and the bench crate's `BENCH_pipeline.json`.
 //!
 //! # Naming scheme
 //!

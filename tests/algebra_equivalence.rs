@@ -104,16 +104,16 @@ fn adjacent_months_share_more_than_distant_months() {
 }
 
 #[test]
-fn bin_matrix_row_sizes_match_bin_key_sets() {
+fn bin_matrix_row_sizes_match_bin_bit_sets() {
     let f = fixture();
     for wd in &f.degrees {
         let (bins, m) = bin_source_matrix(wd, 5);
-        let key_sets = wd.bin_key_sets(5);
-        assert_eq!(bins.len(), key_sets.len());
+        let bit_sets = wd.bin_bit_sets(5);
+        assert_eq!(bins.len(), bit_sets.len());
         for (i, bin) in bins.iter().enumerate() {
             assert_eq!(
                 m.row_at(i).0.len(),
-                key_sets[bin].len(),
+                bit_sets[bin].len(),
                 "bin {bin} size mismatch"
             );
         }

@@ -298,6 +298,40 @@ fn golden_quadrant_occupancy_is_pinned() {
     assert_eq!(a.quadrants.honeyfarm_int_to_ext, 4_999);
 }
 
+/// FNV-1a over every Fig 4–6 point, `(window, bin, n_sources,
+/// fraction.to_bits())`: each peak point, then each curve's fractions in
+/// month order. Returns `(points, digest)`.
+fn fig4_6_digest(a: &PaperAnalysis) -> (usize, u64) {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut n = 0;
+    let mut point = |window: &str, bin: u32, n_sources: usize, fraction: f64| {
+        let fields = [u64::from(bin), n_sources as u64, fraction.to_bits()];
+        for b in window.bytes().chain(fields.iter().flat_map(|f| f.to_le_bytes())) {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+        n += 1;
+    };
+    for peak in &a.peaks {
+        for p in &peak.points {
+            point(&peak.window_label, p.bin, p.n_sources, p.fraction);
+        }
+    }
+    for c in &a.curves {
+        for &f in &c.fractions {
+            point(&c.window_label, c.bin, c.n_sources, f);
+        }
+    }
+    (n, h)
+}
+
+#[test]
+fn golden_fig4_6_correlations_are_pinned() {
+    let (_, a) = analysis();
+    assert_eq!(fig4_6_digest(a), (912, 14_714_407_324_224_751_478));
+    let other = pipeline::run(&Scenario::paper_scaled(1 << 15, 77), &AnalysisConfig::fast());
+    assert_eq!(fig4_6_digest(&other), (864, 11_148_378_268_511_193_575));
+}
+
 #[test]
 fn temporal_correlation_decays_and_levels_off() {
     let (_, a) = analysis();
