@@ -16,7 +16,7 @@
 //! `memo ≡ uncached` over full-range address samples.
 //!
 //! Opt-in metrics (enable with [`enable_cache_metrics`]; never emitted
-//! otherwise, keeping the default 80-name metrics schema untouched):
+//! otherwise, keeping the default 88-name metrics schema untouched):
 //!
 //! * `anonymize.cache.table_builds_total` — prefix tables built (per key)
 //! * `anonymize.cache.prefix_hits_total` — addresses whose top-16 pad came

@@ -24,6 +24,9 @@ use obscor_telescope::{capture_window, stream, FaultPlan, IngestConfig, IngestSe
 use std::process::ExitCode;
 
 const DEFAULT_NV: usize = 1 << 20;
+/// The supported window sizes: the scenario's documented minimum up to
+/// the paper's window of 2^30 packets.
+const NV_RANGE: std::ops::RangeInclusive<usize> = 1 << 12..=1 << 30;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -52,6 +55,7 @@ const USAGE: &str = "usage:
   obscor info      [--nv N] [--seed S]
 
 Flags given without a subcommand run `reproduce` (e.g. `obscor --metrics m.json`).
+--nv N (accepts 2^K) is the window size in packets, 2^12..=2^30.
 serve runs the streaming line-rate ingest service on the scenario's live
 traffic stream: packets are sharded over --workers threads through bounded
 queues (depth --queue-depth; full queues block the producer, never drop),
@@ -138,6 +142,9 @@ fn parse(args: &[String]) -> Result<Options, String> {
             "--nv" => {
                 let v = value("--nv")?;
                 o.nv = parse_nv(&v)?;
+                if !NV_RANGE.contains(&o.nv) {
+                    return Err(format!("--nv {v} is outside the supported 2^12..=2^30"));
+                }
             }
             "--seed" => o.seed = value("--seed")?.parse().map_err(|_| "bad --seed")?,
             "--fast" => o.fast = true,
@@ -634,6 +641,11 @@ mod tests {
         assert!(parse(&args("--nv 2^99")).is_err());
         assert!(parse(&args("--nv banana")).is_err());
         assert!(parse(&args("--nv")).is_err());
+        for outside in ["0", "4095", "2^11", "2^31"] {
+            assert!(parse(&args(&format!("--nv {outside}"))).is_err(), "--nv {outside}");
+        }
+        assert_eq!(parse(&args("--nv 2^12")).unwrap().nv, 1 << 12);
+        assert_eq!(parse(&args("--nv 2^30")).unwrap().nv, 1 << 30);
     }
 
     #[test]

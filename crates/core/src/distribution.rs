@@ -64,7 +64,10 @@ fn bin_quantity(label: &str, degrees: impl IntoIterator<Item = u64>) -> DegreeDi
         let h = obscor_stats::DegreeHistogram::from_degrees(raw.iter().copied());
         (differential_cumulative(&h), h.d_max())
     };
-    let tail_fit = fit_power_law(&raw, 50);
+    let tail_fit = {
+        let _span = obscor_obs::span("core.tail_fit");
+        fit_power_law(&raw, 50)
+    };
     DegreeDistribution { window_label: label.to_string(), binned, d_max, fit: None, tail_fit }
 }
 

@@ -348,27 +348,35 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
     obscor_obs::counter("stage.fits.fitted_total").add(fits.len() as u64);
 
     // Enrichment-aware extension: class split of the coeval overlap.
-    let class_structure: Vec<ClassCorrelation> =
-        degrees.iter().map(|wd| class_correlation(wd, &months[wd.month])).collect();
+    let class_structure: Vec<ClassCorrelation> = {
+        let _s = obscor_obs::span("stage.classes");
+        degrees.iter().map(|wd| class_correlation(wd, &months[wd.month])).collect()
+    };
 
     // Scaling extension: sources-vs-packets exponent per window.
-    let scaling: Vec<(String, f64, f64)> = windows
-        .iter()
-        .filter_map(|w| {
-            source_scaling(&w.window.packets, 8)
-                .map(|l| (w.label.clone(), l.exponent, l.r_squared))
-        })
-        .collect();
+    let scaling: Vec<(String, f64, f64)> = {
+        let _s = obscor_obs::span("stage.scaling");
+        windows
+            .iter()
+            .filter_map(|w| {
+                source_scaling(&w.window.packets, 8)
+                    .map(|l| (w.label.clone(), l.exponent, l.r_squared))
+            })
+            .collect()
+    };
 
     // Subnet extension: top /16s per window.
-    let subnet_top: Vec<(String, Vec<SubnetRow>)> = degrees
-        .iter()
-        .map(|wd| {
-            let mut rows = aggregate_by_prefix(wd, 16);
-            rows.truncate(5);
-            (wd.label.clone(), rows)
-        })
-        .collect();
+    let subnet_top: Vec<(String, Vec<SubnetRow>)> = {
+        let _s = obscor_obs::span("stage.subnets");
+        degrees
+            .iter()
+            .map(|wd| {
+                let mut rows = aggregate_by_prefix(wd, 16);
+                rows.truncate(5);
+                (wd.label.clone(), rows)
+            })
+            .collect()
+    };
 
     // Close the whole-run span, then freeze this run's metric delta.
     drop(pipeline_span);

@@ -29,7 +29,7 @@
 //! rather than a magic constant.
 //!
 //! Opt-in metrics (enable with [`enable_metrics`]; never emitted otherwise,
-//! so the default 80-name metrics schema is untouched):
+//! so the default 88-name metrics schema is untouched):
 //!
 //! * `hypersparse.radix.compactions_total` — kernel invocations
 //! * `hypersparse.radix.keys_total` — triples ingested

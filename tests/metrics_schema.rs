@@ -29,7 +29,7 @@ fn metrics() -> &'static MetricsSnapshot {
 /// Every metric name the pipeline emits, pinned. A missing name means an
 /// instrumentation point was dropped; a new name must be added here (and to
 /// DESIGN.md §10) deliberately.
-const PINNED_NAMES: [&str; 80] = [
+const PINNED_NAMES: [&str; 88] = [
     "config.min_bin_sources",
     "config.month_count",
     "config.n_v",
@@ -56,6 +56,8 @@ const PINNED_NAMES: [&str; 80] = [
     "span.core.fit_curves.ns",
     "span.core.peak_correlation.calls_total",
     "span.core.peak_correlation.ns",
+    "span.core.tail_fit.calls_total",
+    "span.core.tail_fit.ns",
     "span.core.temporal_curves.calls_total",
     "span.core.temporal_curves.ns",
     "span.core.zm_fit.calls_total",
@@ -70,6 +72,8 @@ const PINNED_NAMES: [&str; 80] = [
     "span.pipeline.run.ns",
     "span.stage.capture.calls_total",
     "span.stage.capture.ns",
+    "span.stage.classes.calls_total",
+    "span.stage.classes.ns",
     "span.stage.curves.calls_total",
     "span.stage.curves.ns",
     "span.stage.degrees.calls_total",
@@ -88,6 +92,10 @@ const PINNED_NAMES: [&str; 80] = [
     "span.stage.quadrants.ns",
     "span.stage.quantities.calls_total",
     "span.stage.quantities.ns",
+    "span.stage.scaling.calls_total",
+    "span.stage.scaling.ns",
+    "span.stage.subnets.calls_total",
+    "span.stage.subnets.ns",
     "span.telescope.build_matrix.calls_total",
     "span.telescope.build_matrix.ns",
     "span.telescope.capture_all_windows.calls_total",
@@ -178,4 +186,19 @@ fn counters_reflect_the_run_deterministically() {
         m.histograms["span.telescope.capture_window.ns"].count,
         m.counters["span.telescope.capture_window.calls_total"]
     );
+    // 5 windows + 4 first-window quantities, each tail-fitted once.
+    assert_eq!(m.counters["span.core.tail_fit.calls_total"], 9);
+}
+
+#[test]
+fn stage_spans_add_up_to_at_most_the_run() {
+    let m = metrics();
+    let stages: u64 = m
+        .histograms
+        .iter()
+        .filter(|(name, _)| name.starts_with("span.stage.") && name.ends_with(".ns"))
+        .map(|(_, h)| h.sum)
+        .sum();
+    let run = m.histograms["span.pipeline.run.ns"].sum;
+    assert!(stages > 0 && stages <= run, "stage spans {stages} ns > pipeline.run {run} ns");
 }

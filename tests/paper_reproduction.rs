@@ -17,6 +17,12 @@ fn analysis() -> &'static (Scenario, PaperAnalysis) {
     })
 }
 
+/// The second golden fixture: a smaller window under another seed.
+fn other_analysis() -> &'static PaperAnalysis {
+    static A: OnceLock<PaperAnalysis> = OnceLock::new();
+    A.get_or_init(|| pipeline::run(&Scenario::paper_scaled(1 << 15, 77), &AnalysisConfig::fast()))
+}
+
 #[test]
 fn table1_inventory_matches_paper_layout() {
     let (s, a) = analysis();
@@ -328,8 +334,38 @@ fn fig4_6_digest(a: &PaperAnalysis) -> (usize, u64) {
 fn golden_fig4_6_correlations_are_pinned() {
     let (_, a) = analysis();
     assert_eq!(fig4_6_digest(a), (912, 14_714_407_324_224_751_478));
-    let other = pipeline::run(&Scenario::paper_scaled(1 << 15, 77), &AnalysisConfig::fast());
-    assert_eq!(fig4_6_digest(&other), (864, 11_148_378_268_511_193_575));
+    assert_eq!(fig4_6_digest(other_analysis()), (864, 11_148_378_268_511_193_575));
+}
+
+/// FNV-1a over every Fig 3 CSN tail fit, `(label, alpha.to_bits(), d_min,
+/// n_tail, ks.to_bits())`: each window's, then each first-window
+/// quantity's under its quantity name (a missing fit hashes as its label
+/// and `u64::MAX`). Returns `(fits, digest)`.
+fn tail_fit_digest(a: &PaperAnalysis) -> (usize, u64) {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut n = 0;
+    let windows = a.distributions.iter().map(|d| (d.window_label.as_str(), d));
+    let quantities = a.quantity_distributions.iter().map(|(name, d)| (name.as_str(), d));
+    for (label, dist) in windows.chain(quantities) {
+        let fields = match dist.tail_fit {
+            Some(t) => {
+                n += 1;
+                vec![t.alpha.to_bits(), t.d_min, t.n_tail as u64, t.ks.to_bits()]
+            }
+            None => vec![u64::MAX],
+        };
+        for b in label.bytes().chain(fields.iter().flat_map(|f| f.to_le_bytes())) {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    (n, h)
+}
+
+#[test]
+fn golden_fig3_tail_fits_are_pinned() {
+    let (_, a) = analysis();
+    assert_eq!(tail_fit_digest(a), (9, 706_163_371_320_274_572));
+    assert_eq!(tail_fit_digest(other_analysis()), (9, 11_964_916_198_728_551_003));
 }
 
 #[test]
