@@ -337,6 +337,9 @@ fn reproduce(o: Options) -> Result<(), String> {
             );
         }
     }
+    for (label, fault) in &analysis.spill_fallbacks {
+        eprintln!("spill: window {label} fell back to the in-memory build: {fault}");
+    }
     if o.strict_archive && analysis.restore.iter().any(|r| !r.is_complete()) {
         let degraded =
             analysis.restore.iter().filter(|r| !r.is_complete()).count();

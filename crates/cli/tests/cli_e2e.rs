@@ -185,6 +185,8 @@ fn metrics_flag_writes_schema_valid_json_with_all_stage_spans() {
         "stage.peaks",
         "stage.curves",
         "stage.fits",
+        "stage.classes",
+        "stage.teardown",
         "telescope.capture_window",
         "telescope.build_matrix",
         "hypersparse.leaf_compact",
@@ -206,6 +208,29 @@ fn metrics_flag_writes_schema_valid_json_with_all_stage_spans() {
     assert_eq!(snap.counters["telescope.capture.valid_packets_total"], 5 * (1 << 13));
     assert_eq!(snap.counters["stage.capture.windows_total"], 5);
     assert_eq!(snap.gauges["config.n_v"], 1 << 13);
+    assert!(snap.counters["stage.honeyfarm.sources_total"] > 0, "the honeyfarm saw no sources");
+}
+
+#[test]
+fn unusable_spill_dir_is_reported_per_window() {
+    let dir = ScratchDir::new("spill_fallback");
+    // A regular file: no spill directory can be created under it.
+    let file = dir.file("not-a-dir");
+    std::fs::write(&file, b"").unwrap();
+    let out = obscor()
+        .args(["reproduce", "--nv", "2^12", "--seed", "9", "--fast", "--only", "table2"])
+        .args(["--memory-budget", "0", "--spill-dir", file.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    // The in-memory build is the same matrix, so the run still succeeds.
+    assert!(out.status.success(), "stderr:\n{stderr}");
+    let fallbacks: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.starts_with("spill: window ") && l.contains(" fell back to the in-memory build: "))
+        .collect();
+    assert_eq!(fallbacks.len(), 5, "one fallback line per window:\n{stderr}");
+    assert!(fallbacks[0].starts_with("spill: window 2020-06-17-12:00:00 fell back"), "{stderr}");
 }
 
 #[test]

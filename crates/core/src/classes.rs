@@ -3,15 +3,14 @@
 //! The telescope sees anonymous packet counts; the honeyfarm *engages*
 //! and labels sources. Joining the two gives the class structure of the
 //! coeval overlap — which behaviour classes dominate the bright beam the
-//! paper observes, and how class-specific overlap decays in time. This
-//! analysis is only possible because the honeyfarm data is a D4M
-//! associative array with metadata columns, exercised here through the
-//! value-conditional row selection (`rows_where`).
+//! paper observes, and how class-specific overlap decays in time. The
+//! split is one pass over a month's numeric rows ([`class_split`]);
+//! [`class_correlation`] takes the same split from the month's D4M array,
+//! reading each row's "class" column.
 
 use crate::degree::WindowDegrees;
 use obscor_assoc::convert::parse_ip_key;
-use obscor_assoc::KeySet;
-use obscor_honeyfarm::MonthlyObservation;
+use obscor_honeyfarm::{MonthSources, MonthlyObservation, UNKNOWN_CLASS};
 use obscor_netmodel::SourceClass;
 
 /// Coeval overlap of one window split by honeyfarm class label.
@@ -39,34 +38,66 @@ pub struct ClassRow {
     pub share_of_detected: f64,
 }
 
-/// Split a window's coeval overlap by honeyfarm class.
+/// The split's class labels, in row order: the engagement classes, then
+/// the background's [`UNKNOWN_CLASS`].
+fn labels() -> impl Iterator<Item = &'static str> {
+    SourceClass::ALL.iter().map(SourceClass::label).chain([UNKNOWN_CLASS])
+}
+
+/// Split a window's coeval overlap by honeyfarm class, in one pass over
+/// the month's rows.
+pub fn class_split(window: &WindowDegrees, coeval: &MonthSources) -> ClassCorrelation {
+    let rows = coeval.ips().iter().zip(coeval.engagement()).map(|(&ip, engagement)| {
+        let label = engagement.as_ref().map_or(UNKNOWN_CLASS, |e| e.observed_class.label());
+        (Some(ip), Some(label))
+    });
+    split(window, coeval.month, rows)
+}
+
+/// Split a window's coeval overlap by the "class" column of the month's
+/// D4M array. A row key that is not an `ip_key` render counts in its
+/// class's size but is never a telescope source.
 pub fn class_correlation(
     window: &WindowDegrees,
     coeval: &MonthlyObservation,
 ) -> ClassCorrelation {
+    let rows = coeval.source_keys().iter().map(|key| {
+        (parse_ip_key(key), coeval.assoc.get(key, "class").map(String::as_str))
+    });
+    split(window, coeval.month, rows)
+}
+
+/// Count `(address, class label)` rows into the per-class table. A row
+/// with no address counts only in its class's size; one with no class,
+/// or a label outside the table, counts only in the detected total.
+fn split<'a>(
+    window: &WindowDegrees,
+    month: usize,
+    rows: impl Iterator<Item = (Option<u32>, Option<&'a str>)>,
+) -> ClassCorrelation {
     let telescope = window.bit_set();
-    // Telescope sources among `keys`; only `ip_key` renders can be one.
-    let detected = |keys: &KeySet| {
-        keys.iter().filter_map(parse_ip_key).filter(|&ip| telescope.contains(ip)).count()
-    };
-    let detected_total = detected(coeval.source_keys()).max(1);
-    let mut labels: Vec<String> =
-        SourceClass::ALL.iter().map(|c| c.label().to_string()).collect();
-    labels.push("unknown".to_string());
-    let rows = labels
-        .into_iter()
-        .map(|label| {
-            let class_set = coeval.assoc.rows_where("class", |v| *v == label);
-            let shared = detected(&class_set);
-            ClassRow {
-                label,
-                shared,
-                class_size: class_set.len(),
-                share_of_detected: shared as f64 / detected_total as f64,
-            }
+    let n = labels().count();
+    let (mut shared, mut class_size) = (vec![0usize; n], vec![0usize; n]);
+    let mut detected = 0usize;
+    for (ip, label) in rows {
+        let seen = ip.is_some_and(|ip| telescope.contains(ip));
+        detected += usize::from(seen);
+        if let Some(c) = label.and_then(|label| labels().position(|l| l == label)) {
+            class_size[c] += 1;
+            shared[c] += usize::from(seen);
+        }
+    }
+    let detected_total = detected.max(1);
+    let rows = labels()
+        .zip(shared.into_iter().zip(class_size))
+        .map(|(label, (shared, class_size))| ClassRow {
+            label: label.to_string(),
+            shared,
+            class_size,
+            share_of_detected: shared as f64 / detected_total as f64,
         })
         .collect();
-    ClassCorrelation { window_label: window.label.clone(), month: coeval.month, rows }
+    ClassCorrelation { window_label: window.label.clone(), month, rows }
 }
 
 /// Render as an aligned table.
@@ -89,21 +120,26 @@ pub fn render(c: &ClassCorrelation) -> String {
 mod tests {
     use super::*;
     use obscor_anonymize::sharing::Holder;
-    use obscor_honeyfarm::observe_month;
+    use obscor_honeyfarm::observe_month_sources;
     use obscor_netmodel::Scenario;
     use std::sync::OnceLock;
 
-    fn fixture() -> &'static (WindowDegrees, MonthlyObservation, ClassCorrelation) {
-        static F: OnceLock<(WindowDegrees, MonthlyObservation, ClassCorrelation)> =
-            OnceLock::new();
+    fn fixture() -> &'static (WindowDegrees, MonthSources, ClassCorrelation) {
+        static F: OnceLock<(WindowDegrees, MonthSources, ClassCorrelation)> = OnceLock::new();
         F.get_or_init(|| {
             let s = Scenario::paper_scaled(1 << 15, 91);
             let holder = Holder::new("t", &[8u8; 32]);
             let wd = WindowDegrees::capture(&s, 0, &holder);
-            let obs = observe_month(&s, wd.month);
-            let cc = class_correlation(&wd, &obs);
-            (wd, obs, cc)
+            let month = observe_month_sources(&s, wd.month);
+            let cc = class_split(&wd, &month);
+            (wd, month, cc)
         })
+    }
+
+    #[test]
+    fn d4m_adapter_agrees_with_the_numeric_split() {
+        let (wd, month, cc) = fixture();
+        assert_eq!(&class_correlation(wd, &month.to_observation()), cc);
     }
 
     #[test]

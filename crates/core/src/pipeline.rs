@@ -5,13 +5,13 @@ use crate::degree::WindowDegrees;
 use crate::distribution::{binned_distributions, DegreeDistribution};
 use crate::fitscan::{fit_curves, BinFit};
 use crate::peak::{peak_correlation_bits, PeakCorrelation};
-use crate::classes::{class_correlation, ClassCorrelation};
+use crate::classes::{class_split, ClassCorrelation};
 use crate::scaling::source_scaling;
 use crate::subnets::{aggregate_by_prefix, SubnetRow};
 use crate::temporal::{temporal_curves_bits, TemporalCurve};
 use obscor_anonymize::sharing::Holder;
 use obscor_assoc::{BitSet, MonthMatrix};
-use obscor_honeyfarm::observe_all_months;
+use obscor_honeyfarm::observe_all_month_sources;
 use obscor_hypersparse::reduce::{self, NetworkQuantities};
 use obscor_hypersparse::{Csr, SpillReport};
 use obscor_netmodel::Scenario;
@@ -95,6 +95,10 @@ pub struct PaperAnalysis {
     /// matrices are bit-identical to the direct build, so the reports
     /// carry only eviction/reload traffic and peak-footprint numbers.
     pub spill: Vec<SpillReport>,
+    /// Out-of-core fallbacks: `(window label, fault)` for every window
+    /// whose spilled build failed and was built in memory instead (same
+    /// matrix, no budget). Such a window has no [`SpillReport`].
+    pub spill_fallbacks: Vec<(String, String)>,
     /// Per-run observability: every counter, gauge, and span timing the
     /// pipeline recorded (the change in the global registry over this
     /// run). Serializes with [`MetricsSnapshot::to_json`]; written out by
@@ -146,6 +150,7 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
     obscor_obs::counter("stage.capture.windows_total").add(windows.len() as u64);
     let caida_inventory = inventory(&windows);
     let mut spill_reports: Vec<SpillReport> = Vec::new();
+    let mut spill_fallbacks: Vec<(String, String)> = Vec::new();
     let (matrices, restore): (Vec<_>, Vec<RestoreReport>) = match &config.archive {
         None => match &config.spill {
             None => {
@@ -171,12 +176,18 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
                             built.push(m);
                         }
                         // An unusable spill directory degrades to the
-                        // in-memory build (bit-identical, just bigger).
-                        Err(_) => built.push(matrix::build_matrix(w)),
+                        // in-memory build (bit-identical, just bigger),
+                        // and the run says so.
+                        Err(fault) => {
+                            spill_fallbacks.push((w.label.clone(), fault.to_string()));
+                            built.push(matrix::build_matrix(w));
+                        }
                     }
                 }
                 obscor_obs::counter("stage.matrices.spill_windows_total")
                     .add(spill_reports.len() as u64);
+                obscor_obs::counter("stage.matrices.spill_fallbacks_total")
+                    .add(spill_fallbacks.len() as u64);
                 obscor_obs::counter("stage.matrices.spill_evictions_total")
                     .add(spill_reports.iter().map(|r| r.stats.evictions).sum());
                 (built, Vec::new())
@@ -241,15 +252,15 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
     };
     obscor_obs::counter("stage.degrees.windows_total").add(degrees.len() as u64);
 
-    // 4. Honeyfarm months, and the correlation sets built from them once
-    // per analysis: per-month BitSets for the coeval (peak) stage, and one
-    // month×source membership matrix for the temporal stage's one-sweep
-    // overlap counts.
+    // 4. Honeyfarm months as sorted numeric sources (DESIGN.md §19), and
+    // the correlation sets built from them once per analysis: per-month
+    // BitSets for the coeval (peak) stage, and one month×source membership
+    // matrix for the temporal stage's one-sweep overlap counts.
     let (months, monthly_bits, month_matrix) = {
         let _s = obscor_obs::span("stage.honeyfarm");
-        let months = observe_all_months(scenario);
+        let months = observe_all_month_sources(scenario);
         let bits: Vec<BitSet> =
-            months.iter().map(|m| BitSet::from_ip_keys(m.source_keys())).collect();
+            months.iter().map(|m| BitSet::from_sorted_unique(m.ips())).collect();
         let matrix = MonthMatrix::from_bit_sets(&bits);
         (months, bits, matrix)
     };
@@ -258,13 +269,14 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
         .iter()
         .map(|m| GreyNoiseInventoryRow { label: m.label.clone(), sources: m.n_sources() })
         .collect();
+    let honeyfarm_seen: u64 = greynoise_inventory.iter().map(|r| r.sources as u64).sum();
+    obscor_obs::counter("stage.honeyfarm.sources_total").add(honeyfarm_seen);
     if cfg!(any(debug_assertions, feature = "strict-invariants")) {
         stage_check("month-matrix", month_matrix.check_invariants());
         for (m, (month, bits)) in months.iter().zip(&monthly_bits).enumerate() {
-            stage_check(&month.label, month.assoc.check_invariants());
+            stage_check(&month.label, month.check_invariants(scenario));
             stage_check("monthly-bits", bits.check_invariants());
-            // Every row key is an `ip_key` render, so interning skipped
-            // none of them, and the matrix row holds the same month.
+            // The set and the matrix row hold exactly the month's sources.
             let (n, row) = (month.n_sources(), month_matrix.month_len(m));
             stage_check(
                 "monthly-bits",
@@ -279,16 +291,7 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
     let _quadrant_span = obscor_obs::span("stage.quadrants");
     let telescope_ext_to_int: u64 =
         matrices.iter().map(|m| m.nnz() as u64).sum();
-    let honeyfarm_engaged: u64 = months
-        .iter()
-        .map(|m| {
-            m.assoc
-                .iter()
-                .filter(|(_, c, v)| *c == "handshake" && *v == "true")
-                .count() as u64
-        })
-        .sum();
-    let honeyfarm_seen: u64 = months.iter().map(|m| m.n_sources() as u64).sum();
+    let honeyfarm_engaged: u64 = months.iter().map(|m| m.handshakes() as u64).sum();
     let quadrants = QuadrantSummary {
         telescope_ext_to_int,
         telescope_int_to_ext: 0, // asserted structurally: darkspace rows are external-only
@@ -350,7 +353,7 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
     // Enrichment-aware extension: class split of the coeval overlap.
     let class_structure: Vec<ClassCorrelation> = {
         let _s = obscor_obs::span("stage.classes");
-        degrees.iter().map(|wd| class_correlation(wd, &months[wd.month])).collect()
+        degrees.iter().map(|wd| class_split(wd, &months[wd.month])).collect()
     };
 
     // Scaling extension: sources-vs-packets exponent per window.
@@ -378,6 +381,13 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
             .collect()
     };
 
+    // Free the run's bulk intermediates inside the run span, so the span
+    // covers all the work a run costs.
+    {
+        let _s = obscor_obs::span("stage.teardown");
+        drop((windows, matrices, months, monthly_bits, month_matrix));
+    }
+
     // Close the whole-run span, then freeze this run's metric delta.
     drop(pipeline_span);
     let metrics = obscor_obs::snapshot().delta_since(&metrics_baseline);
@@ -399,6 +409,7 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
         scaling,
         restore,
         spill: spill_reports,
+        spill_fallbacks,
         metrics,
     }
 }
@@ -583,6 +594,28 @@ mod tests {
         assert_eq!(direct.quantities, spilled.quantities);
         assert_eq!(direct.curves, spilled.curves);
         assert_eq!(direct.peaks, spilled.peaks);
+    }
+
+    #[test]
+    fn unusable_spill_dir_falls_back_in_memory_and_says_so() {
+        use crate::config::SpillSettings;
+        let s = Scenario::paper_scaled(1 << 13, 11);
+        let direct = run(&s, &AnalysisConfig::fast());
+        // A regular file: no spill directory can be created under it.
+        let file = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("Cargo.toml");
+        let settings = SpillSettings { memory_budget: 0, spill_dir: Some(file) };
+        let a = run(&s, &AnalysisConfig::fast().with_spill(settings));
+        assert!(a.spill.is_empty(), "no window could spill");
+        let labels: Vec<&String> = a.spill_fallbacks.iter().map(|(label, _)| label).collect();
+        let windows: Vec<&String> = direct.quantities.iter().map(|(label, _)| label).collect();
+        assert_eq!(labels, windows, "one fallback per window, in window order");
+        for (label, fault) in &a.spill_fallbacks {
+            assert!(fault.starts_with("spill i/o error"), "window {label}: {fault}");
+        }
+        assert_eq!(a.metrics.counters["stage.matrices.spill_fallbacks_total"], 5);
+        assert!(direct.spill_fallbacks.is_empty());
+        assert_eq!(direct.quantities, a.quantities);
+        assert_eq!(direct.to_tsv(), a.to_tsv());
     }
 
     #[test]

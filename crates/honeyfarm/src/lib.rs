@@ -15,7 +15,9 @@
 //!   source was active (the drifting beam),
 //! * because it responds to traffic, it observes both traffic-matrix
 //!   quadrants and can classify sources ([`engage`]), producing the
-//!   enrichment metadata columns of its monthly D4M arrays ([`monthly`]).
+//!   enrichment of its monthly observations ([`monthly`]): sorted `u32`
+//!   source addresses with typed enrichment, rendered as D4M arrays with
+//!   metadata columns on request.
 //!
 //! Sensor-fleet configuration changes (Table I's 2020-03 and 2021-04
 //! source-count spikes) enter as per-month coverage boosts.
@@ -26,5 +28,9 @@ pub mod monthly;
 pub mod sensors;
 
 pub use detect::DetectionModel;
-pub use monthly::{observe_all_months, observe_month, MonthlyObservation};
+pub use engage::Engagement;
+pub use monthly::{
+    observe_all_month_sources, observe_all_months, observe_month, observe_month_sources,
+    MonthSources, MonthlyObservation, UNKNOWN_CLASS,
+};
 pub use sensors::SensorFleet;

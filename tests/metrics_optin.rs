@@ -1,6 +1,6 @@
 //! Integration: the ingest fast-path and streaming metrics are *opt-in*.
 //!
-//! The default 88-name schema is pinned byte-for-byte by
+//! The default 91-name schema is pinned byte-for-byte by
 //! `tests/metrics_schema.rs`; this binary (a separate process, so the
 //! enable flags cannot leak into that pin) proves the two halves of the
 //! opt-in contract:

@@ -29,7 +29,7 @@ fn metrics() -> &'static MetricsSnapshot {
 /// Every metric name the pipeline emits, pinned. A missing name means an
 /// instrumentation point was dropped; a new name must be added here (and to
 /// DESIGN.md §10) deliberately.
-const PINNED_NAMES: [&str; 88] = [
+const PINNED_NAMES: [&str; 91] = [
     "config.min_bin_sources",
     "config.month_count",
     "config.n_v",
@@ -96,6 +96,8 @@ const PINNED_NAMES: [&str; 88] = [
     "span.stage.scaling.ns",
     "span.stage.subnets.calls_total",
     "span.stage.subnets.ns",
+    "span.stage.teardown.calls_total",
+    "span.stage.teardown.ns",
     "span.telescope.build_matrix.calls_total",
     "span.telescope.build_matrix.ns",
     "span.telescope.capture_all_windows.calls_total",
@@ -108,6 +110,7 @@ const PINNED_NAMES: [&str; 88] = [
     "stage.distributions.computed_total",
     "stage.fits.fitted_total",
     "stage.honeyfarm.months_total",
+    "stage.honeyfarm.sources_total",
     "stage.matrices.built_total",
     "stage.matrices.nnz_total",
     "stage.peaks.computed_total",

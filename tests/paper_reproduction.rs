@@ -368,6 +368,50 @@ fn golden_fig3_tail_fits_are_pinned() {
     assert_eq!(tail_fit_digest(other_analysis()), (9, 11_964_916_198_728_551_003));
 }
 
+/// Table I's GreyNoise column: sources per month, in month order.
+fn greynoise_counts(a: &PaperAnalysis) -> Vec<usize> {
+    a.greynoise_inventory.iter().map(|r| r.sources).collect()
+}
+
+#[test]
+fn golden_greynoise_inventory_is_pinned() {
+    let (_, a) = analysis();
+    assert_eq!(
+        greynoise_counts(a),
+        [4447, 21017, 4438, 4453, 4481, 4443, 4417, 4421, 4421, 4437, 4429, 4439, 4449, 4449, 21018]
+    );
+    assert_eq!(
+        greynoise_counts(other_analysis()),
+        [4385, 20928, 4385, 4417, 4421, 4414, 4408, 4350, 4376, 4375, 4407, 4380, 4426, 4452, 21004]
+    );
+}
+
+/// FNV-1a over every class-split row, `(window_label, label, shared,
+/// class_size, share_of_detected.to_bits())`, window by window. Returns
+/// `(rows, digest)`.
+fn class_structure_digest(a: &PaperAnalysis) -> (usize, u64) {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut n = 0;
+    for c in &a.class_structure {
+        for r in &c.rows {
+            let fields = [r.shared as u64, r.class_size as u64, r.share_of_detected.to_bits()];
+            let text = c.window_label.bytes().chain(r.label.bytes());
+            for b in text.chain(fields.iter().flat_map(|f| f.to_le_bytes())) {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+            n += 1;
+        }
+    }
+    (n, h)
+}
+
+#[test]
+fn golden_class_structure_is_pinned() {
+    let (_, a) = analysis();
+    assert_eq!(class_structure_digest(a), (25, 11_795_128_757_365_920_241));
+    assert_eq!(class_structure_digest(other_analysis()), (25, 5_804_700_117_410_766_015));
+}
+
 #[test]
 fn temporal_correlation_decays_and_levels_off() {
     let (_, a) = analysis();
