@@ -1,9 +1,10 @@
-//! Substrate ablation: hierarchical vs flat matrix accumulation, serial
-//! vs parallel COO compaction, and concurrent streaming build — the
-//! design choices behind refs [34][35] of the paper.
+//! Substrate ablation: hierarchical vs flat matrix accumulation and a
+//! single serial COO compaction — the design choices behind refs [34][35]
+//! of the paper. (`window_throughput` compares serial and radix
+//! compaction.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use obscor_hypersparse::{hier, Coo, HierarchicalAccumulator, StreamingBuilder};
+use obscor_hypersparse::{hier, Coo, HierarchicalAccumulator};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::hint::black_box;
@@ -52,27 +53,6 @@ fn bench(c: &mut Criterion) {
             black_box(Coo::from_triples(triples.iter().copied()).into_csr_serial())
         })
     });
-    g.bench_function("coo_compact_parallel", |b| {
-        b.iter(|| {
-            black_box(Coo::from_triples(triples.iter().copied()).into_csr_parallel())
-        })
-    });
-
-    for workers in [2usize, 4] {
-        g.bench_with_input(
-            BenchmarkId::new("streaming_concurrent", format!("{workers}w")),
-            &workers,
-            |b, &w| {
-                b.iter(|| {
-                    let mut sb = StreamingBuilder::new(w, 1 << 14, 8);
-                    for chunk in triples.chunks(1 << 12) {
-                        sb.send_batch(chunk.to_vec());
-                    }
-                    black_box(sb.finish())
-                })
-            },
-        );
-    }
     g.finish();
 }
 

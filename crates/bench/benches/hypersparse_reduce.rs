@@ -30,9 +30,6 @@ fn bench(c: &mut Criterion) {
 
     g.bench_function("valid_packets", |b| b.iter(|| black_box(reduce::valid_packets(&a))));
     g.bench_function("source_packets", |b| b.iter(|| black_box(reduce::source_packets(&a))));
-    g.bench_function("source_packets_par", |b| {
-        b.iter(|| black_box(reduce::source_packets_par(&a)))
-    });
     g.bench_function("source_fan_out", |b| b.iter(|| black_box(reduce::source_fan_out(&a))));
     g.bench_function("destination_packets", |b| {
         b.iter(|| black_box(reduce::destination_packets(&a)))

@@ -26,9 +26,6 @@ fn bench(c: &mut Criterion) {
     g.bench_function("source_packets_reduce", |b| {
         b.iter(|| black_box(reduce::source_packets(&m)))
     });
-    g.bench_function("source_packets_reduce_parallel", |b| {
-        b.iter(|| black_box(reduce::source_packets_par(&m)))
-    });
     g.bench_function("destination_fan_in", |b| {
         b.iter(|| black_box(reduce::destination_fan_in(&m)))
     });

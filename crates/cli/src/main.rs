@@ -480,6 +480,12 @@ fn serve(o: Options) -> Result<(), String> {
             }
             checked += 1;
         }
+        if let Some(fault) = &snap.spill_fallback {
+            eprintln!(
+                "spill: window {} fell back to the in-memory fold: {fault}",
+                snap.index
+            );
+        }
         let spill = match &snap.spill {
             None => String::new(),
             Some(r) => format!(
@@ -553,7 +559,7 @@ fn serve(o: Options) -> Result<(), String> {
 /// retained packet list.
 fn batch_oracle_matrix(pairs: &[(u32, u32)], anonymize: bool) -> obscor_hypersparse::Csr<u64> {
     use obscor_hypersparse::HierarchicalAccumulator;
-    let leaf = (pairs.len() / obscor_telescope::matrix::PAPER_LEAF_COUNT).max(1024);
+    let leaf = obscor_telescope::leaf_capacity_for(pairs.len());
     let mut acc = HierarchicalAccumulator::with_leaf_capacity(leaf);
     if anonymize {
         let pan = obscor_anonymize::MemoCryptoPan::new(&SERVE_ANON_KEY);

@@ -41,9 +41,9 @@ impl ArchiveConfig {
 }
 
 /// Configuration of the out-of-core matrix build: window matrices are
-/// accumulated through the bounded-memory spill/merge scheduler
-/// ([`obscor_hypersparse::SpillAccumulator`]), evicting carry-level CSR
-/// parts to disk whenever tracked live bytes exceed the budget. The
+/// accumulated through a spilling
+/// [`obscor_hypersparse::HierarchicalAccumulator`], evicting carry-level
+/// CSR parts to disk whenever tracked live bytes exceed the budget. The
 /// produced matrices are bit-identical to the direct build.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpillSettings {

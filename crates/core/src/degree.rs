@@ -52,7 +52,7 @@ impl WindowDegrees {
         holder: &Holder,
     ) -> Self {
         let _span = obscor_obs::span("core.degrees");
-        let reduced = reduce::source_packets_auto(m);
+        let reduced = reduce::source_packets(m);
         obscor_obs::counter("core.degrees.sources_total").add(reduced.len() as u64);
         // The archive publishes the reduced product anonymized...
         let real_ips: Vec<u32> = reduced.iter().map(|&(ip, _)| ip).collect();

@@ -152,47 +152,45 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
     let mut spill_reports: Vec<SpillReport> = Vec::new();
     let mut spill_fallbacks: Vec<(String, String)> = Vec::new();
     let (matrices, restore): (Vec<_>, Vec<RestoreReport>) = match &config.archive {
-        None => match &config.spill {
-            None => {
-                let _s = obscor_obs::span("stage.matrices");
-                (windows.par_iter().map(matrix::build_matrix).collect(), Vec::new())
-            }
-            Some(sp) => {
-                // Out-of-core build: each window folds under the
-                // configured live-byte budget, evicting carry parts to
-                // disk. Serial across windows — the budget is per fold,
-                // and running folds concurrently would multiply the
-                // process footprint the budget exists to bound.
-                let _s = obscor_obs::span("stage.matrices_spilled");
-                let mut built = Vec::with_capacity(windows.len());
-                for w in &windows {
-                    match matrix::build_matrix_spilled(
+        None => {
+            // One fold per window, resident or — under a configured budget
+            // — spilling carry parts to disk. Serial across windows: the
+            // budget is per fold, and running folds concurrently would
+            // multiply the process footprint the budget exists to bound.
+            let _s = obscor_obs::span("stage.matrices");
+            let built = windows
+                .iter()
+                .map(|w| match &config.spill {
+                    None => matrix::build_matrix(w),
+                    Some(sp) => match matrix::build_matrix_spilled(
                         w,
                         Some(sp.memory_budget),
                         sp.spill_dir.as_deref(),
                     ) {
                         Ok((m, report)) => {
                             spill_reports.push(report);
-                            built.push(m);
+                            m
                         }
                         // An unusable spill directory degrades to the
                         // in-memory build (bit-identical, just bigger),
                         // and the run says so.
                         Err(fault) => {
                             spill_fallbacks.push((w.label.clone(), fault.to_string()));
-                            built.push(matrix::build_matrix(w));
+                            matrix::build_matrix(w)
                         }
-                    }
-                }
+                    },
+                })
+                .collect();
+            if config.spill.is_some() {
                 obscor_obs::counter("stage.matrices.spill_windows_total")
                     .add(spill_reports.len() as u64);
                 obscor_obs::counter("stage.matrices.spill_fallbacks_total")
                     .add(spill_fallbacks.len() as u64);
                 obscor_obs::counter("stage.matrices.spill_evictions_total")
                     .add(spill_reports.iter().map(|r| r.stats.evictions).sum());
-                (built, Vec::new())
             }
-        },
+            (built, Vec::new())
+        }
         Some(ac) => {
             // The paper's production shape: each window is serialized
             // into leaf matrices (optionally injured by the configured

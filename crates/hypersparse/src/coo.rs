@@ -3,80 +3,23 @@
 //! Packets append `(source, destination, count)` triples in arrival order;
 //! compaction sorts by `(row, col)` and sums duplicates, producing the
 //! immutable [`Csr`] used by all analytics. Compaction is where all the time
-//! goes when building traffic matrices, so three kernels are provided: a
-//! serial comparison sort (the differential oracle), a rayon parallel sort
-//! (kept for ablation), and the [`crate::radix`] LSD radix kernel.
-//! [`Coo::into_csr`] picks serial vs. radix with a crossover point measured
-//! once per process on this machine rather than a hard-coded threshold.
-
-use std::sync::OnceLock;
+//! goes when building traffic matrices, so two kernels are provided: a
+//! serial comparison sort (the differential oracle) and the
+//! [`crate::radix`] LSD radix kernel. [`Coo::into_csr`] picks between them
+//! at the fixed size threshold [`RADIX_THRESHOLD`], so a given buffer takes
+//! the same kernel in every process.
 
 use crate::csr::Csr;
 use crate::keypack::pack_key;
 use crate::value::Value;
 use crate::Index;
-use rayon::prelude::*;
 
-/// Triple counts probed when measuring the serial-vs-radix crossover.
-const CROSSOVER_PROBES: &[usize] = &[1 << 9, 1 << 11, 1 << 13];
-/// Crossover used when radix never wins at any probe size: only very large
-/// buffers (where the asymptotic advantage is certain) take the radix path.
-const CROSSOVER_FALLBACK: usize = 1 << 15;
-
-/// Buffer size above which [`Coo::into_csr`] uses the radix kernel,
-/// measured once per process: the smallest probe size where the radix
-/// kernel beats the serial comparison sort on synthetic traffic-shaped
-/// triples (timed via `obscor_obs::time_fn`, the sanctioned stopwatch).
-pub fn radix_crossover() -> usize {
-    // audit:allow(shared-static-mut) — write-once memo of a pure measurement; no protocol beyond OnceLock's own
-    static CROSSOVER: OnceLock<usize> = OnceLock::new();
-    *CROSSOVER.get_or_init(measure_crossover)
-}
-
-fn measure_crossover() -> usize {
-    for &n in CROSSOVER_PROBES {
-        let triples = synthetic_triples(n);
-        let serial_ns = best_of::<3>(|| {
-            Coo::from_triples(triples.iter().copied()).into_csr_serial().nnz()
-        });
-        let radix_ns = best_of::<3>(|| {
-            Coo::from_triples(triples.iter().copied()).into_csr_radix().nnz()
-        });
-        if radix_ns < serial_ns {
-            return n;
-        }
-    }
-    CROSSOVER_FALLBACK
-}
-
-/// Best (minimum) wall-clock nanoseconds over `REPS` runs of `f`.
-fn best_of<const REPS: usize>(mut f: impl FnMut() -> usize) -> u64 {
-    let mut best = u64::MAX;
-    for _ in 0..REPS {
-        let (_, ns) = obscor_obs::time_fn(&mut f);
-        best = best.min(ns);
-    }
-    best
-}
-
-/// Traffic-shaped probe triples: row indices from a large sparse domain,
-/// columns clustered in one /8, plenty of duplicates — the distribution the
-/// telescope capture path actually compacts.
-fn synthetic_triples(n: usize) -> Vec<(Index, Index, u64)> {
-    let mut state = 0x9E37_79B9_7F4A_7C15u64;
-    (0..n)
-        .map(|_| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            // audit:allow(index-cast) — synthetic probe data, truncation intended
-            let r = (state >> 32) as Index;
-            // audit:allow(index-cast) — synthetic probe data, truncation intended
-            let c = 0x2C00_0000 | ((state & 0xFFFF) as Index);
-            (r, c, 1u64)
-        })
-        .collect()
-}
+/// Buffer size at and above which [`Coo::into_csr`] uses the radix kernel;
+/// smaller buffers take the serial comparison sort. DESIGN.md §12 records
+/// the leaf timings behind the value: the two kernels break even near 512
+/// triples, and every telescope leaf (at least 1024 triples) lands on the
+/// radix side.
+pub const RADIX_THRESHOLD: usize = 512;
 
 /// An append-only buffer of `(row, col, value)` triples.
 ///
@@ -164,14 +107,10 @@ impl<V: Value> Coo<V> {
     }
 
     /// Compact into an immutable hypersparse CSR matrix, choosing between
-    /// the serial comparison sort and the radix kernel at the measured
-    /// crossover point (see [`radix_crossover`]).
+    /// the serial comparison sort and the radix kernel at
+    /// [`RADIX_THRESHOLD`].
     pub fn into_csr(self) -> Csr<V> {
-        let crossover = radix_crossover();
-        if crate::radix::metrics_enabled() {
-            obscor_obs::gauge("hypersparse.radix.crossover").set(crossover as u64);
-        }
-        let csr = if self.len() >= crossover {
+        let csr = if self.len() >= RADIX_THRESHOLD {
             self.into_csr_radix()
         } else {
             self.into_csr_serial()
@@ -188,16 +127,7 @@ impl<V: Value> Coo<V> {
 
     /// Serial compaction: sort triples by `(row, col)`, then sum runs.
     pub fn into_csr_serial(self) -> Csr<V> {
-        let mut triples = self.into_sorted_triples(false);
-        dedup_sorted(&mut triples);
-        Csr::from_sorted_dedup_triples(triples)
-    }
-
-    /// Parallel compaction using rayon's parallel unstable sort. Kept for
-    /// ablation against the radix kernel (the bench crate compares all
-    /// three paths).
-    pub fn into_csr_parallel(self) -> Csr<V> {
-        let mut triples = self.into_sorted_triples(true);
+        let mut triples = self.into_sorted_triples();
         dedup_sorted(&mut triples);
         Csr::from_sorted_dedup_triples(triples)
     }
@@ -208,7 +138,7 @@ impl<V: Value> Coo<V> {
         crate::radix::compact_into_csr(self.rows, self.cols, self.vals)
     }
 
-    fn into_sorted_triples(self, parallel: bool) -> Vec<(Index, Index, V)> {
+    fn into_sorted_triples(self) -> Vec<(Index, Index, V)> {
         let mut triples: Vec<(Index, Index, V)> = self
             .rows
             .into_iter()
@@ -216,11 +146,7 @@ impl<V: Value> Coo<V> {
             .zip(self.vals)
             .map(|((r, c), v)| (r, c, v))
             .collect();
-        if parallel {
-            triples.par_sort_unstable_by_key(|&(r, c, _)| pack_key(r, c));
-        } else {
-            triples.sort_unstable_by_key(|&(r, c, _)| pack_key(r, c));
-        }
+        triples.sort_unstable_by_key(|&(r, c, _)| pack_key(r, c));
         triples
     }
 }
@@ -289,26 +215,6 @@ mod tests {
     }
 
     #[test]
-    fn serial_and_parallel_paths_agree() {
-        let mut a = Coo::<u64>::new();
-        let mut b = Coo::<u64>::new();
-        // Deterministic pseudo-random triples with plenty of duplicates.
-        let mut state = 0x2545F4914F6CDD1Du64;
-        for _ in 0..100_000 {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let r = (state >> 40) as Index % 997;
-            let c = (state >> 20) as Index % 991;
-            a.push(r, c, 1);
-            b.push(r, c, 1);
-        }
-        let ca = a.into_csr_serial();
-        let cb = b.into_csr_parallel();
-        assert_eq!(ca, cb);
-    }
-
-    #[test]
     fn radix_and_serial_paths_agree() {
         let mut a = Coo::<u64>::new();
         let mut b = Coo::<u64>::new();
@@ -323,17 +229,6 @@ mod tests {
             b.push(r, c, 1);
         }
         assert_eq!(a.into_csr_serial(), b.into_csr_radix());
-    }
-
-    #[test]
-    fn crossover_is_measured_and_bounded() {
-        let x = radix_crossover();
-        assert!(
-            CROSSOVER_PROBES.contains(&x) || x == CROSSOVER_FALLBACK,
-            "crossover {x} is not a probe size or the fallback"
-        );
-        // The OnceLock caches: repeated calls agree.
-        assert_eq!(x, radix_crossover());
     }
 
     #[test]

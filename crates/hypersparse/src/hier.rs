@@ -10,58 +10,179 @@
 //! merged pairwise like a binary counter, so every merge is between two
 //! matrices of comparable size.
 //!
-//! [`HierarchicalAccumulator`] is that binary counter. The `bench` crate
-//! ablates it against flat single-sort accumulation.
+//! [`HierarchicalAccumulator`] is that binary counter, and the workspace's
+//! only one. Built with [`HierarchicalAccumulator::with_leaf_capacity`] it
+//! keeps every carry part in memory. Built with
+//! [`HierarchicalAccumulator::spilling`] it owns a [`SpillStore`] and a
+//! memory budget: each carry-level CSR part can be *evicted* to the store
+//! (encoded with the CRC-protected codec-v2 frames from
+//! [`crate::serialize`]) and *reloaded* when the carry chain or the final
+//! tree reduction needs it again. When placing or reloading a part would
+//! exceed the budget, the coldest (least recently touched) resident level
+//! is spilled first.
+//!
+//! Degradation, not corruption: a spill frame that fails to decode after
+//! bounded retry (same transient/permanent [`obscor_obs::FaultClass`]
+//! taxonomy as the archive restore path) is **quarantined** — its
+//! contiguous leaf interval and packet count are recorded in the
+//! [`SpillReport`] and the build continues with the surviving parts. The
+//! result is either bit-identical to the resident build (clean media) or
+//! explicitly coverage-qualified; it is never silently wrong.
+//!
+//! # Accounting model
+//!
+//! "Live bytes" counts the length-based heap footprint
+//! ([`Csr::heap_bytes`]) of every resident carry part **plus** the part
+//! currently in flight through the carry chain, and a merge pre-charges
+//! its output before releasing its inputs — so the tracked peak honestly
+//! covers the two inputs and the output of every pairwise merge. The
+//! partial-leaf COO buffer (bounded by `leaf_capacity`) and transient
+//! codec buffers are outside the budget; DESIGN.md §16 documents the
+//! boundary.
+//!
+//! # Determinism
+//!
+//! `ewise_add` is associative and commutative and CSR is a canonical form,
+//! so eviction/reload schedules cannot change the final matrix: a spilling
+//! fold is bit-identical to the resident fold and to [`accumulate_flat`]
+//! for any budget, including budgets that force an eviction on every
+//! carry. `tests/ooc_differential.rs` proves this over a grid and under
+//! random budget schedules.
+//!
+//! # Metrics
+//!
+//! Every fold emits the default names: the `hypersparse.leaf_compact` span
+//! and triple histogram per leaf, `hypersparse.accumulator.carry_merges_total`
+//! per carry merge, and at finalize the `hypersparse.accumulator.finalize`
+//! span and `hypersparse.accumulator.{pushed,leaves,merges}_total`. A fold
+//! that owns a store also emits the opt-in
+//! (`crate::spill::enable_spill_metrics`)
+//! `hypersparse.spill.{evictions,reloads}_total` counters and per-level
+//! merge spans `span.hypersparse.spill.merge.level{k}.{ns,calls_total}`,
+//! all pinned by `tests/metrics_optin.rs`.
+
+use std::sync::Arc;
 
 use crate::coo::Coo;
 use crate::csr::Csr;
 use crate::ops::ewise_add;
+use crate::spill::{
+    spill_metrics_enabled, QuarantinedPart, SpillConfig, SpillFault, SpillHandle, SpillMedium,
+    SpillReport, SpillStats, SpillStore,
+};
 use crate::value::Value;
 use crate::Index;
 
 /// Default leaf size, matching the paper's archived `2^17`-packet matrices.
 pub const DEFAULT_LEAF_CAPACITY: usize = 1 << 17;
 
+/// A carry part: its leaf interval, packet count, and residency state.
+struct Part<V: Value> {
+    first_leaf: u64,
+    n_leaves: u64,
+    packets: u64,
+    state: PartState<V>,
+}
+
+enum PartState<V: Value> {
+    /// In memory, charged against the budget; `touch` is the LRU clock.
+    Resident { csr: Csr<V>, bytes: u64, touch: u64 },
+    /// Offloaded; `est_bytes` is the heap size it had when evicted.
+    Spilled { handle: SpillHandle, est_bytes: u64 },
+}
+
+impl<V: Value> Part<V> {
+    fn size_est(&self) -> u64 {
+        match &self.state {
+            PartState::Resident { bytes, .. } => *bytes,
+            PartState::Spilled { est_bytes, .. } => *est_bytes,
+        }
+    }
+}
+
+/// A loaded part ready to merge.
+struct Loaded<V: Value> {
+    csr: Csr<V>,
+    bytes: u64,
+    first_leaf: u64,
+    n_leaves: u64,
+    packets: u64,
+}
+
+/// `floor(log2(n))` for `n >= 1` (`0` for `n == 0`), used to label merge
+/// spans and quarantined parts by carry level.
+fn floor_log2(n: u64) -> usize {
+    usize::try_from(u64::BITS - 1 - n.max(1).leading_zeros()).unwrap_or(63)
+}
+
 /// Streaming matrix builder that compacts input in leaves of
 /// `leaf_capacity` triples and merges leaves pairwise (binary-counter
 /// carry), yielding the same matrix as compacting everything at once.
-#[derive(Clone, Debug)]
+/// See the module docs for the spilling variant's accounting and
+/// determinism contracts.
 pub struct HierarchicalAccumulator<V: Value> {
     leaf_capacity: usize,
+    budget: Option<u64>,
     buffer: Coo<V>,
-    /// `levels[k]` holds the carry matrix covering `2^k` leaves, if any.
-    levels: Vec<Option<Csr<V>>>,
-    stats: AccumulatorStats,
+    /// `levels[k]` holds the carry part covering `2^k` leaves, if any.
+    levels: Vec<Option<Part<V>>>,
+    /// Where evicted parts go; `None` keeps every part resident.
+    store: Option<SpillStore>,
+    clock: u64,
+    live_bytes: u64,
+    stats: SpillStats,
+    quarantined: Vec<QuarantinedPart>,
 }
 
-/// Merge/compaction counters for performance analysis.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AccumulatorStats {
-    /// Triples pushed in total.
-    pub pushed: u64,
-    /// Leaves compacted from COO to CSR.
-    pub leaves: u64,
-    /// Pairwise carry merges performed.
-    pub merges: u64,
+impl<V: Value> std::fmt::Debug for HierarchicalAccumulator<V> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("HierarchicalAccumulator")
+            .field("leaf_capacity", &self.leaf_capacity)
+            .field("budget", &self.budget)
+            .field("store", &self.store)
+            .field("live_bytes", &self.live_bytes)
+            .field("stats", &self.stats)
+            .finish()
+    }
 }
 
 impl<V: Value> HierarchicalAccumulator<V> {
-    /// Create an accumulator with the paper's default leaf size.
+    /// Create a resident accumulator with the paper's default leaf size.
     pub fn new() -> Self {
         Self::with_leaf_capacity(DEFAULT_LEAF_CAPACITY)
     }
 
-    /// Create an accumulator compacting every `leaf_capacity` triples.
+    /// Create a resident accumulator compacting every `leaf_capacity`
+    /// triples.
     ///
     /// # Panics
     /// Panics if `leaf_capacity == 0`.
     pub fn with_leaf_capacity(leaf_capacity: usize) -> Self {
+        Self::build(leaf_capacity, None, None)
+    }
+
+    /// Create an accumulator whose carry parts spill through `medium`
+    /// whenever the tracked live bytes would exceed `config.memory_budget`.
+    ///
+    /// # Panics
+    /// Panics if `config.leaf_capacity == 0`.
+    pub fn spilling(config: SpillConfig, medium: Arc<dyn SpillMedium>) -> Self {
+        let store = SpillStore::with_retry(medium, config.max_attempts);
+        Self::build(config.leaf_capacity, config.memory_budget, Some(store))
+    }
+
+    fn build(leaf_capacity: usize, budget: Option<u64>, store: Option<SpillStore>) -> Self {
         assert!(leaf_capacity > 0, "leaf capacity must be positive");
         Self {
             leaf_capacity,
+            budget,
             buffer: Coo::with_capacity(leaf_capacity),
             levels: Vec::new(),
-            stats: AccumulatorStats::default(),
+            store,
+            clock: 0,
+            live_bytes: 0,
+            stats: SpillStats::default(),
+            quarantined: Vec::new(),
         }
     }
 
@@ -87,19 +208,10 @@ impl<V: Value> HierarchicalAccumulator<V> {
             return;
         }
         let _span = obscor_obs::span("hypersparse.leaf_compact");
-        obscor_obs::histogram("hypersparse.leaf_compact.triples")
-            .observe(self.buffer.len() as u64);
+        let packets = self.buffer.len() as u64;
+        obscor_obs::histogram("hypersparse.leaf_compact.triples").observe(packets);
         let leaf = std::mem::replace(&mut self.buffer, Coo::with_capacity(self.leaf_capacity));
-        let carry = leaf.into_csr();
-        self.stats.leaves += 1;
-        self.carry_in(carry);
-        #[cfg(feature = "strict-invariants")]
-        {
-            if let Err(msg) = self.check_invariants() {
-                // audit:allow(panic-path) — strict-invariants mode aborts on broken invariants by contract
-                panic!("accumulator invalid after leaf flush: {msg}");
-            }
-        }
+        self.carry_leaf(leaf.into_csr(), packets);
     }
 
     /// Insert a pre-compacted CSR leaf directly into the binary carry chain.
@@ -114,78 +226,48 @@ impl<V: Value> HierarchicalAccumulator<V> {
     /// Counting convention: the leaf's stored entries are added to
     /// `stats.pushed` (the original pre-dedup triple count is gone after
     /// compaction), and the leaf itself increments `stats.leaves`, so the
-    /// binary-counter law `merges == leaves - popcount(leaves)` keeps
+    /// binary-counter law `carry_merges == leaves - popcount(leaves)` keeps
     /// holding.
     pub fn push_csr_leaf(&mut self, leaf: Csr<V>) {
         if leaf.is_empty() {
             return;
         }
         self.flush_leaf();
-        self.stats.pushed += leaf.nnz() as u64;
+        let packets = leaf.nnz() as u64;
+        self.stats.pushed += packets;
+        self.carry_leaf(leaf, packets);
+    }
+
+    /// Number one compacted leaf in push order and carry it in.
+    fn carry_leaf(&mut self, leaf: Csr<V>, packets: u64) {
+        let first_leaf = self.stats.leaves;
         self.stats.leaves += 1;
-        self.carry_in(leaf);
+        self.carry_in(leaf, first_leaf, packets);
         #[cfg(feature = "strict-invariants")]
         {
             if let Err(msg) = self.check_invariants() {
                 // audit:allow(panic-path) — strict-invariants mode aborts on broken invariants by contract
-                panic!("accumulator invalid after csr leaf push: {msg}");
+                panic!("accumulator invalid after leaf carry: {msg}");
             }
         }
     }
 
-    /// Carry one compacted leaf up the level chain, merging binary-counter
-    /// style: level `k` holds the sum of `2^k` leaves, a collision merges
-    /// and propagates upward.
-    fn carry_in(&mut self, mut carry: Csr<V>) {
-        let mut k = 0usize;
-        loop {
-            if k == self.levels.len() {
-                self.levels.push(Some(carry));
-                break;
-            }
-            match self.levels[k].take() {
-                None => {
-                    self.levels[k] = Some(carry);
-                    break;
-                }
-                Some(existing) => {
-                    carry = ewise_add(&existing, &carry);
-                    self.stats.merges += 1;
-                    obscor_obs::counter("hypersparse.accumulator.carry_merges_total").inc();
-                    k += 1;
-                }
-            }
-        }
+    /// Replace the memory budget mid-stream (the random-budget-schedule
+    /// property tests drive this) and enforce it immediately. A resident
+    /// accumulator has no store to evict to, so under a budget it can
+    /// only count `budget_overruns`.
+    pub fn set_budget(&mut self, budget: Option<u64>) {
+        self.budget = budget;
+        self.reserve(0);
     }
 
-    /// Internal consistency check: positive leaf capacity, a partial leaf
-    /// strictly below capacity, a consistent COO buffer, every carry matrix
-    /// internally valid, and counters that account for all pushed triples.
-    /// Used by tests and the pipeline's `strict-invariants` stage checks.
-    pub fn check_invariants(&self) -> Result<(), String> {
-        if self.leaf_capacity == 0 {
-            return Err("leaf_capacity is zero".into());
-        }
-        if self.buffer.len() >= self.leaf_capacity {
-            return Err("partial leaf at or above capacity (missed flush)".into());
-        }
-        self.buffer.check_invariants().map_err(|e| format!("buffer: {e}"))?;
-        for (k, level) in self.levels.iter().enumerate() {
-            if let Some(csr) = level {
-                csr.check_invariants().map_err(|e| format!("level {k}: {e}"))?;
-            }
-        }
-        if self.stats.leaves > self.stats.pushed {
-            return Err("more leaves than pushed triples".into());
-        }
-        if self.stats.merges >= self.stats.leaves.max(1) {
-            return Err("more merges than a binary carry chain allows".into());
-        }
-        Ok(())
+    /// The current memory budget.
+    pub fn budget(&self) -> Option<u64> {
+        self.budget
     }
 
-    /// Merge counters so far.
-    pub fn stats(&self) -> AccumulatorStats {
+    /// Lifetime counters so far.
+    pub fn stats(&self) -> SpillStats {
         self.stats
     }
 
@@ -194,46 +276,411 @@ impl<V: Value> HierarchicalAccumulator<V> {
         self.stats.pushed
     }
 
+    /// Tracked live bytes right now.
+    pub fn live_bytes(&self) -> u64 {
+        self.live_bytes
+    }
+
     /// Triples currently buffered in the partial leaf (not yet compacted).
     pub fn buffered_len(&self) -> usize {
         self.buffer.len()
     }
 
-    /// Finish: flush the partial leaf and fold all levels into one matrix.
-    ///
-    /// Surfaces the lifetime [`AccumulatorStats`] into the global metrics
-    /// registry (`hypersparse.accumulator.{pushed,leaves,merges}_total`) so
-    /// per-run snapshots carry the carry-chain behaviour.
-    pub fn finalize(self) -> Csr<V> {
-        self.finalize_with_stats().0
+    /// Internal consistency check: positive leaf capacity, a partial leaf
+    /// strictly below capacity, a consistent COO buffer, every resident
+    /// part internally valid and covering at least one leaf, live bytes
+    /// equal to the sum over resident parts, and counters bounded by the
+    /// binary-counter law. Used by tests and the pipeline's
+    /// `strict-invariants` stage checks.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        if self.leaf_capacity == 0 {
+            return Err("leaf_capacity is zero".into());
+        }
+        if self.buffer.len() >= self.leaf_capacity {
+            return Err("partial leaf at or above capacity (missed flush)".into());
+        }
+        self.buffer.check_invariants().map_err(|e| format!("buffer: {e}"))?;
+        let mut resident = 0u64;
+        for (k, slot) in self.levels.iter().enumerate() {
+            if let Some(part) = slot {
+                if part.n_leaves == 0 {
+                    return Err(format!("level {k}: part covers zero leaves"));
+                }
+                if let PartState::Resident { csr, bytes, .. } = &part.state {
+                    csr.check_invariants().map_err(|e| format!("level {k}: {e}"))?;
+                    if *bytes != csr.heap_bytes() {
+                        return Err(format!("level {k}: stale byte accounting"));
+                    }
+                    resident += bytes;
+                }
+            }
+        }
+        if resident != self.live_bytes {
+            return Err(format!(
+                "live bytes {} disagree with resident sum {resident}",
+                self.live_bytes
+            ));
+        }
+        if self.stats.leaves > self.stats.pushed {
+            return Err("more leaves than pushed triples".into());
+        }
+        if self.stats.carry_merges >= self.stats.leaves.max(1) {
+            return Err("more carry merges than a binary carry chain allows".into());
+        }
+        match &self.store {
+            Some(store) => store.check_invariants().map_err(|e| format!("store: {e}")),
+            None => Ok(()),
+        }
     }
 
-    /// [`finalize`](Self::finalize), also returning the lifetime stats
-    /// *including* the finalize tree reduction's merges.
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+
+    fn charge(&mut self, bytes: u64) {
+        self.live_bytes += bytes;
+        if self.live_bytes > self.stats.peak_live_bytes {
+            self.stats.peak_live_bytes = self.live_bytes;
+        }
+    }
+
+    fn release(&mut self, bytes: u64) {
+        self.live_bytes = self.live_bytes.saturating_sub(bytes);
+    }
+
+    /// Make room for `bytes` *before* charging them: evict coldest-first
+    /// until the addition fits the budget, then charge. Counting the
+    /// overrun here (rather than after the fact) keeps the tracked peak
+    /// within the budget whenever the budget is feasible at all.
+    /// `reserve(0)` enforces the budget on what is already resident.
+    fn reserve(&mut self, bytes: u64) {
+        if let Some(budget) = self.budget {
+            while self.live_bytes.saturating_add(bytes) > budget {
+                match self.coldest_resident() {
+                    Some(k) if self.evict_level(k) => {}
+                    _ => {
+                        self.stats.budget_overruns += 1;
+                        break;
+                    }
+                }
+            }
+        }
+        self.charge(bytes);
+    }
+
+    /// Index of the least-recently-touched resident level, if any.
+    fn coldest_resident(&self) -> Option<usize> {
+        let mut best: Option<(u64, usize)> = None;
+        for (k, slot) in self.levels.iter().enumerate() {
+            if let Some(Part { state: PartState::Resident { touch, .. }, .. }) = slot {
+                if best.is_none_or(|(t, _)| *touch < t) {
+                    best = Some((*touch, k));
+                }
+            }
+        }
+        best.map(|(_, k)| k)
+    }
+
+    /// Spill the resident part at level `k`. Returns `false` (leaving the
+    /// part resident) if there is no store or it cannot persist the part.
+    fn evict_level(&mut self, k: usize) -> bool {
+        let Some(part) = self.levels[k].take() else { return false };
+        let part = self.spill_part(part);
+        let evicted = matches!(part.state, PartState::Spilled { .. });
+        self.levels[k] = Some(part);
+        evicted
+    }
+
+    /// Write a resident part to the store and release its bytes. A part
+    /// the store refuses (or that has no store to go to) stays resident:
+    /// the budget is best-effort when the spill device itself fails, and
+    /// no data is ever dropped.
+    fn spill_part(&mut self, part: Part<V>) -> Part<V> {
+        let Part { first_leaf, n_leaves, packets, state } = part;
+        let state = match state {
+            PartState::Resident { csr, bytes, touch } => {
+                match self.store.as_ref().map(|store| store.store_csr(&csr)) {
+                    Some(Ok(handle)) => {
+                        self.stats.evictions += 1;
+                        if spill_metrics_enabled() {
+                            obscor_obs::counter("hypersparse.spill.evictions_total").inc();
+                        }
+                        self.release(bytes);
+                        PartState::Spilled { handle, est_bytes: bytes }
+                    }
+                    _ => PartState::Resident { csr, bytes, touch },
+                }
+            }
+            spilled => spilled,
+        };
+        Part { first_leaf, n_leaves, packets, state }
+    }
+
+    /// Bring a part into memory (charging its bytes) or quarantine it.
+    fn load_part(&mut self, part: Part<V>) -> Result<Loaded<V>, QuarantinedPart> {
+        let Part { first_leaf, n_leaves, packets, state } = part;
+        let handle = match state {
+            PartState::Resident { csr, bytes, .. } => {
+                return Ok(Loaded { csr, bytes, first_leaf, n_leaves, packets });
+            }
+            PartState::Spilled { handle, .. } => handle,
+        };
+        let fetched = self.store.as_ref().map_or(Err(SpillFault::Missing), |store| {
+            let csr = store.fetch_csr::<V>(&handle);
+            store.discard(&handle);
+            csr
+        });
+        match fetched {
+            Ok(csr) => {
+                self.stats.reloads += 1;
+                if spill_metrics_enabled() {
+                    obscor_obs::counter("hypersparse.spill.reloads_total").inc();
+                }
+                let bytes = csr.heap_bytes();
+                self.reserve(bytes);
+                Ok(Loaded { csr, bytes, first_leaf, n_leaves, packets })
+            }
+            Err(fault) => Err(QuarantinedPart {
+                level: floor_log2(n_leaves),
+                first_leaf,
+                n_leaves,
+                packets,
+                error: fault.to_string(),
+            }),
+        }
+    }
+
+    /// One pairwise merge; a fold that owns a store times it under its
+    /// per-level span (opt-in).
+    fn merge(&self, level: usize, a: &Csr<V>, b: &Csr<V>) -> Csr<V> {
+        let _span = (self.store.is_some() && spill_metrics_enabled())
+            .then(|| obscor_obs::span(&format!("hypersparse.spill.merge.level{level}")));
+        ewise_add(a, b)
+    }
+
+    /// Place a part into the empty level `k` as resident, then enforce the
+    /// budget.
+    fn settle(&mut self, k: usize, csr: Csr<V>, bytes: u64, meta: (u64, u64, u64)) {
+        let touch = self.tick();
+        self.levels[k] = Some(Part {
+            first_leaf: meta.0,
+            n_leaves: meta.1,
+            packets: meta.2,
+            state: PartState::Resident { csr, bytes, touch },
+        });
+        self.reserve(0);
+    }
+
+    /// Carry one compacted leaf up the level chain, binary-counter style:
+    /// level `k` holds the sum of `2^k` leaves, and a collision merges and
+    /// propagates upward, evicting/reloading around the budget as it goes.
+    fn carry_in(&mut self, leaf: Csr<V>, first_leaf: u64, packets: u64) {
+        let mut carry = leaf;
+        let mut carry_bytes = carry.heap_bytes();
+        let mut meta = (first_leaf, 1u64, packets);
+        self.reserve(carry_bytes);
+        let mut k = 0usize;
+        loop {
+            if k == self.levels.len() {
+                self.levels.push(None);
+            }
+            let Some(existing) = self.levels[k].take() else {
+                self.settle(k, carry, carry_bytes, meta);
+                return;
+            };
+            match self.load_part(existing) {
+                Ok(loaded) => {
+                    let merged = self.merge(k, &loaded.csr, &carry);
+                    let merged_bytes = merged.heap_bytes();
+                    // Reserve the output before the inputs release so the
+                    // tracked peak covers the merge working set (the
+                    // inputs are out of the level table, so the
+                    // reservation can only evict colder levels).
+                    self.reserve(merged_bytes);
+                    self.release(loaded.bytes + carry_bytes);
+                    carry = merged;
+                    carry_bytes = merged_bytes;
+                    // The existing part covers leaves before the carry's.
+                    // The merged part is labelled with the full span up to
+                    // the carry's end: a quarantine may have punched a hole
+                    // between the two, and a span keeps later quarantine
+                    // reports a superset of the true loss (holes are
+                    // already reported by their own quarantine entries).
+                    meta = (
+                        loaded.first_leaf,
+                        (meta.0 + meta.1) - loaded.first_leaf,
+                        loaded.packets + meta.2,
+                    );
+                    self.stats.carry_merges += 1;
+                    obscor_obs::counter("hypersparse.accumulator.carry_merges_total").inc();
+                    k += 1;
+                }
+                Err(q) => {
+                    // The stored sibling is unrecoverable: quarantine it
+                    // and let the carry take the slot — degraded coverage,
+                    // never a wrong matrix.
+                    self.quarantined.push(q);
+                    self.settle(k, carry, carry_bytes, meta);
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Finish: flush the partial leaf and fold all levels into one matrix.
+    pub fn finalize(self) -> Csr<V> {
+        self.finalize_with_report().0
+    }
+
+    /// [`finalize`](Self::finalize), also returning the coverage report.
     ///
-    /// The binary-counter law `merges == leaves - popcount(leaves)` holds
-    /// only mid-stream: finalize folds the remaining `popcount(leaves)`
-    /// carry levels through the pairwise [`crate::ops::merge_all`] tree,
-    /// which performs `popcount(leaves) - 1` further merges — any pairwise
-    /// tree over `L` parts performs exactly `L - 1` merges in total, so
-    /// the post-finalize closed form is `merges == leaves - 1` (for
-    /// `leaves >= 1`). The published
-    /// `hypersparse.accumulator.merges_total` counter keeps its original
-    /// carry-only meaning (the tree's merges are counted separately by
+    /// Every surviving part is reduced to one matrix. When every part fits
+    /// in the budget at once (always, without a budget) the reduction is
+    /// the rayon pairwise tree ([`crate::ops::merge_all`]); otherwise an
+    /// adjacent-pair tree runs sequentially, loading pairs and re-spilling
+    /// intermediates so the tracked live bytes stay budgeted. Both shapes
+    /// perform exactly `parts - 1` merges and yield the identical matrix.
+    ///
+    /// The binary-counter law `carry_merges == leaves - popcount(leaves)`
+    /// holds only mid-stream; the tree's `popcount(leaves) - 1` merges
+    /// land in `stats.tree_merges`, so post-finalize `stats.merges() ==
+    /// leaves - 1` (for `leaves >= 1`, no quarantine). The lifetime
+    /// counters surface in `hypersparse.accumulator.{pushed,leaves,
+    /// merges}_total`, where `merges_total` keeps its carry-only meaning
+    /// (the tree's merges are counted by
     /// `hypersparse.merge_all.pair_merges_total`).
-    pub fn finalize_with_stats(mut self) -> (Csr<V>, AccumulatorStats) {
+    pub fn finalize_with_report(mut self) -> (Csr<V>, SpillReport) {
         let _span = obscor_obs::span("hypersparse.accumulator.finalize");
         self.flush_leaf();
-        let mut stats = self.stats;
-        obscor_obs::counter("hypersparse.accumulator.pushed_total").add(stats.pushed);
-        obscor_obs::counter("hypersparse.accumulator.leaves_total").add(stats.leaves);
-        obscor_obs::counter("hypersparse.accumulator.merges_total").add(stats.merges);
-        // Fold the remaining per-level carries with the same parallel merge
-        // tree used for window re-assembly (ewise_add is associative and
-        // commutative, so this equals the serial left-fold).
-        let parts: Vec<Csr<V>> = self.levels.into_iter().flatten().collect();
-        stats.merges += (parts.len() as u64).saturating_sub(1);
-        (crate::ops::merge_all(parts), stats)
+        obscor_obs::counter("hypersparse.accumulator.pushed_total").add(self.stats.pushed);
+        obscor_obs::counter("hypersparse.accumulator.leaves_total").add(self.stats.leaves);
+        obscor_obs::counter("hypersparse.accumulator.merges_total").add(self.stats.carry_merges);
+        let mut work: Vec<Part<V>> = self.levels.drain(..).flatten().collect();
+        // Adjacent parts in leaf order cover contiguous spans; merging
+        // neighbours keeps every intermediate's span contiguous, so
+        // quarantine reports stay span-exact even for intermediates.
+        work.sort_by_key(|p| p.first_leaf);
+        let total_est: u64 = work.iter().map(Part::size_est).sum();
+        let fits = match self.budget {
+            None => true,
+            // merge_all's transient working set is bounded by twice the
+            // input total (outputs of a round never exceed its inputs).
+            Some(b) => total_est.saturating_mul(2) <= b,
+        };
+        let matrix = if fits {
+            self.reduce_in_memory(work)
+        } else {
+            self.reduce_budgeted(work)
+        };
+        let lost: u64 = self.quarantined.iter().map(|q| q.packets).sum();
+        let report = SpillReport {
+            packets_expected: self.stats.pushed,
+            packets_restored: self.stats.pushed.saturating_sub(lost),
+            quarantined: std::mem::take(&mut self.quarantined),
+            stats: self.stats,
+        };
+        (matrix, report)
+    }
+
+    /// Everything fits: load all parts and hand them to the rayon tree.
+    fn reduce_in_memory(&mut self, work: Vec<Part<V>>) -> Csr<V> {
+        let mut parts: Vec<Csr<V>> = Vec::with_capacity(work.len());
+        let mut loaded_bytes = 0u64;
+        for part in work {
+            match self.load_part(part) {
+                Ok(loaded) => {
+                    loaded_bytes += loaded.bytes;
+                    parts.push(loaded.csr);
+                }
+                Err(q) => self.quarantined.push(q),
+            }
+        }
+        self.stats.tree_merges += (parts.len() as u64).saturating_sub(1);
+        let matrix = crate::ops::merge_all(parts);
+        self.release(loaded_bytes);
+        self.reserve(matrix.heap_bytes());
+        matrix
+    }
+
+    /// Budget-aware sequential pairwise tree: rounds of adjacent-pair
+    /// merges, spilling each round's outputs whenever the tracked live
+    /// bytes exceed the budget.
+    fn reduce_budgeted(&mut self, mut work: Vec<Part<V>>) -> Csr<V> {
+        // Park every input on the medium first: within a round the live
+        // set is then exactly one pair plus its output, so the peak stays
+        // at the merge working set instead of a whole round's residue.
+        work = work.into_iter().map(|p| self.spill_part(p)).collect();
+        while work.len() > 1 {
+            let mut next: Vec<Part<V>> = Vec::with_capacity(work.len() / 2 + 1);
+            let mut pending: Option<Part<V>> = None;
+            for part in work {
+                let Some(a) = pending.take() else {
+                    pending = Some(part);
+                    continue;
+                };
+                let a = match self.load_part(a) {
+                    Ok(l) => l,
+                    Err(q) => {
+                        self.quarantined.push(q);
+                        pending = Some(part);
+                        continue;
+                    }
+                };
+                let b = match self.load_part(part) {
+                    Ok(l) => l,
+                    Err(q) => {
+                        self.quarantined.push(q);
+                        // `a` survives: re-wrap it, park it, keep pairing.
+                        let a = self.repack(a);
+                        pending = Some(self.spill_part(a));
+                        continue;
+                    }
+                };
+                let level = floor_log2(a.n_leaves.max(b.n_leaves));
+                let merged = self.merge(level, &a.csr, &b.csr);
+                let merged_bytes = merged.heap_bytes();
+                self.reserve(merged_bytes);
+                self.release(a.bytes + b.bytes);
+                self.stats.tree_merges += 1;
+                let touch = self.tick();
+                let out = Part {
+                    first_leaf: a.first_leaf,
+                    // Span, not sum: quarantined holes between the pair
+                    // are already reported by their own entries.
+                    n_leaves: (b.first_leaf + b.n_leaves) - a.first_leaf,
+                    packets: a.packets + b.packets,
+                    state: PartState::Resident { csr: merged, bytes: merged_bytes, touch },
+                };
+                // The output is not needed again until the next round:
+                // park it so the next pair starts from an empty live set.
+                next.push(self.spill_part(out));
+            }
+            // An odd tail rejoins the reduction next round, untouched.
+            next.extend(pending.take());
+            work = next;
+        }
+        match work.pop() {
+            Some(last) => match self.load_part(last) {
+                Ok(loaded) => loaded.csr,
+                Err(q) => {
+                    self.quarantined.push(q);
+                    Csr::empty()
+                }
+            },
+            None => Csr::empty(),
+        }
+    }
+
+    /// Re-wrap a loaded part as a resident [`Part`].
+    fn repack(&mut self, loaded: Loaded<V>) -> Part<V> {
+        let touch = self.tick();
+        Part {
+            first_leaf: loaded.first_leaf,
+            n_leaves: loaded.n_leaves,
+            packets: loaded.packets,
+            state: PartState::Resident { csr: loaded.csr, bytes: loaded.bytes, touch },
+        }
     }
 }
 
@@ -261,9 +708,14 @@ pub fn accumulate_flat<V: Value, I: IntoIterator<Item = (Index, Index, V)>>(iter
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spill::{DirMedium, MemMedium};
 
     fn triples(n: usize) -> Vec<(Index, Index, u64)> {
-        let mut state = 0x9E3779B97F4A7C15u64;
+        triples_seeded(n, 0x9E3779B97F4A7C15)
+    }
+
+    fn triples_seeded(n: usize, seed: u64) -> Vec<(Index, Index, u64)> {
+        let mut state = seed | 1;
         (0..n)
             .map(|_| {
                 state ^= state << 13;
@@ -274,49 +726,98 @@ mod tests {
             .collect()
     }
 
+    /// The fold configurations every shared behaviour is checked under.
+    #[derive(Clone, Copy, Debug)]
+    enum Mode {
+        Resident,
+        Spilling(Option<u64>),
+    }
+
+    /// Resident, then spilling to a [`MemMedium`] with no budget, a zero
+    /// budget (evict every carry), and a roomy one.
+    const MODES: [Mode; 4] = [
+        Mode::Resident,
+        Mode::Spilling(None),
+        Mode::Spilling(Some(0)),
+        Mode::Spilling(Some(1 << 16)),
+    ];
+
+    fn fold(mode: Mode, leaf_capacity: usize) -> HierarchicalAccumulator<u64> {
+        match mode {
+            Mode::Resident => HierarchicalAccumulator::with_leaf_capacity(leaf_capacity),
+            Mode::Spilling(memory_budget) => HierarchicalAccumulator::spilling(
+                SpillConfig { leaf_capacity, memory_budget, max_attempts: 4 },
+                Arc::new(MemMedium::new()),
+            ),
+        }
+    }
+
+    fn spilled(
+        t: &[(Index, Index, u64)],
+        leaf: usize,
+        budget: Option<u64>,
+    ) -> (Csr<u64>, SpillReport) {
+        let mut acc = fold(Mode::Spilling(budget), leaf);
+        acc.extend(t.iter().copied());
+        acc.check_invariants().unwrap();
+        acc.finalize_with_report()
+    }
+
     #[test]
     fn hierarchical_equals_flat() {
         let t = triples(10_000);
-        let mut acc = HierarchicalAccumulator::with_leaf_capacity(256);
-        acc.extend(t.iter().copied());
-        let hier = acc.finalize();
-        let flat = accumulate_flat(t);
-        assert_eq!(hier, flat);
+        for mode in MODES {
+            let mut acc = fold(mode, 256);
+            acc.extend(t.iter().copied());
+            acc.check_invariants().unwrap();
+            let (m, report) = acc.finalize_with_report();
+            assert_eq!(m, accumulate_flat(t.iter().copied()), "{mode:?}");
+            assert!(report.is_exact(), "{mode:?}");
+            report.check_invariants().unwrap();
+            if matches!(mode, Mode::Resident | Mode::Spilling(None)) {
+                assert_eq!(report.stats.evictions, 0, "{mode:?}: no budget, no eviction");
+            }
+        }
     }
 
     #[test]
     fn exact_multiple_of_leaf_capacity() {
         let t = triples(1024);
-        let mut acc = HierarchicalAccumulator::with_leaf_capacity(256);
-        acc.extend(t.iter().copied());
-        assert_eq!(acc.stats().leaves, 4);
-        assert_eq!(acc.finalize(), accumulate_flat(t));
+        for mode in MODES {
+            let mut acc = fold(mode, 256);
+            acc.extend(t.iter().copied());
+            assert_eq!(acc.stats().leaves, 4, "{mode:?}");
+            assert_eq!(acc.finalize(), accumulate_flat(t.iter().copied()), "{mode:?}");
+        }
     }
 
     #[test]
     fn stats_obey_binary_counter_law_for_every_push_count() {
         // Property: after pushing n triples into leaves of capacity c,
         //   pushed == leaves * c + buffered_len()   (conservation), and
-        //   merges == leaves - popcount(leaves)     (binary-counter carries:
-        // every full leaf enters the counter and each pairwise merge
-        // destroys exactly one entry, leaving one per set bit).
-        for c in [1usize, 2, 3, 7, 16] {
-            for n in 0..200usize {
-                let mut acc = HierarchicalAccumulator::with_leaf_capacity(c);
-                acc.extend(triples(n));
-                let s = acc.stats();
-                assert_eq!(s.pushed, n as u64, "pushed (c={c}, n={n})");
-                assert_eq!(s.leaves, (n / c) as u64, "leaves (c={c}, n={n})");
-                assert_eq!(
-                    s.pushed,
-                    s.leaves * c as u64 + acc.buffered_len() as u64,
-                    "conservation (c={c}, n={n})"
-                );
-                assert_eq!(
-                    s.merges,
-                    s.leaves - u64::from(s.leaves.count_ones()),
-                    "carry count (c={c}, n={n})"
-                );
+        //   carry_merges == leaves - popcount(leaves)   (binary-counter
+        // carries: every full leaf enters the counter and each pairwise
+        // merge destroys exactly one entry, leaving one per set bit).
+        for mode in MODES {
+            for c in [1usize, 2, 3, 7, 16] {
+                for n in 0..200usize {
+                    let mut acc = fold(mode, c);
+                    acc.extend(triples(n));
+                    let s = acc.stats();
+                    assert_eq!(s.pushed, n as u64, "pushed ({mode:?}, c={c}, n={n})");
+                    assert_eq!(s.leaves, (n / c) as u64, "leaves ({mode:?}, c={c}, n={n})");
+                    assert_eq!(
+                        s.pushed,
+                        s.leaves * c as u64 + acc.buffered_len() as u64,
+                        "conservation ({mode:?}, c={c}, n={n})"
+                    );
+                    assert_eq!(
+                        s.carry_merges,
+                        s.leaves - u64::from(s.leaves.count_ones()),
+                        "carry count ({mode:?}, c={c}, n={n})"
+                    );
+                    assert_eq!(s.tree_merges, 0, "no tree before finalize");
+                }
             }
         }
     }
@@ -326,67 +827,88 @@ mod tests {
         // The carry law above stops short of the finalize tree. After
         // finalize, ANY pairwise merge tree over L leaves has performed
         // exactly L - 1 merges: (leaves - popcount) carries plus
-        // (popcount - 1) tree merges. Pin the full closed form so the
-        // pairwise merge_all reduction can never silently drop merges.
-        for c in [1usize, 2, 3, 7, 16] {
-            for n in 0..200usize {
-                let mut acc = HierarchicalAccumulator::with_leaf_capacity(c);
-                acc.extend(triples(n));
-                let mid = acc.stats();
-                let (m, s) = acc.finalize_with_stats();
-                // finalize flushes the partial leaf, so leaves = ceil(n/c).
-                assert_eq!(s.leaves, n.div_ceil(c) as u64, "leaves (c={c}, n={n})");
-                assert_eq!(s.pushed, n as u64);
-                assert_eq!(
-                    s.merges,
-                    s.leaves.saturating_sub(1),
-                    "post-finalize closed form (c={c}, n={n})"
-                );
-                // Decomposition: carries obey the mid-stream law; the tree
-                // contributes the remaining popcount - 1.
-                assert!(s.merges >= mid.merges, "finalize never forgets carries");
-                assert_eq!(m, accumulate_flat(triples(n)), "matrix unchanged (c={c}, n={n})");
+        // (popcount - 1) tree merges. Pin the full closed form so neither
+        // the merge_all reduction nor the budgeted adjacent-pair tree can
+        // ever silently drop merges.
+        for mode in MODES {
+            for c in [1usize, 2, 3, 7, 16] {
+                for n in 0..200usize {
+                    let mut acc = fold(mode, c);
+                    acc.extend(triples(n));
+                    let mid = acc.stats();
+                    let (m, report) = acc.finalize_with_report();
+                    let s = report.stats;
+                    // finalize flushes the partial leaf, so leaves = ceil(n/c).
+                    assert_eq!(s.leaves, n.div_ceil(c) as u64, "leaves ({mode:?}, c={c}, n={n})");
+                    assert_eq!(s.pushed, n as u64);
+                    assert_eq!(
+                        s.merges(),
+                        s.leaves.saturating_sub(1),
+                        "post-finalize closed form ({mode:?}, c={c}, n={n})"
+                    );
+                    assert!(s.carry_merges >= mid.carry_merges, "finalize never forgets carries");
+                    assert_eq!(m, accumulate_flat(triples(n)), "matrix ({mode:?}, c={c}, n={n})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn resident_and_zero_budget_folds_report_equal_merge_counts() {
+        // `WindowSnapshot::merges` promises the same count whichever fold
+        // built the window: residency moves parts between memory and the
+        // medium but never changes the merge tree.
+        for c in [1usize, 3, 16] {
+            for n in [0usize, 1, 15, 16, 17, 100, 999] {
+                let t = triples(n);
+                let mut resident = fold(Mode::Resident, c);
+                let mut zero = fold(Mode::Spilling(Some(0)), c);
+                resident.extend(t.iter().copied());
+                zero.extend(t.iter().copied());
+                let (a, ra) = resident.finalize_with_report();
+                let (b, rb) = zero.finalize_with_report();
+                assert_eq!(a, b, "c={c}, n={n}");
+                let key = |s: SpillStats| (s.pushed, s.leaves, s.carry_merges, s.tree_merges);
+                assert_eq!(key(ra.stats), key(rb.stats), "c={c}, n={n}");
+                assert_eq!(ra.stats.evictions, 0, "a resident fold never evicts");
             }
         }
     }
 
     #[test]
     fn empty_accumulator_finalizes_empty() {
-        let acc = HierarchicalAccumulator::<u64>::new();
-        assert!(acc.finalize().is_empty());
+        for mode in MODES {
+            let (m, report) = fold(mode, DEFAULT_LEAF_CAPACITY).finalize_with_report();
+            assert!(m.is_empty(), "{mode:?}");
+            assert!(report.is_exact());
+            assert_eq!(report.packets_expected, 0);
+            assert!((report.coverage() - 1.0).abs() < f64::EPSILON);
+        }
+        assert!(HierarchicalAccumulator::<u64>::new().finalize().is_empty());
     }
 
     #[test]
     fn single_partial_leaf() {
-        let mut acc = HierarchicalAccumulator::with_leaf_capacity(1000);
-        acc.push(1, 2, 3u64);
-        acc.push(1, 2, 4u64);
-        let m = acc.finalize();
-        assert_eq!(m.get(1, 2), Some(7));
-        assert_eq!(m.nnz(), 1);
-    }
-
-    #[test]
-    fn carry_chain_depth_is_logarithmic() {
-        let mut acc = HierarchicalAccumulator::with_leaf_capacity(16);
-        acc.extend(triples(16 * 64)); // exactly 64 leaves
-        let stats = acc.stats();
-        assert_eq!(stats.leaves, 64);
-        // A binary counter incremented 64 times performs 57 carries
-        // (64 - popcount-ish accounting): with 64 = 2^6 leaves the final
-        // state is one matrix at level 6 and 63 merges happened... but the
-        // exact count is levels-dependent; just sanity-bound it.
-        assert!(stats.merges >= 32 && stats.merges < 64, "merges = {}", stats.merges);
+        for mode in MODES {
+            let mut acc = fold(mode, 1000);
+            acc.push(1, 2, 3u64);
+            acc.push(1, 2, 4u64);
+            let m = acc.finalize();
+            assert_eq!(m.get(1, 2), Some(7), "{mode:?}");
+            assert_eq!(m.nnz(), 1);
+        }
     }
 
     #[test]
     fn stats_pushed_counts_everything() {
-        let mut acc = HierarchicalAccumulator::<u64>::with_leaf_capacity(8);
-        for i in 0..100 {
-            acc.push_edge(i % 10, i % 7);
+        for mode in MODES {
+            let mut acc = fold(mode, 8);
+            for i in 0..100 {
+                acc.push_edge(i % 10, i % 7);
+            }
+            assert_eq!(acc.len_pushed(), 100, "{mode:?}");
+            assert_eq!(crate::reduce::valid_packets(&acc.finalize()), 100);
         }
-        assert_eq!(acc.len_pushed(), 100);
-        assert_eq!(crate::reduce::valid_packets(&acc.finalize()), 100);
     }
 
     #[test]
@@ -396,17 +918,28 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "leaf capacity")]
+    fn zero_leaf_capacity_panics_when_spilling() {
+        let cfg = SpillConfig { leaf_capacity: 0, ..SpillConfig::default() };
+        let _ = HierarchicalAccumulator::<u64>::spilling(cfg, Arc::new(MemMedium::new()));
+    }
+
+    #[test]
     fn csr_leaves_equal_triple_pushes() {
         // Pushing pre-compacted CSR leaves reproduces the matrix built from
         // the underlying triples, for every partition of the input.
         let t = triples(4_000);
         let flat = accumulate_flat(t.clone());
-        for chunk in [1usize, 37, 256, 4_000] {
-            let mut acc = HierarchicalAccumulator::with_leaf_capacity(64);
-            for part in t.chunks(chunk) {
-                acc.push_csr_leaf(Coo::from_triples(part.iter().copied()).into_csr());
+        for mode in MODES {
+            for chunk in [1usize, 37, 256, 4_000] {
+                let mut acc = fold(mode, 64);
+                for part in t.chunks(chunk) {
+                    acc.push_csr_leaf(Coo::from_triples(part.iter().copied()).into_csr());
+                }
+                let (m, report) = acc.finalize_with_report();
+                assert_eq!(m, flat, "{mode:?}, chunk = {chunk}");
+                assert!(report.is_exact());
             }
-            assert_eq!(acc.finalize(), flat, "chunk = {chunk}");
         }
     }
 
@@ -415,39 +948,128 @@ mod tests {
         // A buffered partial leaf is flushed ahead of an incoming CSR leaf,
         // so mixing the two entry points still conserves every triple.
         let t = triples(1_000);
-        let mut acc = HierarchicalAccumulator::with_leaf_capacity(128);
-        acc.extend(t[..300].iter().copied());
-        acc.push_csr_leaf(Coo::from_triples(t[300..700].iter().copied()).into_csr());
-        acc.extend(t[700..].iter().copied());
-        assert_eq!(acc.finalize(), accumulate_flat(t));
+        for mode in MODES {
+            let mut acc = fold(mode, 128);
+            acc.extend(t[..300].iter().copied());
+            acc.push_csr_leaf(Coo::from_triples(t[300..700].iter().copied()).into_csr());
+            acc.extend(t[700..].iter().copied());
+            assert_eq!(acc.finalize(), accumulate_flat(t.iter().copied()), "{mode:?}");
+        }
     }
 
     #[test]
     fn csr_leaf_stats_obey_binary_counter_law() {
         let t = triples(2_048);
-        let mut acc = HierarchicalAccumulator::<u64>::with_leaf_capacity(64);
-        for part in t.chunks(128) {
-            acc.push_csr_leaf(Coo::from_triples(part.iter().copied()).into_csr());
+        for mode in MODES {
+            let mut acc = fold(mode, 64);
+            for part in t.chunks(128) {
+                acc.push_csr_leaf(Coo::from_triples(part.iter().copied()).into_csr());
+            }
+            let s = acc.stats();
+            assert_eq!(s.leaves, 16, "{mode:?}");
+            assert_eq!(s.carry_merges, s.leaves - u64::from(s.leaves.count_ones()));
+            assert!(acc.check_invariants().is_ok());
         }
-        let s = acc.stats();
-        assert_eq!(s.leaves, 16);
-        assert_eq!(s.merges, s.leaves - u64::from(s.leaves.count_ones()));
-        assert!(acc.check_invariants().is_ok());
     }
 
     #[test]
     fn empty_csr_leaf_is_ignored() {
-        let mut acc = HierarchicalAccumulator::<u64>::new();
-        acc.push_csr_leaf(Csr::empty());
-        assert_eq!(acc.stats().leaves, 0);
-        assert!(acc.finalize().is_empty());
+        for mode in MODES {
+            let mut acc = fold(mode, DEFAULT_LEAF_CAPACITY);
+            acc.push_csr_leaf(Csr::empty());
+            assert_eq!(acc.stats().leaves, 0, "{mode:?}");
+            assert!(acc.finalize().is_empty());
+        }
     }
 
     #[test]
     fn leaf_capacity_one_still_correct() {
         let t = triples(50);
-        let mut acc = HierarchicalAccumulator::with_leaf_capacity(1);
+        for mode in MODES {
+            let mut acc = fold(mode, 1);
+            acc.extend(t.iter().copied());
+            assert_eq!(acc.finalize(), accumulate_flat(t.iter().copied()), "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn zero_budget_forces_eviction_on_every_carry_and_stays_identical() {
+        let t = triples_seeded(10_000, 7);
+        let (m, report) = spilled(&t, 128, Some(0));
+        assert_eq!(m, accumulate_flat(t));
+        assert!(report.is_exact());
+        assert!(report.stats.evictions > 0, "{:?}", report.stats);
+        assert!(report.stats.reloads > 0, "{:?}", report.stats);
+        report.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn mid_stream_budget_changes_preserve_identity() {
+        let t = triples_seeded(5_000, 11);
+        let mut acc = fold(Mode::Spilling(None), 64);
+        for (i, &(r, c, v)) in t.iter().enumerate() {
+            acc.push(r, c, v);
+            match i {
+                1_000 => acc.set_budget(Some(0)),
+                2_500 => acc.set_budget(Some(1 << 14)),
+                4_000 => acc.set_budget(None),
+                _ => {}
+            }
+        }
+        let (m, report) = acc.finalize_with_report();
+        assert_eq!(m, accumulate_flat(t));
+        assert!(report.is_exact());
+        assert!(report.stats.evictions > 0);
+    }
+
+    #[test]
+    fn a_budget_without_a_store_counts_overruns_and_stays_identical() {
+        let t = triples_seeded(2_000, 13);
+        let mut acc = fold(Mode::Resident, 64);
+        acc.set_budget(Some(0));
+        assert_eq!(acc.budget(), Some(0));
         acc.extend(t.iter().copied());
-        assert_eq!(acc.finalize(), accumulate_flat(t));
+        acc.check_invariants().unwrap();
+        let (m, report) = acc.finalize_with_report();
+        assert_eq!(m, accumulate_flat(t));
+        assert_eq!(report.stats.evictions, 0, "nothing to evict to");
+        assert!(report.stats.budget_overruns > 0, "{:?}", report.stats);
+    }
+
+    #[test]
+    fn feasible_budget_bounds_tracked_peak() {
+        let t = triples_seeded(20_000, 19);
+        let budget = 1 << 20; // 1 MiB: ample for 512-key leaves, forces order
+        let (m, report) = spilled(&t, 512, Some(budget));
+        assert_eq!(m, accumulate_flat(t));
+        assert_eq!(report.stats.budget_overruns, 0, "{:?}", report.stats);
+        assert!(report.stats.peak_live_bytes <= budget, "{:?}", report.stats);
+    }
+
+    #[test]
+    fn dir_medium_round_trips_and_cleans_up() {
+        let medium = DirMedium::create_in(&std::env::temp_dir()).unwrap();
+        let dir = medium.path().to_path_buf();
+        assert!(dir.is_dir());
+        let t = triples_seeded(3_000, 5);
+        let cfg = SpillConfig { leaf_capacity: 128, memory_budget: Some(0), max_attempts: 4 };
+        let mut acc = HierarchicalAccumulator::spilling(cfg, Arc::new(medium));
+        acc.extend(t.iter().copied());
+        let (m, report) = acc.finalize_with_report();
+        assert_eq!(m, accumulate_flat(t));
+        assert!(report.stats.evictions > 0);
+        // finalize consumed the accumulator (and with it the store's Arc
+        // on the medium), so the directory is already gone.
+        assert!(!dir.exists(), "spill dir should be removed on drop");
+    }
+
+    #[test]
+    fn floor_log2_matches_ilog2() {
+        assert_eq!(floor_log2(0), 0);
+        assert_eq!(floor_log2(1), 0);
+        assert_eq!(floor_log2(2), 1);
+        assert_eq!(floor_log2(3), 1);
+        assert_eq!(floor_log2(1 << 13), 13);
+        assert_eq!(floor_log2(u64::MAX), 63);
     }
 }

@@ -16,16 +16,16 @@
 //! The crate provides:
 //!
 //! * [`Coo`] — an append-only triple buffer compacted either by comparison
-//!   sort (serial oracle, rayon-parallel ablation) or by the [`radix`] LSD
-//!   counting-sort kernel, selected at a measured size crossover,
+//!   sort (the serial oracle) or by the [`radix`] LSD counting-sort kernel,
+//!   selected at a fixed size threshold ([`coo::RADIX_THRESHOLD`]),
 //! * [`Csr`] — an immutable hypersparse matrix supporting the full menu of
 //!   network quantities from Table II of the paper ([`reduce`]),
 //! * [`hier::HierarchicalAccumulator`] — the hierarchical accumulation
 //!   architecture of Kepner et al. (IPDPS-W 2020/HPEC 2021): packets are
 //!   buffered into small leaf matrices which are summed pairwise like a
-//!   binary counter, keeping every intermediate merge cache-friendly,
-//! * [`stream::StreamingBuilder`] — a multi-producer concurrent builder that
-//!   shards packets across worker threads over crossbeam channels,
+//!   binary counter, keeping every intermediate merge cache-friendly. It is
+//!   the crate's only fold: resident, or spilling carry parts through the
+//!   [`spill`] store under a memory budget,
 //! * [`ops`] — element-wise addition, zero-norm (pattern) extraction,
 //!   permutation (anonymization invariance), scaling, and transposition.
 //!
@@ -55,7 +55,6 @@ pub mod reduce;
 pub mod serialize;
 pub mod spgemm;
 pub mod spill;
-pub mod stream;
 pub mod value;
 
 pub use coo::Coo;
@@ -63,10 +62,9 @@ pub use csr::Csr;
 pub use dcsc::Dcsc;
 pub use hier::HierarchicalAccumulator;
 pub use spill::{
-    DirMedium, MemMedium, SpillAccumulator, SpillConfig, SpillFault, SpillMedium, SpillReport,
-    SpillStats, SpillStore,
+    DirMedium, MemMedium, SpillConfig, SpillFault, SpillMedium, SpillReport, SpillStats,
+    SpillStore,
 };
-pub use stream::StreamingBuilder;
 pub use value::Value;
 
 /// Row/column index type. The paper uses `uint32` indices so that an entire

@@ -25,8 +25,8 @@
 //!
 //! The comparison path remains in `coo.rs` as the differential oracle
 //! (`serial ≡ radix` property tests live in `tests/properties.rs`), and
-//! [`crate::Coo::into_csr`] picks between the two with a measured crossover
-//! rather than a magic constant.
+//! [`crate::Coo::into_csr`] picks between the two at the fixed
+//! [`crate::coo::RADIX_THRESHOLD`].
 //!
 //! Opt-in metrics (enable with [`enable_metrics`]; never emitted otherwise,
 //! so the default 88-name metrics schema is untouched):

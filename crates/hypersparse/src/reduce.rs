@@ -10,7 +10,6 @@
 use crate::csr::Csr;
 use crate::value::Value;
 use crate::Index;
-use rayon::prelude::*;
 
 /// Valid packets `N_V = Σ_i Σ_j A_t(i, j)` (matrix notation `1' A_t 1`).
 pub fn valid_packets<V: Value>(a: &Csr<V>) -> u64 {
@@ -39,35 +38,6 @@ pub fn source_packets<V: Value>(a: &Csr<V>) -> Vec<(Index, u64)> {
     a.iter_rows()
         .map(|(r, _, vals)| (r, vals.iter().map(|v| v.to_u64()).sum()))
         .collect()
-}
-
-/// Parallel variant of [`source_packets`] for large windows.
-pub fn source_packets_par<V: Value>(a: &Csr<V>) -> Vec<(Index, u64)> {
-    let n = a.n_rows();
-    (0..n)
-        .into_par_iter()
-        .map(|i| {
-            let (_, vals) = a.row_at(i);
-            (a.row_keys()[i], vals.iter().map(|v| v.to_u64()).sum())
-        })
-        .collect()
-}
-
-/// Row count at which [`source_packets_auto`] switches to the parallel
-/// row-sum path.
-pub const PAR_ROW_SUM_THRESHOLD: usize = 1 << 14;
-
-/// [`source_packets`] with automatic serial/parallel selection: windows
-/// with at least [`PAR_ROW_SUM_THRESHOLD`] occupied rows go through
-/// [`source_packets_par`], smaller ones stay serial. Both paths emit one
-/// entry per occupied row in ascending row-key order, so the choice is
-/// invisible to callers.
-pub fn source_packets_auto<V: Value>(a: &Csr<V>) -> Vec<(Index, u64)> {
-    if a.n_rows() >= PAR_ROW_SUM_THRESHOLD {
-        source_packets_par(a)
-    } else {
-        source_packets(a)
-    }
 }
 
 /// Max source packets `max_i Σ_j A_t(i, j)` (`max(A_t 1)`).
@@ -280,28 +250,6 @@ mod tests {
         assert_eq!(source_fan_out(&a), vec![(1, 3), (2, 1)]);
         assert_eq!(destination_packets(&a), vec![(7, 9), (8, 1), (9, 2)]);
         assert_eq!(destination_fan_in(&a), vec![(7, 2), (8, 1), (9, 1)]);
-    }
-
-    #[test]
-    fn parallel_source_packets_agrees() {
-        let a = sample();
-        let mut par = source_packets_par(&a);
-        par.sort_unstable();
-        assert_eq!(par, source_packets(&a));
-    }
-
-    #[test]
-    fn auto_dispatch_matches_serial_on_both_sides_of_threshold() {
-        // Below the threshold: the serial arm.
-        let small = sample();
-        assert_eq!(source_packets_auto(&small), source_packets(&small));
-        // At/above the threshold: the parallel arm, same order and values.
-        let n = PAR_ROW_SUM_THRESHOLD as u32;
-        let triples: Vec<(u32, u32, u64)> =
-            (0..n).map(|i| (i, i % 7, u64::from(i % 5 + 1))).collect();
-        let big = Coo::from_triples(triples).into_csr();
-        assert!(big.n_rows() >= PAR_ROW_SUM_THRESHOLD);
-        assert_eq!(source_packets_auto(&big), source_packets(&big));
     }
 
     #[test]

@@ -1,42 +1,16 @@
-//! Out-of-core hierarchical accumulation under a memory budget.
+//! Out-of-core storage for the hierarchical fold.
 //!
-//! The in-memory [`crate::hier::HierarchicalAccumulator`] keeps every carry
-//! level resident, so a window is bounded by RAM. This module removes that
-//! bound: [`SpillAccumulator`] is the same binary-counter carry chain, but
-//! each carry-level CSR part can be *evicted* to a [`SpillStore`] (encoded
-//! with the CRC-protected codec-v2 frames from [`crate::serialize`]) and
-//! *reloaded* when the carry chain or the final tree reduction needs it
-//! again. A memory budget caps the tracked live bytes; when placing or
-//! reloading a part would exceed it, the coldest (least recently touched)
-//! resident level is spilled first.
-//!
-//! Degradation, not corruption: a spill frame that fails to decode after
-//! bounded retry (same transient/permanent [`FaultClass`] taxonomy as the
-//! archive restore path) is **quarantined** — its contiguous leaf interval
-//! and packet count are recorded in the [`SpillReport`] and the build
-//! continues with the surviving parts. The result is either bit-identical
-//! to the in-memory build (clean media) or explicitly coverage-qualified;
-//! it is never silently wrong.
-//!
-//! # Accounting model
-//!
-//! "Live bytes" counts the length-based heap footprint
-//! ([`Csr::heap_bytes`]) of every resident carry part **plus** the part
-//! currently in flight through the carry chain, and a merge pre-charges
-//! its output before releasing its inputs — so the tracked peak honestly
-//! covers the two inputs and the output of every pairwise merge. The
-//! partial-leaf COO buffer (bounded by `leaf_capacity`) and transient
-//! codec buffers are outside the budget; DESIGN.md §16 documents the
-//! boundary.
-//!
-//! # Determinism
-//!
-//! `ewise_add` is associative and commutative and CSR is a canonical form,
-//! so eviction/reload schedules cannot change the final matrix: the spilled
-//! build is bit-identical to the in-memory hierarchical build and to
-//! [`crate::hier::accumulate_flat`] for any budget, including budgets that
-//! force an eviction on every carry. `tests/ooc_differential.rs` proves
-//! this over a grid and under random budget schedules.
+//! A [`crate::HierarchicalAccumulator`] built with
+//! [`crate::HierarchicalAccumulator::spilling`] evicts carry-level CSR
+//! parts to a [`SpillStore`] whenever its tracked live bytes would exceed
+//! the memory budget, and reloads them when the carry chain or the final
+//! tree reduction needs them again. This module is that storage layer:
+//! the [`SpillMedium`] byte stores ([`DirMedium`] for real directories,
+//! [`MemMedium`] for tests), the CRC-framed [`SpillStore`] with bounded
+//! retry, the [`SpillFault`] taxonomy, and the fold's [`SpillConfig`],
+//! [`SpillStats`] and coverage-qualified [`SpillReport`]. The
+//! accumulator's accounting and determinism contracts are documented in
+//! [`crate::hier`].
 //!
 //! # Metrics (opt-in)
 //!
@@ -46,13 +20,10 @@
 //! `span.hypersparse.spill.merge.level{k}.{ns,calls_total}`, all pinned by
 //! `tests/metrics_optin.rs`.
 
-use crate::coo::Coo;
 use crate::csr::Csr;
 use crate::hier::DEFAULT_LEAF_CAPACITY;
-use crate::ops::ewise_add;
 use crate::serialize;
 use crate::value::Value;
-use crate::Index;
 use obscor_obs::FaultClass;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -388,14 +359,15 @@ impl SpillStore {
     }
 }
 
-/// Configuration of a [`SpillAccumulator`].
+/// Configuration of a spilling [`crate::HierarchicalAccumulator`].
 #[derive(Clone, Debug)]
 pub struct SpillConfig {
-    /// Triples per leaf before compaction (same meaning as the in-memory
-    /// accumulator's leaf capacity).
+    /// Triples per leaf before compaction (same meaning as
+    /// [`crate::HierarchicalAccumulator::with_leaf_capacity`]).
     pub leaf_capacity: usize,
     /// Tracked-live-byte budget; `None` means unbounded (parts still spill
-    /// only if [`SpillAccumulator::set_budget`] later imposes one).
+    /// only if [`crate::HierarchicalAccumulator::set_budget`] later imposes
+    /// one).
     pub memory_budget: Option<u64>,
     /// Bounded-retry budget for transient spill faults.
     pub max_attempts: u32,
@@ -407,7 +379,8 @@ impl Default for SpillConfig {
     }
 }
 
-/// Lifetime counters of a [`SpillAccumulator`].
+/// Lifetime counters of a [`crate::HierarchicalAccumulator`], resident or
+/// spilling.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SpillStats {
     /// Triples pushed in total.
@@ -463,9 +436,10 @@ pub struct QuarantinedPart {
     pub error: String,
 }
 
-/// Coverage-qualified outcome of a spilled build, mirroring the archive
-/// restore's `RestoreReport`: exact packet accounting, the quarantined
-/// parts, and the lifetime [`SpillStats`].
+/// Coverage-qualified outcome of a fold
+/// ([`crate::HierarchicalAccumulator::finalize_with_report`]), mirroring
+/// the archive restore's `RestoreReport`: exact packet accounting, the
+/// quarantined parts, and the lifetime [`SpillStats`].
 #[derive(Clone, Debug)]
 pub struct SpillReport {
     /// Triples pushed into the accumulator over its lifetime.
@@ -516,585 +490,11 @@ impl SpillReport {
     }
 }
 
-/// A carry part: its leaf interval, packet count, and residency state.
-struct Part<V: Value> {
-    first_leaf: u64,
-    n_leaves: u64,
-    packets: u64,
-    state: PartState<V>,
-}
-
-enum PartState<V: Value> {
-    /// In memory, charged against the budget; `touch` is the LRU clock.
-    Resident { csr: Csr<V>, bytes: u64, touch: u64 },
-    /// Offloaded; `est_bytes` is the heap size it had when evicted.
-    Spilled { handle: SpillHandle, est_bytes: u64 },
-}
-
-impl<V: Value> Part<V> {
-    fn size_est(&self) -> u64 {
-        match &self.state {
-            PartState::Resident { bytes, .. } => *bytes,
-            PartState::Spilled { est_bytes, .. } => *est_bytes,
-        }
-    }
-}
-
-/// A loaded part ready to merge.
-struct Loaded<V: Value> {
-    csr: Csr<V>,
-    bytes: u64,
-    first_leaf: u64,
-    n_leaves: u64,
-    packets: u64,
-}
-
-/// `floor(log2(n))` for `n >= 1` (`0` for `n == 0`), used to label merge
-/// spans and quarantined parts by carry level.
-fn floor_log2(n: u64) -> usize {
-    usize::try_from(u64::BITS - 1 - n.max(1).leading_zeros()).unwrap_or(63)
-}
-
-/// Time one pairwise merge under its per-level span (opt-in).
-fn timed_merge<V: Value>(level: usize, a: &Csr<V>, b: &Csr<V>) -> Csr<V> {
-    let _span = if spill_metrics_enabled() {
-        Some(obscor_obs::span(&format!("hypersparse.spill.merge.level{level}")))
-    } else {
-        None
-    };
-    ewise_add(a, b)
-}
-
-/// The out-of-core hierarchical accumulator: same carry chain and final
-/// tree reduction as [`crate::hier::HierarchicalAccumulator`], with
-/// budget-aware eviction/reload of carry parts through a [`SpillStore`].
-/// See the module docs for the accounting and determinism contracts.
-pub struct SpillAccumulator<V: Value> {
-    leaf_capacity: usize,
-    budget: Option<u64>,
-    buffer: Coo<V>,
-    levels: Vec<Option<Part<V>>>,
-    store: SpillStore,
-    clock: u64,
-    live_bytes: u64,
-    stats: SpillStats,
-    quarantined: Vec<QuarantinedPart>,
-}
-
-impl<V: Value> std::fmt::Debug for SpillAccumulator<V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpillAccumulator")
-            .field("leaf_capacity", &self.leaf_capacity)
-            .field("budget", &self.budget)
-            .field("live_bytes", &self.live_bytes)
-            .field("stats", &self.stats)
-            .finish()
-    }
-}
-
-impl<V: Value> SpillAccumulator<V> {
-    /// Create an accumulator spilling through `medium`.
-    ///
-    /// # Panics
-    /// Panics if `config.leaf_capacity == 0`.
-    pub fn new(config: SpillConfig, medium: Arc<dyn SpillMedium>) -> Self {
-        assert!(config.leaf_capacity > 0, "leaf capacity must be positive");
-        Self {
-            leaf_capacity: config.leaf_capacity,
-            budget: config.memory_budget,
-            buffer: Coo::with_capacity(config.leaf_capacity),
-            levels: Vec::new(),
-            store: SpillStore::with_retry(medium, config.max_attempts),
-            clock: 0,
-            live_bytes: 0,
-            stats: SpillStats::default(),
-            quarantined: Vec::new(),
-        }
-    }
-
-    /// Append one triple, carrying if the leaf fills.
-    #[inline]
-    pub fn push(&mut self, row: Index, col: Index, val: V) {
-        self.buffer.push(row, col, val);
-        self.stats.pushed += 1;
-        if self.buffer.len() >= self.leaf_capacity {
-            self.flush_leaf();
-        }
-    }
-
-    /// Append one unit-valued triple (a single packet).
-    #[inline]
-    pub fn push_edge(&mut self, row: Index, col: Index) {
-        self.push(row, col, V::one());
-    }
-
-    /// Insert a pre-compacted CSR leaf (the streaming-ingest entry point;
-    /// same counting convention as the in-memory accumulator). Empty
-    /// leaves are ignored.
-    pub fn push_csr_leaf(&mut self, leaf: Csr<V>) {
-        if leaf.is_empty() {
-            return;
-        }
-        self.flush_leaf();
-        let packets = leaf.nnz() as u64;
-        self.stats.pushed += packets;
-        let first_leaf = self.stats.leaves;
-        self.stats.leaves += 1;
-        self.carry_in(leaf, first_leaf, packets);
-    }
-
-    /// Compact the current partial leaf and carry it up the level chain.
-    pub fn flush_leaf(&mut self) {
-        if self.buffer.is_empty() {
-            return;
-        }
-        let packets = self.buffer.len() as u64;
-        let leaf = std::mem::replace(&mut self.buffer, Coo::with_capacity(self.leaf_capacity));
-        let csr = leaf.into_csr();
-        let first_leaf = self.stats.leaves;
-        self.stats.leaves += 1;
-        self.carry_in(csr, first_leaf, packets);
-    }
-
-    /// Replace the memory budget mid-stream (the random-budget-schedule
-    /// property tests drive this) and enforce it immediately.
-    pub fn set_budget(&mut self, budget: Option<u64>) {
-        self.budget = budget;
-        self.enforce_budget();
-    }
-
-    /// The current memory budget.
-    pub fn budget(&self) -> Option<u64> {
-        self.budget
-    }
-
-    /// Lifetime counters so far.
-    pub fn stats(&self) -> SpillStats {
-        self.stats
-    }
-
-    /// Tracked live bytes right now.
-    pub fn live_bytes(&self) -> u64 {
-        self.live_bytes
-    }
-
-    /// Triples currently buffered in the partial leaf.
-    pub fn buffered_len(&self) -> usize {
-        self.buffer.len()
-    }
-
-    /// Internal consistency: partial leaf below capacity, every resident
-    /// part valid, carry merges bounded by the binary-counter law, and
-    /// live bytes equal to the sum over resident parts.
-    pub fn check_invariants(&self) -> Result<(), String> {
-        if self.buffer.len() >= self.leaf_capacity {
-            return Err("partial leaf at or above capacity (missed flush)".into());
-        }
-        let mut resident = 0u64;
-        for (k, slot) in self.levels.iter().enumerate() {
-            if let Some(part) = slot {
-                if part.n_leaves == 0 {
-                    return Err(format!("level {k}: part covers zero leaves"));
-                }
-                if let PartState::Resident { csr, bytes, .. } = &part.state {
-                    csr.check_invariants().map_err(|e| format!("level {k}: {e}"))?;
-                    if *bytes != csr.heap_bytes() {
-                        return Err(format!("level {k}: stale byte accounting"));
-                    }
-                    resident += bytes;
-                }
-            }
-        }
-        if resident != self.live_bytes {
-            return Err(format!(
-                "live bytes {} disagree with resident sum {resident}",
-                self.live_bytes
-            ));
-        }
-        if self.stats.carry_merges >= self.stats.leaves.max(1) {
-            return Err("more carry merges than a binary carry chain allows".into());
-        }
-        Ok(())
-    }
-
-    fn tick(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
-    }
-
-    fn charge(&mut self, bytes: u64) {
-        self.live_bytes += bytes;
-        if self.live_bytes > self.stats.peak_live_bytes {
-            self.stats.peak_live_bytes = self.live_bytes;
-        }
-    }
-
-    fn release(&mut self, bytes: u64) {
-        self.live_bytes = self.live_bytes.saturating_sub(bytes);
-    }
-
-    /// Make room for `bytes` *before* charging them: evict coldest-first
-    /// until the addition fits the budget, then charge. Counting the
-    /// overrun here (rather than after the fact) keeps the tracked peak
-    /// within the budget whenever the budget is feasible at all.
-    fn reserve(&mut self, bytes: u64) {
-        if let Some(budget) = self.budget {
-            while self.live_bytes.saturating_add(bytes) > budget {
-                match self.coldest_resident() {
-                    Some(k) if self.evict_level(k) => {}
-                    _ => {
-                        self.stats.budget_overruns += 1;
-                        break;
-                    }
-                }
-            }
-        }
-        self.charge(bytes);
-    }
-
-    /// Index of the least-recently-touched resident level, if any.
-    fn coldest_resident(&self) -> Option<usize> {
-        let mut best: Option<(u64, usize)> = None;
-        for (k, slot) in self.levels.iter().enumerate() {
-            if let Some(Part { state: PartState::Resident { touch, .. }, .. }) = slot {
-                if best.is_none_or(|(t, _)| *touch < t) {
-                    best = Some((*touch, k));
-                }
-            }
-        }
-        best.map(|(_, k)| k)
-    }
-
-    /// Spill the resident part at level `k`. Returns `false` (leaving the
-    /// part resident) if the store cannot persist it.
-    fn evict_level(&mut self, k: usize) -> bool {
-        let Some(part) = self.levels[k].take() else { return false };
-        let Part { first_leaf, n_leaves, packets, state } = part;
-        match state {
-            PartState::Resident { csr, bytes, touch } => match self.store.store_csr(&csr) {
-                Ok(handle) => {
-                    self.stats.evictions += 1;
-                    if spill_metrics_enabled() {
-                        obscor_obs::counter("hypersparse.spill.evictions_total").inc();
-                    }
-                    self.release(bytes);
-                    self.levels[k] = Some(Part {
-                        first_leaf,
-                        n_leaves,
-                        packets,
-                        state: PartState::Spilled { handle, est_bytes: bytes },
-                    });
-                    true
-                }
-                Err(_) => {
-                    // The medium refused the write; keep the part resident
-                    // rather than lose data — the budget is best-effort
-                    // when the spill device itself fails.
-                    self.levels[k] = Some(Part {
-                        first_leaf,
-                        n_leaves,
-                        packets,
-                        state: PartState::Resident { csr, bytes, touch },
-                    });
-                    false
-                }
-            },
-            spilled => {
-                self.levels[k] = Some(Part { first_leaf, n_leaves, packets, state: spilled });
-                false
-            }
-        }
-    }
-
-    /// Evict coldest-first until the tracked live bytes fit the budget;
-    /// count an overrun if nothing evictable remains.
-    fn enforce_budget(&mut self) {
-        let Some(budget) = self.budget else { return };
-        while self.live_bytes > budget {
-            match self.coldest_resident() {
-                Some(k) if self.evict_level(k) => {}
-                _ => {
-                    self.stats.budget_overruns += 1;
-                    break;
-                }
-            }
-        }
-    }
-
-    /// Bring a part into memory (charging its bytes) or quarantine it.
-    fn load_part(&mut self, part: Part<V>) -> Result<Loaded<V>, QuarantinedPart> {
-        let Part { first_leaf, n_leaves, packets, state } = part;
-        match state {
-            PartState::Resident { csr, bytes, .. } => {
-                Ok(Loaded { csr, bytes, first_leaf, n_leaves, packets })
-            }
-            PartState::Spilled { handle, .. } => match self.store.fetch_csr::<V>(&handle) {
-                Ok(csr) => {
-                    self.stats.reloads += 1;
-                    if spill_metrics_enabled() {
-                        obscor_obs::counter("hypersparse.spill.reloads_total").inc();
-                    }
-                    self.store.discard(&handle);
-                    let bytes = csr.heap_bytes();
-                    self.reserve(bytes);
-                    Ok(Loaded { csr, bytes, first_leaf, n_leaves, packets })
-                }
-                Err(fault) => {
-                    self.store.discard(&handle);
-                    Err(QuarantinedPart {
-                        level: floor_log2(n_leaves),
-                        first_leaf,
-                        n_leaves,
-                        packets,
-                        error: fault.to_string(),
-                    })
-                }
-            },
-        }
-    }
-
-    /// Carry one compacted leaf up the level chain (binary counter),
-    /// evicting/reloading around the budget as it goes.
-    fn carry_in(&mut self, leaf: Csr<V>, first_leaf: u64, packets: u64) {
-        let mut carry = leaf;
-        let mut carry_bytes = carry.heap_bytes();
-        let mut meta = (first_leaf, 1u64, packets);
-        self.reserve(carry_bytes);
-        let mut k = 0usize;
-        loop {
-            if k == self.levels.len() {
-                self.levels.push(None);
-            }
-            match self.levels[k].take() {
-                None => {
-                    let touch = self.tick();
-                    self.levels[k] = Some(Part {
-                        first_leaf: meta.0,
-                        n_leaves: meta.1,
-                        packets: meta.2,
-                        state: PartState::Resident { csr: carry, bytes: carry_bytes, touch },
-                    });
-                    self.enforce_budget();
-                    return;
-                }
-                Some(existing) => match self.load_part(existing) {
-                    Ok(loaded) => {
-                        let merged = timed_merge(k, &loaded.csr, &carry);
-                        let merged_bytes = merged.heap_bytes();
-                        // Reserve the output before the inputs release so
-                        // the tracked peak covers the merge working set
-                        // (the inputs are out of the level table, so the
-                        // reservation can only evict colder levels).
-                        self.reserve(merged_bytes);
-                        self.release(loaded.bytes + carry_bytes);
-                        carry = merged;
-                        carry_bytes = merged_bytes;
-                        // The existing part covers leaves before the
-                        // carry's. The merged part is labelled with the
-                        // full span up to the carry's end: a quarantine
-                        // may have punched a hole between the two, and a
-                        // span keeps later quarantine reports a superset
-                        // of the true loss (holes are already reported
-                        // by their own quarantine entries).
-                        meta = (
-                            loaded.first_leaf,
-                            (meta.0 + meta.1) - loaded.first_leaf,
-                            loaded.packets + meta.2,
-                        );
-                        self.stats.carry_merges += 1;
-                        k += 1;
-                    }
-                    Err(q) => {
-                        // The stored sibling is unrecoverable: quarantine
-                        // it and let the carry take the slot — degraded
-                        // coverage, never a wrong matrix.
-                        self.quarantined.push(q);
-                        let touch = self.tick();
-                        self.levels[k] = Some(Part {
-                            first_leaf: meta.0,
-                            n_leaves: meta.1,
-                            packets: meta.2,
-                            state: PartState::Resident { csr: carry, bytes: carry_bytes, touch },
-                        });
-                        self.enforce_budget();
-                        return;
-                    }
-                },
-            }
-        }
-    }
-
-    /// Finish: flush the partial leaf, reduce every surviving part to one
-    /// matrix, and report coverage. When every part fits in the budget at
-    /// once the reduction is the rayon pairwise tree
-    /// ([`crate::ops::merge_all`]); otherwise an adjacent-pair tree runs
-    /// sequentially, loading pairs and re-spilling intermediates so the
-    /// tracked live bytes stay budgeted. Both shapes perform exactly
-    /// `parts - 1` merges and yield the identical matrix.
-    pub fn finalize(mut self) -> (Csr<V>, SpillReport) {
-        self.flush_leaf();
-        let mut work: Vec<Part<V>> = self.levels.drain(..).flatten().collect();
-        // Adjacent parts in leaf order cover contiguous spans; merging
-        // neighbours keeps every intermediate's span contiguous, so
-        // quarantine reports stay span-exact even for intermediates.
-        work.sort_by_key(|p| p.first_leaf);
-        let total_est: u64 = work.iter().map(Part::size_est).sum();
-        let fits = match self.budget {
-            None => true,
-            // merge_all's transient working set is bounded by twice the
-            // input total (outputs of a round never exceed its inputs).
-            Some(b) => total_est.saturating_mul(2) <= b,
-        };
-        let matrix = if fits {
-            self.reduce_in_memory(work)
-        } else {
-            self.reduce_budgeted(work)
-        };
-        let lost: u64 = self.quarantined.iter().map(|q| q.packets).sum();
-        let report = SpillReport {
-            packets_expected: self.stats.pushed,
-            packets_restored: self.stats.pushed.saturating_sub(lost),
-            quarantined: std::mem::take(&mut self.quarantined),
-            stats: self.stats,
-        };
-        (matrix, report)
-    }
-
-    /// Everything fits: load all parts and hand them to the rayon tree.
-    fn reduce_in_memory(&mut self, work: Vec<Part<V>>) -> Csr<V> {
-        let mut parts: Vec<Csr<V>> = Vec::with_capacity(work.len());
-        let mut loaded_bytes = 0u64;
-        for part in work {
-            match self.load_part(part) {
-                Ok(loaded) => {
-                    loaded_bytes += loaded.bytes;
-                    parts.push(loaded.csr);
-                }
-                Err(q) => self.quarantined.push(q),
-            }
-        }
-        self.stats.tree_merges += (parts.len() as u64).saturating_sub(1);
-        let matrix = crate::ops::merge_all(parts);
-        self.release(loaded_bytes);
-        self.reserve(matrix.heap_bytes());
-        matrix
-    }
-
-    /// Budget-aware sequential pairwise tree: rounds of adjacent-pair
-    /// merges, spilling each round's outputs whenever the tracked live
-    /// bytes exceed the budget.
-    fn reduce_budgeted(&mut self, mut work: Vec<Part<V>>) -> Csr<V> {
-        // Park every input on the medium first: within a round the live
-        // set is then exactly one pair plus its output, so the peak stays
-        // at the merge working set instead of a whole round's residue.
-        work = work.into_iter().map(|p| self.spill_part(p)).collect();
-        while work.len() > 1 {
-            let mut next: Vec<Part<V>> = Vec::with_capacity(work.len() / 2 + 1);
-            let mut pending: Option<Part<V>> = None;
-            for part in work {
-                let Some(a) = pending.take() else {
-                    pending = Some(part);
-                    continue;
-                };
-                let a = match self.load_part(a) {
-                    Ok(l) => l,
-                    Err(q) => {
-                        self.quarantined.push(q);
-                        pending = Some(part);
-                        continue;
-                    }
-                };
-                let b = match self.load_part(part) {
-                    Ok(l) => l,
-                    Err(q) => {
-                        self.quarantined.push(q);
-                        // `a` survives: re-wrap it, park it, keep pairing.
-                        let a = self.repack(a);
-                        pending = Some(self.spill_part(a));
-                        continue;
-                    }
-                };
-                let level = floor_log2(a.n_leaves.max(b.n_leaves));
-                let merged = timed_merge(level, &a.csr, &b.csr);
-                let merged_bytes = merged.heap_bytes();
-                self.reserve(merged_bytes);
-                self.release(a.bytes + b.bytes);
-                self.stats.tree_merges += 1;
-                let touch = self.tick();
-                let out = Part {
-                    first_leaf: a.first_leaf,
-                    // Span, not sum: quarantined holes between the pair
-                    // are already reported by their own entries.
-                    n_leaves: (b.first_leaf + b.n_leaves) - a.first_leaf,
-                    packets: a.packets + b.packets,
-                    state: PartState::Resident { csr: merged, bytes: merged_bytes, touch },
-                };
-                // The output is not needed again until the next round:
-                // park it so the next pair starts from an empty live set.
-                next.push(self.spill_part(out));
-            }
-            // An odd tail rejoins the reduction next round, untouched.
-            next.extend(pending.take());
-            work = next;
-        }
-        match work.pop() {
-            Some(last) => match self.load_part(last) {
-                Ok(loaded) => loaded.csr,
-                Err(q) => {
-                    self.quarantined.push(q);
-                    Csr::empty()
-                }
-            },
-            None => Csr::empty(),
-        }
-    }
-
-    /// Re-wrap a loaded part as a resident [`Part`].
-    fn repack(&mut self, loaded: Loaded<V>) -> Part<V> {
-        let touch = self.tick();
-        Part {
-            first_leaf: loaded.first_leaf,
-            n_leaves: loaded.n_leaves,
-            packets: loaded.packets,
-            state: PartState::Resident { csr: loaded.csr, bytes: loaded.bytes, touch },
-        }
-    }
-
-    /// Spill a resident part immediately (finalize path); on store failure
-    /// the part stays resident and the budget is best-effort.
-    fn spill_part(&mut self, part: Part<V>) -> Part<V> {
-        let Part { first_leaf, n_leaves, packets, state } = part;
-        match state {
-            PartState::Resident { csr, bytes, touch } => match self.store.store_csr(&csr) {
-                Ok(handle) => {
-                    self.stats.evictions += 1;
-                    if spill_metrics_enabled() {
-                        obscor_obs::counter("hypersparse.spill.evictions_total").inc();
-                    }
-                    self.release(bytes);
-                    Part {
-                        first_leaf,
-                        n_leaves,
-                        packets,
-                        state: PartState::Spilled { handle, est_bytes: bytes },
-                    }
-                }
-                Err(_) => Part {
-                    first_leaf,
-                    n_leaves,
-                    packets,
-                    state: PartState::Resident { csr, bytes, touch },
-                },
-            },
-            spilled => Part { first_leaf, n_leaves, packets, state: spilled },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hier::accumulate_flat;
+    use crate::coo::Coo;
+    use crate::Index;
 
     fn triples(n: usize, seed: u64) -> Vec<(Index, Index, u64)> {
         let mut state = seed | 1;
@@ -1106,136 +506,6 @@ mod tests {
                 (((state >> 33) % 512) as Index, ((state >> 10) % 512) as Index, 1u64)
             })
             .collect()
-    }
-
-    fn spilled(
-        t: &[(Index, Index, u64)],
-        leaf_capacity: usize,
-        budget: Option<u64>,
-    ) -> (Csr<u64>, SpillReport) {
-        let cfg = SpillConfig { leaf_capacity, memory_budget: budget, max_attempts: 4 };
-        let mut acc = SpillAccumulator::new(cfg, Arc::new(MemMedium::new()));
-        for &(r, c, v) in t {
-            acc.push(r, c, v);
-        }
-        acc.check_invariants().unwrap();
-        acc.finalize()
-    }
-
-    #[test]
-    fn unbounded_budget_matches_flat() {
-        let t = triples(10_000, 42);
-        let (m, report) = spilled(&t, 256, None);
-        assert_eq!(m, accumulate_flat(t));
-        assert!(report.is_exact());
-        assert_eq!(report.stats.evictions, 0);
-        report.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn zero_budget_forces_eviction_on_every_carry_and_stays_identical() {
-        let t = triples(10_000, 7);
-        let (m, report) = spilled(&t, 128, Some(0));
-        assert_eq!(m, accumulate_flat(t));
-        assert!(report.is_exact());
-        assert!(report.stats.evictions > 0, "{:?}", report.stats);
-        assert!(report.stats.reloads > 0, "{:?}", report.stats);
-        report.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn merge_closed_form_holds_after_finalize() {
-        // Any pairwise tree over L parts does exactly L - 1 merges; the
-        // carry chain contributes leaves - popcount(leaves) of them
-        // mid-stream and the finalize tree the remaining popcount - 1.
-        for (n, cap) in [(0usize, 8usize), (7, 1), (64, 4), (100, 8), (999, 16)] {
-            for budget in [None, Some(0u64), Some(1 << 16)] {
-                let t = triples(n, 3);
-                let cfg =
-                    SpillConfig { leaf_capacity: cap, memory_budget: budget, max_attempts: 4 };
-                let mut acc = SpillAccumulator::new(cfg, Arc::new(MemMedium::new()));
-                for &(r, c, v) in &t {
-                    acc.push(r, c, v);
-                }
-                let mid = acc.stats();
-                assert_eq!(
-                    mid.carry_merges,
-                    mid.leaves - u64::from(mid.leaves.count_ones()),
-                    "carry law (n={n}, cap={cap}, budget={budget:?})"
-                );
-                let (_, report) = acc.finalize();
-                assert_eq!(
-                    report.stats.merges(),
-                    report.stats.leaves.saturating_sub(1),
-                    "tree closed form (n={n}, cap={cap}, budget={budget:?})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn mid_stream_budget_changes_preserve_identity() {
-        let t = triples(5_000, 11);
-        let cfg = SpillConfig { leaf_capacity: 64, memory_budget: None, max_attempts: 4 };
-        let mut acc = SpillAccumulator::new(cfg, Arc::new(MemMedium::new()));
-        for (i, &(r, c, v)) in t.iter().enumerate() {
-            acc.push(r, c, v);
-            match i {
-                1_000 => acc.set_budget(Some(0)),
-                2_500 => acc.set_budget(Some(1 << 14)),
-                4_000 => acc.set_budget(None),
-                _ => {}
-            }
-        }
-        let (m, report) = acc.finalize();
-        assert_eq!(m, accumulate_flat(t));
-        assert!(report.is_exact());
-        assert!(report.stats.evictions > 0);
-    }
-
-    #[test]
-    fn feasible_budget_bounds_tracked_peak() {
-        let t = triples(20_000, 19);
-        let budget = 1 << 20; // 1 MiB: ample for 512-key leaves, forces order
-        let (m, report) = spilled(&t, 512, Some(budget));
-        assert_eq!(m, accumulate_flat(t));
-        assert_eq!(report.stats.budget_overruns, 0, "{:?}", report.stats);
-        assert!(report.stats.peak_live_bytes <= budget, "{:?}", report.stats);
-    }
-
-    #[test]
-    fn csr_leaf_entry_point_matches_triples() {
-        let t = triples(4_000, 23);
-        let flat = accumulate_flat(t.clone());
-        for chunk in [37usize, 256, 4_000] {
-            let cfg = SpillConfig { leaf_capacity: 64, memory_budget: Some(0), max_attempts: 4 };
-            let mut acc = SpillAccumulator::new(cfg, Arc::new(MemMedium::new()));
-            for part in t.chunks(chunk) {
-                acc.push_csr_leaf(Coo::from_triples(part.iter().copied()).into_csr());
-            }
-            let (m, report) = acc.finalize();
-            assert_eq!(m, flat, "chunk = {chunk}");
-            assert!(report.is_exact());
-        }
-    }
-
-    #[test]
-    fn dir_medium_round_trips_and_cleans_up() {
-        let medium = DirMedium::create_in(&std::env::temp_dir()).unwrap();
-        let dir = medium.path().to_path_buf();
-        assert!(dir.is_dir());
-        let t = triples(3_000, 5);
-        let cfg = SpillConfig { leaf_capacity: 128, memory_budget: Some(0), max_attempts: 4 };
-        let mut acc = SpillAccumulator::new(cfg, Arc::new(medium));
-        for &(r, c, v) in &t {
-            acc.push(r, c, v);
-        }
-        let (m, report) = acc.finalize();
-        assert_eq!(m, accumulate_flat(t));
-        assert!(report.stats.evictions > 0);
-        // finalize consumed the accumulator (and with it the store's Arc
-        // on the medium), so the directory is already gone.
-        assert!(!dir.exists(), "spill dir should be removed on drop");
     }
 
     #[test]
@@ -1289,33 +559,5 @@ mod tests {
         // with_retry clamps a zero budget up to one attempt.
         let clamped = SpillStore::with_retry(Arc::new(MemMedium::new()), 0);
         clamped.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn floor_log2_matches_ilog2() {
-        assert_eq!(floor_log2(0), 0);
-        assert_eq!(floor_log2(1), 0);
-        assert_eq!(floor_log2(2), 1);
-        assert_eq!(floor_log2(3), 1);
-        assert_eq!(floor_log2(1 << 13), 13);
-        assert_eq!(floor_log2(u64::MAX), 63);
-    }
-
-    #[test]
-    fn empty_accumulator_finalizes_empty() {
-        let cfg = SpillConfig::default();
-        let acc = SpillAccumulator::<u64>::new(cfg, Arc::new(MemMedium::new()));
-        let (m, report) = acc.finalize();
-        assert!(m.is_empty());
-        assert!(report.is_exact());
-        assert_eq!(report.packets_expected, 0);
-        assert!((report.coverage() - 1.0).abs() < f64::EPSILON);
-    }
-
-    #[test]
-    #[should_panic(expected = "leaf capacity")]
-    fn zero_leaf_capacity_panics() {
-        let cfg = SpillConfig { leaf_capacity: 0, ..SpillConfig::default() };
-        let _ = SpillAccumulator::<u64>::new(cfg, Arc::new(MemMedium::new()));
     }
 }

@@ -32,6 +32,6 @@ pub use darkspace::Darkspace;
 pub use inventory::{inventory, InventoryRow};
 pub use matrix::{
     build_anonymized_matrix, build_anonymized_matrix_memo, build_matrix, build_matrix_spilled,
-    build_matrix_spilled_with, build_matrix_with, PAPER_LEAF_COUNT,
+    build_matrix_with, leaf_capacity_for, PAPER_LEAF_COUNT,
 };
 pub use stream::{DrainReport, IngestConfig, IngestService, WindowSnapshot};

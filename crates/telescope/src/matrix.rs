@@ -8,7 +8,7 @@
 use crate::capture::TelescopeWindow;
 use obscor_anonymize::{CryptoPan, MemoCryptoPan};
 use obscor_hypersparse::{
-    Csr, DirMedium, HierarchicalAccumulator, SpillAccumulator, SpillConfig, SpillFault, SpillReport,
+    Csr, DirMedium, HierarchicalAccumulator, SpillConfig, SpillFault, SpillReport,
 };
 use std::path::Path;
 use std::sync::Arc;
@@ -16,6 +16,13 @@ use std::sync::Arc;
 /// The paper's leaf count: a window is the hierarchical sum of `2^13`
 /// leaf matrices.
 pub const PAPER_LEAF_COUNT: usize = 1 << 13;
+
+/// Leaf capacity for a window of `packets` valid packets: the paper's
+/// `2^13` leaves per window, but never fewer than 1024 triples per leaf.
+/// Every batch, ingest and oracle build sizes its leaves here.
+pub fn leaf_capacity_for(packets: usize) -> usize {
+    (packets / PAPER_LEAF_COUNT).max(1024)
+}
 
 /// Build the window's traffic matrix with raw (non-anonymized) indices.
 pub fn build_matrix(w: &TelescopeWindow) -> Csr<u64> {
@@ -39,50 +46,44 @@ pub fn build_anonymized_matrix_memo(w: &TelescopeWindow, cp: &MemoCryptoPan) -> 
 /// Build with an arbitrary index transform, using hierarchical
 /// accumulation with the paper's leaf count.
 pub fn build_matrix_with(w: &TelescopeWindow, map: impl Fn(u32) -> u32) -> Csr<u64> {
-    let _span = obscor_obs::span("telescope.build_matrix");
-    let leaf = (w.window.packets.len() / PAPER_LEAF_COUNT).max(1024);
-    obscor_obs::gauge("telescope.build_matrix.leaf_capacity").set_max(leaf as u64);
-    let mut acc = HierarchicalAccumulator::with_leaf_capacity(leaf);
-    for p in &w.window.packets {
-        acc.push_edge(map(p.src.0), map(p.dst.0));
-    }
-    obscor_obs::counter("telescope.build_matrix.edges_total").add(acc.len_pushed());
-    acc.finalize()
+    fold_window(w, map, HierarchicalAccumulator::with_leaf_capacity).0
 }
 
 /// Build the window's traffic matrix out-of-core: carry-level CSR parts
 /// spill to `spill_dir` (the system temp dir when `None`) whenever tracked
 /// live bytes exceed `budget`. Bit-identical to [`build_matrix`]; the
 /// returned [`SpillReport`] records eviction/reload traffic and any
-/// quarantined (unrecoverable) spill frames.
+/// quarantined (unrecoverable) spill frames. Fails only if no spill
+/// directory can be created.
 pub fn build_matrix_spilled(
     w: &TelescopeWindow,
     budget: Option<u64>,
     spill_dir: Option<&Path>,
 ) -> Result<(Csr<u64>, SpillReport), SpillFault> {
-    build_matrix_spilled_with(w, |ip| ip, budget, spill_dir)
+    let base = spill_dir.map(Path::to_path_buf).unwrap_or_else(std::env::temp_dir);
+    let medium = Arc::new(DirMedium::create_in(&base)?);
+    Ok(fold_window(w, |ip| ip, |leaf_capacity| {
+        let config = SpillConfig { leaf_capacity, memory_budget: budget, ..SpillConfig::default() };
+        HierarchicalAccumulator::spilling(config, medium)
+    }))
 }
 
-/// Out-of-core variant of [`build_matrix_with`]: same leaf sizing, same
-/// index transform, but accumulated through a [`SpillAccumulator`] bound to
-/// a fresh [`DirMedium`] so carry parts can live on disk.
-pub fn build_matrix_spilled_with(
+/// The one fold loop behind every window build: size the leaves, push
+/// every packet through `map` into the accumulator `fold` makes, finalize.
+fn fold_window(
     w: &TelescopeWindow,
     map: impl Fn(u32) -> u32,
-    budget: Option<u64>,
-    spill_dir: Option<&Path>,
-) -> Result<(Csr<u64>, SpillReport), SpillFault> {
-    let _span = obscor_obs::span("telescope.build_matrix_spilled");
-    let leaf = (w.window.packets.len() / PAPER_LEAF_COUNT).max(1024);
+    fold: impl FnOnce(usize) -> HierarchicalAccumulator<u64>,
+) -> (Csr<u64>, SpillReport) {
+    let _span = obscor_obs::span("telescope.build_matrix");
+    let leaf = leaf_capacity_for(w.window.packets.len());
     obscor_obs::gauge("telescope.build_matrix.leaf_capacity").set_max(leaf as u64);
-    let base = spill_dir.map(Path::to_path_buf).unwrap_or_else(std::env::temp_dir);
-    let medium = DirMedium::create_in(&base)?;
-    let config = SpillConfig { leaf_capacity: leaf, memory_budget: budget, ..SpillConfig::default() };
-    let mut acc = SpillAccumulator::new(config, Arc::new(medium));
+    let mut acc = fold(leaf);
     for p in &w.window.packets {
         acc.push_edge(map(p.src.0), map(p.dst.0));
     }
-    Ok(acc.finalize())
+    obscor_obs::counter("telescope.build_matrix.edges_total").add(acc.len_pushed());
+    acc.finalize_with_report()
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@
 //!   never dropped.
 //! * Each **worker** owns a leaf [`Coo`] builder; when it reaches
 //!   `leaf_capacity` triples it is compacted straight to CSR through the
-//!   PR 5 radix kernel (`Coo::into_csr`) and handed to the collector
+//!   radix kernel (`Coo::into_csr`) and handed to the collector
 //!   tagged with a `(worker, seq)` sequence number.
 //! * The **collector** buffers each window's leaves and, once every worker
 //!   has acknowledged the window's close marker, merges them **in
@@ -65,12 +65,10 @@
 //! `telescope.ingest.{packets,windows_closed,leaves,merges}_total` and
 //! `ingest.backpressure.blocked`, all pinned by `tests/metrics_optin.rs`.
 
-use crate::matrix::PAPER_LEAF_COUNT;
+use crate::matrix::leaf_capacity_for;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use obscor_anonymize::MemoCryptoPan;
-use obscor_hypersparse::{
-    Coo, Csr, DirMedium, HierarchicalAccumulator, SpillAccumulator, SpillConfig, SpillReport,
-};
+use obscor_hypersparse::{Coo, Csr, DirMedium, HierarchicalAccumulator, SpillConfig, SpillReport};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -112,10 +110,10 @@ pub struct IngestConfig {
     /// deliberately slow consumer.
     pub worker_delay_micros: u64,
     /// Tracked-live-byte budget for the collector's window fold. `None`
-    /// (the default) keeps the fold fully in memory; `Some(bytes)` routes
-    /// it through the out-of-core [`SpillAccumulator`], evicting carry
-    /// parts to disk whenever the budget is exceeded. The emitted matrix
-    /// is bit-identical either way.
+    /// (the default) keeps the fold fully in memory; `Some(bytes)` makes it
+    /// a spilling [`HierarchicalAccumulator`], evicting carry parts to disk
+    /// whenever the budget is exceeded. The emitted matrix is
+    /// bit-identical either way.
     pub memory_budget: Option<u64>,
     /// Directory spill files are created under when `memory_budget` is
     /// set; the system temp dir when `None`.
@@ -137,7 +135,7 @@ impl IngestConfig {
             window_packets,
             queue_depth: 4,
             shard_batch: 1024,
-            leaf_capacity: (window_packets / PAPER_LEAF_COUNT).max(1024),
+            leaf_capacity: leaf_capacity_for(window_packets),
             worker_delay_micros: 0,
             memory_budget: None,
             spill_dir: None,
@@ -175,6 +173,10 @@ pub struct WindowSnapshot {
     /// ([`IngestConfig::memory_budget`] set); `None` for the in-memory
     /// fold.
     pub spill: Option<SpillReport>,
+    /// Why a budgeted window was folded in memory instead: the fault that
+    /// kept its spill directory from being created. `None` when no budget
+    /// is configured or the window spilled as asked.
+    pub spill_fallback: Option<String>,
 }
 
 /// Exact end-of-stream accounting returned by [`IngestService::finish`].
@@ -550,7 +552,7 @@ fn emit_leaf(
 ) {
     let full = std::mem::replace(leaf, Coo::with_capacity(capacity));
     let packets = full.len() as u64;
-    let csr = full.into_csr(); // radix kernel above the measured crossover
+    let csr = full.into_csr(); // radix kernel at and above RADIX_THRESHOLD
     let msg = ToCollector::Leaf { window, worker, seq: *seq, packets, csr };
     *seq += 1;
     *leaves += 1;
@@ -643,7 +645,9 @@ fn close_window(index: u64, mut state: OpenWindow, fold: &FoldConfig) -> WindowS
     // before folding.
     state.leaves.sort_unstable_by_key(|&(worker, seq, _)| (worker, seq));
     let n_leaves = state.leaves.len() as u64;
-    let (matrix, merges, spill) = fold_window(state.leaves, fold);
+    let (matrix, report, spill_fallback) = fold_window(state.leaves, fold);
+    let merges = report.stats.carry_merges;
+    let spilled = fold.memory_budget.is_some() && spill_fallback.is_none();
     if ingest_metrics_enabled() {
         obscor_obs::counter("telescope.ingest.windows_closed_total").inc();
         obscor_obs::counter("telescope.ingest.packets_total").add(state.packets);
@@ -657,45 +661,45 @@ fn close_window(index: u64, mut state: OpenWindow, fold: &FoldConfig) -> WindowS
         leaves: n_leaves,
         merges,
         partial: state.partial,
-        spill,
+        spill: spilled.then_some(report),
+        spill_fallback,
     }
 }
 
-/// Fold already-sorted leaves through either the in-memory hierarchical
-/// accumulator or, when a budget is configured, the out-of-core
-/// [`SpillAccumulator`]. Returns the matrix, the pre-finalize carry-merge
-/// count (identical between the two paths — both fold the same binary
-/// counter), and the spill report when the out-of-core path ran.
+/// Fold already-sorted leaves through one [`HierarchicalAccumulator`]:
+/// spilling to a fresh [`DirMedium`] when a budget is configured, resident
+/// otherwise. Returns the matrix, the fold's report (its carry-merge count
+/// is the same either way — residency never changes the merge tree), and
+/// the fault when a budgeted fold had to stay resident.
 fn fold_window(
     leaves: Vec<(usize, u64, Csr<u64>)>,
     fold: &FoldConfig,
-) -> (Csr<u64>, u64, Option<SpillReport>) {
-    if let Some(budget) = fold.memory_budget {
-        // A spill directory that cannot be created degrades to the
-        // in-memory fold rather than dropping the window: the matrix is
-        // bit-identical either way, only the footprint differs.
-        let base =
-            fold.spill_dir.clone().unwrap_or_else(std::env::temp_dir);
-        if let Ok(medium) = DirMedium::create_in(&base) {
+) -> (Csr<u64>, SpillReport, Option<String>) {
+    let medium = fold.memory_budget.map(|_| {
+        DirMedium::create_in(&fold.spill_dir.clone().unwrap_or_else(std::env::temp_dir))
+    });
+    let resident = || HierarchicalAccumulator::with_leaf_capacity(fold.leaf_capacity);
+    let (mut acc, fallback) = match medium {
+        None => (resident(), None),
+        Some(Ok(medium)) => {
             let config = SpillConfig {
                 leaf_capacity: fold.leaf_capacity,
-                memory_budget: Some(budget),
+                memory_budget: fold.memory_budget,
                 ..SpillConfig::default()
             };
-            let mut acc = SpillAccumulator::new(config, Arc::new(medium));
-            for (_, _, csr) in leaves {
-                acc.push_csr_leaf(csr);
-            }
-            let (matrix, report) = acc.finalize();
-            return (matrix, report.stats.carry_merges, Some(report));
+            (HierarchicalAccumulator::spilling(config, Arc::new(medium)), None)
         }
-    }
-    let mut acc = HierarchicalAccumulator::<u64>::with_leaf_capacity(fold.leaf_capacity);
+        // A spill directory that cannot be created degrades to the
+        // resident fold rather than dropping the window: the matrix is
+        // bit-identical either way, only the footprint differs, and the
+        // snapshot carries the reason.
+        Some(Err(fault)) => (resident(), Some(fault.to_string())),
+    };
     for (_, _, csr) in leaves {
         acc.push_csr_leaf(csr);
     }
-    let stats = acc.stats();
-    (acc.finalize(), stats.merges, None)
+    let (matrix, report) = acc.finalize_with_report();
+    (matrix, report, fallback)
 }
 
 #[cfg(test)]
@@ -798,6 +802,7 @@ mod tests {
         assert_eq!(snaps.len(), 3);
         for (i, s) in snaps.iter().enumerate() {
             assert_eq!(s.matrix, flat(&p[i * 2_000..(i + 1) * 2_000]), "window {i}");
+            assert!(s.spill_fallback.is_none(), "window {i}: {:?}", s.spill_fallback);
             let report = s.spill.as_ref().expect("budgeted fold must report spill stats");
             assert!(report.is_exact(), "window {i}: {report:?}");
             assert!(report.stats.evictions > 0, "window {i} never spilled");
@@ -811,7 +816,29 @@ mod tests {
         svc.push_pairs(&p);
         let (snaps, drain) = svc.finish();
         assert!(drain.is_exact(), "{drain:?}");
-        assert!(snaps.iter().all(|s| s.spill.is_none()));
+        assert!(snaps.iter().all(|s| s.spill.is_none() && s.spill_fallback.is_none()));
+    }
+
+    #[test]
+    fn unusable_spill_dir_falls_back_in_memory_and_says_so() {
+        // A regular file: no spill directory can be created under it.
+        let file = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("Cargo.toml");
+        let p = pairs(3_000, 21);
+        let mut cfg = IngestConfig::new(2, 1_000);
+        cfg.leaf_capacity = 128;
+        cfg.memory_budget = Some(0);
+        cfg.spill_dir = Some(file);
+        let mut svc = IngestService::new(cfg);
+        svc.push_pairs(&p);
+        let (snaps, drain) = svc.finish();
+        assert!(drain.is_exact(), "{drain:?}");
+        assert_eq!(snaps.len(), 3);
+        for (i, s) in snaps.iter().enumerate() {
+            assert_eq!(s.matrix, flat(&p[i * 1_000..(i + 1) * 1_000]), "window {i}");
+            let reason = s.spill_fallback.as_deref().expect("the fallback must be reported");
+            assert!(reason.starts_with("spill i/o error"), "window {i}: {reason}");
+            assert!(s.spill.is_none(), "window {i} never spilled");
+        }
     }
 
     #[test]

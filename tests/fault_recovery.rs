@@ -15,8 +15,8 @@
 
 use obscor_core::{pipeline, AnalysisConfig, ArchiveConfig};
 use obscor_hypersparse::hier::accumulate_flat;
-use obscor_hypersparse::spill::{MemMedium, SpillAccumulator, SpillConfig};
-use obscor_hypersparse::{ops, reduce, Coo, Csr, SpillReport};
+use obscor_hypersparse::spill::{MemMedium, SpillConfig};
+use obscor_hypersparse::{ops, reduce, Coo, Csr, HierarchicalAccumulator, SpillReport};
 use obscor_netmodel::Scenario;
 use obscor_telescope::{
     archive_window, capture_window, matrix, Fault, FaultKind, FaultPlan, FaultyMedium,
@@ -227,11 +227,11 @@ fn spilled_with_plan(pairs: &[(u32, u32)], leaf: usize, plan: FaultPlan) -> (Csr
     let medium = FaultyMedium::new(MemMedium::new(), plan);
     let config =
         SpillConfig { leaf_capacity: leaf, memory_budget: Some(0), ..SpillConfig::default() };
-    let mut acc = SpillAccumulator::new(config, Arc::new(medium));
+    let mut acc = HierarchicalAccumulator::spilling(config, Arc::new(medium));
     for &(s, d) in pairs {
         acc.push_edge(s, d);
     }
-    acc.finalize()
+    acc.finalize_with_report()
 }
 
 /// Ground truth for a degraded spill build: the flat one-shot build over

@@ -18,15 +18,15 @@
 
 use obscor::anonymize::memo::{self, MemoCryptoPan};
 use obscor::assoc::{bitset, BitSet};
-use obscor::hypersparse::spill::{self, MemMedium, SpillAccumulator, SpillConfig};
-use obscor::hypersparse::{radix, Coo};
+use obscor::hypersparse::spill::{self, MemMedium, SpillConfig};
+use obscor::hypersparse::{radix, Coo, HierarchicalAccumulator};
 use obscor::telescope::{stream, IngestConfig, IngestService};
 use std::sync::Arc;
 
 /// Every opt-in name, sorted — the schema-pin strategy applied to the
 /// fast-path metrics (a new name must be added here and to DESIGN.md §12
 /// deliberately).
-const OPTIN_NAMES: [&str; 32] = [
+const OPTIN_NAMES: [&str; 31] = [
     "anonymize.cache.batch_dup_hits_total",
     "anonymize.cache.prefix_hits_total",
     "anonymize.cache.suffix_aes_total",
@@ -38,7 +38,6 @@ const OPTIN_NAMES: [&str; 32] = [
     "assoc.bitset.promotions_total",
     "assoc.bitset.words_scanned_total",
     "hypersparse.radix.compactions_total",
-    "hypersparse.radix.crossover",
     "hypersparse.radix.digit_passes_total",
     "hypersparse.radix.keys_total",
     "hypersparse.radix.skipped_digits_total",
@@ -73,9 +72,9 @@ fn is_optin(name: &str) -> bool {
 }
 
 /// Drive every fast path far enough to touch all opt-in metric sites:
-/// a compaction big enough to take the radix arm of `into_csr` (the
-/// measured crossover never exceeds the `2^15` fallback), a memo table
-/// build, scalar anonymization, and a batch with duplicates.
+/// a compaction big enough to take the radix arm of `into_csr` (at or
+/// above `RADIX_THRESHOLD`), a memo table build, scalar anonymization, and
+/// a batch with duplicates.
 fn exercise_fast_paths() {
     let n = 40_000u32;
     let triples: Vec<(u32, u32, u64)> =
@@ -121,11 +120,11 @@ fn exercise_bitset() {
 fn exercise_spilled_fold() {
     let config =
         SpillConfig { leaf_capacity: 4, memory_budget: Some(0), ..SpillConfig::default() };
-    let mut acc = SpillAccumulator::<u64>::new(config, Arc::new(MemMedium::new()));
+    let mut acc = HierarchicalAccumulator::<u64>::spilling(config, Arc::new(MemMedium::new()));
     for i in 0..32u32 {
         acc.push_edge(i % 8, i % 3);
     }
-    let (m, report) = acc.finalize();
+    let (m, report) = acc.finalize_with_report();
     assert!(m.nnz() > 0);
     assert!(report.is_exact());
     assert_eq!(report.stats.leaves, 8);
@@ -195,7 +194,6 @@ fn fast_path_metrics_are_opt_in_with_a_pinned_name_set() {
     assert!(enabled.counters["anonymize.cache.table_builds_total"] >= 1);
     assert!(enabled.counters["anonymize.cache.prefix_hits_total"] >= 1);
     assert!(enabled.counters["anonymize.cache.batch_dup_hits_total"] >= 1);
-    assert!(enabled.gauges["hypersparse.radix.crossover"] >= 1);
     // The bitset drive lands exactly where the hysteresis edges put it:
     // three array builds (ceiling set, demotion target, runs precursor),
     // three bitmap builds (one promotion, two dense even-key sets), one

@@ -5,9 +5,11 @@
 //! and under randomized geometry/budget schedules:
 //!
 //! 1. `accumulate_flat` — the one-shot oracle (sort the whole multiset),
-//! 2. `HierarchicalAccumulator` — the in-memory binary-counter fold,
-//! 3. `SpillAccumulator` — the budgeted fold, evicting carry-level CSR
-//!    parts to the spill medium and reloading them on demand.
+//! 2. `HierarchicalAccumulator::with_leaf_capacity` — the resident
+//!    binary-counter fold,
+//! 3. `HierarchicalAccumulator::spilling` — the same fold under a budget,
+//!    evicting carry-level CSR parts to the spill medium and reloading
+//!    them on demand.
 //!
 //! All three must agree bit for bit (and on every Table II network
 //! quantity), including under budgets that force an eviction on every
@@ -15,7 +17,7 @@
 
 use obscor::hypersparse::hier::{accumulate_flat, HierarchicalAccumulator};
 use obscor::hypersparse::reduce::NetworkQuantities;
-use obscor::hypersparse::spill::{MemMedium, SpillAccumulator, SpillConfig};
+use obscor::hypersparse::spill::{MemMedium, SpillConfig};
 use obscor::hypersparse::Csr;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
@@ -54,11 +56,11 @@ fn spilled(
     budget: Option<u64>,
 ) -> (Csr<u64>, obscor::hypersparse::SpillReport) {
     let config = SpillConfig { leaf_capacity, memory_budget: budget, ..SpillConfig::default() };
-    let mut acc = SpillAccumulator::new(config, Arc::new(MemMedium::new()));
+    let mut acc = HierarchicalAccumulator::spilling(config, Arc::new(MemMedium::new()));
     for &(s, d) in pairs {
         acc.push_edge(s, d);
     }
-    acc.finalize()
+    acc.finalize_with_report()
 }
 
 #[test]
@@ -109,7 +111,7 @@ fn mid_stream_budget_changes_preserve_bit_identity() {
     let schedule: &[(usize, Option<u64>)] =
         &[(0, None), (1_234, Some(0)), (3_000, Some(64 << 10)), (5_678, Some(1))];
     let config = SpillConfig { leaf_capacity: 100, memory_budget: None, ..SpillConfig::default() };
-    let mut acc = SpillAccumulator::new(config, Arc::new(MemMedium::new()));
+    let mut acc = HierarchicalAccumulator::spilling(config, Arc::new(MemMedium::new()));
     let mut next = 0usize;
     for (i, &(s, d)) in p.iter().enumerate() {
         if next < schedule.len() && schedule[next].0 == i {
@@ -118,7 +120,7 @@ fn mid_stream_budget_changes_preserve_bit_identity() {
         }
         acc.push_edge(s, d);
     }
-    let (m, report) = acc.finalize();
+    let (m, report) = acc.finalize_with_report();
     assert_eq!(m, oracle);
     assert!(report.is_exact(), "{report:?}");
     assert!(report.stats.evictions > 0, "the starved phases must have evicted");
@@ -186,7 +188,7 @@ proptest! {
             memory_budget: Some(rng.random_range(0u64..1024)),
             ..SpillConfig::default()
         };
-        let mut acc = SpillAccumulator::new(config, Arc::new(MemMedium::new()));
+        let mut acc = HierarchicalAccumulator::spilling(config, Arc::new(MemMedium::new()));
         for &(s, d) in &p {
             if rng.random_range(0u32..100) == 0 {
                 let next = match rng.random_range(0u32..3) {
@@ -198,7 +200,7 @@ proptest! {
             }
             acc.push_edge(s, d);
         }
-        let (m, report) = acc.finalize();
+        let (m, report) = acc.finalize_with_report();
         prop_assert_eq!(&m, &flat(&p));
         prop_assert!(report.is_exact());
     }

@@ -15,7 +15,7 @@
 
 use obscor::hypersparse::hier::HierarchicalAccumulator;
 use obscor::hypersparse::reduce::NetworkQuantities;
-use obscor::hypersparse::spill::{DirMedium, SpillAccumulator, SpillConfig};
+use obscor::hypersparse::spill::{DirMedium, SpillConfig};
 use obscor::hypersparse::Csr;
 use std::sync::Arc;
 
@@ -92,11 +92,11 @@ fn run_budgeted(
         memory_budget: Some(budget),
         ..SpillConfig::default()
     };
-    let mut acc = SpillAccumulator::new(config, Arc::new(medium));
+    let mut acc = HierarchicalAccumulator::spilling(config, Arc::new(medium));
     for (s, d) in edges(n, seed, bits.0, bits.1) {
         acc.push_edge(s, d);
     }
-    let (matrix, report) = acc.finalize();
+    let (matrix, report) = acc.finalize_with_report();
     assert!(report.is_exact(), "spill run lost packets: {report:?}");
     assert_eq!(report.packets_expected, n as u64);
     assert!(
