@@ -15,8 +15,8 @@
 //! differential property suite (`tests/properties.rs`) pins
 //! `memo ≡ uncached` over full-range address samples.
 //!
-//! Opt-in metrics (enable with [`enable_cache_metrics`]; never emitted
-//! otherwise, keeping the default 88-name metrics schema untouched):
+//! Detail metrics (recorded only at `obscor_obs::Level::Detail`, keeping
+//! the default metrics schema untouched):
 //!
 //! * `anonymize.cache.table_builds_total` — prefix tables built (per key)
 //! * `anonymize.cache.prefix_hits_total` — addresses whose top-16 pad came
@@ -25,27 +25,10 @@
 //! * `anonymize.cache.batch_dup_hits_total` — batch entries served by the
 //!   previous identical address
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use crate::cryptopan::CryptoPan;
 
 /// Number of prefix bits resolved by the flat table.
 const TABLE_BITS: u32 = 16;
-
-static CACHE_METRICS_ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Opt in to `anonymize.cache.*` metrics emission for this process.
-///
-/// Off by default so the pinned default metrics schema never changes; the
-/// CLI exposes this through `--fast-path-metrics`.
-pub fn enable_cache_metrics() {
-    CACHE_METRICS_ENABLED.store(true, Ordering::Relaxed); // ordering: set-once enable flag; callers tolerate a stale false
-}
-
-/// Whether [`enable_cache_metrics`] has been called.
-pub fn cache_metrics_enabled() -> bool {
-    CACHE_METRICS_ENABLED.load(Ordering::Relaxed) // ordering: enable-flag read; staleness only delays metric emission
-}
 
 /// A [`CryptoPan`] with the top-16-bit pad subtree precomputed.
 ///
@@ -85,7 +68,7 @@ impl MemoCryptoPan {
                 }
             }
         }
-        if cache_metrics_enabled() {
+        if obscor_obs::detail() {
             obscor_obs::counter("anonymize.cache.table_builds_total").inc();
         }
         Self { inner, table }
@@ -102,7 +85,7 @@ impl MemoCryptoPan {
         for pos in TABLE_BITS..32 {
             lo = (lo << 1) | self.inner.pad_bit(addr, pos);
         }
-        if cache_metrics_enabled() {
+        if obscor_obs::detail() {
             obscor_obs::counter("anonymize.cache.prefix_hits_total").inc();
             obscor_obs::counter("anonymize.cache.suffix_aes_total")
                 .add(u64::from(32 - TABLE_BITS));
@@ -168,7 +151,7 @@ impl MemoCryptoPan {
             results[i] = anon;
         }
         addrs.copy_from_slice(&results);
-        if cache_metrics_enabled() && dup_hits > 0 {
+        if obscor_obs::detail() && dup_hits > 0 {
             obscor_obs::counter("anonymize.cache.batch_dup_hits_total").add(dup_hits);
         }
     }
@@ -252,18 +235,5 @@ mod tests {
             assert_eq!(a.anonymize(addr), b.anonymize(addr));
         }
         assert_eq!(a.uncached().anonymize(7), b.uncached().anonymize(7));
-    }
-
-    #[test]
-    fn cache_metrics_are_silent_until_enabled() {
-        if cache_metrics_enabled() {
-            return;
-        }
-        let before = obscor_obs::snapshot();
-        let memo = MemoCryptoPan::new(&key(6));
-        let mut v = vec![1u32, 1, 2];
-        memo.anonymize_slice(&mut v);
-        let delta = obscor_obs::snapshot().delta_since(&before);
-        assert!(delta.counters.keys().all(|k| !k.starts_with("anonymize.cache.")));
     }
 }

@@ -26,11 +26,11 @@
 //! workspace's `tests/correlation_reference.rs` pins the Fig 4–6
 //! fractions against a plain string-set reference.
 //!
-//! # Metrics (opt-in)
+//! # Metrics (detail)
 //!
-//! Gated behind [`enable_bitset_metrics`] so the pinned default metrics
-//! schema never changes (same contract as `telescope.ingest.*`):
-//! `assoc.bitset.containers_{array,bitmap,runs}_total`,
+//! Recorded only at `obscor_obs::Level::Detail` (CLI:
+//! `--fast-path-metrics`), so the pinned default metrics schema never
+//! changes: `assoc.bitset.containers_{array,bitmap,runs}_total`,
 //! `assoc.bitset.{promotions,demotions}_total`, and
 //! `assoc.bitset.words_scanned_total`, all pinned by
 //! `tests/metrics_optin.rs`.
@@ -42,23 +42,8 @@ pub use matrix::MonthMatrix;
 
 use crate::keys::{KeySet, NumKeySet};
 use container::Container;
-use std::sync::atomic::{AtomicBool, Ordering};
 
-static BITSET_METRICS_ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Opt in to `assoc.bitset.*` metrics emission for this process.
-///
-/// Off by default so the pinned default metrics schema never changes.
-pub fn enable_bitset_metrics() {
-    BITSET_METRICS_ENABLED.store(true, Ordering::Relaxed); // ordering: set-once enable flag; callers tolerate a stale false
-}
-
-/// Whether [`enable_bitset_metrics`] has been called.
-pub fn bitset_metrics_enabled() -> bool {
-    BITSET_METRICS_ENABLED.load(Ordering::Relaxed) // ordering: enable-flag read; staleness only delays metric emission
-}
-
-/// Internal metric sinks, no-ops until [`enable_bitset_metrics`].
+/// Internal metric sinks, no-ops below `obscor_obs::Level::Detail`.
 pub(crate) mod metrics {
     /// Physical container form, for the per-kind construction counters.
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -69,7 +54,7 @@ pub(crate) mod metrics {
     }
 
     pub(crate) fn container_built(kind: Kind) {
-        if super::bitset_metrics_enabled() {
+        if obscor_obs::detail() {
             let name = match kind {
                 Kind::Array => "assoc.bitset.containers_array_total",
                 Kind::Bitmap => "assoc.bitset.containers_bitmap_total",
@@ -80,19 +65,19 @@ pub(crate) mod metrics {
     }
 
     pub(crate) fn promotion() {
-        if super::bitset_metrics_enabled() {
+        if obscor_obs::detail() {
             obscor_obs::counter("assoc.bitset.promotions_total").inc();
         }
     }
 
     pub(crate) fn demotion() {
-        if super::bitset_metrics_enabled() {
+        if obscor_obs::detail() {
             obscor_obs::counter("assoc.bitset.demotions_total").inc();
         }
     }
 
     pub(crate) fn words_scanned(n: u64) {
-        if super::bitset_metrics_enabled() {
+        if obscor_obs::detail() {
             obscor_obs::counter("assoc.bitset.words_scanned_total").add(n);
         }
     }

@@ -248,8 +248,7 @@ fn ingest_report(n_v: usize, seed: u64) {
     //    the spill scheduler under a zero budget (every carry evicted to
     //    a real temp directory — the fully out-of-core worst case)
     //    against the plain in-memory build, with the per-level merge
-    //    timings the spill spans record while enabled.
-    obscor_hypersparse::spill::enable_spill_metrics();
+    //    timings the spill spans record.
     let ooc_baseline_ns = median_ns(INGEST_REPS, || matrix::build_matrix(&w));
     let mut spill_stats = obscor_hypersparse::SpillStats::default();
     let before = obscor_obs::snapshot();

@@ -19,8 +19,9 @@
 
 use obscor_core::{pipeline, AnalysisConfig, ArchiveConfig, SpillSettings};
 use obscor_netmodel::Scenario;
+use obscor_obs::Level;
 use obscor_pcap::PcapWriter;
-use obscor_telescope::{capture_window, stream, FaultPlan, IngestConfig, IngestService};
+use obscor_telescope::{capture_window, FaultPlan, IngestConfig, IngestService};
 use std::process::ExitCode;
 
 const DEFAULT_NV: usize = 1 << 20;
@@ -49,7 +50,7 @@ const USAGE: &str = "usage:
   obscor generate  [--nv N] [--seed S] [--window 0..4] [--filter EXPR] --out FILE
   obscor serve     [--nv N] [--seed S] [--window 0..4] [--workers W]
                    [--window-packets P] [--queue-depth D] [--windows K]
-                   [--anonymize] [--check] [--metrics FILE]
+                   [--anonymize] [--check] [--metrics FILE] [--fast-path-metrics]
                    [--memory-budget BYTES] [--spill-dir PATH]
   obscor forecast  [--nv N] [--seed S] [--cutoff K]
   obscor info      [--nv N] [--seed S]
@@ -67,9 +68,10 @@ the batch-built matrix of the same packets. --metrics writes the run's
 telescope.ingest.* observability delta as obscor.metrics.v1 JSON.
 --metrics FILE writes the run's per-stage observability report (span timings,
 counters, gauges) as obscor.metrics.v1 JSON.
---fast-path-metrics additionally records the opt-in ingest fast-path metrics
-(hypersparse.radix.* compaction counters and anonymize.cache.* hit rates),
-which are off by default to keep the pinned metric schema stable.
+--fast-path-metrics (reproduce and serve) also records the detail metric
+families: hypersparse.radix.* compaction counters, anonymize.cache.* hit rates
+and assoc.bitset.* container counters. They are off by default to keep the
+pinned metric schema stable.
 --fault-plan SEED:RATE builds the window matrices through the leaf archive and
 injects seeded faults (truncation, bit flips, missing leaves, flaky reads) at
 the given per-leaf rate; the restore retries transient faults, quarantines
@@ -80,7 +82,7 @@ carry-level CSR parts spill to disk whenever tracked live bytes exceed the
 budget, and the merge scheduler reloads them on demand — the matrices are
 bit-identical to the in-memory build. Applies to both reproduce and serve;
 per-window spill accounting (evictions, reloads, peak live bytes) is printed
-and the opt-in hypersparse.spill.* metrics are enabled.
+and hypersparse.spill.* metrics are recorded.
 --spill-dir PATH puts the spill files under PATH (default: system temp dir).
 
 ARTIFACT: table1 table2 fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 classes subnets scaling";
@@ -226,11 +228,17 @@ fn run(args: Vec<String>) -> Result<(), String> {
     let (cmd, rest) = args.split_first().ok_or("missing subcommand")?;
     // Bare flags imply the default subcommand: `obscor --metrics m.json`
     // is `obscor reproduce --metrics m.json`.
-    if cmd.starts_with('-') && !matches!(cmd.as_str(), "--help" | "-h") {
-        return reproduce(parse(&args)?);
-    }
+    let (cmd, rest) = if cmd.starts_with('-') && !matches!(cmd.as_str(), "--help" | "-h") {
+        ("reproduce", &args[..])
+    } else {
+        (cmd.as_str(), rest)
+    };
     let o = parse(rest)?;
-    match cmd.as_str() {
+    if o.fast_path_metrics {
+        obscor_obs::set_level(Level::Detail);
+        eprintln!("detail metrics enabled (hypersparse.radix.*, anonymize.cache.*, assoc.bitset.*)");
+    }
+    match cmd {
         "reproduce" => reproduce(o),
         "generate" => generate(o),
         "serve" => serve(o),
@@ -255,11 +263,6 @@ fn build_scenario(o: &Options) -> Scenario {
 }
 
 fn reproduce(o: Options) -> Result<(), String> {
-    if o.fast_path_metrics {
-        obscor_hypersparse::radix::enable_metrics();
-        obscor_anonymize::memo::enable_cache_metrics();
-        eprintln!("fast-path metrics enabled (hypersparse.radix.*, anonymize.cache.*)");
-    }
     let scenario = build_scenario(&o);
     let mut config = if o.fast { AnalysisConfig::fast() } else { AnalysisConfig::default() };
     if o.fault_plan.is_some() || o.strict_archive {
@@ -279,7 +282,6 @@ fn reproduce(o: Options) -> Result<(), String> {
                         (--fault-plan/--strict-archive)"
                 .into());
         }
-        obscor_hypersparse::spill::enable_spill_metrics();
         eprintln!(
             "out-of-core build: memory budget {budget} bytes, spill dir {}",
             o.spill_dir.as_deref().unwrap_or("<temp>")
@@ -437,10 +439,6 @@ fn serve(o: Options) -> Result<(), String> {
     cfg.queue_depth = o.queue_depth;
     cfg.memory_budget = o.memory_budget;
     cfg.spill_dir = o.spill_dir.as_deref().map(std::path::PathBuf::from);
-    stream::enable_ingest_metrics();
-    if o.memory_budget.is_some() {
-        obscor_hypersparse::spill::enable_spill_metrics();
-    }
     let before = obscor_obs::snapshot();
     let spec = &scenario.caida_windows[o.window];
     eprintln!(

@@ -1,6 +1,7 @@
 //! End-to-end tests of the `obscor` binary.
 
-use std::path::PathBuf;
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -82,16 +83,24 @@ fn reproduce_tsv_is_machine_readable() {
 }
 
 #[test]
-fn reproduce_check_passes_non_strict() {
-    // --fast implies non-strict validation; must pass at tiny N_V.
-    let out = obscor()
-        .args(["reproduce", "--nv", "2^13", "--seed", "9", "--fast", "--check", "--only", "fig1"])
-        .output()
-        .unwrap();
-    let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(out.status.success(), "stderr:\n{stderr}");
-    assert!(stderr.contains("SELF-VALIDATION"));
-    assert!(stderr.contains("PASS"));
+fn reproduce_check_passes_strict_and_non_strict() {
+    // --fast implies non-strict validation, which must pass at tiny N_V;
+    // without it the science checks are strict, and they must pass at
+    // 2^15 for more than one seed.
+    for (nv, seed, fast) in [("2^13", "9", true), ("2^15", "42", false), ("2^15", "7", false)] {
+        let mut cmd = obscor();
+        cmd.args(["reproduce", "--nv", nv, "--seed", seed, "--check", "--only", "fig1"]);
+        if fast {
+            cmd.arg("--fast");
+        }
+        let out = cmd.output().unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        let case = format!("--nv {nv} --seed {seed} (fast: {fast})");
+        assert!(out.status.success(), "{case} stderr:\n{stderr}");
+        assert!(stderr.contains("SELF-VALIDATION"), "{case} stderr:\n{stderr}");
+        let passed = stderr.lines().filter(|l| l.starts_with("[PASS] ")).count();
+        assert_eq!(passed, 8, "{case}: every check must pass; stderr:\n{stderr}");
+    }
 }
 
 #[test]
@@ -209,6 +218,72 @@ fn metrics_flag_writes_schema_valid_json_with_all_stage_spans() {
     assert_eq!(snap.counters["stage.capture.windows_total"], 5);
     assert_eq!(snap.gauges["config.n_v"], 1 << 13);
     assert!(snap.counters["stage.honeyfarm.sources_total"] > 0, "the honeyfarm saw no sources");
+}
+
+/// The metric names of the `obscor.metrics.v1` file at `path`.
+fn metric_names(path: &Path) -> BTreeSet<String> {
+    let text = std::fs::read_to_string(path).unwrap();
+    obscor_obs::MetricsSnapshot::from_json(&text).expect("schema-valid JSON").metric_names()
+}
+
+/// The detail families `--fast-path-metrics` turns on.
+fn is_detail(name: &str) -> bool {
+    ["hypersparse.radix.", "span.hypersparse.radix.", "anonymize.cache.", "assoc.bitset."]
+        .iter()
+        .any(|family| name.starts_with(family))
+}
+
+#[test]
+fn reproduce_fast_path_metrics_adds_only_detail_names() {
+    let dir = ScratchDir::new("reproduce_detail");
+    let mut names = Vec::new();
+    for (file, detail) in [("run.json", false), ("detail.json", true)] {
+        let path = dir.file(file);
+        let mut cmd = obscor();
+        cmd.args(["reproduce", "--nv", "2^12", "--seed", "9", "--fast", "--only", "table1"])
+            .arg("--metrics")
+            .arg(&path);
+        if detail {
+            cmd.arg("--fast-path-metrics");
+        }
+        let out = cmd.output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+        assert!(out.status.success(), "stderr:\n{stderr}");
+        names.push(metric_names(&path));
+    }
+    let (run, detail) = (&names[0], &names[1]);
+    assert!(run.iter().all(|n| !is_detail(n)), "a default run recorded detail names: {run:?}");
+    let gained: Vec<&String> = detail.difference(run).collect();
+    assert!(gained.iter().all(|n| is_detail(n)), "non-detail names gained: {gained:?}");
+    assert!(run.is_subset(detail), "the detail run lost names");
+    // The correlation path always runs on the compressed bitmaps, so the
+    // container census is there once the level allows it.
+    assert!(
+        gained.iter().any(|n| n.starts_with("assoc.bitset.containers_")),
+        "no assoc.bitset.containers_* name: {gained:?}"
+    );
+}
+
+#[test]
+fn serve_fast_path_metrics_records_detail_names() {
+    let dir = ScratchDir::new("serve_detail");
+    let path = dir.file("serve.json");
+    let out = obscor()
+        .args(["serve", "--nv", "2^12", "--seed", "9", "--workers", "2", "--windows", "1"])
+        .args(["--window-packets", "4096", "--anonymize", "--fast-path-metrics", "--metrics"])
+        .arg(&path)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+    assert!(out.status.success(), "stderr:\n{stderr}");
+    let names = metric_names(&path);
+    for name in [
+        "anonymize.cache.prefix_hits_total",
+        "hypersparse.radix.compactions_total",
+        "telescope.ingest.packets_total",
+    ] {
+        assert!(names.contains(name), "missing {name}: {names:?}");
+    }
 }
 
 #[test]

@@ -140,8 +140,6 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
     obscor_obs::gauge("config.month_count").set_max(scenario.grid.len() as u64);
     obscor_obs::gauge("config.min_bin_sources").set_max(config.min_bin_sources as u64);
 
-    let holder = Holder::new("telescope-operator", &holder_key(scenario.seed));
-
     // 1-2. Capture and matrix per window.
     let windows = {
         let _s = obscor_obs::span("stage.capture");
@@ -239,6 +237,7 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
     // already-built matrices).
     let degrees: Vec<WindowDegrees> = {
         let _s = obscor_obs::span("stage.degrees");
+        let holder = Holder::new("telescope-operator", &holder_key(scenario.seed));
         windows
             .par_iter()
             .zip(&matrices)

@@ -55,8 +55,7 @@
 //! and triple histogram per leaf, `hypersparse.accumulator.carry_merges_total`
 //! per carry merge, and at finalize the `hypersparse.accumulator.finalize`
 //! span and `hypersparse.accumulator.{pushed,leaves,merges}_total`. A fold
-//! that owns a store also emits the opt-in
-//! (`crate::spill::enable_spill_metrics`)
+//! that owns a store also emits the
 //! `hypersparse.spill.{evictions,reloads}_total` counters and per-level
 //! merge spans `span.hypersparse.spill.merge.level{k}.{ns,calls_total}`,
 //! all pinned by `tests/metrics_optin.rs`.
@@ -67,8 +66,8 @@ use crate::coo::Coo;
 use crate::csr::Csr;
 use crate::ops::ewise_add;
 use crate::spill::{
-    spill_metrics_enabled, QuarantinedPart, SpillConfig, SpillFault, SpillHandle, SpillMedium,
-    SpillReport, SpillStats, SpillStore,
+    QuarantinedPart, SpillConfig, SpillFault, SpillHandle, SpillMedium, SpillReport, SpillStats,
+    SpillStore,
 };
 use crate::value::Value;
 use crate::Index;
@@ -403,9 +402,7 @@ impl<V: Value> HierarchicalAccumulator<V> {
                 match self.store.as_ref().map(|store| store.store_csr(&csr)) {
                     Some(Ok(handle)) => {
                         self.stats.evictions += 1;
-                        if spill_metrics_enabled() {
-                            obscor_obs::counter("hypersparse.spill.evictions_total").inc();
-                        }
+                        obscor_obs::counter("hypersparse.spill.evictions_total").inc();
                         self.release(bytes);
                         PartState::Spilled { handle, est_bytes: bytes }
                     }
@@ -434,9 +431,7 @@ impl<V: Value> HierarchicalAccumulator<V> {
         match fetched {
             Ok(csr) => {
                 self.stats.reloads += 1;
-                if spill_metrics_enabled() {
-                    obscor_obs::counter("hypersparse.spill.reloads_total").inc();
-                }
+                obscor_obs::counter("hypersparse.spill.reloads_total").inc();
                 let bytes = csr.heap_bytes();
                 self.reserve(bytes);
                 Ok(Loaded { csr, bytes, first_leaf, n_leaves, packets })
@@ -452,9 +447,11 @@ impl<V: Value> HierarchicalAccumulator<V> {
     }
 
     /// One pairwise merge; a fold that owns a store times it under its
-    /// per-level span (opt-in).
+    /// per-level span.
     fn merge(&self, level: usize, a: &Csr<V>, b: &Csr<V>) -> Csr<V> {
-        let _span = (self.store.is_some() && spill_metrics_enabled())
+        let _span = self
+            .store
+            .is_some()
             .then(|| obscor_obs::span(&format!("hypersparse.spill.merge.level{level}")));
         ewise_add(a, b)
     }

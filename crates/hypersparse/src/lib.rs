@@ -46,7 +46,6 @@
 
 pub mod coo;
 pub mod csr;
-pub mod dcsc;
 pub mod hier;
 pub mod keypack;
 pub mod ops;
@@ -59,7 +58,6 @@ pub mod value;
 
 pub use coo::Coo;
 pub use csr::Csr;
-pub use dcsc::Dcsc;
 pub use hier::HierarchicalAccumulator;
 pub use spill::{
     DirMedium, MemMedium, SpillConfig, SpillFault, SpillMedium, SpillReport, SpillStats,

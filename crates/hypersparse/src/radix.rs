@@ -28,16 +28,14 @@
 //! [`crate::Coo::into_csr`] picks between the two at the fixed
 //! [`crate::coo::RADIX_THRESHOLD`].
 //!
-//! Opt-in metrics (enable with [`enable_metrics`]; never emitted otherwise,
-//! so the default 88-name metrics schema is untouched):
+//! Detail metrics (recorded only at `obscor_obs::Level::Detail`, so the
+//! default metrics schema is untouched):
 //!
 //! * `hypersparse.radix.compactions_total` — kernel invocations
 //! * `hypersparse.radix.keys_total` — triples ingested
 //! * `hypersparse.radix.digit_passes_total` / `.skipped_digits_total` —
 //!   scatter passes run vs. skipped as constant
 //! * `span.hypersparse.radix.digit_passes.{ns,calls_total}` — scatter time
-
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use rayon::prelude::*;
 
@@ -52,21 +50,6 @@ const DIGITS: usize = 8;
 const RADIX: usize = 256;
 /// Chunk size of the counting sweep (per-"thread" accumulation unit).
 const COUNT_CHUNK: usize = 1 << 16;
-
-static METRICS_ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Opt in to `hypersparse.radix.*` metrics emission for this process.
-///
-/// Off by default so the pinned default metrics schema never changes; the
-/// CLI exposes this through `--fast-path-metrics`.
-pub fn enable_metrics() {
-    METRICS_ENABLED.store(true, Ordering::Relaxed); // ordering: set-once enable flag; callers tolerate a stale false
-}
-
-/// Whether [`enable_metrics`] has been called.
-pub fn metrics_enabled() -> bool {
-    METRICS_ENABLED.load(Ordering::Relaxed) // ordering: enable-flag read; staleness only delays metric emission
-}
 
 /// Compact raw COO columns into a CSR matrix: radix-sort by packed key,
 /// sum duplicate coordinates, drop zero sums, assemble CSR directly.
@@ -91,7 +74,7 @@ pub fn compact_into_csr<V: Value>(rows: Vec<Index>, cols: Vec<Index>, vals: Vec<
     let active: Vec<usize> =
         (0..DIGITS).filter(|&d| hist[d].iter().filter(|&&count| count > 0).count() > 1).collect();
 
-    if metrics_enabled() {
+    if obscor_obs::detail() {
         obscor_obs::counter("hypersparse.radix.compactions_total").inc();
         obscor_obs::counter("hypersparse.radix.keys_total").add(n as u64);
         obscor_obs::counter("hypersparse.radix.digit_passes_total").add(active.len() as u64);
@@ -114,7 +97,7 @@ pub fn compact_into_csr<V: Value>(rows: Vec<Index>, cols: Vec<Index>, vals: Vec<
     };
 
     let _scatter_span =
-        metrics_enabled().then(|| obscor_obs::span("hypersparse.radix.digit_passes"));
+        obscor_obs::detail().then(|| obscor_obs::span("hypersparse.radix.digit_passes"));
 
     // Stable counting scatters over all but the most-significant active
     // digit. `dst` is pre-filled with placeholder pairs (never read before
@@ -320,21 +303,5 @@ mod tests {
         let radix = via_radix(triples);
         assert_eq!(serial, radix);
         assert_eq!(radix.get(u32::MAX, u32::MAX), Some(6));
-    }
-
-    #[test]
-    fn metrics_are_silent_until_enabled() {
-        // This test must not itself enable metrics: it shares the process
-        // with other tests, so it only checks the default-off behavior of
-        // a fresh compaction against the names' absence when disabled at
-        // entry. (Opt-in emission is covered by tests/metrics_optin.rs in
-        // the workspace root, which runs in its own process.)
-        if metrics_enabled() {
-            return;
-        }
-        let before = obscor_obs::snapshot();
-        let _ = via_radix(vec![(1, 2, 3), (4, 5, 6)]);
-        let delta = obscor_obs::snapshot().delta_since(&before);
-        assert!(delta.counters.keys().all(|k| !k.starts_with("hypersparse.radix.")));
     }
 }

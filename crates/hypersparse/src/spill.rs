@@ -12,13 +12,13 @@
 //! accumulator's accounting and determinism contracts are documented in
 //! [`crate::hier`].
 //!
-//! # Metrics (opt-in)
+//! # Metrics
 //!
-//! Gated behind [`enable_spill_metrics`] so the pinned default metrics
-//! schema never changes: `hypersparse.spill.{bytes_written,bytes_read,
-//! evictions,reloads}_total` and the per-level merge spans
-//! `span.hypersparse.spill.merge.level{k}.{ns,calls_total}`, all pinned by
-//! `tests/metrics_optin.rs`.
+//! Only a fold that owns a [`SpillStore`] records
+//! `hypersparse.spill.{bytes_written,bytes_read,evictions,reloads}_total`
+//! and the per-level merge spans
+//! `span.hypersparse.spill.merge.level{k}.{ns,calls_total}`, so a default
+//! run never shows them; all are pinned by `tests/metrics_optin.rs`.
 
 use crate::csr::Csr;
 use crate::hier::DEFAULT_LEAF_CAPACITY;
@@ -27,23 +27,12 @@ use crate::value::Value;
 use obscor_obs::FaultClass;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-static METRICS_ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Opt in to `hypersparse.spill.*` metrics emission for this process.
-///
-/// Off by default so the pinned default metrics schema never changes; the
-/// CLI enables it whenever `--memory-budget` is given.
-pub fn enable_spill_metrics() {
-    METRICS_ENABLED.store(true, Ordering::Relaxed); // ordering: set-once enable flag; callers tolerate a stale false
-}
-
-/// Whether [`enable_spill_metrics`] has been called.
-pub fn spill_metrics_enabled() -> bool {
-    METRICS_ENABLED.load(Ordering::Relaxed) // ordering: enable-flag read; staleness only delays metric emission
-}
+/// Does nothing: folds that own a store always record the spill metrics.
+/// It remains only because `e2e-bench/src/trace.rs` still calls it.
+pub fn enable_spill_metrics() {}
 
 /// A fault raised by a [`SpillMedium`] or by decoding a spill frame,
 /// classified by the workspace fault taxonomy.
@@ -300,10 +289,8 @@ impl SpillStore {
         for _ in 0..self.max_attempts {
             match self.medium.store(slot, &bytes) {
                 Ok(()) => {
-                    if spill_metrics_enabled() {
-                        obscor_obs::counter("hypersparse.spill.bytes_written_total")
-                            .add(bytes.len() as u64);
-                    }
+                    obscor_obs::counter("hypersparse.spill.bytes_written_total")
+                        .add(bytes.len() as u64);
                     return Ok(SpillHandle { slot, encoded_len: bytes.len() as u64 });
                 }
                 Err(f) if f.class() == FaultClass::Transient => last = f,
@@ -328,10 +315,8 @@ impl SpillStore {
             };
             match serialize::decode::<V>(&bytes) {
                 Ok(csr) => {
-                    if spill_metrics_enabled() {
-                        obscor_obs::counter("hypersparse.spill.bytes_read_total")
-                            .add(bytes.len() as u64);
-                    }
+                    obscor_obs::counter("hypersparse.spill.bytes_read_total")
+                        .add(bytes.len() as u64);
                     return Ok(csr);
                 }
                 Err(e) if e.class() == FaultClass::Transient => {

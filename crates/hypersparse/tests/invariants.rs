@@ -3,10 +3,10 @@
 //! rule requires each constructor to appear, by name, in a test that calls
 //! `check_invariants` — this file is that coverage, plus property tests
 //! asserting the invariants survive the format round-trips the pipeline
-//! performs (COO → CSR, CSR ↔ DCSC, transpose).
+//! performs (COO → CSR, transpose).
 
 use obscor_hypersparse::reduce::NetworkQuantities;
-use obscor_hypersparse::{Coo, Csr, Dcsc, HierarchicalAccumulator, Index, MemMedium, SpillConfig};
+use obscor_hypersparse::{Coo, Csr, HierarchicalAccumulator, Index, MemMedium, SpillConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -41,18 +41,6 @@ fn csr_empty_satisfies_invariants() {
 fn csr_from_compaction_satisfies_invariants() {
     let csr = Coo::from_triples(sample_triples()).into_csr();
     assert!(csr.check_invariants().is_ok());
-}
-
-#[test]
-fn dcsc_empty_satisfies_invariants() {
-    assert!(Dcsc::<u64>::empty().check_invariants().is_ok());
-}
-
-#[test]
-fn dcsc_from_csr_satisfies_invariants() {
-    let csr = Coo::from_triples(sample_triples()).into_csr();
-    let dcsc = Dcsc::from_csr(&csr);
-    assert!(dcsc.check_invariants().is_ok());
 }
 
 #[test]
@@ -105,18 +93,6 @@ proptest! {
         let coo = Coo::from_triples(t.iter().copied());
         prop_assert!(coo.check_invariants().is_ok());
         prop_assert!(Coo::from_triples(t.iter().copied()).into_csr_serial().check_invariants().is_ok());
-    }
-
-    /// CSR → DCSC → CSR round-trips stay inside the invariant set at every
-    /// step.
-    #[test]
-    fn dcsc_round_trip_preserves_invariants(t in arb_triples()) {
-        let a = Coo::from_triples(t).into_csr();
-        let d = Dcsc::from_csr(&a);
-        prop_assert!(d.check_invariants().is_ok());
-        let back = d.to_csr();
-        prop_assert!(back.check_invariants().is_ok());
-        prop_assert_eq!(back, a);
     }
 
     /// Transposition maps the invariant set into itself, and the round trip

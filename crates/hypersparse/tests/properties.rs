@@ -1,7 +1,7 @@
 //! Property-based tests for the hypersparse matrix substrate.
 
 use obscor_hypersparse::{
-    hier, ops, reduce, serialize, spgemm, Coo, Csr, Dcsc, HierarchicalAccumulator, Index,
+    hier, ops, reduce, serialize, spgemm, Coo, Csr, HierarchicalAccumulator, Index,
 };
 use proptest::prelude::*;
 
@@ -153,17 +153,6 @@ proptest! {
         let z = ops::zero_norm(&a);
         prop_assert_eq!(z.nnz(), a.nnz());
         prop_assert_eq!(ops::zero_norm(&z).clone(), z);
-    }
-
-    /// DCSC round-trips and answers column-side quantities identically.
-    #[test]
-    fn dcsc_round_trip_and_reductions(t in arb_triples()) {
-        let a = build(&t);
-        let d = Dcsc::from_csr(&a);
-        prop_assert_eq!(d.to_csr(), a.clone());
-        prop_assert_eq!(d.destination_packets(), reduce::destination_packets(&a));
-        prop_assert_eq!(d.destination_fan_in(), reduce::destination_fan_in(&a));
-        prop_assert_eq!(d.n_cols() as u64, reduce::unique_destinations(&a));
     }
 
     /// Co-occurrence equals SpGEMM against the transpose (positional vs

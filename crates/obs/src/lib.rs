@@ -45,6 +45,14 @@
 //! assert_eq!(run.counters["span.demo.stage.calls_total"], 1);
 //! ```
 //!
+//! # Levels
+//!
+//! A metric is recorded whenever the code path that records it runs, with
+//! one exception: the *detail* families inside hot loops
+//! (`hypersparse.radix.*`, `anonymize.cache.*`, `assoc.bitset.*`) record
+//! only at [`Level::Detail`]. Their sites check [`detail`]; the CLI sets
+//! the level once, from `--fast-path-metrics`.
+//!
 //! This crate is deliberately dependency-free (it sits below every other
 //! workspace crate) and is the single sanctioned home of `Instant::now()` —
 //! the `instant-timing` rule in `cargo xtask audit` rejects ad-hoc timing
@@ -63,7 +71,32 @@ pub use registry::{global, Registry};
 pub use snapshot::{HistogramSnapshot, MetricsSnapshot, SCHEMA};
 pub use span::{time_fn, SpanTimer};
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+
+/// How much the process records (see the crate docs' *Levels*).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Level {
+    /// Every metric whose code path runs, except the detail families.
+    #[default]
+    Run,
+    /// [`Level::Run`] plus the detail families.
+    Detail,
+}
+
+static DETAIL: AtomicBool = AtomicBool::new(false);
+
+/// Set the process-wide metrics level.
+pub fn set_level(level: Level) {
+    DETAIL.store(level == Level::Detail, Ordering::Relaxed); // ordering: publishes no data; a stale read only records or skips a detail metric
+}
+
+/// Whether detail families record ([`Level::Detail`]): the one check a
+/// detail site makes, one relaxed load.
+#[inline]
+pub fn detail() -> bool {
+    DETAIL.load(Ordering::Relaxed) // ordering: level read; pairs with nothing (see `set_level`)
+}
 
 /// The global counter named `name` (created at zero on first use).
 pub fn counter(name: &str) -> Arc<Counter> {

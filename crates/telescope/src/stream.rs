@@ -58,12 +58,12 @@
 //! and joins everything — the [`DrainReport`] proves exact accounting:
 //! `received == compacted` and `in_flight == 0`.
 //!
-//! # Metrics (opt-in)
+//! # Metrics
 //!
-//! Gated behind [`enable_ingest_metrics`] so the pinned default metrics
-//! schema never changes (same contract as `hypersparse.radix.*`):
+//! Only an [`IngestService`] records
 //! `telescope.ingest.{packets,windows_closed,leaves,merges}_total` and
-//! `ingest.backpressure.blocked`, all pinned by `tests/metrics_optin.rs`.
+//! `ingest.backpressure.blocked`, so a default `reproduce` never shows
+//! them; all are pinned by `tests/metrics_optin.rs`.
 
 use crate::matrix::leaf_capacity_for;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
@@ -71,25 +71,9 @@ use obscor_anonymize::MemoCryptoPan;
 use obscor_hypersparse::{Coo, Csr, DirMedium, HierarchicalAccumulator, SpillConfig, SpillReport};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-
-static METRICS_ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Opt in to `telescope.ingest.*` / `ingest.backpressure.*` metrics
-/// emission for this process.
-///
-/// Off by default so the pinned default metrics schema never changes; the
-/// CLI `serve` subcommand enables it for its own runs.
-pub fn enable_ingest_metrics() {
-    METRICS_ENABLED.store(true, Ordering::Relaxed); // ordering: set-once enable flag; callers tolerate a stale false
-}
-
-/// Whether [`enable_ingest_metrics`] has been called.
-pub fn ingest_metrics_enabled() -> bool {
-    METRICS_ENABLED.load(Ordering::Relaxed) // ordering: enable-flag read; staleness only delays metric emission
-}
 
 /// Configuration of an [`IngestService`].
 #[derive(Clone, Debug)]
@@ -462,9 +446,7 @@ impl IngestService {
             Ok(()) => return,
             Err(TrySendError::Full(m)) => {
                 self.shared.blocked.fetch_add(1, Ordering::Relaxed); // ordering: counter; read only after the joins in finish
-                if ingest_metrics_enabled() {
-                    obscor_obs::counter("ingest.backpressure.blocked").inc();
-                }
+                obscor_obs::counter("ingest.backpressure.blocked").inc();
                 m
             }
             Err(TrySendError::Disconnected(_)) => {
@@ -648,12 +630,10 @@ fn close_window(index: u64, mut state: OpenWindow, fold: &FoldConfig) -> WindowS
     let (matrix, report, spill_fallback) = fold_window(state.leaves, fold);
     let merges = report.stats.carry_merges;
     let spilled = fold.memory_budget.is_some() && spill_fallback.is_none();
-    if ingest_metrics_enabled() {
-        obscor_obs::counter("telescope.ingest.windows_closed_total").inc();
-        obscor_obs::counter("telescope.ingest.packets_total").add(state.packets);
-        obscor_obs::counter("telescope.ingest.leaves_total").add(n_leaves);
-        obscor_obs::counter("telescope.ingest.merges_total").add(merges);
-    }
+    obscor_obs::counter("telescope.ingest.windows_closed_total").inc();
+    obscor_obs::counter("telescope.ingest.packets_total").add(state.packets);
+    obscor_obs::counter("telescope.ingest.leaves_total").add(n_leaves);
+    obscor_obs::counter("telescope.ingest.merges_total").add(merges);
     WindowSnapshot {
         index,
         matrix,

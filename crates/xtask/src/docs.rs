@@ -108,13 +108,14 @@ pub const RULE_DOCS: &[RuleDoc] = &[
     },
     RuleDoc {
         name: "shared-static-mut",
-        short: "undeclared process-global mutable statics",
+        short: "process-global mutable statics outside the `obs` crate",
         long: "Process-global mutable state outside the `obs` metrics registry \
-               makes runs order-dependent and tests flaky. Flags `static` items \
-               with interior-mutable types (Mutex/RwLock/atomics/OnceLock) \
-               outside the declared allow-list. Fix: route state through the \
-               registry or pass it explicitly. Suppress with \
-               `// audit:allow(shared-static-mut) — reason`.",
+               makes runs order-dependent and tests flaky. Flags `static mut` \
+               and `static` items with interior-mutable types \
+               (Mutex/RwLock/atomics/OnceLock) anywhere but the `obs` crate, \
+               whose one metrics level is the workspace's only switch. Fix: \
+               route state through the registry or pass it explicitly. \
+               Suppress with `// audit:allow(shared-static-mut) — reason`.",
     },
     RuleDoc {
         name: "allow-justification",

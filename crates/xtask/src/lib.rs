@@ -30,7 +30,7 @@
 //!    `// ordering:` justification; stricter-than-Relaxed notes must name
 //!    the happens-before edge.
 //! 10. **`shared-static-mut`** — no process-global mutable statics outside
-//!     the `obs` registry and the declared metric-enable flags.
+//!     the `obs` crate (its registry and its one metrics level).
 //! 11. **`allow-justification`** — every `audit:allow(...)` marker carries
 //!     a non-empty justification.
 //! 12. **`nondet-reach`** — nondeterminism sources (hash-ordered
@@ -244,7 +244,7 @@ pub fn audit(root: &Path) -> io::Result<AuditReport> {
         diagnostics.extend(rules::rule_nonassoc_reduce(file));
         diagnostics.extend(rules::rule_atomic_ordering(file));
         // `obs` hosts the sanctioned process-global state (the metrics
-        // registry); everywhere else globals must be declared or routed.
+        // registry and level); everywhere else globals must be routed.
         if crate_name != "obs" {
             diagnostics.extend(rules::rule_shared_static_mut(file));
         }

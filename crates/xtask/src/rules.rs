@@ -18,7 +18,7 @@
 //! | `map-iter-order`     | all library code                       | `HashMap`/`HashSet` iteration order flowing into `Vec` pushes, string building, or (via the symbol index, one call hop) the `obscor_obs::json` codec |
 //! | `nonassoc-reduce`    | all library code                       | rayon `reduce`/`fold`/`sum`/`product` over float accumulators outside blessed tree-reduction helpers |
 //! | `atomic-ordering`    | all library code                       | `Ordering::*` sites without an `// ordering:` justification; stricter-than-Relaxed notes must name the happens-before edge |
-//! | `shared-static-mut`  | all library code except `obs`          | process-global `static` atomics/locks/cells outside the obs registry and the declared metric-enable flags |
+//! | `shared-static-mut`  | all library code except `obs`          | process-global `static` atomics/locks/cells outside the obs registry |
 //! | `allow-justification`| all library code                       | `audit:allow(<rule>)` markers without a trailing justification |
 //! | `nondet-reach`       | all library code                       | nondeterminism sources (hash iteration, wall-clock, thread identity) in functions that transitively reach the `obscor_obs::json` codec or the hypersparse archive codec |
 //! | `blocking-in-par`    | all library code                       | blocking operations (`.lock()`, `.read()`/`.write()`, `.recv()`, `.join()`) inside rayon parallel extents, directly or through the call graph |
@@ -69,11 +69,6 @@ pub const PANIC_FREE_CRATES: &[&str] =
 
 /// Crates whose public constructors require invariant-test coverage.
 pub const INVARIANT_CRATES: &[&str] = &["hypersparse", "assoc"];
-
-/// Static names the `shared-static-mut` rule accepts outside `obs`: the
-/// declared metric-enable flags (set once at startup, read Relaxed).
-pub const ALLOWED_GLOBAL_STATICS: &[&str] =
-    &["METRICS_ENABLED", "CACHE_METRICS_ENABLED", "BITSET_METRICS_ENABLED"];
 
 /// Function names blessed as deterministic tree-reduction helpers; float
 /// reductions inside them are exempt from `nonassoc-reduce`.
@@ -448,12 +443,12 @@ pub fn rule_instant_timing(file: &SourceFile) -> Vec<Diagnostic> {
 
 /// Rule `key-pack`: no ad-hoc `(x as u64) << 32` key packing in the
 /// `hypersparse` crate outside `keypack.rs`. The packed `(row << 32) | col`
-/// key layout is load-bearing for the radix compaction kernel and the DCSC
-/// sort order; every construction site must go through
-/// `keypack::pack_key` / `unpack_key` so the layout can only change in one
-/// place. A line trips when it contains both an `as u64` cast and a
-/// `<< 32` shift. The caller (`audit`) applies this to `hypersparse` only;
-/// the rule itself exempts `keypack.rs`.
+/// key layout is load-bearing for the radix compaction kernel; every
+/// construction site must go through `keypack::pack_key` / `unpack_key`
+/// so the layout can only change in one place. A line trips when it
+/// contains both an `as u64` cast and a `<< 32` shift. The caller
+/// (`audit`) applies this to `hypersparse` only; the rule itself exempts
+/// `keypack.rs`.
 pub fn rule_key_pack(file: &SourceFile) -> Vec<Diagnostic> {
     const RULE: &str = "key-pack";
     if file.rel.ends_with("keypack.rs") {
@@ -784,15 +779,14 @@ pub fn rule_atomic_ordering(file: &SourceFile) -> Vec<Diagnostic> {
 
 /// Rule `shared-static-mut`: process-global mutable state — `static mut`,
 /// or a `static` whose type is an atomic, lock, or interior-mutability cell
-/// — outside the `obs` registry (the caller skips the `obs` crate) and the
-/// declared metric-enable flags ([`ALLOWED_GLOBAL_STATICS`]). Fn-local
+/// — outside the `obs` registry (the caller skips the `obs` crate). Fn-local
 /// statics count: they are still process-global storage.
 pub fn rule_shared_static_mut(file: &SourceFile) -> Vec<Diagnostic> {
     const RULE: &str = "shared-static-mut";
     let mut out = Vec::new();
     for item in &file.items {
         let ItemKind::Static { type_range, mutable } = item.kind else { continue };
-        if item.is_test || ALLOWED_GLOBAL_STATICS.contains(&item.name.as_str()) {
+        if item.is_test {
             continue;
         }
         let line = file.tok_line(item.kw_tok);
@@ -816,8 +810,8 @@ pub fn rule_shared_static_mut(file: &SourceFile) -> Vec<Diagnostic> {
             line,
             format!(
                 "process-global {what} outside the obs registry; route shared \
-                 state through `obscor_obs` (or a declared enable flag), or \
-                 annotate with audit:allow({RULE})"
+                 state through `obscor_obs`, or annotate with \
+                 audit:allow({RULE})"
             ),
         ));
     }
@@ -1917,7 +1911,7 @@ mod tests {
     }
 
     #[test]
-    fn shared_static_flags_globals_not_flags() {
+    fn shared_static_flags_every_global_outside_obs() {
         let src = "static HITS: AtomicU64 = AtomicU64::new(0);\n\
                    static METRICS_ENABLED: AtomicBool = AtomicBool::new(false);\n\
                    static TABLE: [u8; 4] = [0, 1, 2, 3];\n\
@@ -1928,9 +1922,10 @@ mod tests {
                    #[cfg(test)]\nmod tests { static T: AtomicU32 = AtomicU32::new(0); }\n";
         let f = prep(src);
         let d = rule_shared_static_mut(&f);
-        assert_eq!(d.iter().map(|d| d.line).collect::<Vec<_>>(), vec![1, 4, 7]);
+        assert_eq!(d.iter().map(|d| d.line).collect::<Vec<_>>(), vec![1, 2, 4, 7]);
         assert!(d[0].message.contains("AtomicU64"));
-        assert!(d[2].message.contains("static mut"));
+        assert!(d[1].message.contains("AtomicBool"));
+        assert!(d[3].message.contains("static mut"));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 // Seeds `shared-static-mut` violations: process-global atomics and locks
-// outside the obs registry and the declared enable flags.
+// outside the obs registry, enable flags included.
 
 use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::Mutex;

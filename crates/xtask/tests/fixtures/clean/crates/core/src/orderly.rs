@@ -1,16 +1,9 @@
 // Deterministic counterparts to the seeded concurrency violations:
-// ordered iteration, documented atomics, declared enable flags, and
-// integer reductions — all of which must pass the audit untouched.
+// ordered iteration, documented atomics, and integer reductions — all of
+// which must pass the audit untouched.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-static METRICS_ENABLED: AtomicBool = AtomicBool::new(false);
-
-pub fn metrics_enabled() -> bool {
-    // ordering: enable-flag read; staleness only delays metric emission
-    METRICS_ENABLED.load(Ordering::Relaxed)
-}
+use std::sync::atomic::{AtomicU64, Ordering};
 
 pub fn rows(m: &BTreeMap<u32, u64>) -> Vec<u32> {
     let mut out = Vec::new();

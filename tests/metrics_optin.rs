@@ -1,31 +1,32 @@
-//! Integration: the ingest fast-path and streaming metrics are *opt-in*.
+//! Integration: the metric families outside the default schema, and the
+//! one level that gates the detail ones.
 //!
 //! The default 91-name schema is pinned byte-for-byte by
 //! `tests/metrics_schema.rs`; this binary (a separate process, so the
-//! enable flags cannot leak into that pin) proves the two halves of the
-//! opt-in contract:
+//! level it sets cannot leak into that pin) proves the two halves of the
+//! contract:
 //!
-//! 1. with the flags off, the fast paths emit **nothing** under
-//!    `hypersparse.radix.*` / `hypersparse.spill.*` /
-//!    `anonymize.cache.*` / `assoc.bitset.*` / `telescope.ingest.*` /
-//!    `ingest.backpressure.*`, and
-//! 2. once [`obscor::hypersparse::radix::enable_metrics`],
-//!    [`obscor::hypersparse::spill::enable_spill_metrics`],
-//!    [`obscor::anonymize::memo::enable_cache_metrics`],
-//!    [`obscor::assoc::bitset::enable_bitset_metrics`], and
-//!    [`obscor::telescope::stream::enable_ingest_metrics`] are called,
-//!    the exact documented name set appears — and nothing else.
+//! 1. at the default `Level::Run`, the detail families
+//!    (`hypersparse.radix.*`, `anonymize.cache.*`, `assoc.bitset.*`) emit
+//!    **nothing**, while the path families (`hypersparse.spill.*`,
+//!    `telescope.ingest.*`, `ingest.backpressure.*`) appear exactly,
+//!    because their paths (a store-owning fold, the ingest service) ran;
+//!    and
+//! 2. once `obscor_obs::set_level(Level::Detail)` is called, the 16
+//!    detail names appear too — the exact documented set, and nothing
+//!    else.
 
-use obscor::anonymize::memo::{self, MemoCryptoPan};
-use obscor::assoc::{bitset, BitSet};
-use obscor::hypersparse::spill::{self, MemMedium, SpillConfig};
-use obscor::hypersparse::{radix, Coo, HierarchicalAccumulator};
-use obscor::telescope::{stream, IngestConfig, IngestService};
+use obscor::anonymize::MemoCryptoPan;
+use obscor::assoc::BitSet;
+use obscor::hypersparse::spill::{MemMedium, SpillConfig};
+use obscor::hypersparse::{Coo, HierarchicalAccumulator};
+use obscor::telescope::{IngestConfig, IngestService};
+use obscor_obs::{Level, MetricsSnapshot};
 use std::sync::Arc;
 
-/// Every opt-in name, sorted — the schema-pin strategy applied to the
-/// fast-path metrics (a new name must be added here and to DESIGN.md §12
-/// deliberately).
+/// Every name outside the default schema, sorted — the schema-pin
+/// strategy applied to the detail and path families (a new name must be
+/// added here and to DESIGN.md §12 deliberately).
 const OPTIN_NAMES: [&str; 31] = [
     "anonymize.cache.batch_dup_hits_total",
     "anonymize.cache.prefix_hits_total",
@@ -60,18 +61,37 @@ const OPTIN_NAMES: [&str; 31] = [
     "telescope.ingest.windows_closed_total",
 ];
 
-fn is_optin(name: &str) -> bool {
+/// The detail families: recorded only at `Level::Detail`.
+fn is_detail(name: &str) -> bool {
     name.starts_with("hypersparse.radix.")
-        || name.starts_with("hypersparse.spill.")
+        || name.starts_with("span.hypersparse.radix.")
         || name.starts_with("anonymize.cache.")
         || name.starts_with("assoc.bitset.")
-        || name.starts_with("span.hypersparse.radix.")
+}
+
+/// The path families: recorded whenever their path runs, at any level.
+fn is_path(name: &str) -> bool {
+    name.starts_with("hypersparse.spill.")
         || name.starts_with("span.hypersparse.spill.")
         || name.starts_with("telescope.ingest.")
         || name.starts_with("ingest.backpressure.")
 }
 
-/// Drive every fast path far enough to touch all opt-in metric sites:
+/// Run every exercise and return the sorted detail- and path-family names
+/// the runs recorded, with the run's metric delta.
+fn exercise_all() -> (Vec<String>, MetricsSnapshot) {
+    let before = obscor_obs::snapshot();
+    exercise_fast_paths();
+    exercise_bitset();
+    exercise_spilled_fold();
+    exercise_streaming_ingest();
+    let delta = obscor_obs::snapshot().delta_since(&before);
+    let names =
+        delta.metric_names().into_iter().filter(|n| is_detail(n) || is_path(n)).collect();
+    (names, delta)
+}
+
+/// Drive every fast path far enough to touch all detail metric sites:
 /// a compaction big enough to take the radix arm of `into_csr` (at or
 /// above `RADIX_THRESHOLD`), a memo table build, scalar anonymization, and
 /// a batch with duplicates.
@@ -157,76 +177,68 @@ fn exercise_streaming_ingest() {
     assert!(snaps.iter().any(|s| s.merges > 0), "need a carry merge to exercise merges_total");
 }
 
-/// One test for both phases: the flags are process-global, so the
-/// off-phase must observably complete before anything enables them.
+/// One test for both phases: the level is process-wide, so the `Run`
+/// phase must observably complete before anything raises it.
 #[test]
 fn fast_path_metrics_are_opt_in_with_a_pinned_name_set() {
-    // Phase 1: flags off — the fast paths run silent.
-    let before = obscor_obs::snapshot();
-    exercise_fast_paths();
-    exercise_bitset();
-    exercise_spilled_fold();
-    exercise_streaming_ingest();
-    let silent = obscor_obs::snapshot().delta_since(&before);
-    let leaked: Vec<String> =
-        silent.metric_names().into_iter().filter(|n| is_optin(n)).collect();
-    assert!(leaked.is_empty(), "opt-in metrics leaked while disabled: {leaked:?}");
+    // Phase 1: the default level — the detail families run silent, the
+    // path families record because their paths ran.
+    let (got, run) = exercise_all();
+    let path_names: Vec<&str> = OPTIN_NAMES.into_iter().filter(|n| is_path(n)).collect();
+    assert_eq!(path_names.len(), 15);
+    assert_eq!(got, path_names, "path-family names drifted, or a detail name leaked");
 
-    // Phase 2: flags on — the exact documented set appears.
-    radix::enable_metrics();
-    spill::enable_spill_metrics();
-    memo::enable_cache_metrics();
-    bitset::enable_bitset_metrics();
-    stream::enable_ingest_metrics();
-    let before = obscor_obs::snapshot();
-    exercise_fast_paths();
-    exercise_bitset();
-    exercise_spilled_fold();
-    exercise_streaming_ingest();
-    let enabled = obscor_obs::snapshot().delta_since(&before);
-    let got: Vec<String> =
-        enabled.metric_names().into_iter().filter(|n| is_optin(n)).collect();
-    let got: Vec<&str> = got.iter().map(String::as_str).collect();
-    assert_eq!(got, OPTIN_NAMES, "opt-in metric names drifted");
+    // The spilled fold: every byte written was read back (nothing is
+    // left stranded on the medium), and the per-level merge timings
+    // match the 4 + 2 + 1 carry-merge shape of an 8-leaf fold exactly.
+    assert!(run.counters["hypersparse.spill.evictions_total"] >= 8);
+    assert!(run.counters["hypersparse.spill.reloads_total"] >= 7);
+    assert!(run.counters["hypersparse.spill.bytes_written_total"] >= 1);
+    assert_eq!(
+        run.counters["hypersparse.spill.bytes_read_total"],
+        run.counters["hypersparse.spill.bytes_written_total"]
+    );
+    for (level, calls) in [(0u32, 4u64), (1, 2), (2, 1)] {
+        let name = format!("span.hypersparse.spill.merge.level{level}");
+        assert_eq!(run.counters[&format!("{name}.calls_total")], calls, "{name}");
+        assert_eq!(run.histograms[&format!("{name}.ns")].count, calls, "{name}");
+    }
+    // Streaming ingest: exact totals for the 64-packet run.
+    assert_eq!(run.counters["telescope.ingest.windows_closed_total"], 2);
+    assert_eq!(run.counters["telescope.ingest.packets_total"], 64);
+    assert!(run.counters["telescope.ingest.leaves_total"] >= 4);
+    assert!(run.counters["telescope.ingest.merges_total"] >= 1);
+    assert!(run.counters["ingest.backpressure.blocked"] >= 1);
+
+    // Phase 2: `Level::Detail` — the 16 detail names join, and the whole
+    // set is exactly the pin.
+    obscor_obs::set_level(Level::Detail);
+    let (got, detail) = exercise_all();
+    assert_eq!(got, OPTIN_NAMES, "detail- and path-family names drifted");
+    assert_eq!(got.iter().filter(|n| is_detail(n)).count(), 16);
 
     // The counters carry real work, and the span algebra holds.
-    assert!(enabled.counters["hypersparse.radix.keys_total"] >= 40_000);
-    assert!(enabled.counters["anonymize.cache.table_builds_total"] >= 1);
-    assert!(enabled.counters["anonymize.cache.prefix_hits_total"] >= 1);
-    assert!(enabled.counters["anonymize.cache.batch_dup_hits_total"] >= 1);
+    assert!(detail.counters["hypersparse.radix.keys_total"] >= 40_000);
+    assert!(detail.counters["anonymize.cache.table_builds_total"] >= 1);
+    assert!(detail.counters["anonymize.cache.prefix_hits_total"] >= 1);
+    assert!(detail.counters["anonymize.cache.batch_dup_hits_total"] >= 1);
     // The bitset drive lands exactly where the hysteresis edges put it:
     // three array builds (ceiling set, demotion target, runs precursor),
     // three bitmap builds (one promotion, two dense even-key sets), one
     // runs conversion, and one word-parallel overlap over both chunks.
-    assert_eq!(enabled.counters["assoc.bitset.containers_array_total"], 3);
-    assert_eq!(enabled.counters["assoc.bitset.containers_bitmap_total"], 3);
-    assert_eq!(enabled.counters["assoc.bitset.containers_runs_total"], 1);
-    assert_eq!(enabled.counters["assoc.bitset.promotions_total"], 1);
-    assert_eq!(enabled.counters["assoc.bitset.demotions_total"], 1);
-    assert_eq!(enabled.counters["assoc.bitset.words_scanned_total"], 2048);
+    assert_eq!(detail.counters["assoc.bitset.containers_array_total"], 3);
+    assert_eq!(detail.counters["assoc.bitset.containers_bitmap_total"], 3);
+    assert_eq!(detail.counters["assoc.bitset.containers_runs_total"], 1);
+    assert_eq!(detail.counters["assoc.bitset.promotions_total"], 1);
+    assert_eq!(detail.counters["assoc.bitset.demotions_total"], 1);
+    assert_eq!(detail.counters["assoc.bitset.words_scanned_total"], 2048);
     assert_eq!(
-        enabled.histograms["span.hypersparse.radix.digit_passes.ns"].count,
-        enabled.counters["span.hypersparse.radix.digit_passes.calls_total"]
+        detail.histograms["span.hypersparse.radix.digit_passes.ns"].count,
+        detail.counters["span.hypersparse.radix.digit_passes.calls_total"]
     );
-    // The spilled fold: every byte written was read back (nothing is
-    // left stranded on the medium), and the per-level merge timings
-    // match the 4 + 2 + 1 carry-merge shape of an 8-leaf fold exactly.
-    assert!(enabled.counters["hypersparse.spill.evictions_total"] >= 8);
-    assert!(enabled.counters["hypersparse.spill.reloads_total"] >= 7);
-    assert!(enabled.counters["hypersparse.spill.bytes_written_total"] >= 1);
-    assert_eq!(
-        enabled.counters["hypersparse.spill.bytes_read_total"],
-        enabled.counters["hypersparse.spill.bytes_written_total"]
-    );
-    for (level, calls) in [(0u32, 4u64), (1, 2), (2, 1)] {
-        let name = format!("span.hypersparse.spill.merge.level{level}");
-        assert_eq!(enabled.counters[&format!("{name}.calls_total")], calls, "{name}");
-        assert_eq!(enabled.histograms[&format!("{name}.ns")].count, calls, "{name}");
+    // The level gates detail names only: the path families count the
+    // same work at either level.
+    for name in ["hypersparse.spill.bytes_written_total", "telescope.ingest.packets_total"] {
+        assert_eq!(detail.counters[name], run.counters[name], "{name}");
     }
-    // Streaming ingest: exact totals for the 64-packet run above.
-    assert_eq!(enabled.counters["telescope.ingest.windows_closed_total"], 2);
-    assert_eq!(enabled.counters["telescope.ingest.packets_total"], 64);
-    assert!(enabled.counters["telescope.ingest.leaves_total"] >= 4);
-    assert!(enabled.counters["telescope.ingest.merges_total"] >= 1);
-    assert!(enabled.counters["ingest.backpressure.blocked"] >= 1);
 }
