@@ -6,10 +6,17 @@
 //! AES purely as a pseudo-random function, and its own inverse is computed
 //! bit-sequentially rather than by block decryption.
 //!
-//! This implementation favours clarity and testability over speed; it is
-//! table-driven (S-box only) and allocation-free. It is *not*
-//! constant-time and must not be used to protect live secrets — its job
-//! here is research-data anonymization, matching the paper's usage.
+//! The state is held as four big-endian column words. Each of the nine
+//! full rounds is sixteen lookups into four 256-entry `u32` T-tables that
+//! fuse SubBytes, ShiftRows and MixColumns (4 KiB, built from `SBOX` by
+//! a `const fn` at compile time); the last round uses the S-box alone.
+//! `WordPrf` is the crate's one-bit view of the same cipher: the top
+//! ciphertext bit of a block whose last 12 bytes are fixed, which is all
+//! CryptoPAN reads. The byte-wise S-box cipher this replaced is the
+//! differential oracle in `tests/aes_oracle.rs`. Allocation-free, *not*
+//! constant-time (lookups are key- and data-dependent), and not for
+//! protecting live secrets — its job here is research-data anonymization,
+//! matching the paper's usage.
 
 /// The AES S-box.
 const SBOX: [u8; 256] = [
@@ -35,58 +42,109 @@ const SBOX: [u8; 256] = [
 const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
 
 /// Multiply by x (i.e. {02}) in GF(2^8) modulo x^8 + x^4 + x^3 + x + 1.
-#[inline]
-fn xtime(b: u8) -> u8 {
+const fn xtime(b: u8) -> u8 {
     (b << 1) ^ (if b & 0x80 != 0 { 0x1b } else { 0 })
 }
 
-/// An expanded AES-128 key (11 round keys of 16 bytes).
+/// The encryption T-tables. `TE[0][x]` is the MixColumns image of a column
+/// holding `S[x]` in row 0 and zeros elsewhere, `(2·S[x], S[x], S[x],
+/// 3·S[x])` as a big-endian word; `TE[k]` is the same for row `k`, i.e.
+/// `TE[0]` rotated right by `8k` bits.
+const fn t_tables() -> [[u32; 256]; 4] {
+    let mut t = [[0u32; 256]; 4];
+    let mut x = 0;
+    while x < 256 {
+        let s = SBOX[x];
+        let w = u32::from_be_bytes([xtime(s), s, s, xtime(s) ^ s]);
+        t[0][x] = w;
+        t[1][x] = w.rotate_right(8);
+        t[2][x] = w.rotate_right(16);
+        t[3][x] = w.rotate_right(24);
+        x += 1;
+    }
+    t
+}
+
+/// The T-tables, computed at compile time.
+static TE: [[u32; 256]; 4] = t_tables();
+
+/// Byte `k` of a column word (row `k`, 0 = most significant), as an index.
+#[inline(always)]
+fn byte(w: u32, k: u32) -> usize {
+    usize::from((w >> (24 - 8 * k)) as u8)
+}
+
+/// `SBOX` applied to row `k` of `w`, moved to row `k` of the result.
+#[inline(always)]
+fn sub_byte(w: u32, k: u32) -> u32 {
+    u32::from(SBOX[byte(w, k)]) << (24 - 8 * k)
+}
+
+/// Column `c` of a full round before AddRoundKey: row `k` comes from
+/// column `c + k` (ShiftRows), and the T-tables do SubBytes and MixColumns.
+#[inline(always)]
+fn column(s: &[u32; 4], c: usize) -> u32 {
+    TE[0][byte(s[c], 0)]
+        ^ TE[1][byte(s[(c + 1) % 4], 1)]
+        ^ TE[2][byte(s[(c + 2) % 4], 2)]
+        ^ TE[3][byte(s[(c + 3) % 4], 3)]
+}
+
+/// One full round: SubBytes, ShiftRows, MixColumns, AddRoundKey `k`.
+#[inline(always)]
+fn round(s: [u32; 4], k: [u32; 4]) -> [u32; 4] {
+    [column(&s, 0) ^ k[0], column(&s, 1) ^ k[1], column(&s, 2) ^ k[2], column(&s, 3) ^ k[3]]
+}
+
+/// An expanded AES-128 key: the 44-word schedule `w` of FIPS-197 §5.2.
 #[derive(Clone)]
 pub struct Aes128 {
-    round_keys: [[u8; 16]; 11],
+    w: [u32; 44],
 }
 
 impl Aes128 {
     /// Expand a 16-byte key.
     pub fn new(key: &[u8; 16]) -> Self {
-        let mut w = [[0u8; 4]; 44];
+        let mut w = [0u32; 44];
         for (i, chunk) in key.chunks_exact(4).enumerate() {
-            w[i].copy_from_slice(chunk);
+            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
         }
         for i in 4..44 {
             let mut temp = w[i - 1];
             if i % 4 == 0 {
-                temp.rotate_left(1);
-                for b in &mut temp {
-                    *b = SBOX[*b as usize];
-                }
-                temp[0] ^= RCON[i / 4 - 1];
+                let rot = temp.rotate_left(8);
+                temp = sub_byte(rot, 0) | sub_byte(rot, 1) | sub_byte(rot, 2) | sub_byte(rot, 3);
+                temp ^= u32::from(RCON[i / 4 - 1]) << 24;
             }
-            for j in 0..4 {
-                w[i][j] = w[i - 4][j] ^ temp[j];
-            }
+            w[i] = w[i - 4] ^ temp;
         }
-        let mut round_keys = [[0u8; 16]; 11];
-        for r in 0..11 {
-            for c in 0..4 {
-                round_keys[r][c * 4..c * 4 + 4].copy_from_slice(&w[r * 4 + c]);
-            }
-        }
-        Self { round_keys }
+        Self { w }
+    }
+
+    /// Round key `r`: schedule words `4r..4r + 4`.
+    #[inline(always)]
+    fn round_key(&self, r: usize) -> [u32; 4] {
+        [self.w[4 * r], self.w[4 * r + 1], self.w[4 * r + 2], self.w[4 * r + 3]]
     }
 
     /// Encrypt one 16-byte block in place.
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
-        add_round_key(block, &self.round_keys[0]);
-        for round in 1..10 {
-            sub_bytes(block);
-            shift_rows(block);
-            mix_columns(block);
-            add_round_key(block, &self.round_keys[round]);
+        let k = self.round_key(0);
+        let mut s = [0u32; 4];
+        for (c, (col, bytes)) in s.iter_mut().zip(block.chunks_exact(4)).enumerate() {
+            *col = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) ^ k[c];
         }
-        sub_bytes(block);
-        shift_rows(block);
-        add_round_key(block, &self.round_keys[10]);
+        for r in 1..10 {
+            s = round(s, self.round_key(r));
+        }
+        let k = self.round_key(10);
+        for (c, bytes) in block.chunks_exact_mut(4).enumerate() {
+            let col = sub_byte(s[c], 0)
+                | sub_byte(s[(c + 1) % 4], 1)
+                | sub_byte(s[(c + 2) % 4], 2)
+                | sub_byte(s[(c + 3) % 4], 3);
+            bytes.copy_from_slice(&(col ^ k[c]).to_be_bytes());
+        }
     }
 
     /// Encrypt a copy of a 16-byte block.
@@ -97,40 +155,49 @@ impl Aes128 {
     }
 }
 
-#[inline]
-fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
-    for i in 0..16 {
-        state[i] ^= rk[i];
-    }
+/// AES-128 as a one-bit function of block word 0: the top bit of the
+/// ciphertext of `word0 ‖ tail` for a fixed 12-byte `tail`.
+///
+/// Bit for bit the top bit of [`Aes128::encrypt`], with three savings.
+/// Each round-1 output column reads exactly one byte of word 0, so the
+/// other three lookups of every column and round key 1 fold into four
+/// constants here. Only column 0 of round 9 feeds the top ciphertext
+/// byte, and only byte 0 of round 10 holds the top bit.
+pub(crate) struct WordPrf {
+    aes: Aes128,
+    /// Round 1's output columns with their word-0 lookup left out.
+    round1: [u32; 4],
 }
 
-#[inline]
-fn sub_bytes(state: &mut [u8; 16]) {
-    for b in state.iter_mut() {
-        *b = SBOX[*b as usize];
-    }
-}
-
-/// State layout is column-major as in FIPS-197: byte `state[4c + r]` is row
-/// `r`, column `c`. ShiftRows rotates row `r` left by `r`.
-#[inline]
-fn shift_rows(state: &mut [u8; 16]) {
-    let s = *state;
-    for r in 1..4 {
-        for c in 0..4 {
-            state[c * 4 + r] = s[((c + r) % 4) * 4 + r];
+impl WordPrf {
+    /// Fix words 1..4 of the block to `tail` under `aes`.
+    pub(crate) fn new(aes: Aes128, tail: [u32; 3]) -> Self {
+        let k = aes.round_key(0);
+        // Round 1 with word 0 zero after AddRoundKey, then its word-0
+        // lookups (of byte 0) taken out again.
+        let mut round1 = round([0, tail[0] ^ k[1], tail[1] ^ k[2], tail[2] ^ k[3]], aes.round_key(1));
+        for (c, col) in round1.iter_mut().enumerate() {
+            *col ^= TE[(4 - c) % 4][0];
         }
+        Self { aes, round1 }
     }
-}
 
-#[inline]
-fn mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [state[c * 4], state[c * 4 + 1], state[c * 4 + 2], state[c * 4 + 3]];
-        let t = col[0] ^ col[1] ^ col[2] ^ col[3];
-        for r in 0..4 {
-            state[c * 4 + r] = col[r] ^ t ^ xtime(col[r] ^ col[(r + 1) % 4]);
+    /// The top ciphertext bit (0 or 1) of the block `word0 ‖ tail`.
+    #[inline]
+    pub(crate) fn msb(&self, word0: u32) -> u32 {
+        // Column `c` of round 1 takes word 0's byte in row `(4 - c) % 4`.
+        let x = word0 ^ self.aes.w[0];
+        let mut s = [
+            self.round1[0] ^ TE[0][byte(x, 0)],
+            self.round1[1] ^ TE[3][byte(x, 3)],
+            self.round1[2] ^ TE[2][byte(x, 2)],
+            self.round1[3] ^ TE[1][byte(x, 1)],
+        ];
+        for r in 2..9 {
+            s = round(s, self.aes.round_key(r));
         }
+        let col0 = column(&s, 0) ^ self.aes.w[36];
+        (sub_byte(col0, 0) ^ self.aes.w[40]) >> 31
     }
 }
 
@@ -166,8 +233,8 @@ mod tests {
         // FIPS-197 Appendix A.1 key expansion: w[40..44] for the 2b7e... key.
         let key: [u8; 16] = hex("2b7e151628aed2a6abf7158809cf4f3c").try_into().unwrap();
         let aes = Aes128::new(&key);
-        assert_eq!(aes.round_keys[0].to_vec(), hex("2b7e151628aed2a6abf7158809cf4f3c"));
-        assert_eq!(aes.round_keys[10].to_vec(), hex("d014f9a8c9ee2589e13f0cc8b6630ca6"));
+        assert_eq!(aes.w[..4], [0x2b7e_1516, 0x28ae_d2a6, 0xabf7_1588, 0x09cf_4f3c]);
+        assert_eq!(aes.w[40..], [0xd014_f9a8, 0xc9ee_2589, 0xe13f_0cc8, 0xb663_0ca6]);
     }
 
     #[test]

@@ -9,13 +9,15 @@
 //! the output differs whenever bit `i` of the input differs under the same
 //! prefix).
 
-use crate::aes::Aes128;
+use crate::aes::{Aes128, WordPrf};
 
 /// A keyed prefix-preserving anonymizer for IPv4 addresses.
 pub struct CryptoPan {
-    aes: Aes128,
-    /// The encrypted padding block used to fill the unknown low bits.
-    pad: [u8; 16],
+    /// AES under the key's first half, as a one-bit PRF of block word 0
+    /// with words 1..4 fixed to the encrypted padding block's.
+    prf: WordPrf,
+    /// Word 0 of the encrypted padding block: fills the unknown low bits.
+    pad0: u32,
 }
 
 impl CryptoPan {
@@ -26,45 +28,30 @@ impl CryptoPan {
         // audit:allow(panic-path) — halving a fixed [u8; 32] key: infallible by construction
         let aes = Aes128::new(key[..16].try_into().expect("16-byte AES key"));
         // audit:allow(panic-path) — same fixed-size split as above
-        let mut pad: [u8; 16] = key[16..].try_into().expect("16-byte pad");
-        aes.encrypt_block(&mut pad);
-        Self { aes, pad }
+        let pad = aes.encrypt(key[16..].try_into().expect("16-byte pad"));
+        let [pad0, w1, w2, w3] =
+            [0, 4, 8, 12].map(|i| u32::from_be_bytes([pad[i], pad[i + 1], pad[i + 2], pad[i + 3]]));
+        Self { prf: WordPrf::new(aes, [w1, w2, w3]), pad0 }
     }
 
     /// Compute the one-time pad for `addr`: bit `i` (from the MSB) depends
     /// only on the first `i` bits of `addr`.
     fn one_time_pad(&self, addr: u32) -> u32 {
-        let pad_u32 = u32::from_be_bytes([self.pad[0], self.pad[1], self.pad[2], self.pad[3]]);
-        let mut otp = 0u32;
-        let mut block = [0u8; 16];
-        block[4..].copy_from_slice(&self.pad[4..]);
-        for pos in 0..32 {
-            // First `pos` bits from the address, remaining bits from the pad.
-            let mask = if pos == 0 { 0u32 } else { u32::MAX << (32 - pos) };
-            let input = (addr & mask) | (pad_u32 & !mask);
-            block[..4].copy_from_slice(&input.to_be_bytes());
-            let out = self.aes.encrypt(&block);
-            otp = (otp << 1) | u32::from(out[0] >> 7);
-        }
-        otp
+        (0..32).fold(0, |otp, pos| (otp << 1) | self.pad_bit(addr, pos))
     }
 
     /// One pad bit in isolation: the bit at position `pos` (MSB-first) of
-    /// the one-time pad, which by construction depends only on the first
-    /// `pos` bits of `addr`. This is exactly one iteration of
-    /// [`Self::one_time_pad`]; the memoized anonymizer
-    /// ([`crate::memo::MemoCryptoPan`]) uses it to precompute the prefix
-    /// subtree and to fill in suffix bits, guaranteeing bit-identical
-    /// output by sharing the block construction.
+    /// the one-time pad, the top ciphertext bit of the block whose first
+    /// `pos` bits are `addr`'s and whose remaining bits are the encrypted
+    /// padding block's. It depends only on the first `pos` bits of `addr`.
+    /// Every pad bit of the crate comes from here: [`Self::one_time_pad`],
+    /// both inverses, and the memoized anonymizer's
+    /// ([`crate::memo::MemoCryptoPan`]) prefix table and suffix bits, so
+    /// the paths agree bit for bit.
+    #[inline]
     pub(crate) fn pad_bit(&self, addr: u32, pos: u32) -> u32 {
-        let pad_u32 = u32::from_be_bytes([self.pad[0], self.pad[1], self.pad[2], self.pad[3]]);
         let mask = if pos == 0 { 0u32 } else { u32::MAX << (32 - pos) };
-        let input = (addr & mask) | (pad_u32 & !mask);
-        let mut block = [0u8; 16];
-        block[4..].copy_from_slice(&self.pad[4..]);
-        block[..4].copy_from_slice(&input.to_be_bytes());
-        let out = self.aes.encrypt(&block);
-        u32::from(out[0] >> 7)
+        self.prf.msb((addr & mask) | (self.pad0 & !mask))
     }
 
     /// Anonymize one address.
@@ -88,19 +75,10 @@ impl CryptoPan {
     /// depends only on *real* bits `0..i`, the real address can be
     /// recovered MSB-first.
     pub fn deanonymize(&self, anon: u32) -> u32 {
-        let pad_u32 = u32::from_be_bytes([self.pad[0], self.pad[1], self.pad[2], self.pad[3]]);
         let mut real = 0u32;
-        let mut block = [0u8; 16];
-        block[4..].copy_from_slice(&self.pad[4..]);
         for pos in 0..32 {
-            let mask = if pos == 0 { 0u32 } else { u32::MAX << (32 - pos) };
-            let input = (real & mask) | (pad_u32 & !mask);
-            block[..4].copy_from_slice(&input.to_be_bytes());
-            let out = self.aes.encrypt(&block);
-            let pad_bit = u32::from(out[0] >> 7);
             let anon_bit = (anon >> (31 - pos)) & 1;
-            let real_bit = anon_bit ^ pad_bit;
-            real |= real_bit << (31 - pos);
+            real |= (anon_bit ^ self.pad_bit(real, pos)) << (31 - pos);
         }
         real
     }
@@ -128,6 +106,32 @@ mod tests {
             *k = seed.wrapping_mul(31).wrapping_add(i as u8);
         }
         CryptoPan::new(&key)
+    }
+
+    #[test]
+    fn pad_bit_is_the_top_bit_of_the_reference_block() {
+        // The block of the reference construction, assembled byte by byte
+        // and encrypted by the full cipher: the first `pos` bits of `addr`,
+        // then the encrypted padding block's bits.
+        let mut key = [0u8; 32];
+        for (i, k) in key.iter_mut().enumerate() {
+            *k = (i as u8).wrapping_mul(37) ^ 0x5C;
+        }
+        let c = CryptoPan::new(&key);
+        let aes = Aes128::new(key[..16].try_into().unwrap());
+        let pad = aes.encrypt(key[16..].try_into().unwrap());
+        for addr in [0u32, u32::MAX, 0xC0A8_0001, 0x8000_0000, 0x0A01_0203, 0x1357_9BDF] {
+            for pos in 0..32 {
+                let mut block = pad;
+                for bit in 0..pos as usize {
+                    let (byte, shift) = (bit / 8, 7 - bit % 8);
+                    let addr_bit = ((addr >> (31 - bit)) & 1) as u8;
+                    block[byte] = (block[byte] & !(1 << shift)) | (addr_bit << shift);
+                }
+                let expect = u32::from(aes.encrypt(&block)[0] >> 7);
+                assert_eq!(c.pad_bit(addr, pos), expect, "addr {addr:#010x} pos {pos}");
+            }
+        }
     }
 
     #[test]

@@ -7,13 +7,16 @@
 //! `k`-bit real prefix, so subnet structure survives anonymization while
 //! identities do not.
 //!
-//! * [`aes`] — a from-scratch AES-128 block cipher (encrypt direction,
-//!   which is all CryptoPAN needs), validated against the FIPS-197 vectors,
+//! * [`aes`] — a from-scratch T-table AES-128 block cipher (encrypt
+//!   direction, which is all CryptoPAN needs), validated against the
+//!   FIPS-197 vectors and a byte-wise S-box oracle in the test tree,
 //! * [`cryptopan`] — the prefix-preserving anonymizer and its sequential
-//!   inverse,
+//!   inverse; every pad bit is one call of a one-bit AES kernel that
+//!   computes only what the ciphertext's top bit needs,
 //! * [`memo`] — a memoized anonymizer that precomputes the top-16-bit
 //!   prefix subtree into a flat table (16 AES calls per address instead of
-//!   32, bit-identical output), used by the capture fast path,
+//!   32; fewer in sorted batches, where neighbours share pad bits past bit
+//!   16; bit-identical output), used by the capture fast path,
 //! * [`sharing`] — the three correlation workflows for anonymized data the
 //!   paper lists: send-back deanonymization, a common third scheme, and a
 //!   transformation table.

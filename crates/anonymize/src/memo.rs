@@ -5,15 +5,17 @@
 //! their top 16 bits. [`MemoCryptoPan`] exploits this by walking the whole
 //! 16-level prefix tree once per key — `2^0 + 2^1 + … + 2^15 = 65535` AES
 //! invocations — and flattening the top-16 pad bits into a `2^16`-entry
-//! table. Each subsequent address then costs **one table lookup plus 16 AES
-//! calls** (for bit positions 16..32) instead of 32 AES calls, and
-//! [`MemoCryptoPan::anonymize_slice`] sorts batches so duplicate addresses
-//! cost nothing and neighbours walk the table cache-resident.
+//! table. A scalar [`MemoCryptoPan::anonymize`] then costs **one table
+//! lookup plus 16 AES calls** (for bit positions 16..32) instead of 32.
+//! [`MemoCryptoPan::anonymize_slice`] walks a batch in sorted order: a
+//! duplicate costs nothing, and an address sharing `L ≥ 16` leading bits
+//! with the previous distinct address takes that address's pad bits
+//! `16..=L` and computes only bits `L+1..32`, `31 − L` AES calls.
 //!
-//! The memoized map is **bit-identical** to [`CryptoPan`]: both are built
-//! from the same [`CryptoPan::pad_bit`] block construction, and the
+//! The memoized map is **bit-identical** to [`CryptoPan`]: every pad bit
+//! of both comes from the same crate-private `CryptoPan::pad_bit`, and the
 //! differential property suite (`tests/properties.rs`) pins
-//! `memo ≡ uncached` over full-range address samples.
+//! `memo ≡ uncached` over full-range and clustered address samples.
 //!
 //! Detail metrics (recorded only at `obscor_obs::Level::Detail`, keeping
 //! the default metrics schema untouched):
@@ -22,19 +24,20 @@
 //! * `anonymize.cache.prefix_hits_total` — addresses whose top-16 pad came
 //!   from the table
 //! * `anonymize.cache.suffix_aes_total` — AES calls spent on suffix bits
+//!   (`32 − max(16, L + 1)` per distinct batch address, 16 per scalar call)
 //! * `anonymize.cache.batch_dup_hits_total` — batch entries served by the
 //!   previous identical address
 
-use crate::cryptopan::CryptoPan;
+use crate::cryptopan::{common_prefix_len, CryptoPan};
 
 /// Number of prefix bits resolved by the flat table.
 const TABLE_BITS: u32 = 16;
 
 /// A [`CryptoPan`] with the top-16-bit pad subtree precomputed.
 ///
-/// Construction costs 65535 AES calls; every anonymization after that
-/// costs 16 (vs. 32 uncached). Output is bit-identical to the wrapped
-/// [`CryptoPan`] by construction.
+/// Construction costs 65535 AES calls; a scalar anonymization after that
+/// costs 16 (vs. 32 uncached), and a batched one at most 16. Output is
+/// bit-identical to the wrapped [`CryptoPan`] by construction.
 pub struct MemoCryptoPan {
     inner: CryptoPan,
     /// `table[p]` holds pad bits 0..16 (MSB-first in the u16) shared by
@@ -74,23 +77,22 @@ impl MemoCryptoPan {
         Self { inner, table }
     }
 
-    /// Anonymize one address: table lookup for the top 16 pad bits, 16 AES
-    /// calls for the rest. Bit-identical to [`CryptoPan::anonymize`].
-    ///
-    /// With the `strict-invariants` feature enabled, every call verifies
-    /// its own inverse, mirroring the uncached path.
-    pub fn anonymize(&self, addr: u32) -> u32 {
-        let hi = u32::from(self.table[(addr >> TABLE_BITS) as usize]);
-        let mut lo = 0u32;
-        for pos in TABLE_BITS..32 {
-            lo = (lo << 1) | self.inner.pad_bit(addr, pos);
-        }
-        if obscor_obs::detail() {
-            obscor_obs::counter("anonymize.cache.prefix_hits_total").inc();
-            obscor_obs::counter("anonymize.cache.suffix_aes_total")
-                .add(u64::from(32 - TABLE_BITS));
-        }
-        let anon = addr ^ ((hi << TABLE_BITS) | lo);
+    /// Pad bits `0..16` of `addr`, read from the table, in their pad
+    /// positions (the top half of the pad word).
+    fn table_pad(&self, addr: u32) -> u32 {
+        u32::from(self.table[(addr >> TABLE_BITS) as usize]) << TABLE_BITS
+    }
+
+    /// Pad bits `from..32` of `addr`, one AES call each, in their pad
+    /// positions (the low `32 - from` bits).
+    fn suffix_pad(&self, addr: u32, from: u32) -> u32 {
+        (from..32).fold(0, |lo, pos| (lo << 1) | self.inner.pad_bit(addr, pos))
+    }
+
+    /// `addr ^ pad`, verified to invert back to `addr` under the
+    /// `strict-invariants` feature, mirroring the uncached path.
+    fn checked_xor(&self, addr: u32, pad: u32) -> u32 {
+        let anon = addr ^ pad;
         #[cfg(feature = "strict-invariants")]
         {
             if self.deanonymize(anon) != addr {
@@ -99,6 +101,21 @@ impl MemoCryptoPan {
             }
         }
         anon
+    }
+
+    /// Anonymize one address: table lookup for the top 16 pad bits, 16 AES
+    /// calls for the rest. Bit-identical to [`CryptoPan::anonymize`].
+    ///
+    /// With the `strict-invariants` feature enabled, every call verifies
+    /// its own inverse, mirroring the uncached path.
+    pub fn anonymize(&self, addr: u32) -> u32 {
+        let pad = self.table_pad(addr) | self.suffix_pad(addr, TABLE_BITS);
+        if obscor_obs::detail() {
+            obscor_obs::counter("anonymize.cache.prefix_hits_total").inc();
+            obscor_obs::counter("anonymize.cache.suffix_aes_total")
+                .add(u64::from(32 - TABLE_BITS));
+        }
+        self.checked_xor(addr, pad)
     }
 
     /// Invert the anonymization: the top 16 real bits come from a walk of
@@ -123,9 +140,15 @@ impl MemoCryptoPan {
         real
     }
 
-    /// Anonymize a batch in place, sorted by address so that duplicate
-    /// addresses are anonymized once and neighbouring prefixes walk the
-    /// table cache-resident. Results land in the original positions.
+    /// Anonymize a batch in place. The batch is walked in address order,
+    /// so a duplicate costs nothing and an address sharing `L ≥ 16`
+    /// leading bits with the previous distinct one reuses that address's
+    /// pad bits `0..=L` (pad bit `pos` depends only on address bits
+    /// `0..pos`): it costs `31 - L` AES calls instead of 16. Results land
+    /// in the original positions, bit-identical to [`Self::anonymize`].
+    ///
+    /// With the `strict-invariants` feature enabled, every distinct
+    /// address is verified against its inverse, shared bits included.
     pub fn anonymize_slice(&self, addrs: &mut [u32]) {
         if addrs.len() < 2 {
             for a in addrs.iter_mut() {
@@ -136,23 +159,39 @@ impl MemoCryptoPan {
         let mut order: Vec<usize> = (0..addrs.len()).collect();
         order.sort_unstable_by_key(|&i| addrs[i]);
         let mut results = vec![0u32; addrs.len()];
+        // The previous distinct address and its pad.
         let mut prev: Option<(u32, u32)> = None;
-        let mut dup_hits = 0u64;
+        let (mut distinct, mut dup_hits, mut suffix_aes) = (0u64, 0u64, 0u64);
         for &i in &order {
             let addr = addrs[i];
-            let anon = match prev {
-                Some((p_addr, p_anon)) if p_addr == addr => {
+            results[i] = match prev {
+                Some((p_addr, p_pad)) if p_addr == addr => {
                     dup_hits += 1;
-                    p_anon
+                    addr ^ p_pad
                 }
-                _ => self.anonymize(addr),
+                _ => {
+                    // Pad bits `0..from` are known: from the previous pad
+                    // when the two share a /16 or longer, else the table.
+                    let shared = prev.map_or(0, |(p_addr, _)| common_prefix_len(p_addr, addr));
+                    let (known, from) = match prev {
+                        Some((_, p_pad)) if shared >= TABLE_BITS => (p_pad, shared + 1),
+                        _ => (self.table_pad(addr), TABLE_BITS),
+                    };
+                    let pad = (known & (u32::MAX << (32 - from))) | self.suffix_pad(addr, from);
+                    distinct += 1;
+                    suffix_aes += u64::from(32 - from);
+                    prev = Some((addr, pad));
+                    self.checked_xor(addr, pad)
+                }
             };
-            prev = Some((addr, anon));
-            results[i] = anon;
         }
         addrs.copy_from_slice(&results);
-        if obscor_obs::detail() && dup_hits > 0 {
-            obscor_obs::counter("anonymize.cache.batch_dup_hits_total").add(dup_hits);
+        if obscor_obs::detail() {
+            obscor_obs::counter("anonymize.cache.prefix_hits_total").add(distinct);
+            obscor_obs::counter("anonymize.cache.suffix_aes_total").add(suffix_aes);
+            if dup_hits > 0 {
+                obscor_obs::counter("anonymize.cache.batch_dup_hits_total").add(dup_hits);
+            }
         }
     }
 

@@ -37,6 +37,29 @@ fn memo_pair(second: bool) -> &'static (CryptoPan, MemoCryptoPan) {
     })
 }
 
+/// Batches that share long prefixes, which full-range draws almost never
+/// do: up to 64 picks, with duplicates, from a few hosts of one random
+/// /16, /24 or /31 block, or (`straddle`) of a block of that size centred
+/// on a /16 boundary. In sorted order they share pad bits past bit 16.
+fn clustered_batch() -> impl Strategy<Value = Vec<u32>> {
+    (
+        any::<u32>(),
+        prop::sample::select(vec![16u32, 24, 31]),
+        any::<bool>(),
+        prop::collection::vec(any::<u32>(), 1..24),
+        prop::collection::vec(any::<u32>(), 0..64),
+    )
+        .prop_map(|(base, prefix_len, straddle, hosts, picks)| {
+            let host = u32::MAX >> prefix_len;
+            let start =
+                if straddle { (base & 0xFFFF_0000).wrapping_sub(host / 2 + 1) } else { base & !host };
+            picks
+                .iter()
+                .map(|&p| start.wrapping_add(hosts[p as usize % hosts.len()] & host))
+                .collect()
+        })
+}
+
 proptest! {
     /// Anonymization is invertible for every address.
     #[test]
@@ -143,18 +166,22 @@ proptest! {
         );
     }
 
-    /// The batched sort-by-prefix path equals the scalar path (and hence
-    /// the uncached scheme) element-wise, duplicates and all.
+    /// The batched sort-by-prefix path equals the uncached scalar scheme
+    /// element-wise, duplicates and all, on full-range batches and on
+    /// clustered ones whose sorted walk reuses pad bits past bit 16.
     #[test]
     fn memo_slice_equals_scalar(
         addrs in prop::collection::vec(any::<u32>(), 0..64),
+        clustered in clustered_batch(),
         second in any::<bool>(),
     ) {
         let (cp, memo) = memo_pair(second);
-        let mut batched = addrs.clone();
-        memo.anonymize_slice(&mut batched);
-        let scalar: Vec<u32> = addrs.iter().map(|&a| cp.anonymize(a)).collect();
-        prop_assert_eq!(batched, scalar);
+        for addrs in [addrs, clustered] {
+            let mut batched = addrs.clone();
+            memo.anonymize_slice(&mut batched);
+            let scalar: Vec<u32> = addrs.iter().map(|&a| cp.anonymize(a)).collect();
+            prop_assert_eq!(batched, scalar);
+        }
     }
 
     /// Anonymizing a sorted set preserves relative order of shared-prefix

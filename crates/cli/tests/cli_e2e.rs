@@ -287,6 +287,20 @@ fn serve_fast_path_metrics_records_detail_names() {
 }
 
 #[test]
+fn serve_anonymized_check_is_byte_equal() {
+    // The workers' batched, prefix-sharing anonymization against the
+    // scalar memoized anonymizer of the batch build, on telescope windows.
+    let out = obscor()
+        .args(["serve", "--nv", "2^14", "--seed", "42", "--workers", "2", "--windows", "2"])
+        .args(["--window-packets", "4096", "--anonymize", "--check"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+    assert!(out.status.success(), "stderr:\n{stderr}");
+    assert!(stderr.contains("check: 2/2 windows byte-equal"), "stderr:\n{stderr}");
+}
+
+#[test]
 fn unusable_spill_dir_is_reported_per_window() {
     let dir = ScratchDir::new("spill_fallback");
     // A regular file: no spill directory can be created under it.
