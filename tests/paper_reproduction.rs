@@ -23,6 +23,16 @@ fn other_analysis() -> &'static PaperAnalysis {
     A.get_or_init(|| pipeline::run(&Scenario::paper_scaled(1 << 15, 77), &AnalysisConfig::fast()))
 }
 
+/// The third golden fixture, under the default (dense) grids: the only
+/// one whose fits walk the 80 × 60 modified-Cauchy grid and the
+/// fractional Zipf–Mandelbrot offsets.
+fn default_analysis() -> &'static PaperAnalysis {
+    static A: OnceLock<PaperAnalysis> = OnceLock::new();
+    A.get_or_init(|| {
+        pipeline::run(&Scenario::paper_scaled(1 << 14, 42), &AnalysisConfig::default())
+    })
+}
+
 #[test]
 fn table1_inventory_matches_paper_layout() {
     let (s, a) = analysis();
@@ -366,6 +376,78 @@ fn golden_fig3_tail_fits_are_pinned() {
     let (_, a) = analysis();
     assert_eq!(tail_fit_digest(a), (9, 706_163_371_320_274_572));
     assert_eq!(tail_fit_digest(other_analysis()), (9, 11_964_916_198_728_551_003));
+}
+
+/// Folds `text` and then each field's little-endian bytes into the FNV-1a
+/// state `h`.
+fn fnv_record(h: &mut u64, text: &str, fields: &[u64]) {
+    for b in text.bytes().chain(fields.iter().flat_map(|f| f.to_le_bytes())) {
+        *h = (*h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+    }
+}
+
+/// FNV-1a over every Figs 5–8 fit, by `to_bits`: `(window, bin,
+/// modified_cauchy.{alpha, beta, peak, residual})`, then the Gaussian's
+/// and the Cauchy's `{param, peak, residual}` (a missing fit hashes as
+/// `u64::MAX`). Returns `(fits, digest)`.
+fn fig5_8_fit_digest(a: &PaperAnalysis) -> (usize, u64) {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for f in &a.fits {
+        let mc = &f.modified_cauchy;
+        let mut fields = vec![
+            u64::from(f.bin),
+            mc.alpha.to_bits(),
+            mc.beta.to_bits(),
+            mc.peak.to_bits(),
+            mc.residual.to_bits(),
+        ];
+        for single in [f.gaussian, f.cauchy] {
+            match single {
+                Some(s) => {
+                    fields.extend([s.param.to_bits(), s.peak.to_bits(), s.residual.to_bits()])
+                }
+                None => fields.push(u64::MAX),
+            }
+        }
+        fnv_record(&mut h, &f.window_label, &fields);
+    }
+    (a.fits.len(), h)
+}
+
+#[test]
+fn golden_fig5_8_fits_are_pinned() {
+    assert_eq!(fig5_8_fit_digest(&analysis().1), (57, 3_810_312_339_434_143_303));
+    assert_eq!(fig5_8_fit_digest(other_analysis()), (54, 17_611_841_468_310_344_045));
+    assert_eq!(fig5_8_fit_digest(default_analysis()), (45, 5_291_533_967_255_825_536));
+}
+
+/// FNV-1a over every Fig 3 Zipf–Mandelbrot fit, `(label,
+/// fit.{alpha, delta, residual}.to_bits())`: each window's, then each
+/// first-window quantity's under its quantity name (a missing fit hashes
+/// as its label and `u64::MAX`). Returns `(fits, digest)`.
+fn zm_fit_digest(a: &PaperAnalysis) -> (usize, u64) {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut n = 0;
+    let windows = a.distributions.iter().map(|d| (d.window_label.as_str(), d));
+    let quantities = a.quantity_distributions.iter().map(|(name, d)| (name.as_str(), d));
+    for (label, dist) in windows.chain(quantities) {
+        let fields = match dist.fit {
+            Some(f) => {
+                n += 1;
+                vec![f.alpha.to_bits(), f.delta.to_bits(), f.residual.to_bits()]
+            }
+            None => vec![u64::MAX],
+        };
+        fnv_record(&mut h, label, &fields);
+    }
+    (n, h)
+}
+
+#[test]
+fn golden_fig3_zm_fits_are_pinned() {
+    assert_eq!(zm_fit_digest(&analysis().1), (9, 5_383_688_732_512_909_195));
+    assert_eq!(zm_fit_digest(other_analysis()), (9, 3_919_180_750_022_750_967));
+    assert_eq!(zm_fit_digest(default_analysis()), (9, 11_508_164_118_127_559_529));
 }
 
 /// Table I's GreyNoise column: sources per month, in month order.
