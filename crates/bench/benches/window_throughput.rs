@@ -8,15 +8,19 @@
 //! comparison — plus sustained `telescope::stream` throughput rows at
 //! several worker counts and the out-of-core fold's cost with its
 //! per-level merge timings — as `BENCH_ingest.json` (schema
-//! `obscor.bench.ingest.v4`, path override `OBSCOR_BENCH_INGEST_OUT`) —
+//! `obscor.bench.ingest.v5`, path override `OBSCOR_BENCH_INGEST_OUT`) —
 //! the before/after record DESIGN.md §12/§15/§16/§17 and CI's
 //! bench-smoke step point at.
 //!
-//! v4 adds the compressed-bitmap rows (`overlap_fraction_numeric_vs_
+//! v4 added the compressed-bitmap rows (`overlap_fraction_numeric_vs_
 //! bitmap` at fixture scale, `overlap_count_numeric_vs_bitmap_dense` and
 //! `temporal_sweep_pairwise_vs_month_matrix` at paper density) and a
 //! top-level `host_cpus` field so the streaming worker-scaling rows can
 //! be read against the parallelism the box actually had (DESIGN.md §15).
+//! v5 takes every repeated timing over `reps = 5` runs and writes the
+//! fastest and slowest run beside the median (`*_min_ns`, `*_max_ns`),
+//! so a row's own spread shows how far a regenerated file may move
+//! without any code change.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use obscor_anonymize::{CryptoPan, MemoCryptoPan};
@@ -32,18 +36,36 @@ use rand::{RngExt, SeedableRng};
 use std::hint::black_box;
 
 const INGEST_KEY: [u8; 32] = [0x5Au8; 32];
-const INGEST_REPS: usize = 3;
+const INGEST_REPS: usize = 5;
+
+/// The median, fastest and slowest of `INGEST_REPS` timed runs.
+#[derive(Clone, Copy)]
+struct Timing {
+    median_ns: u64,
+    min_ns: u64,
+    max_ns: u64,
+}
+
+impl Timing {
+    /// `"<prefix>_ns": median, "<prefix>_min_ns": min, "<prefix>_max_ns": max`.
+    fn json(&self, prefix: &str) -> String {
+        format!(
+            "\"{prefix}_ns\": {}, \"{prefix}_min_ns\": {}, \"{prefix}_max_ns\": {}",
+            self.median_ns, self.min_ns, self.max_ns
+        )
+    }
+}
 
 /// One before/after row of the ingest report.
 struct Comparison {
     name: &'static str,
-    baseline_ns: u64,
-    fast_ns: u64,
+    baseline: Timing,
+    fast: Timing,
 }
 
 impl Comparison {
     fn speedup(&self) -> f64 {
-        self.baseline_ns as f64 / (self.fast_ns.max(1)) as f64
+        self.baseline.median_ns as f64 / (self.fast.median_ns.max(1)) as f64
     }
 }
 
@@ -52,7 +74,7 @@ struct StreamingRow {
     workers: usize,
     queue_depth: usize,
     window_packets: usize,
-    median_ns: u64,
+    timing: Timing,
     packets_per_sec: f64,
 }
 
@@ -63,9 +85,9 @@ struct SpillLevelRow {
     total_ns: u64,
 }
 
-/// Median of `reps` timed runs of `f` (wall-clock, via the obs stopwatch).
-fn median_ns<R>(reps: usize, mut f: impl FnMut() -> R) -> u64 {
-    let mut times: Vec<u64> = (0..reps)
+/// `INGEST_REPS` timed runs of `f` (wall-clock, via the obs stopwatch).
+fn timed<R>(mut f: impl FnMut() -> R) -> Timing {
+    let mut times: Vec<u64> = (0..INGEST_REPS)
         .map(|_| {
             let (out, ns) = obscor_obs::time_fn(&mut f);
             black_box(out);
@@ -73,7 +95,7 @@ fn median_ns<R>(reps: usize, mut f: impl FnMut() -> R) -> u64 {
         })
         .collect();
     times.sort_unstable();
-    times[times.len() / 2]
+    Timing { median_ns: times[times.len() / 2], min_ns: times[0], max_ns: times[times.len() - 1] }
 }
 
 /// Time the ingest fast paths against their oracles and write the report.
@@ -87,8 +109,8 @@ fn ingest_report(n_v: usize, seed: u64) {
     let proto = Coo::from_triples(triples);
     let compaction = Comparison {
         name: "compaction_serial_vs_radix",
-        baseline_ns: median_ns(INGEST_REPS, || proto.clone().into_csr_serial()),
-        fast_ns: median_ns(INGEST_REPS, || proto.clone().into_csr_radix()),
+        baseline: timed(|| proto.clone().into_csr_serial()),
+        fast: timed(|| proto.clone().into_csr_radix()),
     };
 
     // 2. CryptoPAN: 32-AES scalar vs the 16-AES prefix-table path,
@@ -97,20 +119,20 @@ fn ingest_report(n_v: usize, seed: u64) {
     let addrs: Vec<u32> = w.window.packets.iter().map(|p| p.src.0).collect();
     let uncached = CryptoPan::new(&INGEST_KEY);
     let (memo, table_build_ns) = obscor_obs::time_fn(|| MemoCryptoPan::new(&INGEST_KEY));
-    let scalar_baseline_ns = median_ns(INGEST_REPS, || {
+    let scalar_baseline = timed(|| {
         addrs.iter().map(|&a| u64::from(uncached.anonymize(a))).sum::<u64>()
     });
     let cryptopan_scalar = Comparison {
         name: "cryptopan_uncached_vs_memo_scalar",
-        baseline_ns: scalar_baseline_ns,
-        fast_ns: median_ns(INGEST_REPS, || {
+        baseline: scalar_baseline,
+        fast: timed(|| {
             addrs.iter().map(|&a| u64::from(memo.anonymize(a))).sum::<u64>()
         }),
     };
     let cryptopan_batched = Comparison {
         name: "cryptopan_uncached_vs_memo_batched",
-        baseline_ns: scalar_baseline_ns,
-        fast_ns: median_ns(INGEST_REPS, || {
+        baseline: scalar_baseline,
+        fast: timed(|| {
             let mut out = addrs.clone();
             memo.anonymize_slice(&mut out);
             out
@@ -120,8 +142,8 @@ fn ingest_report(n_v: usize, seed: u64) {
     // 3. End-to-end anonymized matrix build, uncached vs memoized.
     let matrix_build = Comparison {
         name: "anonymized_matrix_uncached_vs_memo",
-        baseline_ns: median_ns(INGEST_REPS, || matrix::build_anonymized_matrix(&w, &uncached)),
-        fast_ns: median_ns(INGEST_REPS, || matrix::build_anonymized_matrix_memo(&w, &memo)),
+        baseline: timed(|| matrix::build_anonymized_matrix(&w, &uncached)),
+        fast: timed(|| matrix::build_anonymized_matrix_memo(&w, &memo)),
     };
 
     // 4. Correlation set ops: string key sets vs numeric key sets on the
@@ -133,8 +155,8 @@ fn ingest_report(n_v: usize, seed: u64) {
     let num_month = NumKeySet::from_key_set(month).expect("monthly keys are dotted quads");
     let overlap = Comparison {
         name: "overlap_fraction_string_vs_numeric",
-        baseline_ns: median_ns(INGEST_REPS, || str_keys.overlap_fraction(month)),
-        fast_ns: median_ns(INGEST_REPS, || num_keys.overlap_fraction(&num_month)),
+        baseline: timed(|| str_keys.overlap_fraction(month)),
+        fast: timed(|| num_keys.overlap_fraction(&num_month)),
     };
 
     // 4b. Compressed bitmap substrate at fixture scale: the same window
@@ -152,8 +174,8 @@ fn ingest_report(n_v: usize, seed: u64) {
     );
     let overlap_bitmap = Comparison {
         name: "overlap_fraction_numeric_vs_bitmap",
-        baseline_ns: median_ns(INGEST_REPS, || num_keys.overlap_fraction(&num_month)),
-        fast_ns: median_ns(INGEST_REPS, || bit_keys.overlap_fraction(&bit_month)),
+        baseline: timed(|| num_keys.overlap_fraction(&num_month)),
+        fast: timed(|| bit_keys.overlap_fraction(&bit_month)),
     };
 
     // 4c. Paper-density set ops: ~2^21 draws from a 2^24 address space
@@ -190,18 +212,18 @@ fn ingest_report(n_v: usize, seed: u64) {
     }
     let overlap_dense = Comparison {
         name: "overlap_count_numeric_vs_bitmap_dense",
-        baseline_ns: median_ns(INGEST_REPS, || dense_a.overlap_count(&dense_b)),
-        fast_ns: median_ns(INGEST_REPS, || dense_bit_a.overlap_count(&dense_bit_b)),
+        baseline: timed(|| dense_a.overlap_count(&dense_b)),
+        fast: timed(|| dense_bit_a.overlap_count(&dense_bit_b)),
     };
     let temporal_sweep = Comparison {
         name: "temporal_sweep_pairwise_vs_month_matrix",
-        baseline_ns: median_ns(INGEST_REPS, || {
+        baseline: timed(|| {
             dense_months
                 .iter()
                 .map(|month| dense_a.overlap_count(month))
                 .sum::<usize>()
         }),
-        fast_ns: median_ns(INGEST_REPS, || {
+        fast: timed(|| {
             dense_matrix.overlap_counts(&dense_bit_a).iter().sum::<usize>()
         }),
     };
@@ -227,7 +249,7 @@ fn ingest_report(n_v: usize, seed: u64) {
         .iter()
         .map(|&workers| {
             let cfg = IngestConfig::new(workers, coords.len());
-            let median = median_ns(INGEST_REPS, || {
+            let timing = timed(|| {
                 let mut svc = IngestService::new(cfg.clone());
                 svc.push_pairs(&coords);
                 let (snaps, drain) = svc.finish();
@@ -238,8 +260,8 @@ fn ingest_report(n_v: usize, seed: u64) {
                 workers,
                 queue_depth: cfg.queue_depth,
                 window_packets: coords.len(),
-                median_ns: median,
-                packets_per_sec: coords.len() as f64 * 1e9 / median.max(1) as f64,
+                timing,
+                packets_per_sec: coords.len() as f64 * 1e9 / timing.median_ns.max(1) as f64,
             }
         })
         .collect();
@@ -249,10 +271,10 @@ fn ingest_report(n_v: usize, seed: u64) {
     //    a real temp directory — the fully out-of-core worst case)
     //    against the plain in-memory build, with the per-level merge
     //    timings the spill spans record.
-    let ooc_baseline_ns = median_ns(INGEST_REPS, || matrix::build_matrix(&w));
+    let ooc_baseline = timed(|| matrix::build_matrix(&w));
     let mut spill_stats = obscor_hypersparse::SpillStats::default();
     let before = obscor_obs::snapshot();
-    let ooc_spilled_ns = median_ns(INGEST_REPS, || {
+    let ooc_spilled = timed(|| {
         let (m, report) =
             matrix::build_matrix_spilled(&w, Some(0), None).expect("temp spill dir");
         assert!(report.is_exact(), "bench spill fold must be exact");
@@ -276,8 +298,8 @@ fn ingest_report(n_v: usize, seed: u64) {
     spill_levels.sort_by_key(|r| r.level);
     let out_of_core = Comparison {
         name: "window_fold_in_memory_vs_spilled",
-        baseline_ns: ooc_baseline_ns,
-        fast_ns: ooc_spilled_ns,
+        baseline: ooc_baseline,
+        fast: ooc_spilled,
     };
 
     let host_cpus = std::thread::available_parallelism().map_or(0, usize::from);
@@ -287,22 +309,22 @@ fn ingest_report(n_v: usize, seed: u64) {
         eprintln!(
             "{:<38} baseline {:>12} ns  fast {:>12} ns  speedup {:>7.2}x",
             c.name,
-            c.baseline_ns,
-            c.fast_ns,
+            c.baseline.median_ns,
+            c.fast.median_ns,
             c.speedup()
         );
     }
     for r in &streaming {
         eprintln!(
             "streaming workers={} depth={}            median {:>12} ns  {:>12.0} packets/sec",
-            r.workers, r.queue_depth, r.median_ns, r.packets_per_sec
+            r.workers, r.queue_depth, r.timing.median_ns, r.packets_per_sec
         );
     }
     eprintln!(
         "{:<38} baseline {:>12} ns  fast {:>12} ns  speedup {:>7.2}x",
         out_of_core.name,
-        out_of_core.baseline_ns,
-        out_of_core.fast_ns,
+        out_of_core.baseline.median_ns,
+        out_of_core.fast.median_ns,
         out_of_core.speedup()
     );
     for r in &spill_levels {
@@ -314,7 +336,7 @@ fn ingest_report(n_v: usize, seed: u64) {
 
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str("  \"schema\": \"obscor.bench.ingest.v4\",\n");
+    json.push_str("  \"schema\": \"obscor.bench.ingest.v5\",\n");
     json.push_str(&format!("  \"n_v\": {n_v},\n"));
     json.push_str(&format!("  \"reps\": {INGEST_REPS},\n"));
     json.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
@@ -322,10 +344,10 @@ fn ingest_report(n_v: usize, seed: u64) {
     json.push_str("  \"comparisons\": [\n");
     for (i, c) in comparisons.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"baseline_ns\": {}, \"fast_ns\": {}, \"speedup\": {:.3}}}{}\n",
+            "    {{\"name\": \"{}\", {}, {}, \"speedup\": {:.3}}}{}\n",
             c.name,
-            c.baseline_ns,
-            c.fast_ns,
+            c.baseline.json("baseline"),
+            c.fast.json("fast"),
             c.speedup(),
             if i + 1 < comparisons.len() { "," } else { "" }
         ));
@@ -334,11 +356,13 @@ fn ingest_report(n_v: usize, seed: u64) {
     json.push_str("  \"streaming\": [\n");
     for (i, r) in streaming.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"workers\": {}, \"queue_depth\": {}, \"window_packets\": {}, \"median_ns\": {}, \"packets_per_sec\": {:.0}}}{}\n",
+            "    {{\"workers\": {}, \"queue_depth\": {}, \"window_packets\": {}, \"median_ns\": {}, \"min_ns\": {}, \"max_ns\": {}, \"packets_per_sec\": {:.0}}}{}\n",
             r.workers,
             r.queue_depth,
             r.window_packets,
-            r.median_ns,
+            r.timing.median_ns,
+            r.timing.min_ns,
+            r.timing.max_ns,
             r.packets_per_sec,
             if i + 1 < streaming.len() { "," } else { "" }
         ));
@@ -347,10 +371,10 @@ fn ingest_report(n_v: usize, seed: u64) {
     json.push_str("  \"out_of_core\": {\n");
     json.push_str("    \"budget\": 0,\n");
     json.push_str(&format!(
-        "    \"in_memory_ns\": {}, \"spilled_ns\": {}, \"relative_cost\": {:.3},\n",
-        out_of_core.baseline_ns,
-        out_of_core.fast_ns,
-        out_of_core.fast_ns as f64 / out_of_core.baseline_ns.max(1) as f64
+        "    {}, {}, \"relative_cost\": {:.3},\n",
+        out_of_core.baseline.json("in_memory"),
+        out_of_core.fast.json("spilled"),
+        out_of_core.fast.median_ns as f64 / out_of_core.baseline.median_ns.max(1) as f64
     ));
     json.push_str(&format!(
         "    \"evictions\": {}, \"reloads\": {}, \"peak_live_bytes\": {},\n",

@@ -59,7 +59,9 @@ pub fn fit_curve(curve: &TemporalCurve, config: &AnalysisConfig) -> Option<BinFi
     })
 }
 
-/// Fit every curve in parallel, dropping unfittable ones (all-zero data).
+/// Fit every curve, dropping unfittable ones (all-zero data), in curve
+/// order. The `par_iter` runs sequentially under the vendored `rayon`;
+/// each fit is independent, so the result does not depend on scheduling.
 pub fn fit_curves(curves: &[TemporalCurve], config: &AnalysisConfig) -> Vec<BinFit> {
     let _span = obscor_obs::span("core.fit_curves");
     let fits: Vec<BinFit> = curves.par_iter().filter_map(|c| fit_curve(c, config)).collect();

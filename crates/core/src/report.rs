@@ -4,7 +4,6 @@
 use crate::fitscan::{alpha_by_degree_with_spread, drop_by_degree_with_spread};
 use crate::pipeline::PaperAnalysis;
 use crate::temporal::fig5_curve;
-use obscor_stats::fit::{fit_cauchy, fit_gaussian};
 
 impl PaperAnalysis {
     /// Table I: the data-set inventory.
@@ -147,12 +146,10 @@ impl PaperAnalysis {
                 "modified Cauchy: alpha={:.2} beta={:.2} residual={:.3}\n",
                 mc.alpha, mc.beta, mc.residual
             ));
-            let g = fit_gaussian(&curve.lags, &curve.fractions);
-            let c = fit_cauchy(&curve.lags, &curve.fractions);
-            if let Some(g) = g {
+            if let Some(g) = fit.gaussian {
                 s.push_str(&format!("Gaussian:        sigma={:.2} residual={:.3}\n", g.param, g.residual));
             }
-            if let Some(c) = c {
+            if let Some(c) = fit.cauchy {
                 s.push_str(&format!("Cauchy:          gamma={:.2} residual={:.3}\n", c.param, c.residual));
             }
         }

@@ -61,12 +61,12 @@ pub fn max_source_fan_out<V: Value>(a: &Csr<V>) -> u64 {
 
 /// Unique destinations `Σ_j |Σ_i A_t(i, j)|_0` (`|1' A_t|_0 1` column side).
 pub fn unique_destinations<V: Value>(a: &Csr<V>) -> u64 {
-    distinct_cols(a) as u64
+    column_runs(&column_entries(a)).count() as u64
 }
 
 /// Packets to each destination: `(j, Σ_i A_t(i, j))` (`1' A_t`).
 pub fn destination_packets<V: Value>(a: &Csr<V>) -> Vec<(Index, u64)> {
-    col_reduce(a, |_cols, v| v.to_u64())
+    column_runs(&column_entries(a)).map(|(c, run)| (c, run_packets(run))).collect()
 }
 
 /// Max destination packets `max_j Σ_i A_t(i, j)` (`max(1' A_t)`).
@@ -77,7 +77,7 @@ pub fn max_destination_packets<V: Value>(a: &Csr<V>) -> u64 {
 /// Destination fan-in to each destination: `(j, Σ_i |A_t(i, j)|_0)`
 /// (`1' |A_t|_0`): the number of distinct sources hitting each destination.
 pub fn destination_fan_in<V: Value>(a: &Csr<V>) -> Vec<(Index, u64)> {
-    col_reduce(a, |_cols, _v| 1u64)
+    column_runs(&column_entries(a)).map(|(c, run)| (c, run.len() as u64)).collect()
 }
 
 /// Max destination fan-in `max_j Σ_i |A_t(i, j)|_0` (`max(1' |A_t|_0)`).
@@ -85,27 +85,23 @@ pub fn max_destination_fan_in<V: Value>(a: &Csr<V>) -> u64 {
     destination_fan_in(a).into_iter().map(|(_, v)| v).max().unwrap_or(0)
 }
 
-/// Column-side reduction without materializing the transpose: gather
-/// `(col, f(entry))` pairs, sort by column, and sum runs.
-fn col_reduce<V: Value, F: Fn(Index, V) -> u64>(a: &Csr<V>, f: F) -> Vec<(Index, u64)> {
-    let mut pairs: Vec<(Index, u64)> =
-        a.iter().map(|(_, c, v)| (c, f(c, v))).collect();
-    pairs.sort_unstable_by_key(|&(c, _)| c);
-    let mut out: Vec<(Index, u64)> = Vec::new();
-    for (c, v) in pairs {
-        match out.last_mut() {
-            Some((lc, acc)) if *lc == c => *acc += v,
-            _ => out.push((c, v)),
-        }
-    }
-    out
+/// Column-side reductions work without materializing the transpose: every
+/// entry's `(column, value)`, sorted by column, so that each column's
+/// entries form one run. A column's packets are its run's sum, and its
+/// fan-in is the run's length (a CSR holds each `(i, j)` once).
+fn column_entries<V: Value>(a: &Csr<V>) -> Vec<(Index, u64)> {
+    let mut entries: Vec<(Index, u64)> = a.iter().map(|(_, c, v)| (c, v.to_u64())).collect();
+    entries.sort_unstable_by_key(|&(c, _)| c);
+    entries
 }
 
-fn distinct_cols<V: Value>(a: &Csr<V>) -> usize {
-    let mut cols: Vec<Index> = a.col_indices().to_vec();
-    cols.sort_unstable();
-    cols.dedup();
-    cols.len()
+/// The runs of [`column_entries`] as `(column, run)`, in column order.
+fn column_runs(entries: &[(Index, u64)]) -> impl Iterator<Item = (Index, &[(Index, u64)])> {
+    entries.chunk_by(|x, y| x.0 == y.0).map(|run| (run[0].0, run))
+}
+
+fn run_packets(run: &[(Index, u64)]) -> u64 {
+    run.iter().map(|&(_, v)| v).sum()
 }
 
 /// All Table II aggregates in one pass-friendly struct, in the order the
@@ -134,18 +130,25 @@ pub struct NetworkQuantities {
 
 impl NetworkQuantities {
     /// Compute every aggregate quantity of Table II from one matrix.
+    ///
+    /// The three column-side quantities come from one sort of the entries
+    /// by column and one walk over its runs.
     pub fn compute<V: Value>(a: &Csr<V>) -> Self {
-        Self {
+        let mut q = Self {
             valid_packets: valid_packets(a),
             unique_links: unique_links(a),
             max_link_packets: max_link_packets(a),
             unique_sources: unique_sources(a),
             max_source_packets: max_source_packets(a),
             max_source_fan_out: max_source_fan_out(a),
-            unique_destinations: unique_destinations(a),
-            max_destination_packets: max_destination_packets(a),
-            max_destination_fan_in: max_destination_fan_in(a),
+            ..Self::default()
+        };
+        for (_, run) in column_runs(&column_entries(a)) {
+            q.unique_destinations += 1;
+            q.max_destination_packets = q.max_destination_packets.max(run_packets(run));
+            q.max_destination_fan_in = q.max_destination_fan_in.max(run.len() as u64);
         }
+        q
     }
 
     /// Internal consistency check: the Table II aggregates obey a fixed set

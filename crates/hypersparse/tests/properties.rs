@@ -12,6 +12,12 @@ fn arb_triples() -> impl Strategy<Value = Vec<(Index, Index, u64)>> {
     )
 }
 
+/// Like [`arb_triples`], but every column falls in `0..16`, so columns
+/// collect many entries and fan-ins well above 2 are common.
+fn arb_narrow_triples() -> impl Strategy<Value = Vec<(Index, Index, u64)>> {
+    prop::collection::vec((0u32..2_000, 0u32..16, 1u64..16), 0..400)
+}
+
 fn build(triples: &[(Index, Index, u64)]) -> Csr<u64> {
     Coo::from_triples(triples.iter().copied()).into_csr()
 }
@@ -189,14 +195,25 @@ proptest! {
     }
 
     /// Row-side quantities of the transpose equal column-side quantities of
-    /// the original (fan-in/fan-out duality).
+    /// the original (fan-in/fan-out duality): the per-quantity functions,
+    /// the per-destination vectors, and `NetworkQuantities::compute`'s
+    /// one-sort column fields, on spread and on narrow column ranges.
     #[test]
-    fn transpose_duality(t in arb_triples()) {
-        let a = build(&t);
-        let tr = a.transpose();
-        prop_assert_eq!(reduce::unique_sources(&tr), reduce::unique_destinations(&a));
-        prop_assert_eq!(reduce::max_source_packets(&tr), reduce::max_destination_packets(&a));
-        prop_assert_eq!(reduce::max_source_fan_out(&tr), reduce::max_destination_fan_in(&a));
+    fn transpose_duality(t in arb_triples(), narrow in arb_narrow_triples()) {
+        for t in [t, narrow] {
+            let a = build(&t);
+            let tr = a.transpose();
+            prop_assert_eq!(reduce::unique_sources(&tr), reduce::unique_destinations(&a));
+            prop_assert_eq!(reduce::max_source_packets(&tr), reduce::max_destination_packets(&a));
+            prop_assert_eq!(reduce::max_source_fan_out(&tr), reduce::max_destination_fan_in(&a));
+            prop_assert_eq!(reduce::source_packets(&tr), reduce::destination_packets(&a));
+            prop_assert_eq!(reduce::source_fan_out(&tr), reduce::destination_fan_in(&a));
+            let q = reduce::NetworkQuantities::compute(&a);
+            let qt = reduce::NetworkQuantities::compute(&tr);
+            prop_assert_eq!(qt.unique_sources, q.unique_destinations);
+            prop_assert_eq!(qt.max_source_packets, q.max_destination_packets);
+            prop_assert_eq!(qt.max_source_fan_out, q.max_destination_fan_in);
+        }
     }
 
     /// Fuzz: decode over arbitrarily mutated v2 encodings is total (no

@@ -13,8 +13,6 @@
 //! possible α and β values, normalizing to the peak in the data, and then
 //! selecting the α and β that minimize the `| |^{1/2}` norm".
 
-use crate::norms::residual_pnorm;
-
 /// A unit-peak temporal correlation model.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum TemporalModel {
@@ -96,8 +94,20 @@ pub struct SingleParamFit {
     pub residual: f64,
 }
 
-fn peak_of(values: &[f64]) -> f64 {
-    values.iter().copied().fold(f64::NEG_INFINITY, f64::max)
+/// The peak every model is normalized to: the largest value. `None` on
+/// empty input or a peak that is not positive.
+fn fit_peak(lags: &[f64], values: &[f64]) -> Option<f64> {
+    assert_eq!(lags.len(), values.len());
+    let peak = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    (!lags.is_empty() && peak > 0.0).then_some(peak)
+}
+
+/// The paper's objective, the `| |^{1/2}` norm of `peak · unit − values`:
+/// the same operations as `residual_pnorm(&predicted, values, 0.5)` on
+/// `predicted[i] = peak * unit[i]` — each `|x − y|^{1/2}` summed in lag
+/// order, then squared — without collecting `predicted`.
+fn half_norm_residual(unit: impl Iterator<Item = f64>, peak: f64, values: &[f64]) -> f64 {
+    unit.zip(values).map(|(u, &v)| (peak * u - v).abs().powf(0.5)).sum::<f64>().powf(2.0)
 }
 
 /// Default α grid: 0.05 .. 4.0.
@@ -113,28 +123,30 @@ pub fn default_mc_beta_grid() -> Vec<f64> {
 }
 
 /// Fit the modified Cauchy to `(lag, value)` samples by grid scan.
-/// Returns `None` on empty input or a non-positive peak.
+/// Returns `None` on empty input or a non-positive peak (or empty grids).
+///
+/// The factor `|lag|^α` depends only on α, so it is computed once per α
+/// into one reused row, and each β is scored from that row in place. Every
+/// residual is the one [`TemporalModel::eval`] would give at that grid
+/// point, bit for bit; on a tie the first point in α-major, β-minor order
+/// wins.
 pub fn fit_modified_cauchy_grid(
     lags: &[f64],
     values: &[f64],
     alphas: &[f64],
     betas: &[f64],
 ) -> Option<ModCauchyFit> {
-    assert_eq!(lags.len(), values.len());
-    if lags.is_empty() {
-        return None;
-    }
-    let peak = peak_of(values);
-    if peak <= 0.0 || peak.is_nan() {
-        return None;
-    }
+    let peak = fit_peak(lags, values)?;
     let mut best: Option<ModCauchyFit> = None;
+    let mut row = vec![0.0f64; lags.len()];
     for &alpha in alphas {
+        for (r, &t) in row.iter_mut().zip(lags) {
+            *r = t.abs().powf(alpha);
+        }
         for &beta in betas {
-            let model = TemporalModel::ModifiedCauchy { alpha, beta };
-            let predicted: Vec<f64> = lags.iter().map(|&t| peak * model.eval(t)).collect();
-            let residual = residual_pnorm(&predicted, values, 0.5);
-            if best.map(|b| residual < b.residual).unwrap_or(true) {
+            let unit = row.iter().map(|&r| beta / (beta + r));
+            let residual = half_norm_residual(unit, peak, values);
+            if best.is_none_or(|b| residual < b.residual) {
                 best = Some(ModCauchyFit { alpha, beta, peak, residual });
             }
         }
@@ -158,11 +170,9 @@ pub fn fit_modified_cauchy(lags: &[f64], values: &[f64]) -> Option<ModCauchyFit>
 
 /// Shrinking-bracket coordinate descent around a starting fit.
 pub fn refine_modified_cauchy(lags: &[f64], values: &[f64], start: ModCauchyFit) -> ModCauchyFit {
-    let peak = start.peak;
     let eval = |alpha: f64, beta: f64| {
         let model = TemporalModel::ModifiedCauchy { alpha, beta };
-        let predicted: Vec<f64> = lags.iter().map(|&t| peak * model.eval(t)).collect();
-        residual_pnorm(&predicted, values, 0.5)
+        half_norm_residual(lags.iter().map(|&t| model.eval(t)), start.peak, values)
     };
     let mut best = start;
     let (mut alpha_step, mut beta_step) = (1.3f64, 1.5f64);
@@ -195,20 +205,12 @@ fn fit_single_param(
     params: &[f64],
     make: impl Fn(f64) -> TemporalModel,
 ) -> Option<SingleParamFit> {
-    assert_eq!(lags.len(), values.len());
-    if lags.is_empty() {
-        return None;
-    }
-    let peak = peak_of(values);
-    if peak <= 0.0 || peak.is_nan() {
-        return None;
-    }
+    let peak = fit_peak(lags, values)?;
     let mut best: Option<SingleParamFit> = None;
     for &p in params {
         let model = make(p);
-        let predicted: Vec<f64> = lags.iter().map(|&t| peak * model.eval(t)).collect();
-        let residual = residual_pnorm(&predicted, values, 0.5);
-        if best.map(|b| residual < b.residual).unwrap_or(true) {
+        let residual = half_norm_residual(lags.iter().map(|&t| model.eval(t)), peak, values);
+        if best.is_none_or(|b| residual < b.residual) {
             best = Some(SingleParamFit { param: p, peak, residual });
         }
     }

@@ -129,11 +129,16 @@ pub fn fit_zipf_mandelbrot(
 /// Each grid point's unnormalized cumulative masses
 /// `Σ_{d ≤ k} (d + δ)^{-α}` do not depend on `d_max`, so they are built
 /// once per point into one buffer sized to the largest `d_max` and every
-/// input is scored from its own prefix of it. Per input the result is
+/// input is scored from its own prefix of it. For an integer `δ = m` (no
+/// larger than that `d_max`), `d as f64 + δ` is exactly the integer
+/// `d + m`, so its terms are read at offset `m` from one table of
+/// `(k as f64).powf(−α)` filled once per α and shared by every integer
+/// `δ`; a fractional `δ` computes its own `powf`s. Per input the result is
 /// bit-identical to fitting [`ZipfMandelbrot::new`]`(α, δ, d_max).binned()`
-/// point by point: the same running sum, the same `cdf` divisions and
-/// differences in the same order, and on a residual tie the first point in
-/// α-major, δ-minor order wins. Holds `O(max d_max)` floats.
+/// point by point: the same `powf` inputs, the same running sum, the same
+/// `cdf` divisions and differences in the same order, and on a residual
+/// tie the first point in α-major, δ-minor order wins. Holds
+/// `O(max d_max)` floats.
 ///
 /// Element `i` is `None` if input `i`'s data is empty or a grid is empty.
 ///
@@ -165,14 +170,31 @@ pub fn fit_zipf_mandelbrot_many(
     };
     assert!(alphas.iter().all(|&a| a > 0.0), "alpha must be positive");
     assert!(deltas.iter().all(|&d| d >= 0.0), "delta must be non-negative");
+    let offsets: Vec<Option<usize>> =
+        deltas.iter().map(|&delta| integer_offset(delta, longest)).collect();
+    let table_len = offsets.iter().flatten().max().map_or(0, |&m| longest + m);
+    let mut powers = vec![0.0f64; table_len];
     let mut cumulative = vec![0.0f64; longest];
     let mut model: Vec<f64> = Vec::new();
     for &alpha in alphas {
-        for &delta in deltas {
+        for (slot, k) in powers.iter_mut().zip(1u64..) {
+            *slot = (k as f64).powf(-alpha);
+        }
+        for (&delta, offset) in deltas.iter().zip(&offsets) {
             let mut acc = 0.0f64;
-            for (slot, d) in cumulative.iter_mut().zip(1u64..) {
-                acc += (d as f64 + delta).powf(-alpha);
-                *slot = acc;
+            match offset {
+                Some(m) => {
+                    for (slot, &term) in cumulative.iter_mut().zip(&powers[*m..]) {
+                        acc += term;
+                        *slot = acc;
+                    }
+                }
+                None => {
+                    for (slot, d) in cumulative.iter_mut().zip(1u64..) {
+                        acc += (d as f64 + delta).powf(-alpha);
+                        *slot = acc;
+                    }
+                }
             }
             for (i, target, support) in &targets {
                 let residual = score(&cumulative[..*support], target, &mut model);
@@ -185,6 +207,17 @@ pub fn fit_zipf_mandelbrot_many(
     best
 }
 
+/// `δ` as an offset into the per-α power table: `Some(m)` when `δ` is
+/// exactly the integer `m` and `m ≤ longest` (which bounds the table at
+/// twice the longest support), `None` otherwise.
+fn integer_offset(delta: f64, longest: usize) -> Option<usize> {
+    let m = delta as u64;
+    if !(m as f64).total_cmp(&delta).is_eq() {
+        return None;
+    }
+    usize::try_from(m).ok().filter(|&m| m <= longest)
+}
+
 /// The `| |^{1/2}` residual of the model whose unnormalized cumulative
 /// masses are `cumulative` (its support is `1..=cumulative.len()`) against
 /// a normalized `target`, over the target's bins. `model` is a reused buffer.
@@ -193,14 +226,19 @@ fn score(cumulative: &[f64], target: &Log2Binned, model: &mut Vec<f64>) -> f64 {
     model.resize(target.len(), 0.0);
     let norm = cumulative.last().copied().unwrap_or(1.0);
     let mut prev = 0.0f64;
-    for (&acc, d) in cumulative.iter().zip(1u64..) {
-        let cdf = acc / norm;
-        match model.get_mut(log2_bin(d) as usize) {
-            Some(bin) => *bin += cdf - prev,
-            // Bins grow with d: every later degree is past the target too.
-            None => break,
+    // Bin 0 holds d = 1 and bin i holds 2^(i−1) < d ≤ 2^i (`log2_bin`),
+    // so with `cumulative[d − 1]` bin i reads `cumulative[2^(i−1)..2^i]`,
+    // and each degree still adds to its bin in degree order.
+    let (mut start, mut end) = (0usize, 1usize);
+    for bin in model.iter_mut() {
+        let stop = end.min(cumulative.len());
+        for &acc in &cumulative[start..stop] {
+            let cdf = acc / norm;
+            *bin += cdf - prev;
+            prev = cdf;
         }
-        prev = cdf;
+        start = stop;
+        end = end.saturating_mul(2);
     }
     let total: f64 = model.iter().sum();
     if total > 0.0 {
