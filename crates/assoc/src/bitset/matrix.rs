@@ -15,7 +15,6 @@
 
 use super::container::Container;
 use super::{metrics, BitSet};
-use crate::keys::NumKeySet;
 
 /// Per-chunk slice of the matrix: which months occupy this chunk, and
 /// with which container.
@@ -40,12 +39,6 @@ pub struct MonthMatrix {
 }
 
 impl MonthMatrix {
-    /// Build from the monthly source sets, preserving month order.
-    pub fn from_months(months: &[NumKeySet]) -> Self {
-        let sets: Vec<BitSet> = months.iter().map(BitSet::from_num_key_set).collect();
-        Self::from_bit_sets(&sets)
-    }
-
     /// Build from already-compressed monthly sets, preserving order.
     ///
     /// One gather of every `(hi, month, container)` cell, one stable sort

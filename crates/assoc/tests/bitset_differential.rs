@@ -187,7 +187,8 @@ proptest! {
                 NumKeySet::from_iter(gen_keys(&mut rng, shape))
             })
             .collect();
-        let mm = MonthMatrix::from_months(&months);
+        let sets: Vec<BitSet> = months.iter().map(BitSet::from_num_key_set).collect();
+        let mm = MonthMatrix::from_bit_sets(&sets);
         check_month_matrix(&mm, &months, &mut rng)?;
     }
 }
@@ -237,7 +238,8 @@ fn month_matrix_interleaved_fifteen_months() {
             NumKeySet::from_iter(own.chain(common))
         })
         .collect();
-    let mm = MonthMatrix::from_months(&months);
+    let sets: Vec<BitSet> = months.iter().map(BitSet::from_num_key_set).collect();
+    let mm = MonthMatrix::from_bit_sets(&sets);
     let (arrays, bitmaps, runs) = mm.container_census();
     // Sparse scatter: one array container per (month, occupied chunk).
     assert_eq!((bitmaps, runs), (0, 0));

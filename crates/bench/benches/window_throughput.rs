@@ -26,7 +26,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use obscor_anonymize::{CryptoPan, MemoCryptoPan};
 use obscor_assoc::convert::ip_key;
 use obscor_assoc::{BitSet, KeySet, MonthMatrix, NumKeySet};
-use obscor_bench::fixture;
+use obscor_bench::{fixture, BenchFixture};
 use obscor_hypersparse::{Coo, Index};
 use obscor_netmodel::{PacketStream, TrafficConfig};
 use obscor_pcap::{AcceptAll, ConstantPacketWindower, PcapReader, PcapWriter};
@@ -99,8 +99,8 @@ fn timed<R>(mut f: impl FnMut() -> R) -> Timing {
 }
 
 /// Time the ingest fast paths against their oracles and write the report.
-fn ingest_report(n_v: usize, seed: u64) {
-    let f = fixture(n_v, seed);
+fn ingest_report(f: &BenchFixture) {
+    let (n_v, seed) = (f.scenario.n_v, f.scenario.seed);
     let w = capture_window(&f.scenario, &f.scenario.caida_windows[0]);
 
     // 1. Triple compaction: serial sort-and-dedup vs the radix kernel.
@@ -142,8 +142,8 @@ fn ingest_report(n_v: usize, seed: u64) {
     // 3. End-to-end anonymized matrix build, uncached vs memoized.
     let matrix_build = Comparison {
         name: "anonymized_matrix_uncached_vs_memo",
-        baseline: timed(|| matrix::build_anonymized_matrix(&w, &uncached)),
-        fast: timed(|| matrix::build_anonymized_matrix_memo(&w, &memo)),
+        baseline: timed(|| matrix::build_matrix_with(&w, |ip| uncached.anonymize(ip))),
+        fast: timed(|| matrix::build_matrix_with(&w, |ip| memo.anonymize(ip))),
     };
 
     // 4. Correlation set ops: string key sets vs numeric key sets on the
@@ -196,7 +196,9 @@ fn ingest_report(n_v: usize, seed: u64) {
     let dense_months: Vec<NumKeySet> = (0..15).map(|_| dense_set()).collect();
     let dense_bit_a = BitSet::from_num_key_set(&dense_a);
     let dense_bit_b = BitSet::from_num_key_set(&dense_b);
-    let dense_matrix = MonthMatrix::from_months(&dense_months);
+    let dense_month_bits: Vec<BitSet> =
+        dense_months.iter().map(BitSet::from_num_key_set).collect();
+    let dense_matrix = MonthMatrix::from_bit_sets(&dense_month_bits);
     assert_eq!(
         dense_bit_a.overlap_count(&dense_bit_b),
         dense_a.overlap_count(&dense_b),
@@ -401,7 +403,7 @@ fn bench(c: &mut Criterion) {
     let f = fixture(1 << 16, 42);
     let scenario = &f.scenario;
 
-    ingest_report(1 << 16, 42);
+    ingest_report(&f);
 
     let mut g = c.benchmark_group("window_throughput");
     g.sample_size(10);

@@ -1,40 +1,27 @@
-//! Shared fixtures for the benchmark harness.
-//!
-//! Every table/figure bench builds its workload through these helpers so
-//! that the benchmarked region is the *analysis* under study, not the
-//! scenario construction. Fixtures are cached per `(n_v, seed)` behind a
-//! mutex-guarded map so Criterion's repeated calls don't regenerate the
-//! world.
+//! Shared helpers for the two criterion benches: the window size
+//! `pipeline_stages` runs at, and the world `window_throughput` times its
+//! ingest fast paths on.
 
 use obscor_anonymize::sharing::Holder;
 use obscor_assoc::KeySet;
 use obscor_core::WindowDegrees;
 use obscor_honeyfarm::observe_all_months;
 use obscor_netmodel::Scenario;
-use obscor_telescope::{capture_all_windows, TelescopeWindow};
-use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::Arc;
+use obscor_telescope::capture_all_windows;
 
-/// Default window size for paper-shape benches (`2^22` in DESIGN.md; the
-/// bench binaries pass `OBSCOR_BENCH_NV` to override).
+/// Default window size of the `pipeline_stages` bench (`OBSCOR_BENCH_NV`
+/// overrides it).
 pub const BENCH_NV: usize = 1 << 20;
 
-/// The cached world + observations a figure bench needs.
+/// The world and the observations a bench needs.
 pub struct BenchFixture {
     /// The scenario (population + calendar).
     pub scenario: Scenario,
-    /// Captured telescope windows.
-    pub windows: Vec<TelescopeWindow>,
     /// Reduced per-window degrees (through the anonymization workflow).
     pub degrees: Vec<WindowDegrees>,
     /// Honeyfarm monthly source key sets.
     pub monthly_sources: Vec<KeySet>,
 }
-
-type FixtureCache = HashMap<(usize, u64), Arc<BenchFixture>>;
-
-static CACHE: Mutex<Option<FixtureCache>> = Mutex::new(None);
 
 /// Read the bench window size from `OBSCOR_BENCH_NV` (see
 /// [`parse_bench_nv`]), defaulting to [`BENCH_NV`].
@@ -68,13 +55,8 @@ pub fn parse_bench_nv(s: &str) -> Result<usize, String> {
     Ok(n)
 }
 
-/// Build (or fetch) the fixture for `(n_v, seed)`.
-pub fn fixture(n_v: usize, seed: u64) -> Arc<BenchFixture> {
-    let mut guard = CACHE.lock();
-    let map = guard.get_or_insert_with(HashMap::new);
-    if let Some(f) = map.get(&(n_v, seed)) {
-        return f.clone();
-    }
+/// Build the fixture for `(n_v, seed)`.
+pub fn fixture(n_v: usize, seed: u64) -> BenchFixture {
     let scenario = Scenario::paper_scaled(n_v, seed);
     let windows = capture_all_windows(&scenario);
     let holder = Holder::new("bench-telescope", &[0x5Au8; 32]);
@@ -87,24 +69,12 @@ pub fn fixture(n_v: usize, seed: u64) -> Arc<BenchFixture> {
         .collect();
     let months = observe_all_months(&scenario);
     let monthly_sources = months.into_iter().map(|m| m.source_keys().clone()).collect();
-    let f = Arc::new(BenchFixture { scenario, windows, degrees, monthly_sources });
-    map.insert((n_v, seed), f.clone());
-    f
+    BenchFixture { scenario, degrees, monthly_sources }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fixture_is_cached() {
-        let a = fixture(1 << 14, 1);
-        let b = fixture(1 << 14, 1);
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(a.windows.len(), 5);
-        assert_eq!(a.monthly_sources.len(), 15);
-        assert_eq!(a.degrees.len(), 5);
-    }
 
     #[test]
     fn bench_nv_parses_forms() {

@@ -157,6 +157,25 @@ fn generate_with_filter_keeps_matching_packets_only() {
 }
 
 #[test]
+fn deeply_nested_filter_is_a_usage_error() {
+    // 20,000 nested parentheses used to overflow the parser's stack and
+    // abort the process; now the parser refuses them with a typed error.
+    let dir = ScratchDir::new("deep_filter");
+    let path = dir.file("x.pcap");
+    let n = 20_000;
+    let filter = format!("{}port 80{}", "(".repeat(n), ")".repeat(n));
+    let out = obscor()
+        .args(["generate", "--nv", "2^12", "--filter", &filter, "--out", path.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(1), "stderr:\n{stderr}");
+    assert!(stderr.contains("bad --filter"), "stderr:\n{stderr}");
+    assert!(stderr.contains("nested too deeply"), "stderr:\n{stderr}");
+    assert!(!path.exists(), "a refused filter must write no capture");
+}
+
+#[test]
 fn metrics_flag_writes_schema_valid_json_with_all_stage_spans() {
     let dir = ScratchDir::new("metrics");
     let path = dir.file("metrics.json");

@@ -70,16 +70,6 @@ pub fn fit_curves(curves: &[TemporalCurve], config: &AnalysisConfig) -> Vec<BinF
     fits
 }
 
-/// Fig 7 series: `(d, mean best-fit α over windows)` per bin.
-pub fn alpha_by_degree(fits: &[BinFit]) -> Vec<(u64, f64)> {
-    aggregate_by_bin(fits, |f| f.modified_cauchy.alpha)
-}
-
-/// Fig 8 series: `(d, mean one-month drop)` per bin.
-pub fn drop_by_degree(fits: &[BinFit]) -> Vec<(u64, f64)> {
-    aggregate_by_bin(fits, |f| f.one_month_drop())
-}
-
 /// Fig 7 with error bars: `(d, mean α, std-dev over windows)` per bin.
 pub fn alpha_by_degree_with_spread(fits: &[BinFit]) -> Vec<(u64, f64, f64)> {
     aggregate_by_bin_with_spread(fits, |f| f.modified_cauchy.alpha)
@@ -88,13 +78,6 @@ pub fn alpha_by_degree_with_spread(fits: &[BinFit]) -> Vec<(u64, f64, f64)> {
 /// Fig 8 with error bars: `(d, mean drop, std-dev over windows)` per bin.
 pub fn drop_by_degree_with_spread(fits: &[BinFit]) -> Vec<(u64, f64, f64)> {
     aggregate_by_bin_with_spread(fits, |f| f.one_month_drop())
-}
-
-fn aggregate_by_bin(fits: &[BinFit], value: impl Fn(&BinFit) -> f64) -> Vec<(u64, f64)> {
-    aggregate_by_bin_with_spread(fits, value)
-        .into_iter()
-        .map(|(d, mean, _)| (d, mean))
-        .collect()
 }
 
 fn aggregate_by_bin_with_spread(
@@ -172,13 +155,13 @@ mod tests {
         ];
         let fits = fit_curves(&curves, &AnalysisConfig::default());
         assert_eq!(fits.len(), 3);
-        let alphas = alpha_by_degree(&fits);
+        let alphas = alpha_by_degree_with_spread(&fits);
         assert_eq!(alphas.len(), 2);
-        let (d8, mean8) = alphas[0];
+        let (d8, mean8, _) = alphas[0];
         assert_eq!(d8, 256);
         assert!((mean8 - 1.0).abs() < 0.15, "mean alpha {mean8}");
-        let drops = drop_by_degree(&fits);
-        let (d10, drop10) = drops[1];
+        let drops = drop_by_degree_with_spread(&fits);
+        let (d10, drop10, _) = drops[1];
         assert_eq!(d10, 1024);
         assert!((drop10 - 0.2).abs() < 0.05, "drop {drop10}");
     }
@@ -201,12 +184,6 @@ mod tests {
             disagreeing.2,
             agreeing.2
         );
-        // Means are consistent with the two-point aggregation.
-        let plain = alpha_by_degree(&fits);
-        for ((d1, m1), (d2, m2, _)) in plain.iter().zip(&with_spread) {
-            assert_eq!(d1, d2);
-            assert!((m1 - m2).abs() < 1e-12);
-        }
     }
 
     #[test]

@@ -32,7 +32,6 @@
 //! println!("{}", analysis.render_all());
 //! ```
 
-pub mod algebra;
 pub mod classes;
 pub mod config;
 pub mod degree;

@@ -44,10 +44,10 @@
 //!
 //! `ewise_add` is associative and commutative and CSR is a canonical form,
 //! so eviction/reload schedules cannot change the final matrix: a spilling
-//! fold is bit-identical to the resident fold and to [`accumulate_flat`]
-//! for any budget, including budgets that force an eviction on every
-//! carry. `tests/ooc_differential.rs` proves this over a grid and under
-//! random budget schedules.
+//! fold is bit-identical to the resident fold and to one flat
+//! [`Coo::from_triples`] compaction for any budget, including budgets
+//! that force an eviction on every carry. `tests/ooc_differential.rs`
+//! proves this over a grid and under random budget schedules.
 //!
 //! # Metrics
 //!
@@ -695,13 +695,6 @@ impl<V: Value> Extend<(Index, Index, V)> for HierarchicalAccumulator<V> {
     }
 }
 
-/// Flat accumulation baseline: buffer everything, sort once. Used by the
-/// `hypersparse_insert` ablation bench and by correctness tests as the
-/// reference implementation.
-pub fn accumulate_flat<V: Value, I: IntoIterator<Item = (Index, Index, V)>>(iter: I) -> Csr<V> {
-    Coo::from_triples(iter).into_csr()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -768,7 +761,7 @@ mod tests {
             acc.extend(t.iter().copied());
             acc.check_invariants().unwrap();
             let (m, report) = acc.finalize_with_report();
-            assert_eq!(m, accumulate_flat(t.iter().copied()), "{mode:?}");
+            assert_eq!(m, Coo::from_triples(t.iter().copied()).into_csr(), "{mode:?}");
             assert!(report.is_exact(), "{mode:?}");
             report.check_invariants().unwrap();
             if matches!(mode, Mode::Resident | Mode::Spilling(None)) {
@@ -784,7 +777,7 @@ mod tests {
             let mut acc = fold(mode, 256);
             acc.extend(t.iter().copied());
             assert_eq!(acc.stats().leaves, 4, "{mode:?}");
-            assert_eq!(acc.finalize(), accumulate_flat(t.iter().copied()), "{mode:?}");
+            assert_eq!(acc.finalize(), Coo::from_triples(t.iter().copied()).into_csr(), "{mode:?}");
         }
     }
 
@@ -844,7 +837,8 @@ mod tests {
                         "post-finalize closed form ({mode:?}, c={c}, n={n})"
                     );
                     assert!(s.carry_merges >= mid.carry_merges, "finalize never forgets carries");
-                    assert_eq!(m, accumulate_flat(triples(n)), "matrix ({mode:?}, c={c}, n={n})");
+                    let flat = Coo::from_triples(triples(n)).into_csr();
+                    assert_eq!(m, flat, "matrix ({mode:?}, c={c}, n={n})");
                 }
             }
         }
@@ -926,7 +920,7 @@ mod tests {
         // Pushing pre-compacted CSR leaves reproduces the matrix built from
         // the underlying triples, for every partition of the input.
         let t = triples(4_000);
-        let flat = accumulate_flat(t.clone());
+        let flat = Coo::from_triples(t.clone()).into_csr();
         for mode in MODES {
             for chunk in [1usize, 37, 256, 4_000] {
                 let mut acc = fold(mode, 64);
@@ -950,7 +944,7 @@ mod tests {
             acc.extend(t[..300].iter().copied());
             acc.push_csr_leaf(Coo::from_triples(t[300..700].iter().copied()).into_csr());
             acc.extend(t[700..].iter().copied());
-            assert_eq!(acc.finalize(), accumulate_flat(t.iter().copied()), "{mode:?}");
+            assert_eq!(acc.finalize(), Coo::from_triples(t.iter().copied()).into_csr(), "{mode:?}");
         }
     }
 
@@ -985,7 +979,7 @@ mod tests {
         for mode in MODES {
             let mut acc = fold(mode, 1);
             acc.extend(t.iter().copied());
-            assert_eq!(acc.finalize(), accumulate_flat(t.iter().copied()), "{mode:?}");
+            assert_eq!(acc.finalize(), Coo::from_triples(t.iter().copied()).into_csr(), "{mode:?}");
         }
     }
 
@@ -993,7 +987,7 @@ mod tests {
     fn zero_budget_forces_eviction_on_every_carry_and_stays_identical() {
         let t = triples_seeded(10_000, 7);
         let (m, report) = spilled(&t, 128, Some(0));
-        assert_eq!(m, accumulate_flat(t));
+        assert_eq!(m, Coo::from_triples(t).into_csr());
         assert!(report.is_exact());
         assert!(report.stats.evictions > 0, "{:?}", report.stats);
         assert!(report.stats.reloads > 0, "{:?}", report.stats);
@@ -1014,7 +1008,7 @@ mod tests {
             }
         }
         let (m, report) = acc.finalize_with_report();
-        assert_eq!(m, accumulate_flat(t));
+        assert_eq!(m, Coo::from_triples(t).into_csr());
         assert!(report.is_exact());
         assert!(report.stats.evictions > 0);
     }
@@ -1028,7 +1022,7 @@ mod tests {
         acc.extend(t.iter().copied());
         acc.check_invariants().unwrap();
         let (m, report) = acc.finalize_with_report();
-        assert_eq!(m, accumulate_flat(t));
+        assert_eq!(m, Coo::from_triples(t).into_csr());
         assert_eq!(report.stats.evictions, 0, "nothing to evict to");
         assert!(report.stats.budget_overruns > 0, "{:?}", report.stats);
     }
@@ -1038,7 +1032,7 @@ mod tests {
         let t = triples_seeded(20_000, 19);
         let budget = 1 << 20; // 1 MiB: ample for 512-key leaves, forces order
         let (m, report) = spilled(&t, 512, Some(budget));
-        assert_eq!(m, accumulate_flat(t));
+        assert_eq!(m, Coo::from_triples(t).into_csr());
         assert_eq!(report.stats.budget_overruns, 0, "{:?}", report.stats);
         assert!(report.stats.peak_live_bytes <= budget, "{:?}", report.stats);
     }
@@ -1053,7 +1047,7 @@ mod tests {
         let mut acc = HierarchicalAccumulator::spilling(cfg, Arc::new(medium));
         acc.extend(t.iter().copied());
         let (m, report) = acc.finalize_with_report();
-        assert_eq!(m, accumulate_flat(t));
+        assert_eq!(m, Coo::from_triples(t).into_csr());
         assert!(report.stats.evictions > 0);
         // finalize consumed the accumulator (and with it the store's Arc
         // on the medium), so the directory is already gone.

@@ -52,7 +52,6 @@ pub mod ops;
 pub mod radix;
 pub mod reduce;
 pub mod serialize;
-pub mod spgemm;
 pub mod spill;
 pub mod value;
 

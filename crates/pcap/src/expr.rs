@@ -16,10 +16,16 @@
 //! ```
 //!
 //! Compiled expressions implement [`PacketFilter`], so they plug into the
-//! constant-packet windower unchanged.
+//! constant-packet windower unchanged. Parentheses and `not`s may nest at
+//! most 64 deep; a deeper filter is a [`ParseError`].
 
 use crate::filter::PacketFilter;
 use crate::packet::{Ip4, Packet, Protocol};
+
+/// How deeply parentheses and `not`s may nest. The parser recurses once
+/// per level, so without a bound a long enough filter would overflow the
+/// stack and abort the process instead of returning an error.
+const MAX_DEPTH: usize = 64;
 
 /// A compiled filter expression.
 #[derive(Clone, Debug, PartialEq)]
@@ -85,7 +91,7 @@ pub fn parse(input: &str) -> Result<Expr, ParseError> {
         .split_whitespace()
         .map(str::to_string)
         .collect();
-    let mut parser = Parser { tokens, pos: 0 };
+    let mut parser = Parser { tokens, pos: 0, depth: 0 };
     let expr = parser.parse_or()?;
     if parser.pos != parser.tokens.len() {
         return Err(parser.err("unexpected trailing tokens"));
@@ -96,6 +102,8 @@ pub fn parse(input: &str) -> Result<Expr, ParseError> {
 struct Parser {
     tokens: Vec<String>,
     pos: usize,
+    /// Parentheses and `not`s open around `pos`.
+    depth: usize,
 }
 
 impl Parser {
@@ -138,20 +146,32 @@ impl Parser {
 
     fn parse_unary(&mut self) -> Result<Expr, ParseError> {
         match self.peek() {
-            Some("not") => {
-                self.pos += 1;
-                Ok(Expr::Not(Box::new(self.parse_unary()?)))
-            }
-            Some("(") => {
-                self.pos += 1;
-                let inner = self.parse_or()?;
-                if self.next()? != ")" {
-                    return Err(self.err("expected ')'"));
+            Some("not") => self.nested(|p| Ok(Expr::Not(Box::new(p.parse_unary()?)))),
+            Some("(") => self.nested(|p| {
+                let inner = p.parse_or()?;
+                if p.next()? != ")" {
+                    return Err(p.err("expected ')'"));
                 }
                 Ok(inner)
-            }
+            }),
             _ => self.parse_primitive(),
         }
+    }
+
+    /// Consume the `not` or `(` at `pos` and parse what it opens one level
+    /// deeper; past [`MAX_DEPTH`] levels, fail at that token.
+    fn nested(
+        &mut self,
+        body: impl FnOnce(&mut Self) -> Result<Expr, ParseError>,
+    ) -> Result<Expr, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("expression nested too deeply"));
+        }
+        self.depth += 1;
+        self.pos += 1;
+        let expr = body(self)?;
+        self.depth -= 1;
+        Ok(expr)
     }
 
     fn parse_primitive(&mut self) -> Result<Expr, ParseError> {
@@ -294,6 +314,23 @@ mod tests {
     fn double_negation() {
         let p = pkt("1.1.1.1", "2.2.2.2", Protocol::Tcp, 1, 2);
         assert!(parse("not not proto tcp").unwrap().accept(&p));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let n = 100_000;
+        let parens = format!("{}port 80{}", "(".repeat(n), ")".repeat(n));
+        let nots = format!("{}port 80", "not ".repeat(n));
+        for deep in [parens, nots] {
+            let err = parse(&deep).unwrap_err();
+            assert_eq!(err.message, "expression nested too deeply");
+            assert_eq!(err.at_token, MAX_DEPTH);
+        }
+        let at_limit = format!("{}port 80{}", "(".repeat(MAX_DEPTH), ")".repeat(MAX_DEPTH));
+        assert_eq!(parse(&at_limit), parse("port 80"));
+        let mixed = format!("{}( port 80 )", "not ".repeat(MAX_DEPTH - 1));
+        assert!(parse(&mixed).is_ok());
+        assert!(parse(&format!("not {mixed}")).is_err());
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //! possible α and β values, normalizing to the peak in the data, and then
 //! selecting the α and β that minimize the `| |^{1/2}` norm".
 
+use crate::norms::half_norm;
+
 /// A unit-peak temporal correlation model.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum TemporalModel {
@@ -102,14 +104,6 @@ fn fit_peak(lags: &[f64], values: &[f64]) -> Option<f64> {
     (!lags.is_empty() && peak > 0.0).then_some(peak)
 }
 
-/// The paper's objective, the `| |^{1/2}` norm of `peak · unit − values`:
-/// the same operations as `residual_pnorm(&predicted, values, 0.5)` on
-/// `predicted[i] = peak * unit[i]` — each `|x − y|^{1/2}` summed in lag
-/// order, then squared — without collecting `predicted`.
-fn half_norm_residual(unit: impl Iterator<Item = f64>, peak: f64, values: &[f64]) -> f64 {
-    unit.zip(values).map(|(u, &v)| (peak * u - v).abs().powf(0.5)).sum::<f64>().powf(2.0)
-}
-
 /// Default α grid: 0.05 .. 4.0.
 pub fn default_mc_alpha_grid() -> Vec<f64> {
     (1..=80).map(|i| i as f64 * 0.05).collect()
@@ -144,8 +138,7 @@ pub fn fit_modified_cauchy_grid(
             *r = t.abs().powf(alpha);
         }
         for &beta in betas {
-            let unit = row.iter().map(|&r| beta / (beta + r));
-            let residual = half_norm_residual(unit, peak, values);
+            let residual = half_norm(row.iter().map(|&r| peak * (beta / (beta + r))), values);
             if best.is_none_or(|b| residual < b.residual) {
                 best = Some(ModCauchyFit { alpha, beta, peak, residual });
             }
@@ -172,7 +165,7 @@ pub fn fit_modified_cauchy(lags: &[f64], values: &[f64]) -> Option<ModCauchyFit>
 pub fn refine_modified_cauchy(lags: &[f64], values: &[f64], start: ModCauchyFit) -> ModCauchyFit {
     let eval = |alpha: f64, beta: f64| {
         let model = TemporalModel::ModifiedCauchy { alpha, beta };
-        half_norm_residual(lags.iter().map(|&t| model.eval(t)), start.peak, values)
+        half_norm(lags.iter().map(|&t| start.peak * model.eval(t)), values)
     };
     let mut best = start;
     let (mut alpha_step, mut beta_step) = (1.3f64, 1.5f64);
@@ -209,7 +202,7 @@ fn fit_single_param(
     let mut best: Option<SingleParamFit> = None;
     for &p in params {
         let model = make(p);
-        let residual = half_norm_residual(lags.iter().map(|&t| model.eval(t)), peak, values);
+        let residual = half_norm(lags.iter().map(|&t| peak * model.eval(t)), values);
         if best.is_none_or(|b| residual < b.residual) {
             best = Some(SingleParamFit { param: p, peak, residual });
         }

@@ -29,6 +29,20 @@ pub fn residual_pnorm(a: &[f64], b: &[f64], p: f64) -> f64 {
         .powf(1.0 / p)
 }
 
+/// The paper's fit objective, the `| |^{1/2}` norm of `predicted − values`:
+/// each `|x − y|.sqrt()` summed in order, then the sum `s` squared as
+/// `s * s`. Every fit scores through this one function.
+///
+/// It is `residual_pnorm(predicted, values, 0.5)` with the exponents
+/// written in, because `powf(0.5)` and `powf(2.0)` compile to `sqrt` and a
+/// multiply only in optimized builds: a debug build calls `pow`, an ULP
+/// away in about 0.1 % of calls, and would fit other bits. Written out,
+/// every build profile computes the same bits.
+pub(crate) fn half_norm(predicted: impl Iterator<Item = f64>, values: &[f64]) -> f64 {
+    let s: f64 = predicted.zip(values).map(|(x, &y)| (x - y).abs().sqrt()).sum();
+    s * s
+}
+
 /// The zero-"norm": the number of nonzero entries (the `| |_0` of
 /// Table II applied to a vector).
 pub fn zero_norm(xs: &[f64]) -> usize {

@@ -7,7 +7,7 @@
 //! data, normalize both, and minimize the `| |^{1/2}` norm.
 
 use crate::binning::{log2_bin, Log2Binned};
-use crate::norms::residual_pnorm;
+use crate::norms::half_norm;
 use rand::{Rng, RngExt};
 
 /// A Zipf–Mandelbrot distribution on `1..=d_max`.
@@ -246,7 +246,7 @@ fn score(cumulative: &[f64], target: &Log2Binned, model: &mut Vec<f64>) -> f64 {
             *v /= total;
         }
     }
-    residual_pnorm(model, &target.values, 0.5)
+    half_norm(model.iter().copied(), &target.values)
 }
 
 /// A sensible default α grid for source-packet fits.

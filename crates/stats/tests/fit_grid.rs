@@ -3,7 +3,7 @@
 //!
 //! The oracles below are the allocating bodies the fits replaced: for
 //! every grid point, collect `peak * model.eval(lag)` into a `Vec`, score
-//! it with `residual_pnorm(.., 0.5)`, and keep the first point with the
+//! it with the `| |^{1/2}` norm, and keep the first point with the
 //! strictly smallest residual. Every field must agree to the bit, in
 //! debug and in release builds.
 
@@ -19,19 +19,16 @@ fn peak_of(values: &[f64]) -> f64 {
     values.iter().copied().fold(f64::NEG_INFINITY, f64::max)
 }
 
-/// `residual_pnorm(&predicted, values, 0.5)` on the collected
-/// `predicted[i] = peak * model.eval(lag_i)`, with the body written out.
-///
-/// Inside the library that call was inlined in optimized builds, so
-/// `p = 0.5` reached `powf` as a constant, which compiles to `sqrt` (and
-/// `powf(2.0)` to a multiply). Called across the crate boundary,
-/// `residual_pnorm` keeps a runtime exponent and calls `pow`, an ULP
-/// away in about 0.1 % of calls. Written out here, the constant reaches
-/// `powf` in the oracle too, in every build profile.
+/// The `| |^{1/2}` norm of `predicted − values` on the collected
+/// `predicted[i] = peak * model.eval(lag_i)`: each `|x − y|.sqrt()`
+/// summed in lag order, then squared as `s * s`, as the library writes
+/// it. `powf(0.5)` and `powf(2.0)` would compile to the same `sqrt` and
+/// multiply only in optimized builds; a debug build calls `pow`, an ULP
+/// away in about 0.1 % of calls.
 fn oracle_residual(lags: &[f64], values: &[f64], peak: f64, model: TemporalModel) -> f64 {
     let predicted: Vec<f64> = lags.iter().map(|&t| peak * model.eval(t)).collect();
-    let p = 0.5;
-    predicted.iter().zip(values).map(|(x, y)| (x - y).abs().powf(p)).sum::<f64>().powf(1.0 / p)
+    let s: f64 = predicted.iter().zip(values).map(|(x, y)| (x - y).abs().sqrt()).sum();
+    s * s
 }
 
 /// `fit_modified_cauchy_grid` as it was: one `Vec` per grid point.

@@ -3,8 +3,8 @@
 //!
 //! The oracle below is the per-fit loop the sweep replaced: for every
 //! `(α, δ)` grid point, build `ZipfMandelbrot::new(α, δ, d_max).binned()`,
-//! resize it to the data's bins, normalize, score with `residual_pnorm`,
-//! and keep the `min_by(total_cmp)` winner (the first point on a tie).
+//! resize it to the data's bins, normalize, score with the `| |^{1/2}`
+//! norm, and keep the `min_by(total_cmp)` winner (the first point on a tie).
 //! α, δ and the residual must agree to the bit, in debug and in release
 //! builds.
 
@@ -16,17 +16,14 @@ use obscor_stats::zipf::{
 use proptest::prelude::*;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 
-/// `residual_pnorm(a, b, 0.5)` with the body written out.
-///
-/// Inside the library that call is inlined in optimized builds, so
-/// `p = 0.5` reaches `powf` as a constant, which compiles to `sqrt` (and
-/// `powf(2.0)` to a multiply). Called across the crate boundary,
-/// `residual_pnorm` keeps a runtime exponent and calls `pow`, an ULP
-/// away in about 0.1 % of calls. Written out here, the constant reaches
-/// `powf` in the oracle too, in every build profile.
+/// The `| |^{1/2}` norm of `a − b`: each `|x − y|.sqrt()` summed in
+/// order, then squared as `s * s`, as the library writes it. `powf(0.5)`
+/// and `powf(2.0)` would compile to the same `sqrt` and multiply only in
+/// optimized builds; a debug build calls `pow`, an ULP away in about
+/// 0.1 % of calls.
 fn half_norm(a: &[f64], b: &[f64]) -> f64 {
-    let p = 0.5;
-    a.iter().zip(b).map(|(x, y)| (x - y).abs().powf(p)).sum::<f64>().powf(1.0 / p)
+    let s: f64 = a.iter().zip(b).map(|(x, y)| (x - y).abs().sqrt()).sum();
+    s * s
 }
 
 /// One independent fit per grid point, exactly as each call used to run.

@@ -13,20 +13,16 @@
 //! the leaves and re-sums them with a parallel merge tree, reproducing
 //! the full window matrix bit for bit.
 //!
-//! Restoration comes in two shapes:
-//!
-//! * [`restore_matrix`] — fail-stop: the first bad leaf aborts the whole
-//!   window (the original behavior; right for interactive debugging).
-//! * [`RecoveringRestore`] — production shape: reads leaves through the
-//!   [`LeafSource`] abstraction, retries *transient* faults with bounded
-//!   backoff, quarantines *permanently* corrupt leaves, and returns the
-//!   best matrix the surviving leaves support plus a [`RestoreReport`]
-//!   accounting for every leaf and packet (the coverage fraction the
-//!   pipeline propagates into `PaperAnalysis`).
+//! [`RecoveringRestore`] reads leaves through the [`LeafSource`]
+//! abstraction, retries *transient* faults with bounded backoff,
+//! quarantines *permanently* corrupt leaves, and returns the best matrix
+//! the surviving leaves support plus a [`RestoreReport`] accounting for
+//! every leaf and packet (the coverage fraction the pipeline propagates
+//! into `PaperAnalysis`). [`RecoveringRestore::restore_strict`] is the
+//! fail-stop shape: any lost leaf is an error.
 
 use crate::capture::TelescopeWindow;
-use obscor_anonymize::CryptoPan;
-use obscor_hypersparse::serialize::{decode, encode, CodecError};
+use obscor_hypersparse::serialize::{decode, encode};
 use obscor_hypersparse::{ops, reduce, Coo, Csr};
 use obscor_obs::FaultClass;
 use std::borrow::Cow;
@@ -94,7 +90,8 @@ impl LeafSource for WindowArchive {
     }
 }
 
-/// A failed leaf *read* (the decode layer has its own [`CodecError`]).
+/// A failed leaf *read* (the decode layer has its own
+/// [`CodecError`](obscor_hypersparse::serialize::CodecError)).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LeafFault {
     /// The read was interrupted; repeating it may succeed.
@@ -436,49 +433,13 @@ pub fn archive_window(w: &TelescopeWindow, n_leaves: usize) -> WindowArchive {
     archive_window_with(w, n_leaves, |ip| ip)
 }
 
-/// Archive under a CryptoPAN key (what the paper's archive stores).
-pub fn archive_window_anonymized(
-    w: &TelescopeWindow,
-    n_leaves: usize,
-    cp: &CryptoPan,
-) -> WindowArchive {
-    // Memoize: windows touch each unique address many times and CryptoPAN
-    // costs 32 AES calls per fresh address.
-    let mut memo = std::collections::HashMap::new();
-    let mut map = move |ip: u32, cp: &CryptoPan| *memo.entry(ip).or_insert_with(|| cp.anonymize(ip));
-    let total = w.window.packets.len();
-    let leaf_nv = total.div_ceil(n_leaves.max(1));
-    let leaves = w
-        .window
-        .packets
-        .chunks(leaf_nv.max(1))
-        .map(|chunk| {
-            let mut coo = Coo::with_capacity(chunk.len());
-            for p in chunk {
-                coo.push(map(p.src.0, cp), map(p.dst.0, cp), 1u64);
-            }
-            encode(&coo.into_csr())
-        })
-        .collect();
-    WindowArchive { label: w.label.clone(), leaf_nv, total_packets: total as u64, leaves }
-}
-
-/// Restore the full window matrix fail-stop: decode every leaf and re-sum
-/// with the parallel merge tree; the first bad leaf aborts the window.
-pub fn restore_matrix(archive: &WindowArchive) -> Result<Csr<u64>, CodecError> {
-    let _span = obscor_obs::span("telescope.restore_matrix");
-    obscor_obs::counter("telescope.restore.leaves_total").add(archive.n_leaves() as u64);
-    let leaves: Result<Vec<Csr<u64>>, CodecError> =
-        archive.leaves.iter().map(|bytes| decode(bytes)).collect();
-    Ok(ops::merge_all(leaves?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::capture::capture_window;
     use crate::faults::{FaultKind, FaultPlan};
     use crate::matrix;
+    use obscor_anonymize::CryptoPan;
     use obscor_netmodel::Scenario;
     use std::sync::OnceLock;
 
@@ -498,7 +459,7 @@ mod tests {
             let archive = archive_window(w, n_leaves);
             assert_eq!(archive.n_leaves(), n_leaves.min(w.packets()));
             assert_eq!(archive.total_packets, w.packets() as u64);
-            let restored = restore_matrix(&archive).unwrap();
+            let (restored, _) = RecoveringRestore::default().restore_strict(&archive).unwrap();
             assert_eq!(restored, direct, "n_leaves = {n_leaves}");
         }
     }
@@ -519,7 +480,8 @@ mod tests {
     fn anonymized_archive_preserves_quantities() {
         let w = window();
         let cp = CryptoPan::new(&[0x44u8; 32]);
-        let anon = restore_matrix(&archive_window_anonymized(w, 8, &cp)).unwrap();
+        let archive = archive_window_with(w, 8, |ip| cp.anonymize(ip));
+        let (anon, _) = RecoveringRestore::default().restore_strict(&archive).unwrap();
         let raw = matrix::build_matrix(w);
         assert_eq!(
             reduce::NetworkQuantities::compute(&anon),
@@ -533,7 +495,7 @@ mod tests {
         let w = window();
         let mut archive = archive_window(w, 4);
         archive.leaves[2][0] ^= 0xFF; // smash the magic
-        assert!(restore_matrix(&archive).is_err());
+        assert!(RecoveringRestore::default().restore_strict(&archive).is_err());
     }
 
     #[test]

@@ -20,8 +20,8 @@ pub mod matrix;
 pub mod stream;
 
 pub use archive::{
-    archive_window, restore_matrix, DegradedRestore, LeafFault, LeafSource, QuarantinedLeaf,
-    RecoveringRestore, RestoreReport, RetryPolicy, WindowArchive,
+    archive_window, DegradedRestore, LeafFault, LeafSource, QuarantinedLeaf, RecoveringRestore,
+    RestoreReport, RetryPolicy, WindowArchive,
 };
 pub use faults::{Fault, FaultKind, FaultPlan, FaultyArchive, FaultyMedium, ALL_FAULT_KINDS};
 pub use capture::{
@@ -31,7 +31,6 @@ pub use capture::{
 pub use darkspace::Darkspace;
 pub use inventory::{inventory, InventoryRow};
 pub use matrix::{
-    build_anonymized_matrix, build_anonymized_matrix_memo, build_matrix, build_matrix_spilled,
-    build_matrix_with, leaf_capacity_for, PAPER_LEAF_COUNT,
+    build_matrix, build_matrix_spilled, build_matrix_with, leaf_capacity_for, PAPER_LEAF_COUNT,
 };
 pub use stream::{DrainReport, IngestConfig, IngestService, WindowSnapshot};

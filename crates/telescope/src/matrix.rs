@@ -6,7 +6,6 @@
 //! held at `2^13` by default so leaf size scales with `N_V`.
 
 use crate::capture::TelescopeWindow;
-use obscor_anonymize::{CryptoPan, MemoCryptoPan};
 use obscor_hypersparse::{
     Csr, DirMedium, HierarchicalAccumulator, SpillConfig, SpillFault, SpillReport,
 };
@@ -29,22 +28,9 @@ pub fn build_matrix(w: &TelescopeWindow) -> Csr<u64> {
     build_matrix_with(w, |ip| ip)
 }
 
-/// Build the window's traffic matrix with CryptoPAN-anonymized indices —
-/// what the archive actually stores. Kept as the differential oracle for
-/// [`build_anonymized_matrix_memo`], the ingest fast path.
-pub fn build_anonymized_matrix(w: &TelescopeWindow, cp: &CryptoPan) -> Csr<u64> {
-    build_matrix_with(w, |ip| cp.anonymize(ip))
-}
-
-/// Build the window's anonymized traffic matrix through the memoized
-/// CryptoPAN (prefix-table + 16 AES calls per address). Bit-identical to
-/// [`build_anonymized_matrix`] under the same key.
-pub fn build_anonymized_matrix_memo(w: &TelescopeWindow, cp: &MemoCryptoPan) -> Csr<u64> {
-    build_matrix_with(w, |ip| cp.anonymize(ip))
-}
-
 /// Build with an arbitrary index transform, using hierarchical
-/// accumulation with the paper's leaf count.
+/// accumulation with the paper's leaf count. CryptoPAN anonymization is
+/// `build_matrix_with(w, |ip| cp.anonymize(ip))`.
 pub fn build_matrix_with(w: &TelescopeWindow, map: impl Fn(u32) -> u32) -> Csr<u64> {
     fold_window(w, map, HierarchicalAccumulator::with_leaf_capacity).0
 }
@@ -90,6 +76,7 @@ fn fold_window(
 mod tests {
     use super::*;
     use crate::capture::capture_window;
+    use obscor_anonymize::{CryptoPan, MemoCryptoPan};
     use obscor_hypersparse::reduce;
     use obscor_netmodel::Scenario;
 
@@ -131,7 +118,7 @@ mod tests {
         let w = window();
         let raw = build_matrix(&w);
         let cp = CryptoPan::new(&[3u8; 32]);
-        let anon = build_anonymized_matrix(&w, &cp);
+        let anon = build_matrix_with(&w, |ip| cp.anonymize(ip));
         assert_eq!(
             reduce::NetworkQuantities::compute(&raw),
             reduce::NetworkQuantities::compute(&anon)
@@ -144,8 +131,9 @@ mod tests {
     fn memoized_anonymized_matrix_is_bit_identical() {
         let w = window();
         let key = [0x5Au8; 32];
-        let uncached = build_anonymized_matrix(&w, &CryptoPan::new(&key));
-        let memoized = build_anonymized_matrix_memo(&w, &MemoCryptoPan::new(&key));
+        let (cp, memo) = (CryptoPan::new(&key), MemoCryptoPan::new(&key));
+        let uncached = build_matrix_with(&w, |ip| cp.anonymize(ip));
+        let memoized = build_matrix_with(&w, |ip| memo.anonymize(ip));
         assert_eq!(uncached, memoized);
     }
 
@@ -169,7 +157,7 @@ mod tests {
         let w = window();
         let cp = CryptoPan::new(&[9u8; 32]);
         let raw = build_matrix(&w);
-        let anon = build_anonymized_matrix(&w, &cp);
+        let anon = build_matrix_with(&w, |ip| cp.anonymize(ip));
         let mut recovered: Vec<u32> =
             anon.row_keys().iter().map(|&r| cp.deanonymize(r)).collect();
         recovered.sort_unstable();

@@ -279,8 +279,8 @@ impl IngestService {
     /// Spawn the pool with line-rate memoized-CryptoPAN anonymization:
     /// every batch is anonymized inside the worker through
     /// [`MemoCryptoPan::anonymize_slice`] before it is folded, so the
-    /// emitted matrices match [`crate::matrix::build_anonymized_matrix`]
-    /// under the same key.
+    /// emitted matrices match [`crate::matrix::build_matrix_with`] over
+    /// [`MemoCryptoPan::anonymize`] under the same key.
     ///
     /// # Panics
     /// Panics if any `cfg` field is zero where a positive value is
@@ -685,7 +685,6 @@ fn fold_window(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obscor_hypersparse::hier::accumulate_flat;
 
     fn pairs(n: usize, seed: u64) -> Vec<(u32, u32)> {
         let mut state = seed | 1;
@@ -700,7 +699,7 @@ mod tests {
     }
 
     fn flat(pairs: &[(u32, u32)]) -> Csr<u64> {
-        accumulate_flat(pairs.iter().map(|&(s, d)| (s, d, 1u64)))
+        Coo::from_triples(pairs.iter().map(|&(s, d)| (s, d, 1u64))).into_csr()
     }
 
     #[test]

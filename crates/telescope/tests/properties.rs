@@ -9,8 +9,8 @@
 use obscor_hypersparse::reduce;
 use obscor_netmodel::Scenario;
 use obscor_telescope::{
-    archive_window, capture_window, restore_matrix, Fault, FaultKind, FaultPlan,
-    RecoveringRestore, RetryPolicy, WindowArchive,
+    archive_window, capture_window, Fault, FaultKind, FaultPlan, RecoveringRestore,
+    RetryPolicy, WindowArchive,
 };
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -50,13 +50,13 @@ proptest! {
 
     /// Transient-only plans always recover completely under the default
     /// retry budget: the restored matrix is bit-identical to the
-    /// fail-stop restore of the clean archive.
+    /// strict restore of the clean archive.
     #[test]
     fn transient_only_plans_recover_bit_identically(seed in any::<u64>()) {
         let plan = FaultPlan::with_kinds(seed, 1.0, &[FaultKind::TransientRead]).unwrap();
         let (m, report) = RecoveringRestore::default().restore(&plan.apply(archive()));
         prop_assert!(report.is_complete());
-        prop_assert_eq!(m, restore_matrix(archive()).unwrap());
+        prop_assert_eq!(m, RecoveringRestore::default().restore_strict(archive()).unwrap().0);
     }
 
     /// Every fault a plan draws respects the leaf geometry: truncations

@@ -25,7 +25,7 @@ fn every_table2_quantity_survives_anonymization() {
     let w = capture_window(s, &s.caida_windows[0]);
     let raw = matrix::build_matrix(&w);
     let cp = CryptoPan::new(&[0x11u8; 32]);
-    let anon = matrix::build_anonymized_matrix(&w, &cp);
+    let anon = matrix::build_matrix_with(&w, |ip| cp.anonymize(ip));
     assert_eq!(
         NetworkQuantities::compute(&raw),
         NetworkQuantities::compute(&anon)
@@ -38,7 +38,7 @@ fn degree_distribution_survives_anonymization() {
     let w = capture_window(s, &s.caida_windows[1]);
     let cp = CryptoPan::new(&[0x22u8; 32]);
     let raw = matrix::build_matrix(&w);
-    let anon = matrix::build_anonymized_matrix(&w, &cp);
+    let anon = matrix::build_matrix_with(&w, |ip| cp.anonymize(ip));
     let hist = |m: &obscor::hypersparse::Csr<u64>| {
         DegreeHistogram::from_degrees(reduce::source_packets(m).into_iter().map(|(_, d)| d))
     };

@@ -14,7 +14,6 @@
 //!    deterministic in the fault-plan seed.
 
 use obscor_core::{pipeline, AnalysisConfig, ArchiveConfig};
-use obscor_hypersparse::hier::accumulate_flat;
 use obscor_hypersparse::spill::{MemMedium, SpillConfig};
 use obscor_hypersparse::{ops, reduce, Coo, Csr, HierarchicalAccumulator, SpillReport};
 use obscor_netmodel::Scenario;
@@ -245,19 +244,20 @@ fn flat_of_surviving(pairs: &[(u32, u32)], leaf: usize, report: &SpillReport) ->
             lost[usize::try_from(i).unwrap()] = true;
         }
     }
-    accumulate_flat(
+    Coo::from_triples(
         pairs
             .chunks(leaf)
             .enumerate()
             .filter(|(i, _)| !lost[*i])
             .flat_map(|(_, c)| c.iter().map(|&(s, d)| (s, d, 1u64))),
     )
+    .into_csr()
 }
 
 #[test]
 fn clean_plan_on_the_spill_layer_changes_nothing() {
     let p = spill_pairs(4_000, 11);
-    let oracle = accumulate_flat(p.iter().map(|&(s, d)| (s, d, 1u64)));
+    let oracle = Coo::from_triples(p.iter().map(|&(s, d)| (s, d, 1u64))).into_csr();
     let (m, report) = spilled_with_plan(&p, 100, FaultPlan::new(1, 0.0).unwrap());
     assert_eq!(m, oracle);
     assert!(report.is_exact(), "{report:?}");
@@ -292,7 +292,7 @@ fn faulted_spill_build_equals_flat_build_over_surviving_leaves() {
 #[test]
 fn transient_only_spill_plans_recover_exactly() {
     let p = spill_pairs(3_000, 23);
-    let oracle = accumulate_flat(p.iter().map(|&(s, d)| (s, d, 1u64)));
+    let oracle = Coo::from_triples(p.iter().map(|&(s, d)| (s, d, 1u64))).into_csr();
     for seed in [1u64, 2, 3] {
         let plan = FaultPlan::with_kinds(seed, 1.0, &[FaultKind::TransientRead]).unwrap();
         let (m, report) = spilled_with_plan(&p, 64, plan);

@@ -4,7 +4,8 @@
 //! for every point of a (window size, leaf capacity, memory budget) grid
 //! and under randomized geometry/budget schedules:
 //!
-//! 1. `accumulate_flat` — the one-shot oracle (sort the whole multiset),
+//! 1. `Coo::from_triples(..).into_csr()` — the one-shot oracle (sort the
+//!    whole multiset),
 //! 2. `HierarchicalAccumulator::with_leaf_capacity` — the resident
 //!    binary-counter fold,
 //! 3. `HierarchicalAccumulator::spilling` — the same fold under a budget,
@@ -15,10 +16,10 @@
 //! quantity), including under budgets that force an eviction on every
 //! carry and budgets that change mid-stream.
 
-use obscor::hypersparse::hier::{accumulate_flat, HierarchicalAccumulator};
+use obscor::hypersparse::hier::HierarchicalAccumulator;
 use obscor::hypersparse::reduce::NetworkQuantities;
 use obscor::hypersparse::spill::{MemMedium, SpillConfig};
-use obscor::hypersparse::Csr;
+use obscor::hypersparse::{Coo, Csr};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 use std::sync::Arc;
@@ -37,7 +38,7 @@ fn pairs(n: usize, seed: u64) -> Vec<(u32, u32)> {
 }
 
 fn flat(pairs: &[(u32, u32)]) -> Csr<u64> {
-    accumulate_flat(pairs.iter().map(|&(s, d)| (s, d, 1u64)))
+    Coo::from_triples(pairs.iter().map(|&(s, d)| (s, d, 1u64))).into_csr()
 }
 
 fn in_memory(pairs: &[(u32, u32)], leaf_capacity: usize) -> Csr<u64> {

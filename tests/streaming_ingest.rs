@@ -3,11 +3,10 @@
 //! interleaving) combination, drains exactly, and blocks — never drops —
 //! under backpressure (DESIGN.md §15).
 
-use obscor::hypersparse::hier::accumulate_flat;
 use obscor::hypersparse::reduce::NetworkQuantities;
-use obscor::hypersparse::Csr;
+use obscor::hypersparse::{Coo, Csr};
 use obscor::netmodel::Scenario;
-use obscor::telescope::matrix::{build_anonymized_matrix_memo, build_matrix};
+use obscor::telescope::matrix::{build_matrix, build_matrix_with};
 use obscor::telescope::{capture_window, IngestConfig, IngestService};
 use obscor_anonymize::MemoCryptoPan;
 use proptest::prelude::*;
@@ -29,7 +28,7 @@ fn pairs(n: usize, seed: u64) -> Vec<(u32, u32)> {
 
 /// The batch oracle for one window: a flat accumulation of its pairs.
 fn oracle(window: &[(u32, u32)]) -> Csr<u64> {
-    accumulate_flat(window.iter().map(|&(s, d)| (s, d, 1u64)))
+    Coo::from_triples(window.iter().map(|&(s, d)| (s, d, 1u64))).into_csr()
 }
 
 /// Stream `all` through a service built from `cfg` and return the window
@@ -120,7 +119,8 @@ fn streamed_anonymized_matches_memoized_batch_build() {
     let scenario = Scenario::paper_scaled(1 << 14, 43);
     let window = capture_window(&scenario, &scenario.caida_windows[1]);
     let key = [0x5Au8; 32];
-    let batch = build_anonymized_matrix_memo(&window, &MemoCryptoPan::new(&key));
+    let memo = MemoCryptoPan::new(&key);
+    let batch = build_matrix_with(&window, |ip| memo.anonymize(ip));
     let coords: Vec<(u32, u32)> =
         window.window.packets.iter().map(|p| (p.src.0, p.dst.0)).collect();
     let mut svc = IngestService::with_anonymizer(
