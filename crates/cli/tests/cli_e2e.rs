@@ -218,6 +218,7 @@ fn metrics_flag_writes_schema_valid_json_with_all_stage_spans() {
         "telescope.capture_window",
         "telescope.build_matrix",
         "hypersparse.leaf_compact",
+        "hypersparse.carry_merge",
         "hypersparse.accumulator.finalize",
         "hypersparse.merge_all",
         "core.degrees",

@@ -52,9 +52,11 @@
 //! # Metrics
 //!
 //! Every fold emits the default names: the `hypersparse.leaf_compact` span
-//! and triple histogram per leaf, `hypersparse.accumulator.carry_merges_total`
-//! per carry merge, and at finalize the `hypersparse.accumulator.finalize`
-//! span and `hypersparse.accumulator.{pushed,leaves,merges}_total`. A fold
+//! (the compaction alone) and triple histogram per leaf, the
+//! `hypersparse.carry_merge` span and
+//! `hypersparse.accumulator.carry_merges_total` per carry merge, and at
+//! finalize the `hypersparse.accumulator.finalize` span and
+//! `hypersparse.accumulator.{pushed,leaves,merges}_total`. A fold
 //! that owns a store also emits the
 //! `hypersparse.spill.{evictions,reloads}_total` counters and per-level
 //! merge spans `span.hypersparse.spill.merge.level{k}.{ns,calls_total}`,
@@ -206,11 +208,13 @@ impl<V: Value> HierarchicalAccumulator<V> {
         if self.buffer.is_empty() {
             return;
         }
-        let _span = obscor_obs::span("hypersparse.leaf_compact");
         let packets = self.buffer.len() as u64;
-        obscor_obs::histogram("hypersparse.leaf_compact.triples").observe(packets);
-        let leaf = std::mem::replace(&mut self.buffer, Coo::with_capacity(self.leaf_capacity));
-        self.carry_leaf(leaf.into_csr(), packets);
+        let leaf = {
+            let _span = obscor_obs::span("hypersparse.leaf_compact");
+            obscor_obs::histogram("hypersparse.leaf_compact.triples").observe(packets);
+            std::mem::replace(&mut self.buffer, Coo::with_capacity(self.leaf_capacity)).into_csr()
+        };
+        self.carry_leaf(leaf, packets);
     }
 
     /// Insert a pre-compacted CSR leaf directly into the binary carry chain.
@@ -488,7 +492,10 @@ impl<V: Value> HierarchicalAccumulator<V> {
             };
             match self.load_part(existing) {
                 Ok(loaded) => {
-                    let merged = self.merge(k, &loaded.csr, &carry);
+                    let merged = {
+                        let _span = obscor_obs::span("hypersparse.carry_merge");
+                        self.merge(k, &loaded.csr, &carry)
+                    };
                     let merged_bytes = merged.heap_bytes();
                     // Reserve the output before the inputs release so the
                     // tracked peak covers the merge working set (the

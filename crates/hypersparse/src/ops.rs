@@ -6,95 +6,105 @@
 //! scaling, and index permutation (which models anonymization — Table II
 //! notes all network quantities are invariant under it).
 
+use std::cmp::Ordering;
+
 use crate::csr::Csr;
 use crate::value::Value;
 use crate::Index;
 
 /// Element-wise sum `C = A + B`.
 ///
-/// Implemented as a streaming two-way merge over the sorted row lists — the
-/// kernel that the hierarchical accumulator applies at every carry, so it is
-/// careful to be `O(nnz(A) + nnz(B))` with no hashing.
+/// A streaming two-way merge over the sorted row lists that writes the
+/// output's four CSR arrays directly — the kernel that the hierarchical
+/// accumulator applies at every carry, so it is `O(nnz(A) + nnz(B))` with
+/// no hashing and no intermediate triples. A row occupied on one side only
+/// is copied whole; a row occupied on both merges its columns, summing
+/// shared entries and dropping sums that cancel to zero. A row key is
+/// pushed only if its row still holds an entry after that, so the result
+/// stores no empty row.
 pub fn ewise_add<V: Value>(a: &Csr<V>, b: &Csr<V>) -> Csr<V> {
-    let mut triples: Vec<(Index, Index, V)> = Vec::with_capacity(a.nnz() + b.nnz());
-    let (mut ia, mut ib) = (0usize, 0usize);
     let (ra, rb) = (a.row_keys(), b.row_keys());
+    let mut row_keys: Vec<Index> = Vec::with_capacity(ra.len() + rb.len());
+    let mut row_ptr: Vec<usize> = Vec::with_capacity(ra.len() + rb.len() + 1);
+    let mut cols: Vec<Index> = Vec::with_capacity(a.nnz() + b.nnz());
+    let mut vals: Vec<V> = Vec::with_capacity(a.nnz() + b.nnz());
+    row_ptr.push(0);
+    let (mut ia, mut ib) = (0usize, 0usize);
     loop {
-        let next_a = ra.get(ia).copied();
-        let next_b = rb.get(ib).copied();
-        match (next_a, next_b) {
-            (Some(r), Some(s)) if r == s => {
-                merge_rows(r, a.row_at(ia), b.row_at(ib), &mut triples);
+        let r = match (ra.get(ia), rb.get(ib)) {
+            (Some(&r), Some(&s)) if r == s => {
+                add_row(a.row_at(ia), b.row_at(ib), &mut cols, &mut vals);
                 ia += 1;
                 ib += 1;
+                r
             }
-            (Some(r), Some(s)) if r < s => {
-                copy_row(r, a.row_at(ia), &mut triples);
+            (Some(&r), Some(&s)) if r < s => {
+                extend_row(a.row_at(ia), &mut cols, &mut vals);
                 ia += 1;
+                r
             }
-            (Some(_), Some(s)) => {
-                copy_row(s, b.row_at(ib), &mut triples);
-                ib += 1;
-            }
-            (Some(r), None) => {
-                copy_row(r, a.row_at(ia), &mut triples);
+            (Some(&r), None) => {
+                extend_row(a.row_at(ia), &mut cols, &mut vals);
                 ia += 1;
+                r
             }
-            (None, Some(s)) => {
-                copy_row(s, b.row_at(ib), &mut triples);
+            (_, Some(&s)) => {
+                extend_row(b.row_at(ib), &mut cols, &mut vals);
                 ib += 1;
+                s
             }
             // Both sides exhausted: the merge is complete.
             (None, None) => break,
+        };
+        if row_ptr.last() != Some(&cols.len()) {
+            row_keys.push(r);
+            row_ptr.push(cols.len());
         }
     }
-    Csr::from_sorted_dedup_triples(triples)
+    Csr::from_parts(row_keys, row_ptr, cols, vals)
 }
 
-fn copy_row<V: Value>(r: Index, (cols, vals): (&[Index], &[V]), out: &mut Vec<(Index, Index, V)>) {
-    for (&c, &v) in cols.iter().zip(vals) {
-        out.push((r, c, v));
-    }
+/// Append one stored row unchanged.
+fn extend_row<V: Value>((c, v): (&[Index], &[V]), cols: &mut Vec<Index>, vals: &mut Vec<V>) {
+    cols.extend_from_slice(c);
+    vals.extend_from_slice(v);
 }
 
-fn merge_rows<V: Value>(
-    r: Index,
+/// Append the sum of two stored rows of the same key: a merge of their
+/// sorted columns in which a shared column whose values cancel is dropped.
+fn add_row<V: Value>(
     (ca, va): (&[Index], &[V]),
     (cb, vb): (&[Index], &[V]),
-    out: &mut Vec<(Index, Index, V)>,
+    cols: &mut Vec<Index>,
+    vals: &mut Vec<V>,
 ) {
     let (mut i, mut j) = (0usize, 0usize);
-    loop {
-        match (ca.get(i), cb.get(j)) {
-            (Some(&c), Some(&d)) if c == d => {
+    while i < ca.len() && j < cb.len() {
+        match ca[i].cmp(&cb[j]) {
+            Ordering::Less => {
+                cols.push(ca[i]);
+                vals.push(va[i]);
+                i += 1;
+            }
+            Ordering::Greater => {
+                cols.push(cb[j]);
+                vals.push(vb[j]);
+                j += 1;
+            }
+            Ordering::Equal => {
                 let mut v = va[i];
                 v += vb[j];
                 if !v.is_zero() {
-                    out.push((r, c, v));
+                    cols.push(ca[i]);
+                    vals.push(v);
                 }
                 i += 1;
                 j += 1;
             }
-            (Some(&c), Some(&d)) if c < d => {
-                out.push((r, c, va[i]));
-                i += 1;
-            }
-            (Some(_), Some(&d)) => {
-                out.push((r, d, vb[j]));
-                j += 1;
-            }
-            (Some(&c), None) => {
-                out.push((r, c, va[i]));
-                i += 1;
-            }
-            (None, Some(&d)) => {
-                out.push((r, d, vb[j]));
-                j += 1;
-            }
-            // Both sides exhausted: the merge is complete.
-            (None, None) => break,
         }
     }
+    extend_row((&ca[i..], &va[i..]), cols, vals);
+    extend_row((&cb[j..], &vb[j..]), cols, vals);
 }
 
 /// Sum many matrices with a parallel pairwise reduction tree (rayon).

@@ -104,6 +104,37 @@ proptest! {
         prop_assert_eq!(left, right);
     }
 
+    /// Element-wise addition equals one flat compaction of both operands'
+    /// entries, and its result is a valid CSR.
+    #[test]
+    fn ewise_add_equals_flat_compaction(t1 in arb_triples(), t2 in arb_triples()) {
+        let (a, b) = (build(&t1), build(&t2));
+        let sum = ops::ewise_add(&a, &b);
+        prop_assert!(sum.check_invariants().is_ok());
+        prop_assert_eq!(sum, Coo::from_triples(a.iter().chain(b.iter())).into_csr());
+    }
+
+    /// The same over `f64`, where `b` holds the negation of random whole
+    /// rows of `a` (plus other entries): a row that cancels completely
+    /// leaves no empty row behind.
+    #[test]
+    fn ewise_add_drops_rows_that_cancel(
+        t1 in arb_triples(), t2 in arb_triples(), rows in any::<u64>()
+    ) {
+        let float = |t: &[(Index, Index, u64)]| -> Vec<(Index, Index, f64)> {
+            t.iter().map(|&(r, c, v)| (r, c, v as f64)).collect()
+        };
+        let a: Csr<f64> = Coo::from_triples(float(&t1)).into_csr();
+        let negated = a
+            .iter()
+            .filter(|&(r, _, _)| rows >> (r % 64) & 1 == 1)
+            .map(|(r, c, v)| (r, c, -v));
+        let b: Csr<f64> = Coo::from_triples(negated.chain(float(&t2))).into_csr();
+        let sum = ops::ewise_add(&a, &b);
+        prop_assert!(sum.check_invariants().is_ok());
+        prop_assert_eq!(sum, Coo::from_triples(a.iter().chain(b.iter())).into_csr());
+    }
+
     /// Valid packets is additive over ewise_add.
     #[test]
     fn valid_packets_additive(t1 in arb_triples(), t2 in arb_triples()) {

@@ -17,7 +17,9 @@
 //!
 //! Compiled expressions implement [`PacketFilter`], so they plug into the
 //! constant-packet windower unchanged. Parentheses and `not`s may nest at
-//! most 64 deep; a deeper filter is a [`ParseError`].
+//! most 64 deep; a deeper filter is a [`ParseError`]. An `and`/`or` chain
+//! is stored flat, one [`Vec`] of terms, so a chain of any length is
+//! parsed, evaluated and dropped without recursing once per term.
 
 use crate::filter::PacketFilter;
 use crate::packet::{Ip4, Packet, Protocol};
@@ -44,10 +46,12 @@ pub enum Expr {
     Port(u16),
     /// Negation.
     Not(Box<Expr>),
-    /// Conjunction.
-    And(Box<Expr>, Box<Expr>),
-    /// Disjunction.
-    Or(Box<Expr>, Box<Expr>),
+    /// Conjunction of two or more terms, evaluated left to right until
+    /// one rejects.
+    And(Vec<Expr>),
+    /// Disjunction of two or more terms, evaluated left to right until
+    /// one accepts.
+    Or(Vec<Expr>),
 }
 
 impl PacketFilter for Expr {
@@ -60,8 +64,8 @@ impl PacketFilter for Expr {
             Expr::DstPort(port) => p.dst_port == *port,
             Expr::Port(port) => p.src_port == *port || p.dst_port == *port,
             Expr::Not(inner) => !inner.accept(p),
-            Expr::And(a, b) => a.accept(p) && b.accept(p),
-            Expr::Or(a, b) => a.accept(p) || b.accept(p),
+            Expr::And(terms) => terms.iter().all(|t| t.accept(p)),
+            Expr::Or(terms) => terms.iter().any(|t| t.accept(p)),
         }
     }
 }
@@ -125,23 +129,31 @@ impl Parser {
     }
 
     fn parse_or(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.parse_and()?;
-        while self.peek() == Some("or") {
-            self.pos += 1;
-            let rhs = self.parse_and()?;
-            lhs = Expr::Or(Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+        self.parse_chain("or", Self::parse_and, Expr::Or)
     }
 
     fn parse_and(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.parse_unary()?;
-        while self.peek() == Some("and") {
-            self.pos += 1;
-            let rhs = self.parse_unary()?;
-            lhs = Expr::And(Box::new(lhs), Box::new(rhs));
+        self.parse_chain("and", Self::parse_unary, Expr::And)
+    }
+
+    /// Parse `operand (op operand)*`. One operand stands for itself; two
+    /// or more are joined into one flat chain.
+    fn parse_chain(
+        &mut self,
+        op: &str,
+        operand: fn(&mut Self) -> Result<Expr, ParseError>,
+        join: fn(Vec<Expr>) -> Expr,
+    ) -> Result<Expr, ParseError> {
+        let first = operand(self)?;
+        if self.peek() != Some(op) {
+            return Ok(first);
         }
-        Ok(lhs)
+        let mut terms = vec![first];
+        while self.peek() == Some(op) {
+            self.pos += 1;
+            terms.push(operand(self)?);
+        }
+        Ok(join(terms))
     }
 
     fn parse_unary(&mut self) -> Result<Expr, ParseError> {
@@ -331,6 +343,25 @@ mod tests {
         let mixed = format!("{}( port 80 )", "not ".repeat(MAX_DEPTH - 1));
         assert!(parse(&mixed).is_ok());
         assert!(parse(&format!("not {mixed}")).is_err());
+    }
+
+    #[test]
+    fn long_chains_are_flat() {
+        let n = 200_000;
+        let p = pkt("1.1.1.1", "2.2.2.2", Protocol::Tcp, 1, 2);
+        let all = parse(&format!("port 1{}", " and port 1".repeat(n - 1))).unwrap();
+        assert!(matches!(&all, Expr::And(terms) if terms.len() == n));
+        assert!(all.accept(&p));
+        let last = parse(&format!("port 9{} and port 2", " and port 1".repeat(n - 1))).unwrap();
+        assert!(!last.accept(&p));
+        let any = parse(&format!("port 9{} or port 2", " or port 8".repeat(n - 1))).unwrap();
+        assert!(matches!(&any, Expr::Or(terms) if terms.len() == n + 1));
+        assert!(any.accept(&p));
+        // "a and b or c and d" is an `or` of two flat `and`s.
+        let mixed = parse(&format!("port 1{0} or port 9{0}", " and port 2".repeat(n / 2))).unwrap();
+        assert!(matches!(&mixed, Expr::Or(terms) if terms.len() == 2));
+        assert!(mixed.accept(&p));
+        drop((all, last, any, mixed));
     }
 
     #[test]

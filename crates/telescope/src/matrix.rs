@@ -2,10 +2,15 @@
 //!
 //! The paper's pipeline: packets → CryptoPAN anonymization → hierarchical
 //! hypersparse GraphBLAS matrices (`2^13` leaves of `2^17` packets for a
-//! `2^30` window). The same architecture is used here with the leaf count
-//! held at `2^13` by default so leaf size scales with `N_V`.
+//! `2^30` window). The same architecture is used here with the leaf size
+//! held at the paper's `2^17` packets, except that a window keeps at least
+//! 8 leaves: leaves hold `clamp(packets / 8, 1024, 2^17)` packets
+//! ([`leaf_capacity_for`]). From `N_V = 2^20` on every leaf is
+//! paper-sized, and a `2^30` window is the paper's `2^13` leaves; below
+//! that a window is 8 leaves of `N_V / 8` packets.
 
 use crate::capture::TelescopeWindow;
+use obscor_hypersparse::hier::DEFAULT_LEAF_CAPACITY;
 use obscor_hypersparse::{
     Csr, DirMedium, HierarchicalAccumulator, SpillConfig, SpillFault, SpillReport,
 };
@@ -16,11 +21,19 @@ use std::sync::Arc;
 /// leaf matrices.
 pub const PAPER_LEAF_COUNT: usize = 1 << 13;
 
-/// Leaf capacity for a window of `packets` valid packets: the paper's
-/// `2^13` leaves per window, but never fewer than 1024 triples per leaf.
-/// Every batch, ingest and oracle build sizes its leaves here.
+/// The fewest leaves a window of at least `8 * 1024` packets is cut into,
+/// so the carry chain and the spill path run at every supported `N_V`.
+const MIN_LEAVES: usize = 8;
+
+/// The smallest leaf, in triples.
+const MIN_LEAF_CAPACITY: usize = 1024;
+
+/// Leaf capacity for a window of `packets` valid packets: an eighth of the
+/// window, clamped between 1024 triples and the paper's `2^17`-packet
+/// leaf ([`DEFAULT_LEAF_CAPACITY`]). Every batch, spilled, ingest and
+/// oracle build sizes its leaves here.
 pub fn leaf_capacity_for(packets: usize) -> usize {
-    (packets / PAPER_LEAF_COUNT).max(1024)
+    (packets / MIN_LEAVES).clamp(MIN_LEAF_CAPACITY, DEFAULT_LEAF_CAPACITY)
 }
 
 /// Build the window's traffic matrix with raw (non-anonymized) indices.
@@ -29,8 +42,8 @@ pub fn build_matrix(w: &TelescopeWindow) -> Csr<u64> {
 }
 
 /// Build with an arbitrary index transform, using hierarchical
-/// accumulation with the paper's leaf count. CryptoPAN anonymization is
-/// `build_matrix_with(w, |ip| cp.anonymize(ip))`.
+/// accumulation with [`leaf_capacity_for`]'s leaves. CryptoPAN
+/// anonymization is `build_matrix_with(w, |ip| cp.anonymize(ip))`.
 pub fn build_matrix_with(w: &TelescopeWindow, map: impl Fn(u32) -> u32) -> Csr<u64> {
     fold_window(w, map, HierarchicalAccumulator::with_leaf_capacity).0
 }
@@ -83,6 +96,31 @@ mod tests {
     fn window() -> TelescopeWindow {
         let s = Scenario::paper_scaled(1 << 14, 5);
         capture_window(&s, &s.caida_windows[0])
+    }
+
+    #[test]
+    fn leaf_capacity_follows_the_paper_from_2_20_up() {
+        for (packets, leaf) in [
+            (1 << 10, 1024),
+            (1 << 12, 1024),
+            (1 << 13, 1024),
+            (1 << 14, 2048),
+            (1 << 17, 1 << 14),
+            (1 << 20, 1 << 17),
+            (1 << 30, 1 << 17),
+        ] {
+            assert_eq!(leaf_capacity_for(packets), leaf, "{packets} packets");
+        }
+        assert_eq!((1 << 30) / leaf_capacity_for(1 << 30), PAPER_LEAF_COUNT);
+        let leaves = |n: usize| n.div_ceil(leaf_capacity_for(n));
+        for n in (1 << 13)..(1 << 17) {
+            assert!(leaves(n) >= MIN_LEAVES, "{n} packets: {} leaves", leaves(n));
+        }
+        for k in 17..=40 {
+            for n in [(1usize << k) - 1, 1 << k, (1 << k) + 1, 3 << (k - 1)] {
+                assert!(leaves(n) >= MIN_LEAVES, "{n} packets: {} leaves", leaves(n));
+            }
+        }
     }
 
     #[test]

@@ -105,9 +105,10 @@ pub struct IngestConfig {
 }
 
 impl IngestConfig {
-    /// A config with the defaults the batch path uses: leaf capacity
-    /// scaled so a full window is ~`2^13` leaves (the paper's leaf count),
-    /// 1024-packet shard batches, and queue depth 4.
+    /// A config with the defaults the batch path uses: the batch leaf
+    /// capacity ([`leaf_capacity_for`]: an eighth of the window, between
+    /// 1024 and the paper's `2^17` packets), 1024-packet shard batches, and
+    /// queue depth 4.
     ///
     /// # Panics
     /// Panics if `workers == 0` or `window_packets == 0`.

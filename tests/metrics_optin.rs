@@ -1,7 +1,7 @@
 //! Integration: the metric families outside the default schema, and the
 //! one level that gates the detail ones.
 //!
-//! The default 91-name schema is pinned byte-for-byte by
+//! The default 93-name schema is pinned byte-for-byte by
 //! `tests/metrics_schema.rs`; this binary (a separate process, so the
 //! level it sets cannot leak into that pin) proves the two halves of the
 //! contract:
@@ -203,6 +203,13 @@ fn fast_path_metrics_are_opt_in_with_a_pinned_name_set() {
         assert_eq!(run.counters[&format!("{name}.calls_total")], calls, "{name}");
         assert_eq!(run.histograms[&format!("{name}.ns")].count, calls, "{name}");
     }
+    // The spilling and ingest folds time every carry merge under its own
+    // span, as the resident fold does.
+    assert_eq!(
+        run.counters["span.hypersparse.carry_merge.calls_total"],
+        run.counters["hypersparse.accumulator.carry_merges_total"]
+    );
+    assert!(run.counters["hypersparse.accumulator.carry_merges_total"] >= 7);
     // Streaming ingest: exact totals for the 64-packet run.
     assert_eq!(run.counters["telescope.ingest.windows_closed_total"], 2);
     assert_eq!(run.counters["telescope.ingest.packets_total"], 64);

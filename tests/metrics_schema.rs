@@ -29,7 +29,7 @@ fn metrics() -> &'static MetricsSnapshot {
 /// Every metric name the pipeline emits, pinned. A missing name means an
 /// instrumentation point was dropped; a new name must be added here (and to
 /// DESIGN.md §10) deliberately.
-const PINNED_NAMES: [&str; 91] = [
+const PINNED_NAMES: [&str; 93] = [
     "config.min_bin_sources",
     "config.month_count",
     "config.n_v",
@@ -64,6 +64,8 @@ const PINNED_NAMES: [&str; 91] = [
     "span.core.zm_fit.ns",
     "span.hypersparse.accumulator.finalize.calls_total",
     "span.hypersparse.accumulator.finalize.ns",
+    "span.hypersparse.carry_merge.calls_total",
+    "span.hypersparse.carry_merge.ns",
     "span.hypersparse.leaf_compact.calls_total",
     "span.hypersparse.leaf_compact.ns",
     "span.hypersparse.merge_all.calls_total",
@@ -191,6 +193,14 @@ fn counters_reflect_the_run_deterministically() {
     );
     // 5 windows + 4 first-window quantities, each tail-fitted once.
     assert_eq!(m.counters["span.core.tail_fit.calls_total"], 9);
+    // Each window is 8 leaves of 1,024 packets joined by 7 carry merges,
+    // and every carry merge runs under its own span.
+    assert_eq!(m.counters["hypersparse.accumulator.leaves_total"], 5 * 8);
+    assert_eq!(m.counters["hypersparse.accumulator.carry_merges_total"], 5 * 7);
+    assert_eq!(
+        m.counters["span.hypersparse.carry_merge.calls_total"],
+        m.counters["hypersparse.accumulator.carry_merges_total"]
+    );
 }
 
 #[test]
