@@ -443,3 +443,98 @@ fn bad_invocations_fail_with_usage() {
         assert!(stderr.contains("usage:"), "no usage in stderr for {args:?}");
     }
 }
+
+/// The standard 64-bit FNV-1a digest, as `tests/paper_reproduction.rs`
+/// computes it.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// The digest of `obscor <args>`'s stdout; the run must succeed.
+fn stdout_digest(args: &[&str]) -> u64 {
+    let out = obscor().args(args).output().unwrap();
+    assert!(out.status.success(), "{args:?} stderr:\n{}", String::from_utf8_lossy(&out.stderr));
+    fnv1a(&out.stdout)
+}
+
+/// The degraded archive run CI's fault-injection smoke also makes.
+const FAULT_RUN: [&str; 9] =
+    ["--nv", "2^14", "--seed", "42", "--fast", "--only", "table1", "--fault-plan", "7:0.3"];
+
+#[test]
+fn fault_plan_restore_reports_and_counters_are_pinned() {
+    let dir = ScratchDir::new("fault_pins");
+    let path = dir.file("faults.json");
+    let out = obscor().args(FAULT_RUN).arg("--tsv").arg("--metrics").arg(&path).output().unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(out.status.success(), "stderr:\n{stderr}");
+    assert_eq!(fnv1a(&out.stdout), 2_724_376_677_754_116_542, "stdout digest moved");
+
+    // Every window loses the same leaves: the plan hashes only its seed
+    // and the leaf index.
+    let lines: Vec<&str> = stderr.lines().collect();
+    let restores: Vec<usize> =
+        (0..lines.len()).filter(|&i| lines[i].starts_with("restore ")).collect();
+    assert_eq!(restores.len(), 5, "one restore line per window:\n{stderr}");
+    for &i in &restores {
+        assert!(
+            lines[i].ends_with(
+                "coverage 0.750000 (12288/16384 packets), 12/16 leaves, \
+                 1 recovered after retry, 5 retries, 4 quarantined"
+            ),
+            "{}",
+            lines[i]
+        );
+        // Index and class only: the reason wording belongs to the store.
+        let quarantined: Vec<&str> = lines[i + 1..i + 5]
+            .iter()
+            .map(|l| l.trim().strip_prefix("quarantined leaf ").expect("quarantine line"))
+            .map(|l| l.split_once(':').expect("a reason").0)
+            .collect();
+        assert_eq!(
+            quarantined,
+            ["3 (permanent)", "6 (transient)", "12 (permanent)", "15 (permanent)"],
+            "{stderr}"
+        );
+    }
+
+    let text = std::fs::read_to_string(&path).unwrap();
+    let snap = obscor_obs::MetricsSnapshot::from_json(&text).expect("schema-valid JSON");
+    for (name, want) in [
+        ("telescope.restore.leaves_total", 80),
+        ("telescope.restore.retries_total", 25),
+        ("telescope.restore.recovered_total", 5),
+        ("telescope.restore.quarantined_total", 20),
+        ("telescope.restore.transient_faults_total", 30),
+        ("telescope.restore.permanent_faults_total", 15),
+        ("telescope.faults.injected_total", 25),
+        ("telescope.faults.drop_total", 15),
+        ("telescope.faults.truncate_total", 5),
+        ("telescope.faults.transient_total", 5),
+        ("stage.matrices.nnz_total", 37_583),
+    ] {
+        assert_eq!(snap.counters.get(name).copied(), Some(want), "{name}");
+    }
+}
+
+#[test]
+fn zero_rate_fault_plan_prints_the_direct_bytes() {
+    let direct = ["--nv", "2^14", "--seed", "42", "--fast", "--only", "table1", "--tsv"];
+    let mut clean = FAULT_RUN.to_vec();
+    clean[8] = "7:0.0";
+    clean.push("--tsv");
+    assert_eq!(stdout_digest(&direct), 2_883_744_622_206_496_623);
+    assert_eq!(stdout_digest(&clean), 2_883_744_622_206_496_623);
+}
+
+#[test]
+fn forecast_output_is_pinned() {
+    for (args, want) in [
+        (["forecast", "--nv", "2^14", "--seed", "42", "--fast"], 13_908_410_633_721_930_485),
+        (["forecast", "--nv", "2^15", "--seed", "7", "--fast"], 13_143_127_946_532_499_506),
+    ] {
+        assert_eq!(stdout_digest(&args), want, "{args:?}");
+    }
+}
