@@ -7,7 +7,7 @@ use obscor_assoc::KeySet;
 use obscor_core::WindowDegrees;
 use obscor_honeyfarm::observe_all_months;
 use obscor_netmodel::Scenario;
-use obscor_telescope::capture_all_windows;
+use obscor_telescope::{build_matrix, capture_all_windows};
 
 /// Default window size of the `pipeline_stages` bench (`OBSCOR_BENCH_NV`
 /// overrides it).
@@ -64,7 +64,7 @@ pub fn fixture(n_v: usize, seed: u64) -> BenchFixture {
         .iter()
         .map(|w| {
             let month = (w.coord.floor() as usize).min(scenario.grid.len() - 1);
-            WindowDegrees::from_window(w, &holder, month)
+            WindowDegrees::from_matrix(&w.label, w.coord, month, &build_matrix(w), &holder)
         })
         .collect();
     let months = observe_all_months(&scenario);

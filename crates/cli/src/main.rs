@@ -574,18 +574,12 @@ fn batch_oracle_matrix(pairs: &[(u32, u32)], anonymize: bool) -> obscor_hyperspa
 
 fn forecast(o: Options) -> Result<(), String> {
     use obscor_core::forecast::forecast_all;
-    use obscor_core::temporal::temporal_curves;
     let scenario = build_scenario(&o);
     let config = if o.fast { AnalysisConfig::fast() } else { AnalysisConfig::default() };
     eprintln!("measuring temporal curves...");
-    let holder = obscor_anonymize::sharing::Holder::new("telescope", &[5u8; 32]);
-    let months = obscor_honeyfarm::observe_all_months(&scenario);
-    let monthly: Vec<_> = months.iter().map(|m| m.source_keys().clone()).collect();
-    let mut curves = Vec::new();
-    for w in 0..scenario.caida_windows.len() {
-        let wd = obscor_core::WindowDegrees::capture(&scenario, w, &holder);
-        curves.extend(temporal_curves(&wd, &monthly, config.min_bin_sources.max(30)));
-    }
+    let min_sources = config.min_bin_sources.max(30);
+    let mut curves = pipeline::run(&scenario, &config).curves;
+    curves.retain(|c| c.n_sources >= min_sources);
     let evals = forecast_all(&curves, o.cutoff, &config);
     println!("fit on months 0..{}, predict months {}..15", o.cutoff, o.cutoff);
     println!("window                bin     model MAE  persistence MAE  winner");

@@ -129,7 +129,7 @@ mod tests {
         F.get_or_init(|| {
             let s = Scenario::paper_scaled(1 << 15, 91);
             let holder = Holder::new("t", &[8u8; 32]);
-            let wd = WindowDegrees::capture(&s, 0, &holder);
+            let wd = crate::degree::captured(&s, 0, &holder);
             let month = observe_month_sources(&s, wd.month);
             let cc = class_split(&wd, &month);
             (wd, month, cc)

@@ -2,7 +2,7 @@
 
 use obscor_stats::fit::{default_mc_alpha_grid, default_mc_beta_grid};
 use obscor_stats::zipf::{default_alpha_grid, default_delta_grid};
-use obscor_telescope::{FaultPlan, RetryPolicy};
+use obscor_telescope::FaultPlan;
 
 /// Configuration of the archive → restore matrix path: instead of
 /// building each window matrix directly, serialize it into leaf matrices
@@ -18,13 +18,11 @@ pub struct ArchiveConfig {
     /// Seeded fault injection applied to every window's archive before
     /// restoration; `None` archives and restores cleanly.
     pub fault_plan: Option<FaultPlan>,
-    /// Retry/backoff policy of the recovering restore.
-    pub retry: RetryPolicy,
 }
 
 impl Default for ArchiveConfig {
     fn default() -> Self {
-        Self { n_leaves: 16, fault_plan: None, retry: RetryPolicy::default() }
+        Self { n_leaves: 16, fault_plan: None }
     }
 }
 

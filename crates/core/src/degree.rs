@@ -13,10 +13,8 @@
 use obscor_anonymize::sharing::Holder;
 use obscor_assoc::BitSet;
 use obscor_hypersparse::reduce;
-use obscor_netmodel::Scenario;
 use obscor_stats::binning::log2_bin;
 use obscor_stats::DegreeHistogram;
-use obscor_telescope::{capture_window, matrix, TelescopeWindow};
 use std::collections::BTreeMap;
 
 /// The reduced, deanonymized degree data of one telescope window.
@@ -33,17 +31,10 @@ pub struct WindowDegrees {
 }
 
 impl WindowDegrees {
-    /// Reduce a captured window: build the hierarchical traffic matrix,
-    /// take row sums (source packets), and run the anonymized product
-    /// through the send-back deanonymization workflow against `holder`
-    /// (the telescope operator's CryptoPAN key).
-    pub fn from_window(w: &TelescopeWindow, holder: &Holder, month: usize) -> Self {
-        let m = matrix::build_matrix(w);
-        Self::from_matrix(&w.label, w.coord, month, &m, holder)
-    }
-
-    /// Reduce an already-built traffic matrix (avoids rebuilding when the
-    /// caller also needs the matrix for Table II).
+    /// Reduce a window's traffic matrix: take row sums (source packets),
+    /// and run the anonymized product through the send-back
+    /// deanonymization workflow against `holder` (the telescope
+    /// operator's CryptoPAN key).
     pub fn from_matrix(
         label: &str,
         coord: f64,
@@ -69,15 +60,6 @@ impl WindowDegrees {
             .collect();
         degrees.sort_unstable();
         Self { label: label.to_string(), coord, month, degrees }
-    }
-
-    /// Capture + build + reduce one scenario window end to end.
-    pub fn capture(scenario: &Scenario, window_index: usize, holder: &Holder) -> Self {
-        let spec = &scenario.caida_windows[window_index];
-        let w = capture_window(scenario, spec);
-        // audit:allow(panic-path) — caida_windows come from the scenario's own grid, so lookup cannot fail
-        let month = scenario.window_month(spec).expect("window on grid");
-        Self::from_window(&w, holder, month)
     }
 
     /// Number of unique sources.
@@ -118,6 +100,21 @@ impl WindowDegrees {
     }
 }
 
+/// Capture, build and reduce scenario window `index` (the in-crate tests'
+/// fixture).
+#[cfg(test)]
+pub(crate) fn captured(
+    scenario: &obscor_netmodel::Scenario,
+    index: usize,
+    holder: &Holder,
+) -> WindowDegrees {
+    let spec = &scenario.caida_windows[index];
+    let w = obscor_telescope::capture_window(scenario, spec);
+    let m = obscor_telescope::build_matrix(&w);
+    let month = scenario.window_month(spec).expect("window on grid");
+    WindowDegrees::from_matrix(&w.label, w.coord, month, &m, holder)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,7 +126,7 @@ mod tests {
         F.get_or_init(|| {
             let s = Scenario::paper_scaled(1 << 14, 31);
             let holder = Holder::new("telescope", &[7u8; 32]);
-            let wd = WindowDegrees::capture(&s, 0, &holder);
+            let wd = captured(&s, 0, &holder);
             (s, wd)
         })
     }

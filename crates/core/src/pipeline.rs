@@ -17,7 +17,7 @@ use obscor_hypersparse::{Csr, SpillReport};
 use obscor_netmodel::Scenario;
 use obscor_obs::MetricsSnapshot;
 use obscor_telescope::{
-    archive_window, capture_all_windows, inventory, matrix, InventoryRow, RecoveringRestore,
+    archive_window, capture_all_windows, inventory, matrix, restore, FaultyMedium, InventoryRow,
     RestoreReport,
 };
 use rayon::prelude::*;
@@ -194,16 +194,18 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
             // into leaf matrices (optionally injured by the configured
             // fault plan) and rebuilt through the recovering restore;
             // downstream stages see whatever survived, and the reports
-            // say exactly how much that was.
+            // say exactly how much that was. Serial across windows, like
+            // the fold above: the restore records its metrics as it goes.
             let _s = obscor_obs::span("stage.matrices_archived");
-            let restorer = RecoveringRestore::new(ac.retry);
             let (matrices, reports): (Vec<_>, Vec<RestoreReport>) = windows
-                .par_iter()
+                .iter()
                 .map(|w| {
                     let archive = archive_window(w, ac.n_leaves);
                     match &ac.fault_plan {
-                        None => restorer.restore(&archive),
-                        Some(plan) => restorer.restore(&plan.apply(&archive)),
+                        None => restore(&archive, &archive.medium),
+                        Some(plan) => {
+                            restore(&archive, &FaultyMedium::new(&archive.medium, plan.clone()))
+                        }
                     }
                 })
                 .unzip();

@@ -12,6 +12,15 @@ use obscor_core::classes::{class_correlation, class_split, ClassCorrelation, Cla
 use obscor_core::WindowDegrees;
 use obscor_honeyfarm::{observe_all_month_sources, MonthlyObservation};
 use obscor_netmodel::{Scenario, SourceClass};
+use obscor_telescope::{build_matrix, capture_window};
+
+/// Capture, build and reduce scenario window `index`.
+fn captured(s: &Scenario, index: usize, holder: &Holder) -> WindowDegrees {
+    let spec = &s.caida_windows[index];
+    let w = capture_window(s, spec);
+    let month = s.window_month(spec).expect("window on grid");
+    WindowDegrees::from_matrix(&w.label, w.coord, month, &build_matrix(&w), holder)
+}
 
 /// The reference split: five `rows_where` scans of the "class" column.
 fn oracle(window: &WindowDegrees, coeval: &MonthlyObservation) -> ClassCorrelation {
@@ -46,7 +55,7 @@ fn both_splits_match_the_reference_on_generated_months() {
         let s = Scenario::paper_scaled(nv, seed);
         let months = observe_all_month_sources(&s);
         for w in 0..s.caida_windows.len() {
-            let wd = WindowDegrees::capture(&s, w, &holder);
+            let wd = captured(&s, w, &holder);
             // The coeval month and the first and last of the grid.
             for month in [&months[wd.month], &months[0], &months[months.len() - 1]] {
                 let obs = month.to_observation();
@@ -62,7 +71,7 @@ fn both_splits_match_the_reference_on_generated_months() {
 #[test]
 fn a_row_that_is_not_an_ip_key_counts_in_its_class_only() {
     let s = Scenario::paper_scaled(1 << 12, 5);
-    let wd = WindowDegrees::capture(&s, 0, &Holder::new("t", &[8u8; 32]));
+    let wd = captured(&s, 0, &Holder::new("t", &[8u8; 32]));
     let telescope: Vec<u32> = wd.degrees.iter().map(|&(ip, _)| ip).take(4).collect();
     let [a, b, c, d] = telescope[..] else { panic!("window has fewer than 4 sources") };
     let cell = |row: String, col: &str, v: &str| (row, col.to_string(), v.to_string());

@@ -22,8 +22,8 @@
 //! is spilled first.
 //!
 //! Degradation, not corruption: a spill frame that fails to decode after
-//! bounded retry (same transient/permanent [`obscor_obs::FaultClass`]
-//! taxonomy as the archive restore path) is **quarantined** — its
+//! bounded retry ([`crate::spill::fetch_frame`], the read the archive
+//! restore path also uses) is **quarantined** — its
 //! contiguous leaf interval and packet count are recorded in the
 //! [`SpillReport`] and the build continues with the surviving parts. The
 //! result is either bit-identical to the resident build (clean media) or
@@ -168,8 +168,7 @@ impl<V: Value> HierarchicalAccumulator<V> {
     /// # Panics
     /// Panics if `config.leaf_capacity == 0`.
     pub fn spilling(config: SpillConfig, medium: Arc<dyn SpillMedium>) -> Self {
-        let store = SpillStore::with_retry(medium, config.max_attempts);
-        Self::build(config.leaf_capacity, config.memory_budget, Some(store))
+        Self::build(config.leaf_capacity, config.memory_budget, Some(SpillStore::new(medium)))
     }
 
     fn build(leaf_capacity: usize, budget: Option<u64>, store: Option<SpillStore>) -> Self {
@@ -330,10 +329,7 @@ impl<V: Value> HierarchicalAccumulator<V> {
         if self.stats.carry_merges >= self.stats.leaves.max(1) {
             return Err("more carry merges than a binary carry chain allows".into());
         }
-        match &self.store {
-            Some(store) => store.check_invariants().map_err(|e| format!("store: {e}")),
-            None => Ok(()),
-        }
+        Ok(())
     }
 
     fn tick(&mut self) -> u64 {
@@ -427,11 +423,12 @@ impl<V: Value> HierarchicalAccumulator<V> {
             }
             PartState::Spilled { handle, .. } => handle,
         };
-        let fetched = self.store.as_ref().map_or(Err(SpillFault::Missing), |store| {
-            let csr = store.fetch_csr::<V>(&handle);
+        let (fetched, retries) = self.store.as_ref().map_or((Err(SpillFault::Missing), 0), |store| {
+            let fetched = store.fetch_csr::<V>(&handle);
             store.discard(&handle);
-            csr
+            fetched
         });
+        self.stats.retries += u64::from(retries);
         match fetched {
             Ok(csr) => {
                 self.stats.reloads += 1;
@@ -743,7 +740,7 @@ mod tests {
         match mode {
             Mode::Resident => HierarchicalAccumulator::with_leaf_capacity(leaf_capacity),
             Mode::Spilling(memory_budget) => HierarchicalAccumulator::spilling(
-                SpillConfig { leaf_capacity, memory_budget, max_attempts: 4 },
+                SpillConfig { leaf_capacity, memory_budget },
                 Arc::new(MemMedium::new()),
             ),
         }
@@ -1050,7 +1047,7 @@ mod tests {
         let dir = medium.path().to_path_buf();
         assert!(dir.is_dir());
         let t = triples_seeded(3_000, 5);
-        let cfg = SpillConfig { leaf_capacity: 128, memory_budget: Some(0), max_attempts: 4 };
+        let cfg = SpillConfig { leaf_capacity: 128, memory_budget: Some(0) };
         let mut acc = HierarchicalAccumulator::spilling(cfg, Arc::new(medium));
         acc.extend(t.iter().copied());
         let (m, report) = acc.finalize_with_report();

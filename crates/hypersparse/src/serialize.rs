@@ -6,35 +6,26 @@
 //! interop with generic formats; this codec avoids any external format
 //! dependency.)
 //!
-//! Two wire versions exist:
-//!
-//! * **v1** (`OBSCbla1`) — the original fail-stop layout: magic, `nnz`,
-//!   records. No integrity protection; a flipped bit decodes into a wrong
-//!   matrix or a confusing structural error.
-//! * **v2** (`OBSCbla2`, written by [`encode`]) — adds an explicit
-//!   length prefix and a CRC-32 over the header fields and payload, so
-//!   corruption is *detected* (and classified) rather than silently
-//!   propagated. [`decode`] accepts both versions transparently.
+//! The wire format is v2 (`OBSCbla2`): magic, `nnz`, an explicit length
+//! prefix, and a CRC-32 over the header fields and payload, so corruption
+//! is *detected* (and classified) rather than silently propagated.
+//! [`decode`] accepts nothing else.
 //!
 //! Errors carry the workspace fault taxonomy ([`FaultClass`], shared with
 //! `obscor_pcap`'s codec): a [`CodecError::Truncated`] input is a
 //! *transient* fault (a short read may succeed on retry), while bad magic,
-//! CRC mismatch, and structural corruption are *permanent* — the recovery
-//! layer in `obscor-telescope` retries the former and quarantines the
-//! latter.
+//! CRC mismatch, and structural corruption are *permanent* — the
+//! bounded-retry read [`crate::spill::fetch_frame`] retries the former and
+//! returns the latter for quarantine.
 
 use crate::csr::Csr;
 use crate::value::Value;
 use crate::{Coo, Index};
 use obscor_obs::FaultClass;
 
-/// Magic bytes of the legacy v1 layout ("OBSCbla1").
-pub const MAGIC: [u8; 8] = *b"OBSCbla1";
 /// Magic bytes of the CRC-protected v2 layout ("OBSCbla2").
 pub const MAGIC_V2: [u8; 8] = *b"OBSCbla2";
 
-/// v1 header: magic (8) + nnz (8).
-const HEADER_V1: usize = 16;
 /// v2 header: magic (8) + nnz (8) + payload length (8) + CRC-32 (4).
 const HEADER_V2: usize = 28;
 /// Bytes per record: row (4) + col (4) + value bits (8).
@@ -138,51 +129,15 @@ pub fn encode<V: Value>(a: &Csr<V>) -> Vec<u8> {
     out
 }
 
-/// Serialize a matrix to the legacy v1 layout (no integrity protection).
-/// Kept for back-compatibility tests and for reading old archives.
-pub fn encode_v1<V: Value>(a: &Csr<V>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_V1 + a.nnz() * RECORD);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&(a.nnz() as u64).to_le_bytes());
-    for (r, c, v) in a.iter() {
-        out.extend_from_slice(&r.to_le_bytes());
-        out.extend_from_slice(&c.to_le_bytes());
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-    out
-}
-
-/// Deserialize a matrix produced by [`encode`] (v2) or [`encode_v1`],
-/// dispatching on the magic bytes. Never panics on arbitrary input.
+/// Deserialize a matrix produced by [`encode`]. Never panics on
+/// arbitrary input.
 pub fn decode<V: Value>(bytes: &[u8]) -> Result<Csr<V>, CodecError> {
     if bytes.len() < 8 {
         return Err(CodecError::Truncated);
     }
-    if bytes[..8] == MAGIC_V2 {
-        decode_v2(bytes)
-    } else if bytes[..8] == MAGIC {
-        decode_v1(bytes)
-    } else {
-        Err(CodecError::BadMagic)
+    if bytes[..8] != MAGIC_V2 {
+        return Err(CodecError::BadMagic);
     }
-}
-
-fn decode_v1<V: Value>(bytes: &[u8]) -> Result<Csr<V>, CodecError> {
-    if bytes.len() < HEADER_V1 {
-        return Err(CodecError::Truncated);
-    }
-    let nnz_raw =
-        u64::from_le_bytes(bytes[8..16].try_into().map_err(|_| CodecError::Truncated)?);
-    let nnz = usize::try_from(nnz_raw).map_err(|_| CodecError::Corrupt("nnz overflow"))?;
-    let need = HEADER_V1
-        + nnz.checked_mul(RECORD).ok_or(CodecError::Corrupt("nnz overflow"))?;
-    if bytes.len() < need {
-        return Err(CodecError::Truncated);
-    }
-    parse_records(&bytes[HEADER_V1..need], nnz)
-}
-
-fn decode_v2<V: Value>(bytes: &[u8]) -> Result<Csr<V>, CodecError> {
     if bytes.len() < HEADER_V2 {
         return Err(CodecError::Truncated);
     }
@@ -247,23 +202,15 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_v1_u64() {
-        let a = sample();
-        assert_eq!(decode::<u64>(&encode_v1(&a)).unwrap(), a);
-    }
-
-    #[test]
     fn round_trip_f64_exact_bits() {
         let a = Coo::from_triples(vec![(7u32, 9u32, 0.1f64), (8, 8, -3.25)]).into_csr();
         assert_eq!(decode::<f64>(&encode(&a)).unwrap(), a);
-        assert_eq!(decode::<f64>(&encode_v1(&a)).unwrap(), a);
     }
 
     #[test]
     fn round_trip_empty() {
         let e = Csr::<u64>::empty();
         assert_eq!(decode::<u64>(&encode(&e)).unwrap(), e);
-        assert_eq!(decode::<u64>(&encode_v1(&e)).unwrap(), e);
     }
 
     #[test]
@@ -279,10 +226,9 @@ mod tests {
 
     #[test]
     fn truncated_input_rejected() {
-        for enc in [encode(&sample()), encode_v1(&sample())] {
-            assert_eq!(decode::<u64>(&enc[..enc.len() - 1]), Err(CodecError::Truncated));
-            assert_eq!(decode::<u64>(&enc[..4]), Err(CodecError::Truncated));
-        }
+        let enc = encode(&sample());
+        assert_eq!(decode::<u64>(&enc[..enc.len() - 1]), Err(CodecError::Truncated));
+        assert_eq!(decode::<u64>(&enc[..4]), Err(CodecError::Truncated));
         assert_eq!(decode::<u64>(&[]), Err(CodecError::Truncated));
     }
 
@@ -296,11 +242,18 @@ mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        for enc in [encode(&sample()), encode_v1(&sample())] {
-            let mut bytes = enc;
-            bytes[0] ^= 0xFF;
-            assert_eq!(decode::<u64>(&bytes), Err(CodecError::BadMagic));
-        }
+        let mut bytes = encode(&sample());
+        bytes[0] ^= 0xFF;
+        assert_eq!(decode::<u64>(&bytes), Err(CodecError::BadMagic));
+    }
+
+    #[test]
+    fn retired_v1_magic_is_bad_magic() {
+        // `OBSCbla2` → `OBSCbla1` flips two bits. A v2 frame so damaged
+        // must not decode without its CRC checked.
+        let mut bytes = encode(&sample());
+        bytes[7] = b'1';
+        assert_eq!(decode::<u64>(&bytes), Err(CodecError::BadMagic));
     }
 
     #[test]
@@ -326,13 +279,18 @@ mod tests {
 
     #[test]
     fn zero_entry_rejected() {
-        // v1 has no CRC, so a zeroed value decodes far enough to hit the
-        // explicit-zero structural check (first value at 16 + 8).
-        let mut bytes = encode_v1(&sample());
-        for b in &mut bytes[24..32] {
+        // Zero the first value (record 0 at 28, its value at 28 + 8) and
+        // re-seal the CRC, so decode gets past the checksum to the
+        // explicit-zero structural check.
+        let mut bytes = encode(&sample());
+        for b in &mut bytes[36..44] {
             *b = 0;
         }
-        assert!(matches!(decode::<u64>(&bytes), Err(CodecError::Corrupt(_))));
+        let mut protected = bytes[8..24].to_vec();
+        protected.extend_from_slice(&bytes[HEADER_V2..]);
+        let crc = crc32(&protected);
+        bytes[24..28].copy_from_slice(&crc.to_le_bytes());
+        assert_eq!(decode::<u64>(&bytes), Err(CodecError::Corrupt("explicit zero entry")));
     }
 
     #[test]

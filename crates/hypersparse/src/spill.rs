@@ -6,11 +6,16 @@
 //! the memory budget, and reloads them when the carry chain or the final
 //! tree reduction needs them again. This module is that storage layer:
 //! the [`SpillMedium`] byte stores ([`DirMedium`] for real directories,
-//! [`MemMedium`] for tests), the CRC-framed [`SpillStore`] with bounded
-//! retry, the [`SpillFault`] taxonomy, and the fold's [`SpillConfig`],
+//! [`MemMedium`] in memory), the CRC-framed [`SpillStore`], the
+//! [`SpillFault`] taxonomy, and the fold's [`SpillConfig`],
 //! [`SpillStats`] and coverage-qualified [`SpillReport`]. The
 //! accumulator's accounting and determinism contracts are documented in
 //! [`crate::hier`].
+//!
+//! [`fetch_frame`] is the workspace's one bounded-retry frame read: the
+//! fold reloads its spilled parts through it, and the telescope archive
+//! (`obscor_telescope::archive`) restores its leaves through it, each
+//! leaf's frame in a slot of a [`MemMedium`].
 //!
 //! # Metrics
 //!
@@ -22,7 +27,7 @@
 
 use crate::csr::Csr;
 use crate::hier::DEFAULT_LEAF_CAPACITY;
-use crate::serialize;
+use crate::serialize::{self, CodecError};
 use crate::value::Value;
 use obscor_obs::FaultClass;
 use std::collections::BTreeMap;
@@ -45,17 +50,19 @@ pub enum SpillFault {
     Missing,
     /// An OS-level I/O failure (permanent).
     Io(String),
-    /// The frame was fetched but failed CRC/structural decoding
-    /// (permanent).
-    Corrupt(String),
+    /// The fetched frame failed to decode. The codec error decides the
+    /// class: a truncated frame may be a short read (transient), a bad
+    /// magic or CRC is permanent.
+    Corrupt(CodecError),
 }
 
 impl SpillFault {
-    /// Classify for retry/quarantine policy: only transient reads are
-    /// worth retrying.
+    /// Classify for retry/quarantine policy: only transient reads and
+    /// truncated frames are worth retrying.
     pub fn class(&self) -> FaultClass {
         match self {
             SpillFault::TransientRead => FaultClass::Transient,
+            SpillFault::Corrupt(e) => e.class(),
             _ => FaultClass::Permanent,
         }
     }
@@ -65,9 +72,9 @@ impl std::fmt::Display for SpillFault {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SpillFault::TransientRead => write!(f, "transient read failure"),
-            SpillFault::Missing => write!(f, "spill slot missing"),
+            SpillFault::Missing => write!(f, "frame missing from store"),
             SpillFault::Io(e) => write!(f, "spill i/o error: {e}"),
-            SpillFault::Corrupt(e) => write!(f, "spill frame corrupt: {e}"),
+            SpillFault::Corrupt(e) => write!(f, "frame corrupt: {e}"),
         }
     }
 }
@@ -88,8 +95,58 @@ pub trait SpillMedium: Send + Sync {
     fn discard(&self, _slot: u64) {}
 }
 
-/// In-memory [`SpillMedium`] for tests and differential harnesses: same
-/// code path as the disk medium, no filesystem.
+/// A borrowed medium reads and writes the medium it borrows, so a
+/// fault-injecting wrapper can sit over a store its owner keeps.
+impl<M: SpillMedium + ?Sized> SpillMedium for &M {
+    fn label(&self) -> String {
+        (**self).label()
+    }
+
+    fn store(&self, slot: u64, bytes: &[u8]) -> Result<(), SpillFault> {
+        (**self).store(slot, bytes)
+    }
+
+    fn fetch(&self, slot: u64) -> Result<Vec<u8>, SpillFault> {
+        (**self).fetch(slot)
+    }
+
+    fn discard(&self, slot: u64) {
+        (**self).discard(slot);
+    }
+}
+
+/// Attempts per frame read or write (the first try plus retries) before
+/// a transient fault is given up on.
+pub const MAX_ATTEMPTS: u32 = 4;
+
+/// Fetch and decode the frame in `slot`, retrying transient faults
+/// (including a truncated frame, which may be a short read) up to
+/// [`MAX_ATTEMPTS`] attempts. A permanent fault returns at once. Returns
+/// the outcome with the number of retries it took, on success and on
+/// failure alike.
+pub fn fetch_frame<V: Value>(
+    medium: &dyn SpillMedium,
+    slot: u64,
+) -> (Result<Csr<V>, SpillFault>, u32) {
+    let mut retries = 0;
+    loop {
+        let fault = match medium.fetch(slot) {
+            Ok(bytes) => match serialize::decode::<V>(&bytes) {
+                Ok(csr) => return (Ok(csr), retries),
+                Err(e) => SpillFault::Corrupt(e),
+            },
+            Err(f) => f,
+        };
+        if !fault.class().is_transient() || retries + 1 >= MAX_ATTEMPTS {
+            return (Err(fault), retries);
+        }
+        retries += 1;
+    }
+}
+
+/// In-memory [`SpillMedium`]: the telescope archive's leaf store, and the
+/// test harnesses' spill medium (same code path as the disk medium, no
+/// filesystem).
 #[derive(Debug, Default)]
 pub struct MemMedium {
     slots: Mutex<BTreeMap<u64, Vec<u8>>>,
@@ -251,28 +308,18 @@ impl SpillHandle {
 pub struct SpillStore {
     medium: Arc<dyn SpillMedium>,
     next_slot: AtomicU64,
-    max_attempts: u32,
 }
 
 impl std::fmt::Debug for SpillStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpillStore")
-            .field("medium", &self.medium.label())
-            .field("max_attempts", &self.max_attempts)
-            .finish()
+        f.debug_struct("SpillStore").field("medium", &self.medium.label()).finish()
     }
 }
 
 impl SpillStore {
-    /// A store with the default retry budget (4 attempts, matching the
-    /// archive restore policy).
-    pub fn new(medium: Arc<dyn SpillMedium>) -> Self {
-        Self::with_retry(medium, 4)
-    }
-
-    /// A store retrying transient faults up to `max_attempts` times.
-    pub fn with_retry(medium: Arc<dyn SpillMedium>, max_attempts: u32) -> Self {
-        Self { medium, next_slot: AtomicU64::new(0), max_attempts: max_attempts.max(1) }
+    /// A store over `medium`, allocating slots from 0.
+    pub(crate) fn new(medium: Arc<dyn SpillMedium>) -> Self {
+        Self { medium, next_slot: AtomicU64::new(0) }
     }
 
     /// Label of the underlying medium.
@@ -286,7 +333,7 @@ impl SpillStore {
         let slot = self.next_slot.fetch_add(1, Ordering::Relaxed); // ordering: slot ids only need uniqueness, not ordering
         let bytes = serialize::encode(a);
         let mut last = SpillFault::TransientRead;
-        for _ in 0..self.max_attempts {
+        for _ in 0..MAX_ATTEMPTS {
             match self.medium.store(slot, &bytes) {
                 Ok(()) => {
                     obscor_obs::counter("hypersparse.spill.bytes_written_total")
@@ -300,47 +347,20 @@ impl SpillStore {
         Err(last)
     }
 
-    /// Fetch and decode the part behind `handle`, retrying transient
-    /// faults (including truncated frames) up to the retry budget.
-    pub fn fetch_csr<V: Value>(&self, handle: &SpillHandle) -> Result<Csr<V>, SpillFault> {
-        let mut last = SpillFault::TransientRead;
-        for _ in 0..self.max_attempts {
-            let bytes = match self.medium.fetch(handle.slot) {
-                Ok(b) => b,
-                Err(f) if f.class() == FaultClass::Transient => {
-                    last = f;
-                    continue;
-                }
-                Err(f) => return Err(f),
-            };
-            match serialize::decode::<V>(&bytes) {
-                Ok(csr) => {
-                    obscor_obs::counter("hypersparse.spill.bytes_read_total")
-                        .add(bytes.len() as u64);
-                    return Ok(csr);
-                }
-                Err(e) if e.class() == FaultClass::Transient => {
-                    // A truncated frame may be a short read; retry.
-                    last = SpillFault::TransientRead;
-                }
-                Err(e) => return Err(SpillFault::Corrupt(e.to_string())),
-            }
+    /// Fetch and decode the part behind `handle` through [`fetch_frame`],
+    /// returning the outcome with the retries it took.
+    pub fn fetch_csr<V: Value>(&self, handle: &SpillHandle) -> (Result<Csr<V>, SpillFault>, u32) {
+        let (csr, retries) = fetch_frame(self.medium.as_ref(), handle.slot);
+        if csr.is_ok() {
+            // Counted as the frame `store_csr` wrote: the one that decoded.
+            obscor_obs::counter("hypersparse.spill.bytes_read_total").add(handle.encoded_len);
         }
-        Err(last)
+        (csr, retries)
     }
 
     /// Best-effort space reclaim for a no-longer-needed slot.
     pub fn discard(&self, handle: &SpillHandle) {
         self.medium.discard(handle.slot);
-    }
-
-    /// Internal consistency: the retry budget is positive (the
-    /// constructor clamps it, so a zero here means memory corruption).
-    pub fn check_invariants(&self) -> Result<(), String> {
-        if self.max_attempts == 0 {
-            return Err("retry budget is zero".into());
-        }
-        Ok(())
     }
 }
 
@@ -354,13 +374,11 @@ pub struct SpillConfig {
     /// only if [`crate::HierarchicalAccumulator::set_budget`] later imposes
     /// one).
     pub memory_budget: Option<u64>,
-    /// Bounded-retry budget for transient spill faults.
-    pub max_attempts: u32,
 }
 
 impl Default for SpillConfig {
     fn default() -> Self {
-        Self { leaf_capacity: DEFAULT_LEAF_CAPACITY, memory_budget: None, max_attempts: 4 }
+        Self { leaf_capacity: DEFAULT_LEAF_CAPACITY, memory_budget: None }
     }
 }
 
@@ -380,6 +398,9 @@ pub struct SpillStats {
     pub evictions: u64,
     /// Spilled parts read back for a merge.
     pub reloads: u64,
+    /// Transient read faults retried while reloading spilled parts,
+    /// whether the reload then succeeded or not.
+    pub retries: u64,
     /// Times the tracked live bytes exceeded the budget with nothing left
     /// to evict (infeasibly small budget); the build continues and stays
     /// bit-identical, but the budget promise is void for that window.
@@ -507,7 +528,7 @@ mod tests {
         let a: Csr<u64> = Coo::from_triples(triples(1_000, 2)).into_csr();
         let h = store.store_csr(&a).unwrap();
         assert_eq!(h.encoded_len(), 28 + 16 * a.nnz() as u64);
-        assert_eq!(store.fetch_csr::<u64>(&h).unwrap(), a);
+        assert_eq!(store.fetch_csr::<u64>(&h), (Ok(a), 0));
     }
 
     #[test]
@@ -520,16 +541,29 @@ mod tests {
         let mut bytes = medium.fetch(h.slot()).unwrap();
         bytes[30] ^= 1;
         medium.store(h.slot(), &bytes).unwrap();
-        let err = store.fetch_csr::<u64>(&h).unwrap_err();
+        let (err, retries) = store.fetch_csr::<u64>(&h);
+        let err = err.unwrap_err();
         assert_eq!(err.class(), FaultClass::Permanent);
-        assert!(matches!(err, SpillFault::Corrupt(_)), "{err:?}");
+        assert!(matches!(err, SpillFault::Corrupt(CodecError::BadCrc { .. })), "{err:?}");
+        assert_eq!(retries, 0, "a permanent fault is not retried");
+    }
+
+    #[test]
+    fn truncated_frame_exhausts_the_attempts_as_a_transient_fault() {
+        let medium = MemMedium::new();
+        let a: Csr<u64> = Coo::from_triples(triples(100, 2)).into_csr();
+        let bytes = serialize::encode(&a);
+        medium.store(5, &bytes[..bytes.len() - 1]).unwrap();
+        let (err, retries) = fetch_frame::<u64>(&medium, 5);
+        assert_eq!(err, Err(SpillFault::Corrupt(CodecError::Truncated)));
+        assert_eq!(retries, MAX_ATTEMPTS - 1);
     }
 
     #[test]
     fn missing_slot_is_missing() {
         let store = SpillStore::new(Arc::new(MemMedium::new()));
         let h = SpillHandle { slot: 99, encoded_len: 0 };
-        assert_eq!(store.fetch_csr::<u64>(&h).unwrap_err(), SpillFault::Missing);
+        assert_eq!(store.fetch_csr::<u64>(&h), (Err(SpillFault::Missing), 0));
     }
 
     #[test]
@@ -540,9 +574,5 @@ mod tests {
         mem.check_invariants().unwrap();
         let dir = DirMedium::create_in(&std::env::temp_dir()).unwrap();
         dir.check_invariants().unwrap();
-        SpillStore::new(Arc::new(MemMedium::new())).check_invariants().unwrap();
-        // with_retry clamps a zero budget up to one attempt.
-        let clamped = SpillStore::with_retry(Arc::new(MemMedium::new()), 0);
-        clamped.check_invariants().unwrap();
     }
 }

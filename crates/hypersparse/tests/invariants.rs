@@ -61,7 +61,7 @@ fn accumulator_with_leaf_capacity_satisfies_invariants_throughout() {
 
 #[test]
 fn accumulator_spilling_satisfies_invariants_throughout() {
-    let config = SpillConfig { leaf_capacity: 2, memory_budget: Some(0), ..SpillConfig::default() };
+    let config = SpillConfig { leaf_capacity: 2, memory_budget: Some(0) };
     let mut acc = HierarchicalAccumulator::<u64>::spilling(config, Arc::new(MemMedium::new()));
     assert!(acc.check_invariants().is_ok());
     for (r, c, v) in sample_triples() {

@@ -213,9 +213,9 @@ proptest! {
     }
 
     /// Fuzz: decode over arbitrarily mutated v2 encodings is total (no
-    /// panic — proptest fails the case if one escapes) and honest: an
-    /// input it accepts with the v2 magic really does carry a matching
-    /// CRC over the protected region.
+    /// panic — proptest fails the case if one escapes) and honest: any
+    /// input it accepts carries the v2 magic and a matching CRC over the
+    /// protected region.
     #[test]
     fn mutated_v2_decode_is_total_and_crc_honest(
         t in arb_triples(),
@@ -224,7 +224,8 @@ proptest! {
     ) {
         let mut bytes = serialize::encode(&build(&t));
         mutate(&mut bytes, &muts, keep);
-        if serialize::decode::<u64>(&bytes).is_ok() && bytes[..8] == serialize::MAGIC_V2 {
+        if serialize::decode::<u64>(&bytes).is_ok() {
+            prop_assert_eq!(&bytes[..8], &serialize::MAGIC_V2[..], "accepted without the v2 magic");
             let payload_len =
                 u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
             let stored = u32::from_le_bytes(bytes[24..28].try_into().unwrap());
@@ -238,25 +239,9 @@ proptest! {
         }
     }
 
-    /// Fuzz: the legacy v1 decode path is equally total, and anything it
-    /// accepts still satisfies every structural invariant.
-    #[test]
-    fn mutated_v1_decode_is_total(
-        t in arb_triples(),
-        muts in arb_mutations(),
-        keep in 0usize..8192,
-    ) {
-        let mut bytes = serialize::encode_v1(&build(&t));
-        mutate(&mut bytes, &muts, keep);
-        if let Ok(a) = serialize::decode::<u64>(&bytes) {
-            prop_assert!(a.check_invariants().is_ok());
-        }
-    }
-
     /// Any single bit flip anywhere in a v2 encoding is detected: the CRC
     /// covers the header counts and payload, a flip in the stored CRC
-    /// mismatches the computed one, and a flip in the magic can reach
-    /// neither valid magic (they differ in two bits).
+    /// mismatches the computed one, and a flip in the magic is bad magic.
     #[test]
     fn any_single_bit_flip_in_v2_is_detected(
         t in arb_triples(),
@@ -269,13 +254,11 @@ proptest! {
         prop_assert!(serialize::decode::<u64>(&bytes).is_err(), "flip at {}", pos % len);
     }
 
-    /// Codec v2 round-trips exactly for every `Value` type, and the v1
-    /// encoder's output stays decodable (back compatibility).
+    /// Codec v2 round-trips exactly for every `Value` type.
     #[test]
     fn codec_v2_round_trips_all_value_types(t in arb_triples()) {
         let a64 = build(&t);
-        prop_assert_eq!(serialize::decode::<u64>(&serialize::encode(&a64)).unwrap(), a64.clone());
-        prop_assert_eq!(serialize::decode::<u64>(&serialize::encode_v1(&a64)).unwrap(), a64);
+        prop_assert_eq!(serialize::decode::<u64>(&serialize::encode(&a64)).unwrap(), a64);
         let a32: Csr<u32> = Coo::from_triples(
             t.iter().map(|&(r, c, v)| (r, c, u32::try_from(v).unwrap())),
         )

@@ -8,27 +8,28 @@
 //! hierarchically summing `2^13` of these smaller matrices."
 //!
 //! [`WindowArchive`] is that storage layer: a captured window is split
-//! into contiguous leaf matrices (optionally CryptoPAN-anonymized), each
-//! serialized with the CRC-protected binary codec; restoration decodes
-//! the leaves and re-sums them with a parallel merge tree, reproducing
-//! the full window matrix bit for bit.
+//! into contiguous leaf matrices (optionally CryptoPAN-anonymized), and
+//! leaf `i` is stored as a CRC-protected codec-v2 frame in slot `i` of a
+//! [`MemMedium`] — the frame store the out-of-core fold spills to.
 //!
-//! [`RecoveringRestore`] reads leaves through the [`LeafSource`]
-//! abstraction, retries *transient* faults with bounded backoff,
-//! quarantines *permanently* corrupt leaves, and returns the best matrix
-//! the surviving leaves support plus a [`RestoreReport`] accounting for
-//! every leaf and packet (the coverage fraction the pipeline propagates
-//! into `PaperAnalysis`). [`RecoveringRestore::restore_strict`] is the
-//! fail-stop shape: any lost leaf is an error.
+//! [`restore`] reads every slot through the spill layer's bounded-retry
+//! read, [`fetch_frame`]: transient faults are retried, a leaf that still
+//! fails is quarantined, and the survivors are summed into the best
+//! matrix they support, with a [`RestoreReport`] accounting for every
+//! leaf and packet (the coverage fraction the pipeline propagates into
+//! `PaperAnalysis`). A [`crate::FaultPlan`] injures a restore the way it
+//! injures a spill store: by wrapping the medium in a
+//! [`crate::FaultyMedium`]. [`restore_strict`] is the fail-stop shape: any
+//! lost leaf is an error.
 
 use crate::capture::TelescopeWindow;
-use obscor_hypersparse::serialize::{decode, encode};
+use obscor_hypersparse::serialize::encode;
+use obscor_hypersparse::spill::{fetch_frame, MemMedium, SpillMedium};
 use obscor_hypersparse::{ops, reduce, Coo, Csr};
 use obscor_obs::FaultClass;
-use std::borrow::Cow;
 
 /// A window stored as encoded leaf matrices.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Debug)]
 pub struct WindowArchive {
     /// Table I window label.
     pub label: String,
@@ -38,118 +39,16 @@ pub struct WindowArchive {
     /// restore coverage fraction (recorded at archive time because a
     /// corrupt leaf can no longer say how many packets it carried).
     pub total_packets: u64,
-    /// Serialized leaf matrices, in capture order.
-    pub leaves: Vec<Vec<u8>>,
+    /// Leaf `i`'s codec-v2 frame, in slot `i` (capture order).
+    pub medium: MemMedium,
+    /// Leaves archived: slots `0..n_leaves`.
+    n_leaves: usize,
 }
 
 impl WindowArchive {
-    /// Total serialized size in bytes.
-    pub fn byte_size(&self) -> usize {
-        self.leaves.iter().map(|l| l.len()).sum()
-    }
-
     /// Number of leaves.
     pub fn n_leaves(&self) -> usize {
-        self.leaves.len()
-    }
-}
-
-/// A leaf store the restore path can read from: the clean
-/// [`WindowArchive`] itself, or a fault-injecting wrapper
-/// ([`crate::faults::FaultyArchive`]).
-pub trait LeafSource: Sync {
-    /// Table I window label of the archived window.
-    fn label(&self) -> &str;
-    /// Number of leaves the store holds (including unreadable ones).
-    fn n_leaves(&self) -> usize;
-    /// Valid packets the intact window held (coverage denominator).
-    fn expected_packets(&self) -> u64;
-    /// Read the encoded bytes of leaf `index`. May fail transiently
-    /// (retry can succeed) or permanently (see [`LeafFault::class`]).
-    fn read_leaf(&self, index: usize) -> Result<Cow<'_, [u8]>, LeafFault>;
-}
-
-impl LeafSource for WindowArchive {
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn n_leaves(&self) -> usize {
-        self.leaves.len()
-    }
-
-    fn expected_packets(&self) -> u64 {
-        self.total_packets
-    }
-
-    fn read_leaf(&self, index: usize) -> Result<Cow<'_, [u8]>, LeafFault> {
-        self.leaves
-            .get(index)
-            .map(|b| Cow::Borrowed(b.as_slice()))
-            .ok_or(LeafFault::Missing)
-    }
-}
-
-/// A failed leaf *read* (the decode layer has its own
-/// [`CodecError`](obscor_hypersparse::serialize::CodecError)).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LeafFault {
-    /// The read was interrupted; repeating it may succeed.
-    TransientRead,
-    /// The leaf is not in the store.
-    Missing,
-}
-
-impl LeafFault {
-    /// Classify for the retry/quarantine policy.
-    pub fn class(&self) -> FaultClass {
-        match self {
-            LeafFault::TransientRead => FaultClass::Transient,
-            LeafFault::Missing => FaultClass::Permanent,
-        }
-    }
-}
-
-impl std::fmt::Display for LeafFault {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LeafFault::TransientRead => write!(f, "transient read failure"),
-            LeafFault::Missing => write!(f, "leaf missing from store"),
-        }
-    }
-}
-
-impl std::error::Error for LeafFault {}
-
-/// Bounded retry with exponential backoff for transient leaf faults.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts per leaf (first try + retries), at least 1.
-    pub max_attempts: u32,
-    /// Backoff before retry `k` is `base << k`, in nanoseconds; 0 (the
-    /// default) records the schedule without sleeping — deterministic
-    /// tests, no wall-clock dependence.
-    pub backoff_base_ns: u64,
-    /// Ceiling on any single backoff, in nanoseconds.
-    pub backoff_cap_ns: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy { max_attempts: 4, backoff_base_ns: 0, backoff_cap_ns: 100_000_000 }
-    }
-}
-
-impl RetryPolicy {
-    /// Backoff scheduled before 0-based retry `retry`, in nanoseconds.
-    pub fn backoff_ns(&self, retry: u32) -> u64 {
-        if self.backoff_base_ns == 0 {
-            return 0;
-        }
-        self.backoff_base_ns
-            .checked_shl(retry.min(32))
-            .unwrap_or(self.backoff_cap_ns)
-            .min(self.backoff_cap_ns)
+        self.n_leaves
     }
 }
 
@@ -268,136 +167,65 @@ impl std::fmt::Display for DegradedRestore {
 
 impl std::error::Error for DegradedRestore {}
 
-/// How one leaf fared inside the restore loop.
-enum LeafOutcome {
-    Decoded { matrix: Csr<u64>, retries: u32 },
-    Quarantined { retries: u32, class: FaultClass, reason: String },
-}
-
-/// Fault-tolerant window restoration: bounded retry for transient
-/// faults, quarantine for permanent ones, full accounting either way.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RecoveringRestore {
-    /// Retry/backoff policy applied per leaf.
-    pub policy: RetryPolicy,
-}
-
-impl RecoveringRestore {
-    /// A restore under the given retry policy.
-    pub fn new(policy: RetryPolicy) -> RecoveringRestore {
-        RecoveringRestore { policy }
-    }
-
-    /// Restore whatever the source supports: decode every readable leaf
-    /// (retrying transient faults), merge the survivors, and account for
-    /// the rest. Never fails — a fully corrupt archive restores to the
-    /// empty matrix with coverage 0.
-    pub fn restore<S: LeafSource>(&self, source: &S) -> (Csr<u64>, RestoreReport) {
-        use rayon::prelude::*;
-        let _span = obscor_obs::span("telescope.restore_recovering");
-        let n = source.n_leaves();
-        obscor_obs::counter("telescope.restore.leaves_total").add(n as u64);
-        let outcomes: Vec<LeafOutcome> =
-            (0..n).into_par_iter().map(|i| self.restore_leaf(source, i)).collect();
-
-        let mut matrices = Vec::with_capacity(n);
-        let mut report = RestoreReport {
-            label: source.label().to_string(),
-            n_leaves: n,
-            recovered: 0,
-            retries: 0,
-            quarantined: Vec::new(),
-            packets_expected: source.expected_packets(),
-            packets_restored: 0,
-        };
-        // Fault/backoff metrics are reconstructed here, after the barrier,
-        // rather than recorded inside `restore_leaf`: the registry name
-        // lookup takes a lock, and the leaf workers must stay lock-free
-        // (blocking-in-par). The reconstruction is exact — every retried
-        // fault is transient by construction, and the backoff schedule is
-        // a pure function of the retry ordinal.
-        let backoff_hist = obscor_obs::histogram("telescope.restore.backoff_ns");
-        let transient_faults = obscor_obs::counter("telescope.restore.transient_faults_total");
-        for (index, outcome) in outcomes.into_iter().enumerate() {
-            let (retries, terminal) = match &outcome {
-                LeafOutcome::Decoded { retries, .. } => (*retries, None),
-                LeafOutcome::Quarantined { retries, class, .. } => (*retries, Some(*class)),
-            };
-            transient_faults.add(u64::from(retries));
-            for r in 0..retries {
-                backoff_hist.observe(self.policy.backoff_ns(r));
+/// Restore whatever `medium` holds of `archive`: decode every leaf slot
+/// through [`fetch_frame`] (retrying transient faults), merge the
+/// survivors, and account for the rest. `medium` is the archive's own
+/// [`WindowArchive::medium`] or a fault-injecting wrapper over it. Never
+/// fails — a fully corrupt archive restores to the empty matrix with
+/// coverage 0.
+pub fn restore(archive: &WindowArchive, medium: &dyn SpillMedium) -> (Csr<u64>, RestoreReport) {
+    let _span = obscor_obs::span("telescope.restore_recovering");
+    let n = archive.n_leaves;
+    obscor_obs::counter("telescope.restore.leaves_total").add(n as u64);
+    let transient_faults = obscor_obs::counter("telescope.restore.transient_faults_total");
+    let mut matrices = Vec::with_capacity(n);
+    let mut report = RestoreReport {
+        label: archive.label.clone(),
+        n_leaves: n,
+        recovered: 0,
+        retries: 0,
+        quarantined: Vec::new(),
+        packets_expected: archive.total_packets,
+        packets_restored: 0,
+    };
+    for index in 0..n {
+        let (fetched, retries) = fetch_frame::<u64>(medium, index as u64);
+        // Every retry answered a transient fault.
+        transient_faults.add(u64::from(retries));
+        report.retries += u64::from(retries);
+        match fetched {
+            Ok(matrix) => {
+                report.recovered += usize::from(retries > 0);
+                report.packets_restored += reduce::valid_packets(&matrix);
+                matrices.push(matrix);
             }
-            if let Some(class) = terminal {
-                count_fault(class);
-            }
-            match outcome {
-                LeafOutcome::Decoded { matrix, retries } => {
-                    report.retries += u64::from(retries);
-                    report.recovered += usize::from(retries > 0);
-                    report.packets_restored += reduce::valid_packets(&matrix);
-                    matrices.push(matrix);
-                }
-                LeafOutcome::Quarantined { retries, class, reason } => {
-                    report.retries += u64::from(retries);
-                    report.quarantined.push(QuarantinedLeaf { index, class, reason });
-                }
+            Err(fault) => {
+                let class = fault.class();
+                obscor_obs::counter(&format!("telescope.restore.{}_faults_total", class.as_str()))
+                    .inc();
+                let reason = fault.to_string();
+                report.quarantined.push(QuarantinedLeaf { index, class, reason });
             }
         }
-        obscor_obs::counter("telescope.restore.retries_total").add(report.retries);
-        obscor_obs::counter("telescope.restore.recovered_total").add(report.recovered as u64);
-        obscor_obs::counter("telescope.restore.quarantined_total")
-            .add(report.quarantined.len() as u64);
-        (ops::merge_all(matrices), report)
     }
-
-    /// Like [`RecoveringRestore::restore`], but refuse a degraded result:
-    /// any quarantined leaf (or missing packet) is an error carrying the
-    /// full report.
-    pub fn restore_strict<S: LeafSource>(
-        &self,
-        source: &S,
-    ) -> Result<(Csr<u64>, RestoreReport), DegradedRestore> {
-        let (matrix, report) = self.restore(source);
-        if report.is_complete() {
-            Ok((matrix, report))
-        } else {
-            Err(DegradedRestore { report })
-        }
-    }
-
-    /// Drive one leaf to a decoded matrix or a quarantine decision.
-    ///
-    /// Runs on rayon workers, so it deliberately records no metrics (the
-    /// registry name lookup takes a lock); [`RecoveringRestore::restore`]
-    /// reconstructs the fault and backoff metrics sequentially afterwards.
-    fn restore_leaf<S: LeafSource>(&self, source: &S, index: usize) -> LeafOutcome {
-        let mut retries = 0u32;
-        loop {
-            let fault: (FaultClass, String) = match source.read_leaf(index) {
-                Err(e) => (e.class(), e.to_string()),
-                Ok(bytes) => match decode::<u64>(&bytes) {
-                    Ok(matrix) => return LeafOutcome::Decoded { matrix, retries },
-                    Err(e) => (e.class(), e.to_string()),
-                },
-            };
-            let attempts_left = fault.0.is_transient()
-                && retries + 1 < self.policy.max_attempts.max(1);
-            if !attempts_left {
-                return LeafOutcome::Quarantined { retries, class: fault.0, reason: fault.1 };
-            }
-            let backoff = self.policy.backoff_ns(retries);
-            if backoff > 0 {
-                std::thread::sleep(std::time::Duration::from_nanos(backoff));
-            }
-            retries += 1;
-        }
-    }
+    obscor_obs::counter("telescope.restore.retries_total").add(report.retries);
+    obscor_obs::counter("telescope.restore.recovered_total").add(report.recovered as u64);
+    obscor_obs::counter("telescope.restore.quarantined_total").add(report.quarantined.len() as u64);
+    (ops::merge_all(matrices), report)
 }
 
-/// Count one observed fault under its class label
-/// (`telescope.restore.transient_faults_total` / `…permanent…`).
-fn count_fault(class: FaultClass) {
-    obscor_obs::counter(&format!("telescope.restore.{}_faults_total", class.as_str())).inc();
+/// Like [`restore`], but refuse a degraded result: any quarantined leaf
+/// (or missing packet) is an error carrying the full report.
+pub fn restore_strict(
+    archive: &WindowArchive,
+    medium: &dyn SpillMedium,
+) -> Result<(Csr<u64>, RestoreReport), DegradedRestore> {
+    let (matrix, report) = restore(archive, medium);
+    if report.is_complete() {
+        Ok((matrix, report))
+    } else {
+        Err(DegradedRestore { report })
+    }
 }
 
 /// Archive a window into `n_leaves` contiguous leaf matrices with an
@@ -413,19 +241,26 @@ pub fn archive_window_with(
     assert!(n_leaves > 0, "need at least one leaf");
     let total = w.window.packets.len();
     let leaf_nv = total.div_ceil(n_leaves);
-    let leaves = w
-        .window
-        .packets
-        .chunks(leaf_nv.max(1))
-        .map(|chunk| {
-            let mut coo = Coo::with_capacity(chunk.len());
-            for p in chunk {
-                coo.push(map(p.src.0), map(p.dst.0), 1u64);
-            }
-            encode(&coo.into_csr())
-        })
-        .collect();
-    WindowArchive { label: w.label.clone(), leaf_nv, total_packets: total as u64, leaves }
+    let medium = MemMedium::new();
+    let chunks = w.window.packets.chunks(leaf_nv.max(1));
+    let stored = chunks.len();
+    for (slot, chunk) in chunks.enumerate() {
+        let mut coo = Coo::with_capacity(chunk.len());
+        for p in chunk {
+            coo.push(map(p.src.0), map(p.dst.0), 1u64);
+        }
+        medium
+            .store(slot as u64, &encode(&coo.into_csr()))
+            // audit:allow(panic-path) — an in-memory medium's store cannot fail
+            .expect("in-memory store");
+    }
+    WindowArchive {
+        label: w.label.clone(),
+        leaf_nv,
+        total_packets: total as u64,
+        medium,
+        n_leaves: stored,
+    }
 }
 
 /// Archive with raw indices.
@@ -437,9 +272,11 @@ pub fn archive_window(w: &TelescopeWindow, n_leaves: usize) -> WindowArchive {
 mod tests {
     use super::*;
     use crate::capture::capture_window;
-    use crate::faults::{FaultKind, FaultPlan};
+    use crate::faults::{FaultKind, FaultPlan, FaultyMedium};
     use crate::matrix;
     use obscor_anonymize::CryptoPan;
+    use obscor_hypersparse::serialize::decode;
+    use obscor_hypersparse::spill::MAX_ATTEMPTS;
     use obscor_netmodel::Scenario;
     use std::sync::OnceLock;
 
@@ -451,6 +288,11 @@ mod tests {
         })
     }
 
+    /// Leaf `i`'s stored frame.
+    fn frame(archive: &WindowArchive, i: usize) -> Vec<u8> {
+        archive.medium.fetch(i as u64).unwrap()
+    }
+
     #[test]
     fn restore_reproduces_the_window_matrix() {
         let w = window();
@@ -459,7 +301,7 @@ mod tests {
             let archive = archive_window(w, n_leaves);
             assert_eq!(archive.n_leaves(), n_leaves.min(w.packets()));
             assert_eq!(archive.total_packets, w.packets() as u64);
-            let (restored, _) = RecoveringRestore::default().restore_strict(&archive).unwrap();
+            let (restored, _) = restore_strict(&archive, &archive.medium).unwrap();
             assert_eq!(restored, direct, "n_leaves = {n_leaves}");
         }
     }
@@ -468,10 +310,8 @@ mod tests {
     fn leaves_partition_the_packets() {
         let w = window();
         let archive = archive_window(w, 16);
-        let total: u64 = archive
-            .leaves
-            .iter()
-            .map(|b| reduce::valid_packets(&decode::<u64>(b).unwrap()))
+        let total: u64 = (0..archive.n_leaves())
+            .map(|i| reduce::valid_packets(&decode::<u64>(&frame(&archive, i)).unwrap()))
             .sum();
         assert_eq!(total, w.packets() as u64);
     }
@@ -481,7 +321,7 @@ mod tests {
         let w = window();
         let cp = CryptoPan::new(&[0x44u8; 32]);
         let archive = archive_window_with(w, 8, |ip| cp.anonymize(ip));
-        let (anon, _) = RecoveringRestore::default().restore_strict(&archive).unwrap();
+        let (anon, _) = restore_strict(&archive, &archive.medium).unwrap();
         let raw = matrix::build_matrix(w);
         assert_eq!(
             reduce::NetworkQuantities::compute(&anon),
@@ -493,9 +333,11 @@ mod tests {
     #[test]
     fn tampered_leaf_is_detected() {
         let w = window();
-        let mut archive = archive_window(w, 4);
-        archive.leaves[2][0] ^= 0xFF; // smash the magic
-        assert!(RecoveringRestore::default().restore_strict(&archive).is_err());
+        let archive = archive_window(w, 4);
+        let mut bytes = frame(&archive, 2);
+        bytes[0] ^= 0xFF; // smash the magic
+        archive.medium.store(2, &bytes).unwrap();
+        assert!(restore_strict(&archive, &archive.medium).is_err());
     }
 
     #[test]
@@ -504,22 +346,22 @@ mod tests {
         let archive = archive_window(w, 8);
         // 16 bytes/entry + 28/leaf header; entries <= packets.
         let cap = 16 * w.packets() + archive.n_leaves() * 28;
-        assert!(archive.byte_size() <= cap);
+        let size: usize = (0..archive.n_leaves()).map(|i| frame(&archive, i).len()).sum();
+        assert!(size <= cap);
     }
 
     #[test]
     fn recovering_restore_on_clean_archive_is_exact_and_complete() {
         let w = window();
         let archive = archive_window(w, 16);
-        let (m, report) =
-            RecoveringRestore::default().restore(&archive);
+        let (m, report) = restore(&archive, &archive.medium);
         assert_eq!(m, matrix::build_matrix(w));
         assert!(report.is_complete());
         assert_eq!(report.coverage(), 1.0);
         assert_eq!(report.retries, 0);
         assert_eq!(report.recovered, 0);
         report.check_invariants().unwrap();
-        let strict = RecoveringRestore::default().restore_strict(&archive).unwrap();
+        let strict = restore_strict(&archive, &archive.medium).unwrap();
         assert_eq!(strict.0, m);
     }
 
@@ -528,8 +370,7 @@ mod tests {
         let w = window();
         let archive = archive_window(w, 16);
         let plan = FaultPlan::with_kinds(9, 1.0, &[FaultKind::TransientRead]).unwrap();
-        let faulty = plan.apply(&archive);
-        let (m, report) = RecoveringRestore::default().restore(&faulty);
+        let (m, report) = restore(&archive, &FaultyMedium::new(&archive.medium, plan));
         assert_eq!(m, matrix::build_matrix(w), "transient-only plan must restore fully");
         assert!(report.is_complete());
         assert_eq!(report.recovered, 16, "every leaf needed retries");
@@ -542,16 +383,16 @@ mod tests {
         let w = window();
         let archive = archive_window(w, 16);
         let plan = FaultPlan::with_kinds(5, 0.5, &[FaultKind::BitFlip, FaultKind::Drop]).unwrap();
-        let faulty = plan.apply(&archive);
-        let n_faulted = faulty.n_faulted();
+        let n_faulted = plan.assignments(&archive).iter().flatten().count();
         assert!(n_faulted > 0, "seed must fault at least one leaf");
-        let (m, report) = RecoveringRestore::default().restore(&faulty);
+        let faulty = FaultyMedium::new(&archive.medium, plan);
+        let (m, report) = restore(&archive, &faulty);
         assert_eq!(report.quarantined.len(), n_faulted, "exactly the faulted leaves");
         assert!(report.quarantined.iter().all(|q| q.class == FaultClass::Permanent));
         assert!(report.coverage() < 1.0);
         assert!(reduce::valid_packets(&m) == report.packets_restored);
         report.check_invariants().unwrap();
-        assert!(RecoveringRestore::default().restore_strict(&faulty).is_err());
+        assert!(restore_strict(&archive, &faulty).is_err());
     }
 
     #[test]
@@ -559,14 +400,13 @@ mod tests {
         let w = window();
         let archive = archive_window(w, 8);
         let plan = FaultPlan::with_kinds(2, 1.0, &[FaultKind::Truncate]).unwrap();
-        let faulty = plan.apply(&archive);
-        let policy = RetryPolicy { max_attempts: 3, ..RetryPolicy::default() };
-        let (m, report) = RecoveringRestore::new(policy).restore(&faulty);
+        let (m, report) = restore(&archive, &FaultyMedium::new(&archive.medium, plan));
         assert_eq!(report.quarantined.len(), 8);
         assert!(report.quarantined.iter().all(|q| q.class == FaultClass::Transient));
-        // Each truncated leaf burned the full budget: 2 retries after the
-        // first attempt.
-        assert_eq!(report.retries, 8 * 2);
+        // Each truncated leaf burned every attempt: 3 retries after the
+        // first.
+        assert_eq!(MAX_ATTEMPTS, 4);
+        assert_eq!(report.retries, 8 * 3);
         assert_eq!(report.packets_restored, 0);
         assert_eq!(m, Csr::empty());
         report.check_invariants().unwrap();
@@ -577,20 +417,9 @@ mod tests {
         let w = window();
         let archive = archive_window(w, 4);
         let plan = FaultPlan::with_kinds(3, 1.0, &[FaultKind::Drop]).unwrap();
-        let err = RecoveringRestore::default().restore_strict(&plan.apply(&archive)).unwrap_err();
+        let err = restore_strict(&archive, &FaultyMedium::new(&archive.medium, plan)).unwrap_err();
         let text = err.to_string();
         assert!(text.contains("coverage 0.0"), "got: {text}");
         assert!(text.contains("0/4 leaves"), "got: {text}");
-    }
-
-    #[test]
-    fn backoff_is_bounded_and_monotone() {
-        let p = RetryPolicy { max_attempts: 8, backoff_base_ns: 100, backoff_cap_ns: 1_000 };
-        assert_eq!(p.backoff_ns(0), 100);
-        assert_eq!(p.backoff_ns(1), 200);
-        assert_eq!(p.backoff_ns(5), 1_000, "capped");
-        assert_eq!(p.backoff_ns(63), 1_000, "shift overflow capped");
-        let zero = RetryPolicy::default();
-        assert_eq!(zero.backoff_ns(7), 0, "default policy never sleeps");
     }
 }

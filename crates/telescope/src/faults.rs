@@ -1,20 +1,21 @@
-//! Seeded, deterministic fault injection for archived leaf matrices.
+//! Seeded, deterministic fault injection for stored frames.
 //!
 //! The production archive path ("trillions of packets at LBNL") must
 //! survive storage realities: truncated objects, flipped bits, missing
 //! leaves, and reads that fail once and succeed on retry. This module
 //! turns those realities into a reproducible test instrument: a
 //! [`FaultPlan`] is a pure function of `(seed, rate)` that assigns at most
-//! one [`Fault`] to each leaf of a [`WindowArchive`], and
-//! [`FaultPlan::apply`] wraps the archive in a [`FaultyArchive`] whose
-//! [`LeafSource`] reads misbehave exactly as planned:
+//! one [`Fault`] to each slot of a [`SpillMedium`] — a leaf of a
+//! [`WindowArchive`], or a carry part the out-of-core fold spilled — and
+//! [`FaultyMedium`] wraps the medium so its reads misbehave exactly as
+//! planned:
 //!
-//! * [`Fault::Truncate`] — the stored leaf loses its tail; every decode
-//!   sees a short read (transient *class*, but persistent — the recovery
-//!   layer retries it into quarantine).
+//! * [`Fault::Truncate`] — the stored frame loses its tail; every decode
+//!   sees a short read (transient *class*, but persistent — bounded retry
+//!   runs it into quarantine).
 //! * [`Fault::BitFlip`] — one bit past the magic flips; the v2 CRC (or
 //!   length prefix) catches it, a permanent fault.
-//! * [`Fault::Drop`] — the leaf is gone; reads fail permanently.
+//! * [`Fault::Drop`] — the frame is gone; reads fail permanently.
 //! * [`Fault::TransientRead`] — the first `failures` reads fail
 //!   transiently, then the clean bytes come back: the scheduled-recovery
 //!   case bounded retry must win.
@@ -23,11 +24,9 @@
 //! `tests/fault_recovery.rs` replays plans by seed and asserts the restore
 //! is byte-identical across runs.
 
-use crate::archive::{LeafFault, LeafSource, WindowArchive};
+use crate::archive::WindowArchive;
 use obscor_hypersparse::spill::{SpillFault, SpillMedium};
-use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 
 /// The concrete fault assigned to one leaf.
@@ -141,9 +140,9 @@ impl FaultPlan {
             }
             FaultKind::BitFlip => {
                 // Flip past the 8 magic bytes so the fault lands in the
-                // CRC-protected region and classifies as permanent (a
-                // magic flip would also be permanent, but could collide
-                // with the v1 magic and dodge the CRC entirely).
+                // CRC-protected region: the CRC or the length prefix must
+                // catch it (a magic flip would only exercise the magic
+                // check).
                 let span = leaf_len.saturating_sub(8).max(1);
                 Fault::BitFlip { offset: 8 + mod_idx(h3, span), mask: 1 << (h3 % 8) }
             }
@@ -158,47 +157,12 @@ impl FaultPlan {
 
     /// The full assignment over an archive, leaf by leaf.
     pub fn assignments(&self, archive: &WindowArchive) -> Vec<Option<Fault>> {
-        archive
-            .leaves
-            .iter()
-            .enumerate()
-            .map(|(i, leaf)| self.fault_for(i, leaf.len()))
-            .collect()
-    }
-
-    /// Wrap `archive` in a leaf source that misbehaves per this plan,
-    /// counting every injected fault in the metrics registry.
-    pub fn apply<'a>(&self, archive: &'a WindowArchive) -> FaultyArchive<'a> {
-        let injected = obscor_obs::counter("telescope.faults.injected_total");
-        let states: Vec<LeafState> = self
-            .assignments(archive)
-            .into_iter()
-            .zip(&archive.leaves)
-            .map(|(fault, bytes)| match fault {
-                None => LeafState::Clean,
-                Some(f) => {
-                    injected.inc();
-                    obscor_obs::counter(kind_counter(&f)).inc();
-                    match f {
-                        Fault::Truncate { keep } => {
-                            LeafState::Corrupted(bytes[..keep.min(bytes.len())].to_vec())
-                        }
-                        Fault::BitFlip { offset, mask } => {
-                            let mut b = bytes.clone();
-                            if let Some(byte) = b.get_mut(offset) {
-                                *byte ^= mask;
-                            }
-                            LeafState::Corrupted(b)
-                        }
-                        Fault::Drop => LeafState::Missing,
-                        Fault::TransientRead { failures } => {
-                            LeafState::Flaky { remaining: AtomicU32::new(failures) }
-                        }
-                    }
-                }
+        (0..archive.n_leaves())
+            .map(|i| {
+                let frame_len = archive.medium.fetch(i as u64).map_or(0, |b| b.len());
+                self.fault_for(i, frame_len)
             })
-            .collect();
-        FaultyArchive { base: archive, states }
+            .collect()
     }
 }
 
@@ -225,98 +189,30 @@ fn mod_idx(h: u64, n: usize) -> usize {
     usize::try_from(h % (n.max(1) as u64)).unwrap_or(0)
 }
 
-/// What one leaf of a [`FaultyArchive`] does when read.
-#[derive(Debug)]
-enum LeafState {
-    /// Read passes through to the base archive.
-    Clean,
-    /// Read returns these (truncated / bit-flipped) bytes.
-    Corrupted(Vec<u8>),
-    /// Read fails permanently.
-    Missing,
-    /// The next `remaining` reads fail transiently, then clean bytes.
-    Flaky {
-        /// Failures left before the read recovers.
-        remaining: AtomicU32,
-    },
-}
-
-/// A [`WindowArchive`] seen through a [`FaultPlan`]: the leaf store the
-/// recovering restore is tested against.
-#[derive(Debug)]
-pub struct FaultyArchive<'a> {
-    base: &'a WindowArchive,
-    states: Vec<LeafState>,
-}
-
-impl FaultyArchive<'_> {
-    /// Number of leaves carrying an injected fault.
-    pub fn n_faulted(&self) -> usize {
-        self.states.iter().filter(|s| !matches!(s, LeafState::Clean)).count()
-    }
-}
-
-impl LeafSource for FaultyArchive<'_> {
-    fn label(&self) -> &str {
-        &self.base.label
-    }
-
-    fn n_leaves(&self) -> usize {
-        self.base.leaves.len()
-    }
-
-    fn expected_packets(&self) -> u64 {
-        self.base.total_packets
-    }
-
-    fn read_leaf(&self, index: usize) -> Result<Cow<'_, [u8]>, LeafFault> {
-        let (state, bytes) = match (self.states.get(index), self.base.leaves.get(index)) {
-            (Some(s), Some(b)) => (s, b),
-            _ => return Err(LeafFault::Missing),
-        };
-        match state {
-            LeafState::Clean => Ok(Cow::Borrowed(bytes.as_slice())),
-            LeafState::Corrupted(c) => Ok(Cow::Borrowed(c.as_slice())),
-            LeafState::Missing => Err(LeafFault::Missing),
-            LeafState::Flaky { remaining } => {
-                // Deterministic schedule: each failed read consumes one
-                // budgeted failure, so the k-th retry succeeds no matter
-                // how reads interleave across leaves.
-                let stole = remaining
-                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |r| r.checked_sub(1)) // ordering: budget decrement is commutative; the schedule depends on the count, not on cross-thread order
-                    .is_ok();
-                if stole {
-                    Err(LeafFault::TransientRead)
-                } else {
-                    Ok(Cow::Borrowed(bytes.as_slice()))
-                }
-            }
-        }
-    }
-}
-
 /// A [`SpillMedium`] seen through a [`FaultPlan`]: the slot id plays the
 /// leaf-index role, so `plan.fault_for(slot, frame_len)` decides — purely
-/// and reproducibly — how each spill-frame read misbehaves. Writes pass
-/// through untouched; corruption is applied on every fetch, which keeps
-/// the injection deterministic even though slots are allocated lazily as
-/// the accumulator evicts.
+/// and reproducibly — how each read misbehaves. Writes pass through
+/// untouched; corruption is applied on every fetch, which keeps the
+/// injection deterministic even though a spill store allocates slots
+/// lazily as the fold evicts.
 ///
-/// Transient budgets are charged lazily per slot (first faulted read
-/// seeds the budget, each failure consumes one), mirroring
-/// [`FaultyArchive`]'s deterministic recovery schedule.
+/// Reads are counted per faulted slot: the first counts the injection in
+/// `telescope.faults.*`, and a transient fault fails the first `failures`
+/// reads of its slot, whatever order the slots are read in.
 #[derive(Debug)]
 pub struct FaultyMedium<M: SpillMedium> {
     inner: M,
     plan: FaultPlan,
-    /// Remaining transient failures per slot, seeded on first read.
-    flaky: Mutex<BTreeMap<u64, u32>>,
+    /// Reads so far of each faulted slot.
+    reads: Mutex<BTreeMap<u64, u32>>,
 }
 
 impl<M: SpillMedium> FaultyMedium<M> {
     /// Wrap `inner` so reads misbehave per `plan`.
     pub fn new(inner: M, plan: FaultPlan) -> Self {
-        Self { inner, plan, flaky: Mutex::new(BTreeMap::new()) }
+        // Registered now, so a plan that injures nothing reports 0.
+        obscor_obs::counter("telescope.faults.injected_total");
+        Self { inner, plan, reads: Mutex::new(BTreeMap::new()) }
     }
 
     /// Internal consistency: the plan's rate is a probability.
@@ -325,10 +221,6 @@ impl<M: SpillMedium> FaultyMedium<M> {
             return Err(format!("fault rate {} outside [0, 1]", self.plan.rate));
         }
         Ok(())
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<u64, u32>> {
-        self.flaky.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
 
@@ -342,34 +234,35 @@ impl<M: SpillMedium> SpillMedium for FaultyMedium<M> {
     }
 
     fn fetch(&self, slot: u64) -> Result<Vec<u8>, SpillFault> {
-        let bytes = self.inner.fetch(slot)?;
+        let mut bytes = self.inner.fetch(slot)?;
         let index = usize::try_from(slot).unwrap_or(usize::MAX);
-        match self.plan.fault_for(index, bytes.len()) {
-            None => Ok(bytes),
-            Some(Fault::Truncate { keep }) => {
-                let mut b = bytes;
-                b.truncate(keep.min(b.len()));
-                Ok(b)
-            }
-            Some(Fault::BitFlip { offset, mask }) => {
-                let mut b = bytes;
-                if let Some(byte) = b.get_mut(offset) {
+        let Some(fault) = self.plan.fault_for(index, bytes.len()) else {
+            return Ok(bytes);
+        };
+        let reads = {
+            let mut reads = self.reads.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            let n = reads.entry(slot).or_insert(0);
+            *n = n.saturating_add(1);
+            *n
+        };
+        if reads == 1 {
+            obscor_obs::counter("telescope.faults.injected_total").inc();
+            obscor_obs::counter(kind_counter(&fault)).inc();
+        }
+        match fault {
+            Fault::Truncate { keep } => bytes.truncate(keep),
+            Fault::BitFlip { offset, mask } => {
+                if let Some(byte) = bytes.get_mut(offset) {
                     *byte ^= mask;
                 }
-                Ok(b)
             }
-            Some(Fault::Drop) => Err(SpillFault::Missing),
-            Some(Fault::TransientRead { failures }) => {
-                let mut budgets = self.lock();
-                let remaining = budgets.entry(slot).or_insert(failures);
-                if *remaining > 0 {
-                    *remaining -= 1;
-                    Err(SpillFault::TransientRead)
-                } else {
-                    Ok(bytes)
-                }
+            Fault::Drop => return Err(SpillFault::Missing),
+            Fault::TransientRead { failures } if reads <= failures => {
+                return Err(SpillFault::TransientRead)
             }
+            Fault::TransientRead { .. } => {}
         }
+        Ok(bytes)
     }
 
     fn discard(&self, slot: u64) {
@@ -431,23 +324,24 @@ mod tests {
     fn flaky_leaf_recovers_on_schedule() {
         let a = archive();
         let p = FaultPlan::with_kinds(5, 1.0, &[FaultKind::TransientRead]).unwrap();
-        let faulty = p.apply(&a);
-        assert_eq!(faulty.n_faulted(), a.n_leaves());
-        let failures = match p.fault_for(0, a.leaves[0].len()) {
+        assert!(p.assignments(&a).iter().all(Option::is_some));
+        let faulty = FaultyMedium::new(&a.medium, p.clone());
+        let clean = a.medium.fetch(0).unwrap();
+        let failures = match p.fault_for(0, clean.len()) {
             Some(Fault::TransientRead { failures }) => failures,
             other => panic!("expected transient fault, got {other:?}"),
         };
         for _ in 0..failures {
-            assert_eq!(faulty.read_leaf(0), Err(LeafFault::TransientRead));
+            assert_eq!(faulty.fetch(0), Err(SpillFault::TransientRead));
         }
-        assert_eq!(faulty.read_leaf(0).unwrap().as_ref(), a.leaves[0].as_slice());
+        assert_eq!(faulty.fetch(0).unwrap(), clean);
     }
 
     #[test]
     fn out_of_range_leaf_is_missing_not_a_panic() {
         let a = archive();
-        let faulty = FaultPlan::new(1, 0.0).unwrap().apply(&a);
-        assert_eq!(faulty.read_leaf(10_000), Err(LeafFault::Missing));
+        let faulty = FaultyMedium::new(&a.medium, FaultPlan::new(1, 1.0).unwrap());
+        assert_eq!(faulty.fetch(10_000), Err(SpillFault::Missing));
     }
 
     #[test]

@@ -20,10 +20,10 @@ pub mod matrix;
 pub mod stream;
 
 pub use archive::{
-    archive_window, DegradedRestore, LeafFault, LeafSource, QuarantinedLeaf, RecoveringRestore,
-    RestoreReport, RetryPolicy, WindowArchive,
+    archive_window, restore, restore_strict, DegradedRestore, QuarantinedLeaf, RestoreReport,
+    WindowArchive,
 };
-pub use faults::{Fault, FaultKind, FaultPlan, FaultyArchive, FaultyMedium, ALL_FAULT_KINDS};
+pub use faults::{Fault, FaultKind, FaultPlan, FaultyMedium, ALL_FAULT_KINDS};
 pub use capture::{
     capture_all_windows, capture_window, capture_window_at, window_traffic_source,
     TelescopeWindow,

@@ -62,7 +62,7 @@ pub fn build_matrix_spilled(
     let base = spill_dir.map(Path::to_path_buf).unwrap_or_else(std::env::temp_dir);
     let medium = Arc::new(DirMedium::create_in(&base)?);
     Ok(fold_window(w, |ip| ip, |leaf_capacity| {
-        let config = SpillConfig { leaf_capacity, memory_budget: budget, ..SpillConfig::default() };
+        let config = SpillConfig { leaf_capacity, memory_budget: budget };
         HierarchicalAccumulator::spilling(config, medium)
     }))
 }

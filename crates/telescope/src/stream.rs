@@ -666,7 +666,6 @@ fn fold_window(
             let config = SpillConfig {
                 leaf_capacity: fold.leaf_capacity,
                 memory_budget: fold.memory_budget,
-                ..SpillConfig::default()
             };
             (HierarchicalAccumulator::spilling(config, Arc::new(medium)), None)
         }

@@ -4,13 +4,14 @@
 //! hostile, can panic it), *honest* (its report's accounting matches the
 //! matrix it returns), and *deterministic* (a plan is a pure function of
 //! its seed). Each property drives the whole injector + restore stack
-//! over randomized seeds, rates, and retry budgets.
+//! over randomized seeds and rates.
 
 use obscor_hypersparse::reduce;
+use obscor_hypersparse::spill::{SpillMedium, MAX_ATTEMPTS};
 use obscor_netmodel::Scenario;
 use obscor_telescope::{
-    archive_window, capture_window, Fault, FaultKind, FaultPlan, RecoveringRestore,
-    RetryPolicy, WindowArchive,
+    archive_window, capture_window, restore, restore_strict, Fault, FaultKind, FaultPlan,
+    FaultyMedium, WindowArchive,
 };
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -31,17 +32,12 @@ proptest! {
         prop_assert_eq!(p.assignments(archive()), p.assignments(archive()));
     }
 
-    /// No plan and no retry budget can panic the restore, and the report
-    /// always balances against the returned matrix.
+    /// No plan can panic the restore, and the report always balances
+    /// against the returned matrix.
     #[test]
-    fn restore_is_total_and_accounting_balances(
-        seed in any::<u64>(),
-        rate in 0.0f64..1.0,
-        max_attempts in 1u32..6,
-    ) {
+    fn restore_is_total_and_accounting_balances(seed in any::<u64>(), rate in 0.0f64..1.0) {
         let plan = FaultPlan::new(seed, rate).unwrap();
-        let policy = RetryPolicy { max_attempts, ..RetryPolicy::default() };
-        let (m, report) = RecoveringRestore::new(policy).restore(&plan.apply(archive()));
+        let (m, report) = restore(archive(), &FaultyMedium::new(&archive().medium, plan));
         prop_assert!(report.check_invariants().is_ok(), "{:?}", report.check_invariants());
         prop_assert_eq!(reduce::valid_packets(&m), report.packets_restored);
         prop_assert!((0.0..=1.0).contains(&report.coverage()));
@@ -54,9 +50,9 @@ proptest! {
     #[test]
     fn transient_only_plans_recover_bit_identically(seed in any::<u64>()) {
         let plan = FaultPlan::with_kinds(seed, 1.0, &[FaultKind::TransientRead]).unwrap();
-        let (m, report) = RecoveringRestore::default().restore(&plan.apply(archive()));
+        let (m, report) = restore(archive(), &FaultyMedium::new(&archive().medium, plan));
         prop_assert!(report.is_complete());
-        prop_assert_eq!(m, RecoveringRestore::default().restore_strict(archive()).unwrap().0);
+        prop_assert_eq!(m, restore_strict(archive(), &archive().medium).unwrap().0);
     }
 
     /// Every fault a plan draws respects the leaf geometry: truncations
@@ -65,7 +61,8 @@ proptest! {
     #[test]
     fn drawn_faults_respect_leaf_geometry(seed in any::<u64>(), rate in 0.0f64..1.0) {
         let plan = FaultPlan::new(seed, rate).unwrap();
-        for (i, leaf) in archive().leaves.iter().enumerate() {
+        for i in 0..archive().n_leaves() {
+            let leaf = archive().medium.fetch(i as u64).unwrap();
             match plan.fault_for(i, leaf.len()) {
                 None | Some(Fault::Drop) => {}
                 Some(Fault::Truncate { keep }) => prop_assert!(keep < leaf.len()),
@@ -74,9 +71,7 @@ proptest! {
                     prop_assert!(mask.count_ones() == 1);
                 }
                 Some(Fault::TransientRead { failures }) => {
-                    prop_assert!(
-                        (1..RetryPolicy::default().max_attempts).contains(&failures)
-                    );
+                    prop_assert!((1..MAX_ATTEMPTS).contains(&failures));
                 }
             }
         }
@@ -86,9 +81,9 @@ proptest! {
     /// rate 1 faults everything, and the plan never invents leaves.
     #[test]
     fn fault_rate_bounds_hold(seed in any::<u64>()) {
-        let none = FaultPlan::new(seed, 0.0).unwrap().apply(archive());
-        prop_assert_eq!(none.n_faulted(), 0);
-        let all = FaultPlan::new(seed, 1.0).unwrap().apply(archive());
-        prop_assert_eq!(all.n_faulted(), archive().n_leaves());
+        let none = FaultPlan::new(seed, 0.0).unwrap().assignments(archive());
+        prop_assert_eq!(none.iter().flatten().count(), 0);
+        let all = FaultPlan::new(seed, 1.0).unwrap().assignments(archive());
+        prop_assert_eq!(all.iter().flatten().count(), archive().n_leaves());
     }
 }

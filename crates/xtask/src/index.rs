@@ -118,7 +118,7 @@ pub enum CallQual {
 /// One call site inside a function body.
 #[derive(Debug, Clone)]
 pub struct CallSite {
-    /// Callee identifier as written (`helper`, `restore_leaf`, ...).
+    /// Callee identifier as written (`helper`, `fetch_frame`, ...).
     pub callee: String,
     /// How the call is qualified (drives edge resolution).
     pub qual: CallQual,

@@ -5,11 +5,8 @@
 //! cargo run --release --example forecasting
 //! ```
 
-use obscor::anonymize::sharing::Holder;
 use obscor::core::forecast::forecast_all;
-use obscor::core::temporal::temporal_curves;
-use obscor::core::{AnalysisConfig, WindowDegrees};
-use obscor::honeyfarm::observe_all_months;
+use obscor::core::{pipeline, AnalysisConfig};
 use obscor::netmodel::Scenario;
 
 fn main() {
@@ -20,15 +17,12 @@ fn main() {
         scenario.population.len()
     );
 
-    // Measure the temporal curves of the first two windows.
-    let holder = Holder::new("telescope", &[5u8; 32]);
-    let months = observe_all_months(&scenario);
-    let monthly: Vec<_> = months.iter().map(|m| m.source_keys().clone()).collect();
-    let mut curves = Vec::new();
-    for w in 0..2 {
-        let wd = WindowDegrees::capture(&scenario, w, &holder);
-        curves.extend(temporal_curves(&wd, &monthly, 30));
-    }
+    // The measured temporal curves of the first two windows, in degree
+    // bins of at least 30 sources.
+    let first_two: Vec<&str> =
+        scenario.caida_windows[..2].iter().map(|w| w.label.as_str()).collect();
+    let mut curves = pipeline::run(&scenario, &config).curves;
+    curves.retain(|c| c.n_sources >= 30 && first_two.contains(&c.window_label.as_str()));
 
     let cutoff = 10;
     let evals = forecast_all(&curves, cutoff, &config);

@@ -30,6 +30,7 @@ use obscor::hypersparse::{ops, reduce, Coo, Csr, Index};
 use obscor::netmodel::Scenario;
 use obscor::stats::binning::bin_representative;
 use obscor::stats::log2_bin;
+use obscor::telescope::{build_matrix, capture_window};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
@@ -406,8 +407,14 @@ fn fixture() -> &'static Fixture {
     F.get_or_init(|| {
         let s = Scenario::paper_scaled(1 << 14, 303);
         let holder = Holder::new("t", &[3u8; 32]);
-        let degrees =
-            (0..2).map(|w| WindowDegrees::capture(&s, w, &holder)).collect();
+        let degrees = s.caida_windows[..2]
+            .iter()
+            .map(|spec| {
+                let w = capture_window(&s, spec);
+                let month = s.window_month(spec).expect("window on grid");
+                WindowDegrees::from_matrix(&w.label, w.coord, month, &build_matrix(&w), &holder)
+            })
+            .collect();
         let months = observe_all_months(&s);
         let monthly = months.into_iter().map(|m| m.source_keys().clone()).collect();
         Fixture { degrees, monthly }

@@ -18,8 +18,8 @@ use obscor_hypersparse::spill::{MemMedium, SpillConfig};
 use obscor_hypersparse::{ops, reduce, Coo, Csr, HierarchicalAccumulator, SpillReport};
 use obscor_netmodel::Scenario;
 use obscor_telescope::{
-    archive_window, capture_window, matrix, Fault, FaultKind, FaultPlan, FaultyMedium,
-    RecoveringRestore, TelescopeWindow, WindowArchive,
+    archive_window, capture_window, matrix, restore, Fault, FaultKind, FaultPlan, FaultyMedium,
+    TelescopeWindow, WindowArchive,
 };
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 use std::sync::Arc;
@@ -50,7 +50,7 @@ fn matrix_of_surviving_leaves(
     ops::merge_all(leaves)
 }
 
-/// Leaf indices the default retry policy keeps, under `plan`: unfaulted
+/// Leaf indices the bounded-retry read keeps, under `plan`: unfaulted
 /// leaves and transient reads (whose failure budget is within the retry
 /// budget). Truncation, bit flips, and drops are quarantined.
 fn surviving_indices(plan: &FaultPlan, archive: &WindowArchive) -> Vec<usize> {
@@ -70,7 +70,7 @@ fn zero_fault_restore_is_bit_identical_to_direct_build() {
     let direct = matrix::build_matrix(&w);
     for n_leaves in [1usize, 3, 16, 50] {
         let archive = archive_window(&w, n_leaves);
-        let (restored, report) = RecoveringRestore::default().restore(&archive);
+        let (restored, report) = restore(&archive, &archive.medium);
         assert_eq!(restored, direct, "n_leaves = {n_leaves}");
         assert!(report.is_complete());
         assert_eq!(report.coverage(), 1.0);
@@ -85,7 +85,7 @@ fn degraded_restore_equals_direct_build_over_surviving_leaves() {
     for (seed, rate) in [(1u64, 0.2), (7, 0.5), (99, 0.8)] {
         let plan = FaultPlan::new(seed, rate).unwrap();
         let surviving = surviving_indices(&plan, &archive);
-        let (restored, report) = RecoveringRestore::default().restore(&plan.apply(&archive));
+        let (restored, report) = restore(&archive, &FaultyMedium::new(&archive.medium, plan));
         let expected = matrix_of_surviving_leaves(&w, &archive, &surviving);
         assert_eq!(
             restored, expected,
@@ -102,7 +102,7 @@ fn coverage_accounting_is_integer_exact() {
     let archive = archive_window(&w, 32);
     let plan = FaultPlan::new(13, 0.4).unwrap();
     let surviving = surviving_indices(&plan, &archive);
-    let (restored, report) = RecoveringRestore::default().restore(&plan.apply(&archive));
+    let (restored, report) = restore(&archive, &FaultyMedium::new(&archive.medium, plan));
 
     // Expected packets: the whole window. Restored packets: exactly the
     // sizes of the surviving leaves' packet chunks.
@@ -126,14 +126,14 @@ fn restore_is_deterministic_under_a_fixed_seed() {
     let w = window(1 << 12, 5);
     let archive = archive_window(&w, 24);
     let plan = FaultPlan::new(21, 0.6).unwrap();
-    // Fresh FaultyArchive each time: transient budgets reset with it.
-    let (m1, r1) = RecoveringRestore::default().restore(&plan.apply(&archive));
-    let (m2, r2) = RecoveringRestore::default().restore(&plan.apply(&archive));
+    // Fresh FaultyMedium each time: transient budgets reset with it.
+    let (m1, r1) = restore(&archive, &FaultyMedium::new(&archive.medium, plan.clone()));
+    let (m2, r2) = restore(&archive, &FaultyMedium::new(&archive.medium, plan));
     assert_eq!(m1, m2);
     assert_eq!(r1, r2);
     // And a different seed genuinely changes the outcome at this rate.
     let other = FaultPlan::new(22, 0.6).unwrap();
-    let (_, r3) = RecoveringRestore::default().restore(&other.apply(&archive));
+    let (_, r3) = restore(&archive, &FaultyMedium::new(&archive.medium, other));
     assert_ne!(r1.quarantined, r3.quarantined, "seed must steer the plan");
 }
 
@@ -144,7 +144,7 @@ fn transient_only_plans_always_recover_completely() {
     let direct = matrix::build_matrix(&w);
     for seed in [1u64, 2, 3] {
         let plan = FaultPlan::with_kinds(seed, 1.0, &[FaultKind::TransientRead]).unwrap();
-        let (restored, report) = RecoveringRestore::default().restore(&plan.apply(&archive));
+        let (restored, report) = restore(&archive, &FaultyMedium::new(&archive.medium, plan));
         assert_eq!(restored, direct, "seed {seed}");
         assert!(report.is_complete());
         assert!(report.retries > 0, "full-rate transient plan must have retried");
@@ -158,7 +158,7 @@ fn fault_metrics_are_recorded_on_the_faulted_path_only() {
     let archive = archive_window(&w, 16);
 
     let before = obscor_obs::snapshot();
-    let (_, report) = RecoveringRestore::default().restore(&archive);
+    let (_, report) = restore(&archive, &archive.medium);
     let clean_delta = obscor_obs::snapshot().delta_since(&before);
     assert!(report.is_complete());
     // Tests share the process-global registry, so only assert what this
@@ -166,8 +166,8 @@ fn fault_metrics_are_recorded_on_the_faulted_path_only() {
     // counters unless some concurrent test injected faults itself.
     let plan = FaultPlan::new(4, 0.7).unwrap();
     let before = obscor_obs::snapshot();
-    let faulty = plan.apply(&archive);
-    let (_, report) = RecoveringRestore::default().restore(&faulty);
+    let n_faulted = plan.assignments(&archive).iter().flatten().count();
+    let (_, report) = restore(&archive, &FaultyMedium::new(&archive.medium, plan));
     let fault_delta = obscor_obs::snapshot().delta_since(&before);
     assert!(!report.is_complete(), "seed 4 at 0.7 must injure this archive");
     for name in [
@@ -182,7 +182,7 @@ fn fault_metrics_are_recorded_on_the_faulted_path_only() {
         );
     }
     assert!(
-        fault_delta.counters["telescope.faults.injected_total"] >= faulty.n_faulted() as u64
+        fault_delta.counters["telescope.faults.injected_total"] >= n_faulted as u64
     );
 }
 
@@ -224,8 +224,7 @@ fn spill_pairs(n: usize, seed: u64) -> Vec<(u32, u32)> {
 /// crosses the faulted reading layer at least once.
 fn spilled_with_plan(pairs: &[(u32, u32)], leaf: usize, plan: FaultPlan) -> (Csr<u64>, SpillReport) {
     let medium = FaultyMedium::new(MemMedium::new(), plan);
-    let config =
-        SpillConfig { leaf_capacity: leaf, memory_budget: Some(0), ..SpillConfig::default() };
+    let config = SpillConfig { leaf_capacity: leaf, memory_budget: Some(0) };
     let mut acc = HierarchicalAccumulator::spilling(config, Arc::new(medium));
     for &(s, d) in pairs {
         acc.push_edge(s, d);

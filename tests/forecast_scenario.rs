@@ -1,21 +1,30 @@
 //! Integration: forecasting on real scenario data.
 
-use obscor::anonymize::sharing::Holder;
 use obscor::core::forecast::{forecast_all, forecast_curve};
-use obscor::core::temporal::temporal_curves;
-use obscor::core::{AnalysisConfig, WindowDegrees};
-use obscor::honeyfarm::observe_all_months;
+use obscor::core::temporal::TemporalCurve;
+use obscor::core::{pipeline, AnalysisConfig};
 use obscor::netmodel::Scenario;
+
+/// The pipeline's temporal curves of the first `windows` windows, in
+/// degree bins of at least `min_sources` sources.
+fn curves(
+    scenario: &Scenario,
+    config: &AnalysisConfig,
+    windows: usize,
+    min_sources: usize,
+) -> Vec<TemporalCurve> {
+    let labels: Vec<&str> =
+        scenario.caida_windows[..windows].iter().map(|w| w.label.as_str()).collect();
+    let mut curves = pipeline::run(scenario, config).curves;
+    curves.retain(|c| c.n_sources >= min_sources && labels.contains(&c.window_label.as_str()));
+    curves
+}
 
 #[test]
 fn scenario_forecasts_are_produced_and_bounded() {
     let scenario = Scenario::paper_scaled(1 << 15, 404);
     let config = AnalysisConfig::fast();
-    let holder = Holder::new("t", &[6u8; 32]);
-    let months = observe_all_months(&scenario);
-    let monthly: Vec<_> = months.iter().map(|m| m.source_keys().clone()).collect();
-    let wd = WindowDegrees::capture(&scenario, 0, &holder);
-    let curves = temporal_curves(&wd, &monthly, 30);
+    let curves = curves(&scenario, &config, 1, 30);
     assert!(!curves.is_empty());
 
     let evals = forecast_all(&curves, 10, &config);
@@ -35,14 +44,7 @@ fn scenario_forecasts_are_produced_and_bounded() {
 fn model_is_competitive_with_persistence_overall() {
     let scenario = Scenario::paper_scaled(1 << 15, 405);
     let config = AnalysisConfig::fast();
-    let holder = Holder::new("t", &[6u8; 32]);
-    let months = observe_all_months(&scenario);
-    let monthly: Vec<_> = months.iter().map(|m| m.source_keys().clone()).collect();
-    let mut curves = Vec::new();
-    for w in 0..2 {
-        let wd = WindowDegrees::capture(&scenario, w, &holder);
-        curves.extend(temporal_curves(&wd, &monthly, 30));
-    }
+    let curves = curves(&scenario, &config, 2, 30);
     let evals = forecast_all(&curves, 10, &config);
     assert!(evals.len() >= 5, "need several curves, got {}", evals.len());
     let model: f64 = evals.iter().map(|e| e.model_mae()).sum::<f64>() / evals.len() as f64;
@@ -60,11 +62,7 @@ fn model_is_competitive_with_persistence_overall() {
 fn forecast_respects_cutoff_boundaries() {
     let scenario = Scenario::paper_scaled(1 << 14, 406);
     let config = AnalysisConfig::fast();
-    let holder = Holder::new("t", &[6u8; 32]);
-    let months = observe_all_months(&scenario);
-    let monthly: Vec<_> = months.iter().map(|m| m.source_keys().clone()).collect();
-    let wd = WindowDegrees::capture(&scenario, 0, &holder);
-    let curves = temporal_curves(&wd, &monthly, 20);
+    let curves = curves(&scenario, &config, 1, 20);
     if let Some(curve) = curves.first() {
         for cutoff in [6usize, 10, 13] {
             if let Some(e) = forecast_curve(curve, cutoff, &config) {

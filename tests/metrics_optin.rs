@@ -138,8 +138,7 @@ fn exercise_bitset() {
 /// only (the finalize step sees a single part, so no tree merge adds a
 /// level name).
 fn exercise_spilled_fold() {
-    let config =
-        SpillConfig { leaf_capacity: 4, memory_budget: Some(0), ..SpillConfig::default() };
+    let config = SpillConfig { leaf_capacity: 4, memory_budget: Some(0) };
     let mut acc = HierarchicalAccumulator::<u64>::spilling(config, Arc::new(MemMedium::new()));
     for i in 0..32u32 {
         acc.push_edge(i % 8, i % 3);

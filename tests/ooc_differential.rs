@@ -56,7 +56,7 @@ fn spilled(
     leaf_capacity: usize,
     budget: Option<u64>,
 ) -> (Csr<u64>, obscor::hypersparse::SpillReport) {
-    let config = SpillConfig { leaf_capacity, memory_budget: budget, ..SpillConfig::default() };
+    let config = SpillConfig { leaf_capacity, memory_budget: budget };
     let mut acc = HierarchicalAccumulator::spilling(config, Arc::new(MemMedium::new()));
     for &(s, d) in pairs {
         acc.push_edge(s, d);
@@ -111,7 +111,7 @@ fn mid_stream_budget_changes_preserve_bit_identity() {
     // at packet-count checkpoints that do not align with leaf boundaries.
     let schedule: &[(usize, Option<u64>)] =
         &[(0, None), (1_234, Some(0)), (3_000, Some(64 << 10)), (5_678, Some(1))];
-    let config = SpillConfig { leaf_capacity: 100, memory_budget: None, ..SpillConfig::default() };
+    let config = SpillConfig { leaf_capacity: 100, memory_budget: None };
     let mut acc = HierarchicalAccumulator::spilling(config, Arc::new(MemMedium::new()));
     let mut next = 0usize;
     for (i, &(s, d)) in p.iter().enumerate() {
@@ -187,7 +187,6 @@ proptest! {
         let config = SpillConfig {
             leaf_capacity: leaf,
             memory_budget: Some(rng.random_range(0u64..1024)),
-            ..SpillConfig::default()
         };
         let mut acc = HierarchicalAccumulator::spilling(config, Arc::new(MemMedium::new()));
         for &(s, d) in &p {

@@ -87,11 +87,7 @@ fn run_budgeted(
     let rss_metered = check_rss && reset_peak_rss();
     let dir = std::env::temp_dir();
     let medium = DirMedium::create_in(&dir).expect("spill dir in temp");
-    let config = SpillConfig {
-        leaf_capacity,
-        memory_budget: Some(budget),
-        ..SpillConfig::default()
-    };
+    let config = SpillConfig { leaf_capacity, memory_budget: Some(budget) };
     let mut acc = HierarchicalAccumulator::spilling(config, Arc::new(medium));
     for (s, d) in edges(n, seed, bits.0, bits.1) {
         acc.push_edge(s, d);
