@@ -21,7 +21,10 @@ use obscor_core::{pipeline, AnalysisConfig, ArchiveConfig, SpillSettings};
 use obscor_netmodel::Scenario;
 use obscor_obs::Level;
 use obscor_pcap::PcapWriter;
-use obscor_telescope::{capture_window, FaultPlan, IngestConfig, IngestService};
+use obscor_telescope::{
+    capture_window, leaf_capacity_for, push_edges, window_fold, FaultPlan, IngestConfig,
+    IngestService,
+};
 use std::process::ExitCode;
 
 const DEFAULT_NV: usize = 1 << 20;
@@ -80,10 +83,13 @@ corrupt leaves, and reports per-window packet coverage.
 --memory-budget BYTES (accepts 2^N) builds each window matrix out-of-core:
 carry-level CSR parts spill to disk whenever tracked live bytes exceed the
 budget, and the merge scheduler reloads them on demand — the matrices are
-bit-identical to the in-memory build. Applies to both reproduce and serve;
-per-window spill accounting (evictions, reloads, peak live bytes) is printed
-and hypersparse.spill.* metrics are recorded.
---spill-dir PATH puts the spill files under PATH (default: system temp dir).
+bit-identical to the in-memory build. Applies to both reproduce and serve,
+and combines with --fault-plan (the restored leaves fold out-of-core; their
+spill line then counts stored entries, not packets); per-window spill
+accounting (evictions, reloads, peak live bytes) is printed and
+hypersparse.spill.* metrics are recorded.
+--spill-dir PATH puts the spill files under PATH (default: system temp dir);
+it needs --memory-budget.
 
 ARTIFACT: table1 table2 fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 classes subnets scaling";
 
@@ -107,8 +113,7 @@ struct Options {
     queue_depth: usize,
     serve_windows: usize,
     anonymize: bool,
-    memory_budget: Option<u64>,
-    spill_dir: Option<String>,
+    spill: Option<SpillSettings>,
 }
 
 fn parse(args: &[String]) -> Result<Options, String> {
@@ -132,9 +137,10 @@ fn parse(args: &[String]) -> Result<Options, String> {
         queue_depth: 4,
         serve_windows: 3,
         anonymize: false,
-        memory_budget: None,
-        spill_dir: None,
+        spill: None,
     };
+    let mut memory_budget: Option<u64> = None;
+    let mut spill_dir: Option<String> = None;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| {
@@ -196,9 +202,9 @@ fn parse(args: &[String]) -> Result<Options, String> {
             "--memory-budget" => {
                 let v = value("--memory-budget")?;
                 let b = parse_nv(&v).map_err(|_| "bad --memory-budget")?;
-                o.memory_budget = Some(b as u64);
+                memory_budget = Some(u64::try_from(b).map_err(|_| "bad --memory-budget")?);
             }
-            "--spill-dir" => o.spill_dir = Some(value("--spill-dir")?),
+            "--spill-dir" => spill_dir = Some(value("--spill-dir")?),
             "--cutoff" => {
                 o.cutoff = value("--cutoff")?.parse().map_err(|_| "bad --cutoff")?;
                 if !(4..15).contains(&o.cutoff) {
@@ -208,7 +214,22 @@ fn parse(args: &[String]) -> Result<Options, String> {
             other => return Err(format!("unknown flag {other}")),
         }
     }
+    o.spill = match (memory_budget, spill_dir) {
+        (Some(memory_budget), dir) => {
+            Some(SpillSettings { memory_budget, spill_dir: dir.map(std::path::PathBuf::from) })
+        }
+        (None, Some(_)) => return Err("--spill-dir needs --memory-budget".into()),
+        (None, None) => None,
+    };
     Ok(o)
+}
+
+/// The packets `serve` feeds: `windows` windows of `window_packets` each,
+/// refused when the product does not fit in a count.
+fn serve_target(windows: usize, window_packets: usize) -> Result<u64, String> {
+    windows.checked_mul(window_packets).and_then(|n| u64::try_from(n).ok()).ok_or_else(|| {
+        format!("--windows {windows} x --window-packets {window_packets} packets overflows")
+    })
 }
 
 /// Accept `1048576` or `2^20`.
@@ -276,20 +297,13 @@ fn reproduce(o: Options) -> Result<(), String> {
         }
         config = config.with_archive(archive);
     }
-    if let Some(budget) = o.memory_budget {
-        if config.archive.is_some() {
-            return Err("--memory-budget cannot be combined with the archive path \
-                        (--fault-plan/--strict-archive)"
-                .into());
-        }
+    if let Some(spill) = &o.spill {
         eprintln!(
-            "out-of-core build: memory budget {budget} bytes, spill dir {}",
-            o.spill_dir.as_deref().unwrap_or("<temp>")
+            "out-of-core build: memory budget {} bytes, spill dir {}",
+            spill.memory_budget,
+            spill.spill_dir.as_deref().map_or("<temp>".into(), |d| d.display().to_string())
         );
-        config = config.with_spill(SpillSettings {
-            memory_budget: budget,
-            spill_dir: o.spill_dir.as_deref().map(std::path::PathBuf::from),
-        });
+        config = config.with_spill(spill.clone());
     }
     eprintln!(
         "population: {} sources; capturing 5 windows x {} packets + 15 honeyfarm months...",
@@ -433,12 +447,12 @@ const SERVE_ANON_KEY: [u8; 32] = [0x5Au8; 32];
 
 fn serve(o: Options) -> Result<(), String> {
     use obscor_pcap::PacketFilter;
+    let window_packets = o.window_packets.unwrap_or(o.nv);
+    let target = serve_target(o.serve_windows, window_packets)?;
     let scenario = build_scenario(&o);
-    let window_packets = o.window_packets.unwrap_or(scenario.n_v);
     let mut cfg = IngestConfig::new(o.workers, window_packets);
     cfg.queue_depth = o.queue_depth;
-    cfg.memory_budget = o.memory_budget;
-    cfg.spill_dir = o.spill_dir.as_deref().map(std::path::PathBuf::from);
+    cfg.spill = o.spill.clone();
     let before = obscor_obs::snapshot();
     let spec = &scenario.caida_windows[o.window];
     eprintln!(
@@ -461,19 +475,22 @@ fn serve(o: Options) -> Result<(), String> {
     } else {
         IngestService::new(cfg)
     };
-    // --check retains each open window's packets and rebuilds the batch
-    // oracle at close; the streamed matrix must be byte-equal.
+    // --check retains each open window's packets and folds them through
+    // the batch build at close; the streamed matrix must be byte-equal.
     let mut oracle: Vec<(u32, u32)> = Vec::new();
+    let oracle_pan =
+        o.anonymize.then(|| obscor_anonymize::MemoCryptoPan::new(&SERVE_ANON_KEY));
+    let oracle_map = |ip: u32| oracle_pan.as_ref().map_or(ip, |pan| pan.anonymize(ip));
     let mut checked = 0usize;
-    let target = (o.serve_windows * window_packets) as u64;
     let mut fed = 0u64;
     let mut emit = |snap: &obscor_telescope::WindowSnapshot,
                     oracle: &mut Vec<(u32, u32)>|
      -> Result<(), String> {
         if o.check {
-            let taken: Vec<_> = oracle.drain(..snap.packets as usize).collect();
-            let batch = batch_oracle_matrix(&taken, o.anonymize);
-            if batch != snap.matrix {
+            let taken = oracle.drain(..snap.packets as usize);
+            let (mut fold, _) = window_fold(leaf_capacity_for(taken.len()), None);
+            push_edges(&mut fold, taken.map(|(s, d)| (oracle_map(s), oracle_map(d))));
+            if fold.finalize() != snap.matrix {
                 return Err(format!("window {} diverged from the batch build", snap.index));
             }
             checked += 1;
@@ -550,26 +567,6 @@ fn serve(o: Options) -> Result<(), String> {
         );
     }
     Ok(())
-}
-
-/// The batch path's matrix for one serve window: the same accumulator
-/// construction `telescope::matrix::build_matrix_with` uses, applied to the
-/// retained packet list.
-fn batch_oracle_matrix(pairs: &[(u32, u32)], anonymize: bool) -> obscor_hypersparse::Csr<u64> {
-    use obscor_hypersparse::HierarchicalAccumulator;
-    let leaf = obscor_telescope::leaf_capacity_for(pairs.len());
-    let mut acc = HierarchicalAccumulator::with_leaf_capacity(leaf);
-    if anonymize {
-        let pan = obscor_anonymize::MemoCryptoPan::new(&SERVE_ANON_KEY);
-        for &(s, d) in pairs {
-            acc.push_edge(pan.anonymize(s), pan.anonymize(d));
-        }
-    } else {
-        for &(s, d) in pairs {
-            acc.push_edge(s, d);
-        }
-    }
-    acc.finalize()
 }
 
 fn forecast(o: Options) -> Result<(), String> {
@@ -742,16 +739,84 @@ mod tests {
 
     #[test]
     fn memory_budget_flag_parses() {
-        assert!(parse(&[]).unwrap().memory_budget.is_none());
-        assert!(parse(&[]).unwrap().spill_dir.is_none());
+        assert!(parse(&[]).unwrap().spill.is_none());
         let o = parse(&args("--memory-budget 2^26 --spill-dir /tmp/spill")).unwrap();
-        assert_eq!(o.memory_budget, Some(1 << 26));
-        assert_eq!(o.spill_dir.as_deref(), Some("/tmp/spill"));
+        let spill = o.spill.expect("spill settings parsed");
+        assert_eq!(spill.memory_budget, 1 << 26);
+        assert_eq!(spill.spill_dir.as_deref(), Some(std::path::Path::new("/tmp/spill")));
+        // Either order: the directory may come first.
+        let o = parse(&args("--spill-dir /tmp/spill --memory-budget 0")).unwrap();
+        let want = SpillSettings { memory_budget: 0, spill_dir: Some("/tmp/spill".into()) };
+        assert_eq!(o.spill, Some(want));
         // A zero budget is legal: it forces eviction on every carry.
-        assert_eq!(parse(&args("--memory-budget 0")).unwrap().memory_budget, Some(0));
+        let zero = parse(&args("--memory-budget 0")).unwrap().spill;
+        assert_eq!(zero, Some(SpillSettings::with_budget(0)));
         assert!(parse(&args("--memory-budget")).is_err());
         assert!(parse(&args("--memory-budget lots")).is_err());
         assert!(parse(&args("--spill-dir")).is_err());
+    }
+
+    #[test]
+    fn spill_dir_without_a_budget_is_a_usage_error() {
+        let err = parse(&args("--spill-dir /tmp/spill")).err().expect("a lone --spill-dir");
+        assert!(err.contains("--memory-budget"), "{err}");
+        for cmd in ["reproduce", "serve"] {
+            let err = run(args(&format!("{cmd} --nv 2^12 --spill-dir /nonexistent/x")));
+            assert!(err.is_err_and(|e| e.contains("--memory-budget")), "{cmd}");
+        }
+    }
+
+    #[test]
+    fn serve_target_is_checked() {
+        assert_eq!(serve_target(3, 4096), Ok(3 * 4096));
+        assert_eq!(serve_target(1, usize::MAX), Ok(usize::MAX as u64));
+        let err = serve_target(4_611_686_018_427_387_905, 4).unwrap_err();
+        assert!(err.contains("--windows") && err.contains("--window-packets"), "{err}");
+        // The overflow is refused before any scenario is built.
+        let argv = "serve --nv 2^12 --windows 4611686018427387905 --window-packets 4";
+        assert!(run(args(argv)).is_err_and(|e| e.contains("overflows")));
+    }
+
+    /// Every numeric flag, with the range its `Ok` values must lie in.
+    #[allow(clippy::type_complexity)]
+    const NUMERIC_FLAGS: [(&str, fn(&Options) -> bool); 10] = [
+        ("--nv", |o| NV_RANGE.contains(&o.nv)),
+        ("--seed", |_| true),
+        ("--window", |o| o.window <= 4),
+        ("--cutoff", |o| (4..=14).contains(&o.cutoff)),
+        ("--workers", |o| o.workers > 0),
+        ("--queue-depth", |o| o.queue_depth > 0),
+        ("--windows", |o| o.serve_windows > 0),
+        ("--window-packets", |o| o.window_packets.is_some_and(|p| p > 0)),
+        ("--memory-budget", |o| o.spill.is_some()),
+        ("--fault-plan", |o| {
+            o.fault_plan.as_ref().is_some_and(|p| (0.0..=1.0).contains(&p.rate))
+        }),
+    ];
+
+    #[test]
+    fn numeric_flags_parse_to_ok_or_err_and_never_panic() {
+        let forty_digits = "1".repeat(40);
+        let spellings = [
+            "", "-1", "+7", " 7", "0x10", "1e3", "2^", "2^-1", "2^64", "2^4294967296",
+            "18446744073709551616", &forty_digits, "NaN", "7:", ":0.5", "7:nan", "7:1e309",
+        ];
+        for (flag, in_range) in NUMERIC_FLAGS {
+            for spelling in spellings {
+                let argv = [flag.to_string(), spelling.to_string()];
+                let parsed = std::panic::catch_unwind(|| parse(&argv));
+                let Ok(parsed) = parsed else { panic!("{flag} {spelling:?} panicked") };
+                let Ok(o) = parsed else { continue };
+                assert!(in_range(&o), "{flag} {spelling:?} parsed out of range");
+                // The serve target derived from any accepted value is a
+                // result, never a panic.
+                let window_packets = o.window_packets.unwrap_or(o.nv);
+                let target = std::panic::catch_unwind(|| {
+                    serve_target(o.serve_windows, window_packets)
+                });
+                assert!(target.is_ok(), "{flag} {spelling:?}: serve target panicked");
+            }
+        }
     }
 
     #[test]

@@ -530,6 +530,61 @@ fn zero_rate_fault_plan_prints_the_direct_bytes() {
 }
 
 #[test]
+fn archive_path_combines_with_a_memory_budget() {
+    let dir = ScratchDir::new("archive_budget");
+    let mut args = FAULT_RUN.to_vec();
+    args[8] = "7:0.0";
+    let spill_dir = dir.file("spill");
+    let out = obscor()
+        .args(args)
+        .args(["--memory-budget", "0", "--tsv", "--spill-dir"])
+        .arg(&spill_dir)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(out.status.success(), "stderr:\n{stderr}");
+    // The direct run's bytes: a budget and a clean archive change nothing.
+    assert_eq!(fnv1a(&out.stdout), 2_883_744_622_206_496_623, "stderr:\n{stderr}");
+    let restores = stderr.lines().filter(|l| l.starts_with("restore ")).collect::<Vec<_>>();
+    assert_eq!(restores.len(), 5, "{stderr}");
+    assert!(restores.iter().all(|l| l.contains("coverage 1.000000")), "{stderr}");
+    let spills: Vec<&str> = stderr.lines().filter(|l| l.starts_with("spill: ")).collect();
+    assert_eq!(spills.len(), 5, "one spill line per window:\n{stderr}");
+    for line in spills {
+        assert!(line.starts_with("spill: coverage 1.000000"), "{line}");
+        assert!(!line.contains(" 0 evictions"), "{line}");
+    }
+}
+
+#[test]
+fn spill_dir_without_a_memory_budget_is_a_usage_error() {
+    for args in [
+        vec!["reproduce", "--nv", "2^12", "--fast", "--only", "table1"],
+        vec!["serve", "--nv", "2^12", "--windows", "1", "--window-packets", "4096"],
+    ] {
+        let out = obscor().args(&args).args(["--spill-dir", "/nonexistent/x"]).output().unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?} stderr:\n{stderr}");
+        assert!(stderr.contains("--memory-budget"), "{args:?} stderr:\n{stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+    }
+}
+
+#[test]
+fn serve_target_overflow_is_a_usage_error() {
+    let out = obscor()
+        .args(["serve", "--nv", "2^12", "--windows", "4611686018427387905"])
+        .args(["--window-packets", "4"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(1), "stderr:\n{stderr}");
+    assert!(stderr.contains("--windows") && stderr.contains("--window-packets"), "{stderr}");
+    assert!(stderr.contains("overflows"), "{stderr}");
+    assert!(out.stdout.is_empty(), "no window may be served");
+}
+
+#[test]
 fn forecast_output_is_pinned() {
     for (args, want) in [
         (["forecast", "--nv", "2^14", "--seed", "42", "--fast"], 13_908_410_633_721_930_485),

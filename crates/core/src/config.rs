@@ -3,13 +3,14 @@
 use obscor_stats::fit::{default_mc_alpha_grid, default_mc_beta_grid};
 use obscor_stats::zipf::{default_alpha_grid, default_delta_grid};
 use obscor_telescope::FaultPlan;
+pub use obscor_telescope::SpillSettings;
 
 /// Configuration of the archive → restore matrix path: instead of
-/// building each window matrix directly, serialize it into leaf matrices
-/// (the paper's hierarchical LBNL archive), optionally injure them with a
-/// seeded [`FaultPlan`], and rebuild through the recovering restore. The
-/// default analysis path skips all of this (`AnalysisConfig::archive` is
-/// `None`).
+/// folding each window's packets directly, serialize the window into leaf
+/// matrices (the paper's hierarchical LBNL archive), optionally injure
+/// them with a seeded [`FaultPlan`], and fold the leaves the recovering
+/// restore gets back. The default analysis path skips all of this
+/// (`AnalysisConfig::archive` is `None`).
 #[derive(Clone, Debug, PartialEq)]
 pub struct ArchiveConfig {
     /// Leaf matrices per window archive (the paper uses `2^13` leaves of
@@ -38,27 +39,6 @@ impl ArchiveConfig {
     }
 }
 
-/// Configuration of the out-of-core matrix build: window matrices are
-/// accumulated through a spilling
-/// [`obscor_hypersparse::HierarchicalAccumulator`], evicting carry-level
-/// CSR parts to disk whenever tracked live bytes exceed the budget. The
-/// produced matrices are bit-identical to the direct build.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SpillSettings {
-    /// Tracked-live-byte budget for each window's hierarchical fold.
-    pub memory_budget: u64,
-    /// Directory spill files are created under; the system temp dir when
-    /// `None`.
-    pub spill_dir: Option<std::path::PathBuf>,
-}
-
-impl SpillSettings {
-    /// Budgeted out-of-core build spilling to the system temp dir.
-    pub fn with_budget(memory_budget: u64) -> Self {
-        Self { memory_budget, spill_dir: None }
-    }
-}
-
 /// Knobs of the correlation analysis. The defaults reproduce the paper's
 /// procedure.
 #[derive(Clone, Debug, PartialEq)]
@@ -75,15 +55,15 @@ pub struct AnalysisConfig {
     pub mc_alphas: Vec<f64>,
     /// Modified-Cauchy β grid for the Fig 5-8 fits.
     pub mc_betas: Vec<f64>,
-    /// When set, window matrices are built through the archive → restore
+    /// When set, each window's fold is fed through the archive → restore
     /// path (serialize to leaves, optionally fault-inject, recover) and
     /// the analysis records a [`obscor_telescope::RestoreReport`] per
-    /// window. `None` (the default) builds matrices directly.
+    /// window. `None` (the default) folds the captured packets directly.
     pub archive: Option<ArchiveConfig>,
-    /// When set (and `archive` is `None`), window matrices are built
-    /// through the out-of-core spill path under the given memory budget
-    /// and the analysis records a [`obscor_hypersparse::SpillReport`]
-    /// per window. `None` (the default) builds matrices fully in memory.
+    /// When set, each window's fold spills out-of-core under the given
+    /// memory budget, whatever feeds it, and the analysis records a
+    /// [`obscor_hypersparse::SpillReport`] per window. `None` (the
+    /// default) folds fully in memory.
     pub spill: Option<SpillSettings>,
 }
 
@@ -123,7 +103,7 @@ impl AnalysisConfig {
         self
     }
 
-    /// The same configuration, with matrices built out-of-core under
+    /// The same configuration, with every window folded out-of-core under
     /// `spill`'s memory budget.
     pub fn with_spill(mut self, spill: SpillSettings) -> Self {
         self.spill = Some(spill);

@@ -17,8 +17,8 @@ use obscor_hypersparse::{Csr, SpillReport};
 use obscor_netmodel::Scenario;
 use obscor_obs::MetricsSnapshot;
 use obscor_telescope::{
-    archive_window, capture_all_windows, inventory, matrix, restore, FaultyMedium, InventoryRow,
-    RestoreReport,
+    archive_window, capture_all_windows, inventory, leaf_capacity_for, matrix, restore,
+    FaultyMedium, InventoryRow, RestoreReport,
 };
 use rayon::prelude::*;
 
@@ -83,17 +83,18 @@ pub struct PaperAnalysis {
     /// (the paper's `sources ∝ N_V^{1/2}` observation).
     pub scaling: Vec<(String, f64, f64)>,
     /// Archive-path accounting: one [`RestoreReport`] per window when the
-    /// matrices were built through the archive → restore path
+    /// folds were fed through the archive → restore path
     /// (`AnalysisConfig::archive`); empty on the direct path. Downstream
     /// statistics are computed over the surviving leaves, so each
     /// report's coverage fraction bounds how much of the window those
     /// statistics saw.
     pub restore: Vec<RestoreReport>,
     /// Out-of-core accounting: one [`SpillReport`] per window when the
-    /// matrices were built under a memory budget
-    /// (`AnalysisConfig::spill`); empty on the in-memory paths. The
-    /// matrices are bit-identical to the direct build, so the reports
-    /// carry only eviction/reload traffic and peak-footprint numbers.
+    /// matrices were folded under a memory budget
+    /// (`AnalysisConfig::spill`); empty on the in-memory paths. A budget
+    /// never changes a matrix, so the reports carry only eviction/reload
+    /// traffic and peak-footprint numbers. On the archive path the fold
+    /// is fed whole leaves, so its "packets" count stored entries.
     pub spill: Vec<SpillReport>,
     /// Out-of-core fallbacks: `(window label, fault)` for every window
     /// whose spilled build failed and was built in memory instead (same
@@ -147,75 +148,66 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
     };
     obscor_obs::counter("stage.capture.windows_total").add(windows.len() as u64);
     let caida_inventory = inventory(&windows);
+    // One fold per window, resident or — under a configured budget —
+    // spilling carry parts to disk, fed either the captured packets or
+    // the leaves the archive restore gets back. Serial across windows:
+    // the budget is per fold, and running folds concurrently would
+    // multiply the process footprint the budget exists to bound.
+    let mut matrices: Vec<Csr<u64>> = Vec::with_capacity(windows.len());
+    let mut restore_reports: Vec<RestoreReport> = Vec::new();
     let mut spill_reports: Vec<SpillReport> = Vec::new();
     let mut spill_fallbacks: Vec<(String, String)> = Vec::new();
-    let (matrices, restore): (Vec<_>, Vec<RestoreReport>) = match &config.archive {
-        None => {
-            // One fold per window, resident or — under a configured budget
-            // — spilling carry parts to disk. Serial across windows: the
-            // budget is per fold, and running folds concurrently would
-            // multiply the process footprint the budget exists to bound.
-            let _s = obscor_obs::span("stage.matrices");
-            let built = windows
-                .iter()
-                .map(|w| match &config.spill {
-                    None => matrix::build_matrix(w),
-                    Some(sp) => match matrix::build_matrix_spilled(
-                        w,
-                        Some(sp.memory_budget),
-                        sp.spill_dir.as_deref(),
-                    ) {
-                        Ok((m, report)) => {
-                            spill_reports.push(report);
-                            m
-                        }
-                        // An unusable spill directory degrades to the
-                        // in-memory build (bit-identical, just bigger),
-                        // and the run says so.
-                        Err(fault) => {
-                            spill_fallbacks.push((w.label.clone(), fault.to_string()));
-                            matrix::build_matrix(w)
-                        }
-                    },
-                })
-                .collect();
-            if config.spill.is_some() {
-                obscor_obs::counter("stage.matrices.spill_windows_total")
-                    .add(spill_reports.len() as u64);
-                obscor_obs::counter("stage.matrices.spill_fallbacks_total")
-                    .add(spill_fallbacks.len() as u64);
-                obscor_obs::counter("stage.matrices.spill_evictions_total")
-                    .add(spill_reports.iter().map(|r| r.stats.evictions).sum());
-            }
-            (built, Vec::new())
-        }
-        Some(ac) => {
-            // The paper's production shape: each window is serialized
-            // into leaf matrices (optionally injured by the configured
-            // fault plan) and rebuilt through the recovering restore;
-            // downstream stages see whatever survived, and the reports
-            // say exactly how much that was. Serial across windows, like
-            // the fold above: the restore records its metrics as it goes.
-            let _s = obscor_obs::span("stage.matrices_archived");
-            let (matrices, reports): (Vec<_>, Vec<RestoreReport>) = windows
-                .iter()
-                .map(|w| {
+    {
+        let _s = obscor_obs::span("stage.matrices");
+        for w in &windows {
+            let leaf_capacity = leaf_capacity_for(w.packets());
+            let (mut fold, fallback) = matrix::window_fold(leaf_capacity, config.spill.as_ref());
+            match &config.archive {
+                None => matrix::push_edges(
+                    &mut fold,
+                    w.window.packets.iter().map(|p| (p.src.0, p.dst.0)),
+                ),
+                // The paper's production shape: the window is serialized
+                // into leaf matrices (optionally injured by the fault
+                // plan) and its fold gets whatever the recovering restore
+                // reads back; the report says exactly how much that was.
+                Some(ac) => {
                     let archive = archive_window(w, ac.n_leaves);
-                    match &ac.fault_plan {
-                        None => restore(&archive, &archive.medium),
-                        Some(plan) => {
-                            restore(&archive, &FaultyMedium::new(&archive.medium, plan.clone()))
-                        }
-                    }
-                })
-                .unzip();
-            obscor_obs::counter("stage.matrices.archive_windows_total")
-                .add(reports.len() as u64);
-            obscor_obs::counter("stage.matrices.archive_quarantined_total")
-                .add(reports.iter().map(|r| r.quarantined.len() as u64).sum());
-            (matrices, reports)
+                    restore_reports.push(match &ac.fault_plan {
+                        None => restore(&archive, &archive.medium, &mut fold),
+                        Some(plan) => restore(
+                            &archive,
+                            &FaultyMedium::new(&archive.medium, plan.clone()),
+                            &mut fold,
+                        ),
+                    });
+                }
+            }
+            let (m, report) = fold.finalize_with_report();
+            match fallback {
+                // An unusable spill directory degrades to the resident
+                // fold (bit-identical, just bigger), and the run says so.
+                Some(fault) => spill_fallbacks.push((w.label.clone(), fault.to_string())),
+                None if config.spill.is_some() => spill_reports.push(report),
+                None => {}
+            }
+            matrices.push(m);
         }
-    };
+    }
+    if config.spill.is_some() {
+        obscor_obs::counter("stage.matrices.spill_windows_total")
+            .add(spill_reports.len() as u64);
+        obscor_obs::counter("stage.matrices.spill_fallbacks_total")
+            .add(spill_fallbacks.len() as u64);
+        obscor_obs::counter("stage.matrices.spill_evictions_total")
+            .add(spill_reports.iter().map(|r| r.stats.evictions).sum());
+    }
+    if config.archive.is_some() {
+        obscor_obs::counter("stage.matrices.archive_windows_total")
+            .add(restore_reports.len() as u64);
+        obscor_obs::counter("stage.matrices.archive_quarantined_total")
+            .add(restore_reports.iter().map(|r| r.quarantined.len() as u64).sum());
+    }
     obscor_obs::counter("stage.matrices.built_total").add(matrices.len() as u64);
     obscor_obs::counter("stage.matrices.nnz_total")
         .add(matrices.iter().map(|m| m.nnz() as u64).sum());
@@ -406,7 +398,7 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
         class_structure,
         subnet_top,
         scaling,
-        restore,
+        restore: restore_reports,
         spill: spill_reports,
         spill_fallbacks,
         metrics,
@@ -632,6 +624,45 @@ mod tests {
         assert_eq!(direct.quantities, archived.quantities);
         assert_eq!(direct.curves, archived.curves);
         assert_eq!(direct.peaks, archived.peaks);
+    }
+
+    #[test]
+    fn archive_path_folds_out_of_core_under_a_budget() {
+        use crate::config::{ArchiveConfig, SpillSettings};
+        use obscor_telescope::FaultPlan;
+        let s = Scenario::paper_scaled(1 << 13, 11);
+        let direct = run(&s, &AnalysisConfig::fast());
+        let archived = |rate: f64, budget: Option<u64>| {
+            let plan = FaultPlan::new(7, rate).unwrap();
+            let mut cfg =
+                AnalysisConfig::fast().with_archive(ArchiveConfig::with_fault_plan(plan));
+            cfg.spill = budget.map(SpillSettings::with_budget);
+            run(&s, &cfg)
+        };
+        // A zero-rate plan under a zero budget: the direct run's outputs,
+        // every window restored completely and spilled exactly.
+        let a = archived(0.0, Some(0));
+        assert_eq!(a.restore.len(), 5);
+        assert_eq!(a.spill.len(), 5);
+        assert!(a.spill_fallbacks.is_empty());
+        for (r, sp) in a.restore.iter().zip(&a.spill) {
+            assert!(r.is_complete(), "{r:?}");
+            assert!(sp.is_exact(), "{sp:?}");
+            assert!(sp.stats.evictions > 0, "budget 0 must evict: {sp:?}");
+        }
+        assert_eq!(direct.quantities, a.quantities);
+        assert_eq!(direct.peaks, a.peaks);
+        assert_eq!(direct.curves, a.curves);
+        assert_eq!(direct.to_tsv(), a.to_tsv());
+        // A faulting plan: the budget changes neither the matrices nor
+        // what the restore got back.
+        let (resident, spilled) = (archived(0.4, None), archived(0.4, Some(0)));
+        assert!(resident.restore.iter().any(|r| !r.is_complete()));
+        assert_eq!(resident.restore, spilled.restore);
+        assert_eq!(resident.quantities, spilled.quantities);
+        assert_eq!(resident.to_tsv(), spilled.to_tsv());
+        assert!(resident.spill.is_empty());
+        assert!(spilled.spill.iter().all(|sp| sp.is_exact() && sp.stats.evictions > 0));
     }
 
     #[test]

@@ -14,18 +14,17 @@
 //!
 //! [`restore`] reads every slot through the spill layer's bounded-retry
 //! read, [`fetch_frame`]: transient faults are retried, a leaf that still
-//! fails is quarantined, and the survivors are summed into the best
-//! matrix they support, with a [`RestoreReport`] accounting for every
-//! leaf and packet (the coverage fraction the pipeline propagates into
-//! `PaperAnalysis`). A [`crate::FaultPlan`] injures a restore the way it
-//! injures a spill store: by wrapping the medium in a
-//! [`crate::FaultyMedium`]. [`restore_strict`] is the fail-stop shape: any
-//! lost leaf is an error.
+//! fails is quarantined, and every survivor is pushed as a leaf into the
+//! caller's window fold ([`crate::matrix::window_fold`]), with a
+//! [`RestoreReport`] accounting for every leaf and packet (the coverage
+//! fraction the pipeline propagates into `PaperAnalysis`). A
+//! [`crate::FaultPlan`] injures a restore the way it injures a spill
+//! store: by wrapping the medium in a [`crate::FaultyMedium`].
 
 use crate::capture::TelescopeWindow;
 use obscor_hypersparse::serialize::encode;
 use obscor_hypersparse::spill::{fetch_frame, MemMedium, SpillMedium};
-use obscor_hypersparse::{ops, reduce, Coo, Csr};
+use obscor_hypersparse::{reduce, Coo, HierarchicalAccumulator};
 use obscor_obs::FaultClass;
 
 /// A window stored as encoded leaf matrices.
@@ -144,41 +143,21 @@ impl RestoreReport {
     }
 }
 
-/// A complete window could not be restored under a strict policy.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DegradedRestore {
-    /// The accounting of the degraded restore (what survived, what did
-    /// not, and why).
-    pub report: RestoreReport,
-}
-
-impl std::fmt::Display for DegradedRestore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "window `{}` restored degraded: {}/{} leaves, coverage {:.6}",
-            self.report.label,
-            self.report.n_restored(),
-            self.report.n_leaves,
-            self.report.coverage()
-        )
-    }
-}
-
-impl std::error::Error for DegradedRestore {}
-
-/// Restore whatever `medium` holds of `archive`: decode every leaf slot
-/// through [`fetch_frame`] (retrying transient faults), merge the
-/// survivors, and account for the rest. `medium` is the archive's own
-/// [`WindowArchive::medium`] or a fault-injecting wrapper over it. Never
-/// fails — a fully corrupt archive restores to the empty matrix with
-/// coverage 0.
-pub fn restore(archive: &WindowArchive, medium: &dyn SpillMedium) -> (Csr<u64>, RestoreReport) {
+/// Restore whatever `medium` holds of `archive` into `fold`: decode every
+/// leaf slot through [`fetch_frame`] (retrying transient faults), push
+/// each survivor into the fold as one leaf, and account for the rest.
+/// `medium` is the archive's own [`WindowArchive::medium`] or a
+/// fault-injecting wrapper over it. Never fails — a fully corrupt archive
+/// pushes nothing and reports coverage 0.
+pub fn restore(
+    archive: &WindowArchive,
+    medium: &dyn SpillMedium,
+    fold: &mut HierarchicalAccumulator<u64>,
+) -> RestoreReport {
     let _span = obscor_obs::span("telescope.restore_recovering");
     let n = archive.n_leaves;
     obscor_obs::counter("telescope.restore.leaves_total").add(n as u64);
     let transient_faults = obscor_obs::counter("telescope.restore.transient_faults_total");
-    let mut matrices = Vec::with_capacity(n);
     let mut report = RestoreReport {
         label: archive.label.clone(),
         n_leaves: n,
@@ -194,10 +173,10 @@ pub fn restore(archive: &WindowArchive, medium: &dyn SpillMedium) -> (Csr<u64>, 
         transient_faults.add(u64::from(retries));
         report.retries += u64::from(retries);
         match fetched {
-            Ok(matrix) => {
+            Ok(leaf) => {
                 report.recovered += usize::from(retries > 0);
-                report.packets_restored += reduce::valid_packets(&matrix);
-                matrices.push(matrix);
+                report.packets_restored += reduce::valid_packets(&leaf);
+                fold.push_csr_leaf(leaf);
             }
             Err(fault) => {
                 let class = fault.class();
@@ -211,21 +190,7 @@ pub fn restore(archive: &WindowArchive, medium: &dyn SpillMedium) -> (Csr<u64>, 
     obscor_obs::counter("telescope.restore.retries_total").add(report.retries);
     obscor_obs::counter("telescope.restore.recovered_total").add(report.recovered as u64);
     obscor_obs::counter("telescope.restore.quarantined_total").add(report.quarantined.len() as u64);
-    (ops::merge_all(matrices), report)
-}
-
-/// Like [`restore`], but refuse a degraded result: any quarantined leaf
-/// (or missing packet) is an error carrying the full report.
-pub fn restore_strict(
-    archive: &WindowArchive,
-    medium: &dyn SpillMedium,
-) -> Result<(Csr<u64>, RestoreReport), DegradedRestore> {
-    let (matrix, report) = restore(archive, medium);
-    if report.is_complete() {
-        Ok((matrix, report))
-    } else {
-        Err(DegradedRestore { report })
-    }
+    report
 }
 
 /// Archive a window into `n_leaves` contiguous leaf matrices with an
@@ -277,6 +242,7 @@ mod tests {
     use obscor_anonymize::CryptoPan;
     use obscor_hypersparse::serialize::decode;
     use obscor_hypersparse::spill::MAX_ATTEMPTS;
+    use obscor_hypersparse::Csr;
     use obscor_netmodel::Scenario;
     use std::sync::OnceLock;
 
@@ -286,6 +252,13 @@ mod tests {
             let s = Scenario::paper_scaled(1 << 14, 61);
             capture_window(&s, &s.caida_windows[0])
         })
+    }
+
+    /// Restore through `medium` into a fresh resident fold.
+    fn restored(archive: &WindowArchive, medium: &dyn SpillMedium) -> (Csr<u64>, RestoreReport) {
+        let (mut fold, _) = matrix::window_fold(archive.leaf_nv.max(1), None);
+        let report = restore(archive, medium, &mut fold);
+        (fold.finalize(), report)
     }
 
     /// Leaf `i`'s stored frame.
@@ -301,8 +274,9 @@ mod tests {
             let archive = archive_window(w, n_leaves);
             assert_eq!(archive.n_leaves(), n_leaves.min(w.packets()));
             assert_eq!(archive.total_packets, w.packets() as u64);
-            let (restored, _) = restore_strict(&archive, &archive.medium).unwrap();
-            assert_eq!(restored, direct, "n_leaves = {n_leaves}");
+            let (m, report) = restored(&archive, &archive.medium);
+            assert!(report.is_complete(), "n_leaves = {n_leaves}");
+            assert_eq!(m, direct, "n_leaves = {n_leaves}");
         }
     }
 
@@ -321,7 +295,8 @@ mod tests {
         let w = window();
         let cp = CryptoPan::new(&[0x44u8; 32]);
         let archive = archive_window_with(w, 8, |ip| cp.anonymize(ip));
-        let (anon, _) = restore_strict(&archive, &archive.medium).unwrap();
+        let (anon, report) = restored(&archive, &archive.medium);
+        assert!(report.is_complete());
         let raw = matrix::build_matrix(w);
         assert_eq!(
             reduce::NetworkQuantities::compute(&anon),
@@ -337,7 +312,7 @@ mod tests {
         let mut bytes = frame(&archive, 2);
         bytes[0] ^= 0xFF; // smash the magic
         archive.medium.store(2, &bytes).unwrap();
-        assert!(restore_strict(&archive, &archive.medium).is_err());
+        assert!(!restored(&archive, &archive.medium).1.is_complete());
     }
 
     #[test]
@@ -354,15 +329,13 @@ mod tests {
     fn recovering_restore_on_clean_archive_is_exact_and_complete() {
         let w = window();
         let archive = archive_window(w, 16);
-        let (m, report) = restore(&archive, &archive.medium);
+        let (m, report) = restored(&archive, &archive.medium);
         assert_eq!(m, matrix::build_matrix(w));
         assert!(report.is_complete());
         assert_eq!(report.coverage(), 1.0);
         assert_eq!(report.retries, 0);
         assert_eq!(report.recovered, 0);
         report.check_invariants().unwrap();
-        let strict = restore_strict(&archive, &archive.medium).unwrap();
-        assert_eq!(strict.0, m);
     }
 
     #[test]
@@ -370,7 +343,7 @@ mod tests {
         let w = window();
         let archive = archive_window(w, 16);
         let plan = FaultPlan::with_kinds(9, 1.0, &[FaultKind::TransientRead]).unwrap();
-        let (m, report) = restore(&archive, &FaultyMedium::new(&archive.medium, plan));
+        let (m, report) = restored(&archive, &FaultyMedium::new(&archive.medium, plan));
         assert_eq!(m, matrix::build_matrix(w), "transient-only plan must restore fully");
         assert!(report.is_complete());
         assert_eq!(report.recovered, 16, "every leaf needed retries");
@@ -386,13 +359,13 @@ mod tests {
         let n_faulted = plan.assignments(&archive).iter().flatten().count();
         assert!(n_faulted > 0, "seed must fault at least one leaf");
         let faulty = FaultyMedium::new(&archive.medium, plan);
-        let (m, report) = restore(&archive, &faulty);
+        let (m, report) = restored(&archive, &faulty);
         assert_eq!(report.quarantined.len(), n_faulted, "exactly the faulted leaves");
         assert!(report.quarantined.iter().all(|q| q.class == FaultClass::Permanent));
         assert!(report.coverage() < 1.0);
         assert!(reduce::valid_packets(&m) == report.packets_restored);
         report.check_invariants().unwrap();
-        assert!(restore_strict(&archive, &faulty).is_err());
+        assert!(!report.is_complete());
     }
 
     #[test]
@@ -400,7 +373,7 @@ mod tests {
         let w = window();
         let archive = archive_window(w, 8);
         let plan = FaultPlan::with_kinds(2, 1.0, &[FaultKind::Truncate]).unwrap();
-        let (m, report) = restore(&archive, &FaultyMedium::new(&archive.medium, plan));
+        let (m, report) = restored(&archive, &FaultyMedium::new(&archive.medium, plan));
         assert_eq!(report.quarantined.len(), 8);
         assert!(report.quarantined.iter().all(|q| q.class == FaultClass::Transient));
         // Each truncated leaf burned every attempt: 3 retries after the
@@ -410,16 +383,5 @@ mod tests {
         assert_eq!(report.packets_restored, 0);
         assert_eq!(m, Csr::empty());
         report.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn degraded_restore_error_renders_coverage() {
-        let w = window();
-        let archive = archive_window(w, 4);
-        let plan = FaultPlan::with_kinds(3, 1.0, &[FaultKind::Drop]).unwrap();
-        let err = restore_strict(&archive, &FaultyMedium::new(&archive.medium, plan)).unwrap_err();
-        let text = err.to_string();
-        assert!(text.contains("coverage 0.0"), "got: {text}");
-        assert!(text.contains("0/4 leaves"), "got: {text}");
     }
 }

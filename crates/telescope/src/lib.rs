@@ -19,10 +19,7 @@ pub mod inventory;
 pub mod matrix;
 pub mod stream;
 
-pub use archive::{
-    archive_window, restore, restore_strict, DegradedRestore, QuarantinedLeaf, RestoreReport,
-    WindowArchive,
-};
+pub use archive::{archive_window, restore, QuarantinedLeaf, RestoreReport, WindowArchive};
 pub use faults::{Fault, FaultKind, FaultPlan, FaultyMedium, ALL_FAULT_KINDS};
 pub use capture::{
     capture_all_windows, capture_window, capture_window_at, window_traffic_source,
@@ -31,6 +28,7 @@ pub use capture::{
 pub use darkspace::Darkspace;
 pub use inventory::{inventory, InventoryRow};
 pub use matrix::{
-    build_matrix, build_matrix_spilled, build_matrix_with, leaf_capacity_for, PAPER_LEAF_COUNT,
+    build_matrix, build_matrix_spilled, build_matrix_with, leaf_capacity_for, push_edges,
+    window_fold, SpillSettings, PAPER_LEAF_COUNT,
 };
 pub use stream::{DrainReport, IngestConfig, IngestService, WindowSnapshot};

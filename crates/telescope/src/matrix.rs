@@ -8,13 +8,18 @@
 //! ([`leaf_capacity_for`]). From `N_V = 2^20` on every leaf is
 //! paper-sized, and a `2^30` window is the paper's `2^13` leaves; below
 //! that a window is 8 leaves of `N_V / 8` packets.
+//!
+//! Every window fold — batch, spilled, archived, ingest and the `serve
+//! --check` oracle — is made by [`window_fold`], resident or spilling
+//! per its [`SpillSettings`], and fed either packets ([`push_edges`]) or
+//! whole leaves (`HierarchicalAccumulator::push_csr_leaf`).
 
 use crate::capture::TelescopeWindow;
 use obscor_hypersparse::hier::DEFAULT_LEAF_CAPACITY;
 use obscor_hypersparse::{
     Csr, DirMedium, HierarchicalAccumulator, SpillConfig, SpillFault, SpillReport,
 };
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// The paper's leaf count: a window is the hierarchical sum of `2^13`
@@ -36,22 +41,85 @@ pub fn leaf_capacity_for(packets: usize) -> usize {
     (packets / MIN_LEAVES).clamp(MIN_LEAF_CAPACITY, DEFAULT_LEAF_CAPACITY)
 }
 
+/// Out-of-core settings of a window fold: carry-level CSR parts spill to
+/// a fresh directory under `spill_dir` whenever tracked live bytes exceed
+/// `memory_budget`. The folded matrix is bit-identical to the resident
+/// build.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SpillSettings {
+    /// Tracked-live-byte budget for each window's fold.
+    pub memory_budget: u64,
+    /// Directory spill files are created under; the system temp dir when
+    /// `None`.
+    pub spill_dir: Option<PathBuf>,
+}
+
+impl SpillSettings {
+    /// Budgeted out-of-core fold spilling to the system temp dir.
+    pub fn with_budget(memory_budget: u64) -> Self {
+        Self { memory_budget, spill_dir: None }
+    }
+}
+
+/// The one place a window fold is made. Without `spill` it is the
+/// resident fold; with it, a spilling fold over a fresh [`DirMedium`]
+/// under `spill.spill_dir` (the system temp dir by default). When that
+/// directory cannot be made, the fold is resident and the fault that
+/// stopped it comes back beside it: the matrix is the same either way,
+/// only the footprint differs, and the caller reports the fallback.
+pub fn window_fold(
+    leaf_capacity: usize,
+    spill: Option<&SpillSettings>,
+) -> (HierarchicalAccumulator<u64>, Option<SpillFault>) {
+    let resident = || HierarchicalAccumulator::with_leaf_capacity(leaf_capacity);
+    let Some(spill) = spill else {
+        return (resident(), None);
+    };
+    let base = spill.spill_dir.clone().unwrap_or_else(std::env::temp_dir);
+    match DirMedium::create_in(&base) {
+        Ok(medium) => {
+            let config = SpillConfig { leaf_capacity, memory_budget: Some(spill.memory_budget) };
+            (HierarchicalAccumulator::spilling(config, Arc::new(medium)), None)
+        }
+        Err(fault) => (resident(), Some(fault)),
+    }
+}
+
+/// Push one `(src, dst)` edge per packet into `fold`: the packet side of
+/// every window build, timed by the `telescope.build_matrix` span.
+pub fn push_edges(
+    fold: &mut HierarchicalAccumulator<u64>,
+    edges: impl ExactSizeIterator<Item = (u32, u32)>,
+) {
+    let _span = obscor_obs::span("telescope.build_matrix");
+    let packets = edges.len();
+    obscor_obs::gauge("telescope.build_matrix.leaf_capacity")
+        .set_max(leaf_capacity_for(packets) as u64);
+    for (src, dst) in edges {
+        fold.push_edge(src, dst);
+    }
+    obscor_obs::counter("telescope.build_matrix.edges_total").add(packets as u64);
+}
+
 /// Build the window's traffic matrix with raw (non-anonymized) indices.
 pub fn build_matrix(w: &TelescopeWindow) -> Csr<u64> {
     build_matrix_with(w, |ip| ip)
 }
 
-/// Build with an arbitrary index transform, using hierarchical
-/// accumulation with [`leaf_capacity_for`]'s leaves. CryptoPAN
+/// Build with an arbitrary index transform through the resident
+/// [`window_fold`] with [`leaf_capacity_for`]'s leaves. CryptoPAN
 /// anonymization is `build_matrix_with(w, |ip| cp.anonymize(ip))`.
 pub fn build_matrix_with(w: &TelescopeWindow, map: impl Fn(u32) -> u32) -> Csr<u64> {
-    fold_window(w, map, HierarchicalAccumulator::with_leaf_capacity).0
+    let (mut fold, _) = window_fold(leaf_capacity_for(w.packets()), None);
+    push_edges(&mut fold, w.window.packets.iter().map(|p| (map(p.src.0), map(p.dst.0))));
+    fold.finalize()
 }
 
-/// Build the window's traffic matrix out-of-core: carry-level CSR parts
-/// spill to `spill_dir` (the system temp dir when `None`) whenever tracked
-/// live bytes exceed `budget`. Bit-identical to [`build_matrix`]; the
-/// returned [`SpillReport`] records eviction/reload traffic and any
+/// Build the window's traffic matrix out-of-core through the spilling
+/// [`window_fold`]: carry-level CSR parts spill to `spill_dir` (the system
+/// temp dir when `None`) whenever tracked live bytes exceed `budget`
+/// (`None` is an unbounded budget). Bit-identical to [`build_matrix`];
+/// the returned [`SpillReport`] records eviction/reload traffic and any
 /// quarantined (unrecoverable) spill frames. Fails only if no spill
 /// directory can be created.
 pub fn build_matrix_spilled(
@@ -59,30 +127,16 @@ pub fn build_matrix_spilled(
     budget: Option<u64>,
     spill_dir: Option<&Path>,
 ) -> Result<(Csr<u64>, SpillReport), SpillFault> {
-    let base = spill_dir.map(Path::to_path_buf).unwrap_or_else(std::env::temp_dir);
-    let medium = Arc::new(DirMedium::create_in(&base)?);
-    Ok(fold_window(w, |ip| ip, |leaf_capacity| {
-        let config = SpillConfig { leaf_capacity, memory_budget: budget };
-        HierarchicalAccumulator::spilling(config, medium)
-    }))
-}
-
-/// The one fold loop behind every window build: size the leaves, push
-/// every packet through `map` into the accumulator `fold` makes, finalize.
-fn fold_window(
-    w: &TelescopeWindow,
-    map: impl Fn(u32) -> u32,
-    fold: impl FnOnce(usize) -> HierarchicalAccumulator<u64>,
-) -> (Csr<u64>, SpillReport) {
-    let _span = obscor_obs::span("telescope.build_matrix");
-    let leaf = leaf_capacity_for(w.window.packets.len());
-    obscor_obs::gauge("telescope.build_matrix.leaf_capacity").set_max(leaf as u64);
-    let mut acc = fold(leaf);
-    for p in &w.window.packets {
-        acc.push_edge(map(p.src.0), map(p.dst.0));
+    let spill = SpillSettings {
+        memory_budget: budget.unwrap_or(u64::MAX),
+        spill_dir: spill_dir.map(Path::to_path_buf),
+    };
+    let (mut fold, fallback) = window_fold(leaf_capacity_for(w.packets()), Some(&spill));
+    if let Some(fault) = fallback {
+        return Err(fault);
     }
-    obscor_obs::counter("telescope.build_matrix.edges_total").add(acc.len_pushed());
-    acc.finalize_with_report()
+    push_edges(&mut fold, w.window.packets.iter().map(|p| (p.src.0, p.dst.0)));
+    Ok(fold.finalize_with_report())
 }
 
 #[cfg(test)]
@@ -188,6 +242,32 @@ mod tests {
         let (_, tight) = build_matrix_spilled(&w, Some(0), None).unwrap();
         assert!(tight.stats.evictions > 0);
         assert!(tight.stats.reloads > 0);
+    }
+
+    #[test]
+    fn window_fold_is_resident_spilling_or_a_reported_fallback() {
+        let w = window();
+        let oracle = build_matrix(&w);
+        let fold = |spill: Option<&SpillSettings>| {
+            let (mut fold, fallback) = window_fold(leaf_capacity_for(w.packets()), spill);
+            push_edges(&mut fold, w.window.packets.iter().map(|p| (p.src.0, p.dst.0)));
+            let (m, report) = fold.finalize_with_report();
+            assert_eq!(m, oracle);
+            (report, fallback)
+        };
+        let (resident, none) = fold(None);
+        assert!(none.is_none());
+        assert_eq!(resident.stats.evictions, 0);
+        let (spilled, none) = fold(Some(&SpillSettings::with_budget(0)));
+        assert!(none.is_none());
+        assert!(spilled.stats.evictions > 0, "{spilled:?}");
+        assert_eq!(spilled.stats.carry_merges, resident.stats.carry_merges);
+        // A regular file: no spill directory can be made under it.
+        let file = Path::new(env!("CARGO_MANIFEST_DIR")).join("Cargo.toml");
+        let settings = SpillSettings { memory_budget: 0, spill_dir: Some(file) };
+        let (fell_back, fault) = fold(Some(&settings));
+        assert!(fault.is_some_and(|f| f.to_string().starts_with("spill i/o error")));
+        assert_eq!(fell_back.stats.evictions, 0, "the fallback fold is resident");
     }
 
     #[test]

@@ -27,10 +27,11 @@
 //!   tagged with a `(worker, seq)` sequence number.
 //! * The **collector** buffers each window's leaves and, once every worker
 //!   has acknowledged the window's close marker, merges them **in
-//!   `(worker, seq)` order** — *not* completion order — into a
-//!   [`HierarchicalAccumulator`] via
-//!   [`HierarchicalAccumulator::push_csr_leaf`], then emits a
-//!   [`WindowSnapshot`].
+//!   `(worker, seq)` order** — *not* completion order — into the one
+//!   window fold ([`window_fold`], a
+//!   [`obscor_hypersparse::HierarchicalAccumulator`]) via
+//!   [`obscor_hypersparse::HierarchicalAccumulator::push_csr_leaf`], then
+//!   emits a [`WindowSnapshot`].
 //!
 //! # Determinism and bit-identity
 //!
@@ -65,12 +66,11 @@
 //! `ingest.backpressure.blocked`, so a default `reproduce` never shows
 //! them; all are pinned by `tests/metrics_optin.rs`.
 
-use crate::matrix::leaf_capacity_for;
+use crate::matrix::{leaf_capacity_for, window_fold, SpillSettings};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use obscor_anonymize::MemoCryptoPan;
-use obscor_hypersparse::{Coo, Csr, DirMedium, HierarchicalAccumulator, SpillConfig, SpillReport};
+use obscor_hypersparse::{Coo, Csr, SpillReport};
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -93,15 +93,11 @@ pub struct IngestConfig {
     /// production; the backpressure tests and benches use it to force a
     /// deliberately slow consumer.
     pub worker_delay_micros: u64,
-    /// Tracked-live-byte budget for the collector's window fold. `None`
-    /// (the default) keeps the fold fully in memory; `Some(bytes)` makes it
-    /// a spilling [`HierarchicalAccumulator`], evicting carry parts to disk
-    /// whenever the budget is exceeded. The emitted matrix is
-    /// bit-identical either way.
-    pub memory_budget: Option<u64>,
-    /// Directory spill files are created under when `memory_budget` is
-    /// set; the system temp dir when `None`.
-    pub spill_dir: Option<PathBuf>,
+    /// Out-of-core settings of the collector's window fold. `None` (the
+    /// default) keeps the fold fully in memory; `Some` makes it the
+    /// spilling [`window_fold`], evicting carry parts to disk whenever the
+    /// budget is exceeded. The emitted matrix is bit-identical either way.
+    pub spill: Option<SpillSettings>,
 }
 
 impl IngestConfig {
@@ -122,8 +118,7 @@ impl IngestConfig {
             shard_batch: 1024,
             leaf_capacity: leaf_capacity_for(window_packets),
             worker_delay_micros: 0,
-            memory_budget: None,
-            spill_dir: None,
+            spill: None,
         }
     }
 
@@ -155,8 +150,7 @@ pub struct WindowSnapshot {
     /// before the boundary) rather than closing at `window_packets`.
     pub partial: bool,
     /// Spill/merge accounting when the window was folded out-of-core
-    /// ([`IngestConfig::memory_budget`] set); `None` for the in-memory
-    /// fold.
+    /// ([`IngestConfig::spill`] set); `None` for the in-memory fold.
     pub spill: Option<SpillReport>,
     /// Why a budgeted window was folded in memory instead: the fault that
     /// kept its spill directory from being created. `None` when no budget
@@ -310,16 +304,10 @@ impl IngestService {
             workers.push(std::thread::spawn(move || worker_loop(id, &cfg_w, &rx, &out, pan_w.as_deref())));
         }
         drop(leaf_tx); // collector's input closes when the last worker exits
-        let n_workers = cfg.workers;
-        let fold = FoldConfig {
-            leaf_capacity: cfg.leaf_capacity,
-            memory_budget: cfg.memory_budget,
-            spill_dir: cfg.spill_dir.clone(),
-        };
+        let cfg_c = cfg.clone();
         let shared_c = Arc::clone(&shared);
-        let collector = std::thread::spawn(move || {
-            collector_loop(n_workers, &fold, &leaf_rx, &snap_tx, &shared_c)
-        });
+        let collector =
+            std::thread::spawn(move || collector_loop(&cfg_c, &leaf_rx, &snap_tx, &shared_c));
         Self {
             cfg,
             shared,
@@ -543,14 +531,6 @@ fn emit_leaf(
     out.send(msg).expect("ingest collector terminated early");
 }
 
-/// How the collector folds a closed window's leaves into its matrix.
-#[derive(Clone, Debug)]
-struct FoldConfig {
-    leaf_capacity: usize,
-    memory_budget: Option<u64>,
-    spill_dir: Option<PathBuf>,
-}
-
 /// Per-window collector state while the window is still open.
 #[derive(Default)]
 struct OpenWindow {
@@ -566,8 +546,7 @@ struct OpenWindow {
 /// Collector body: reorder leaves, close windows when every worker has
 /// acknowledged, emit snapshots.
 fn collector_loop(
-    workers: usize,
-    fold: &FoldConfig,
+    cfg: &IngestConfig,
     rx: &Receiver<ToCollector>,
     out: &Sender<WindowSnapshot>,
     shared: &Shared,
@@ -590,7 +569,7 @@ fn collector_loop(
                 state.packets += packets;
                 state.reported_leaves += leaves;
                 state.partial |= partial;
-                if state.done == workers {
+                if state.done == cfg.workers {
                     // audit:allow(panic-path) — the entry was created three lines up; remove cannot miss
                     let state = open.remove(&window).expect("open window state");
                     // Channels are FIFO per worker, so every acknowledged
@@ -606,7 +585,7 @@ fn collector_loop(
                         // an empty window; emit nothing.
                         continue;
                     }
-                    let snap = close_window(window, state, fold);
+                    let snap = close_window(window, state, cfg);
                     closed += 1;
                     // A dropped snapshot receiver just means the service
                     // handle is gone; keep draining so workers can exit.
@@ -620,17 +599,23 @@ fn collector_loop(
     CollectorReport { compacted, windows_closed: closed }
 }
 
-/// Merge a closed window's leaves — in `(worker, seq)` order — and build
-/// its snapshot.
-fn close_window(index: u64, mut state: OpenWindow, fold: &FoldConfig) -> WindowSnapshot {
+/// Fold a closed window's leaves — in `(worker, seq)` order — through
+/// one [`window_fold`] and build its snapshot. The fold's carry-merge
+/// count is the same resident or spilling: residency never changes the
+/// merge tree.
+fn close_window(index: u64, mut state: OpenWindow, cfg: &IngestConfig) -> WindowSnapshot {
     // The determinism fix: leaves arrive in worker-completion order, which
     // varies run to run; the merge must not. Sort by the sequence key
     // before folding.
     state.leaves.sort_unstable_by_key(|&(worker, seq, _)| (worker, seq));
     let n_leaves = state.leaves.len() as u64;
-    let (matrix, report, spill_fallback) = fold_window(state.leaves, fold);
+    let (mut fold, fallback) = window_fold(cfg.leaf_capacity, cfg.spill.as_ref());
+    for (_, _, csr) in state.leaves {
+        fold.push_csr_leaf(csr);
+    }
+    let (matrix, report) = fold.finalize_with_report();
     let merges = report.stats.carry_merges;
-    let spilled = fold.memory_budget.is_some() && spill_fallback.is_none();
+    let spilled = cfg.spill.is_some() && fallback.is_none();
     obscor_obs::counter("telescope.ingest.windows_closed_total").inc();
     obscor_obs::counter("telescope.ingest.packets_total").add(state.packets);
     obscor_obs::counter("telescope.ingest.leaves_total").add(n_leaves);
@@ -643,43 +628,11 @@ fn close_window(index: u64, mut state: OpenWindow, fold: &FoldConfig) -> WindowS
         merges,
         partial: state.partial,
         spill: spilled.then_some(report),
-        spill_fallback,
-    }
-}
-
-/// Fold already-sorted leaves through one [`HierarchicalAccumulator`]:
-/// spilling to a fresh [`DirMedium`] when a budget is configured, resident
-/// otherwise. Returns the matrix, the fold's report (its carry-merge count
-/// is the same either way — residency never changes the merge tree), and
-/// the fault when a budgeted fold had to stay resident.
-fn fold_window(
-    leaves: Vec<(usize, u64, Csr<u64>)>,
-    fold: &FoldConfig,
-) -> (Csr<u64>, SpillReport, Option<String>) {
-    let medium = fold.memory_budget.map(|_| {
-        DirMedium::create_in(&fold.spill_dir.clone().unwrap_or_else(std::env::temp_dir))
-    });
-    let resident = || HierarchicalAccumulator::with_leaf_capacity(fold.leaf_capacity);
-    let (mut acc, fallback) = match medium {
-        None => (resident(), None),
-        Some(Ok(medium)) => {
-            let config = SpillConfig {
-                leaf_capacity: fold.leaf_capacity,
-                memory_budget: fold.memory_budget,
-            };
-            (HierarchicalAccumulator::spilling(config, Arc::new(medium)), None)
-        }
         // A spill directory that cannot be created degrades to the
-        // resident fold rather than dropping the window: the matrix is
-        // bit-identical either way, only the footprint differs, and the
-        // snapshot carries the reason.
-        Some(Err(fault)) => (resident(), Some(fault.to_string())),
-    };
-    for (_, _, csr) in leaves {
-        acc.push_csr_leaf(csr);
+        // resident fold rather than dropping the window; the snapshot
+        // carries the reason.
+        spill_fallback: fallback.map(|fault| fault.to_string()),
     }
-    let (matrix, report) = acc.finalize_with_report();
-    (matrix, report, fallback)
 }
 
 #[cfg(test)]
@@ -773,7 +726,7 @@ mod tests {
         cfg.leaf_capacity = 256;
         cfg.shard_batch = 128;
         // Zero budget: every carry part must be evicted to disk.
-        cfg.memory_budget = Some(0);
+        cfg.spill = Some(SpillSettings::with_budget(0));
         let mut svc = IngestService::new(cfg);
         svc.push_pairs(&p);
         let (snaps, drain) = svc.finish();
@@ -805,8 +758,7 @@ mod tests {
         let p = pairs(3_000, 21);
         let mut cfg = IngestConfig::new(2, 1_000);
         cfg.leaf_capacity = 128;
-        cfg.memory_budget = Some(0);
-        cfg.spill_dir = Some(file);
+        cfg.spill = Some(SpillSettings { memory_budget: 0, spill_dir: Some(file) });
         let mut svc = IngestService::new(cfg);
         svc.push_pairs(&p);
         let (snaps, drain) = svc.finish();

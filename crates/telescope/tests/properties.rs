@@ -6,22 +6,34 @@
 //! its seed). Each property drives the whole injector + restore stack
 //! over randomized seeds and rates.
 
-use obscor_hypersparse::reduce;
 use obscor_hypersparse::spill::{SpillMedium, MAX_ATTEMPTS};
+use obscor_hypersparse::{reduce, Csr};
 use obscor_netmodel::Scenario;
 use obscor_telescope::{
-    archive_window, capture_window, restore, restore_strict, Fault, FaultKind, FaultPlan,
-    FaultyMedium, WindowArchive,
+    archive_window, build_matrix, capture_window, restore, window_fold, Fault, FaultKind,
+    FaultPlan, FaultyMedium, RestoreReport, TelescopeWindow, WindowArchive,
 };
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
+fn window() -> &'static TelescopeWindow {
+    static W: OnceLock<TelescopeWindow> = OnceLock::new();
+    W.get_or_init(|| {
+        let s = Scenario::paper_scaled(1 << 12, 5);
+        capture_window(&s, &s.caida_windows[0])
+    })
+}
+
 fn archive() -> &'static WindowArchive {
     static A: OnceLock<WindowArchive> = OnceLock::new();
-    A.get_or_init(|| {
-        let s = Scenario::paper_scaled(1 << 12, 5);
-        archive_window(&capture_window(&s, &s.caida_windows[0]), 12)
-    })
+    A.get_or_init(|| archive_window(window(), 12))
+}
+
+/// Restore through `medium` into a fresh resident window fold.
+fn restored(medium: &dyn SpillMedium) -> (Csr<u64>, RestoreReport) {
+    let (mut fold, _) = window_fold(archive().leaf_nv, None);
+    let report = restore(archive(), medium, &mut fold);
+    (fold.finalize(), report)
 }
 
 proptest! {
@@ -37,7 +49,7 @@ proptest! {
     #[test]
     fn restore_is_total_and_accounting_balances(seed in any::<u64>(), rate in 0.0f64..1.0) {
         let plan = FaultPlan::new(seed, rate).unwrap();
-        let (m, report) = restore(archive(), &FaultyMedium::new(&archive().medium, plan));
+        let (m, report) = restored(&FaultyMedium::new(&archive().medium, plan));
         prop_assert!(report.check_invariants().is_ok(), "{:?}", report.check_invariants());
         prop_assert_eq!(reduce::valid_packets(&m), report.packets_restored);
         prop_assert!((0.0..=1.0).contains(&report.coverage()));
@@ -45,14 +57,14 @@ proptest! {
     }
 
     /// Transient-only plans always recover completely under the default
-    /// retry budget: the restored matrix is bit-identical to the
-    /// strict restore of the clean archive.
+    /// retry budget: the restored matrix is bit-identical to the direct
+    /// build of the window.
     #[test]
     fn transient_only_plans_recover_bit_identically(seed in any::<u64>()) {
         let plan = FaultPlan::with_kinds(seed, 1.0, &[FaultKind::TransientRead]).unwrap();
-        let (m, report) = restore(archive(), &FaultyMedium::new(&archive().medium, plan));
+        let (m, report) = restored(&FaultyMedium::new(&archive().medium, plan));
         prop_assert!(report.is_complete());
-        prop_assert_eq!(m, restore_strict(archive(), &archive().medium).unwrap().0);
+        prop_assert_eq!(m, build_matrix(window()));
     }
 
     /// Every fault a plan draws respects the leaf geometry: truncations

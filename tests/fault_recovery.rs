@@ -13,13 +13,13 @@
 //!    integer-exact against the leaf partition, and the whole process is
 //!    deterministic in the fault-plan seed.
 
-use obscor_core::{pipeline, AnalysisConfig, ArchiveConfig};
-use obscor_hypersparse::spill::{MemMedium, SpillConfig};
+use obscor_core::{pipeline, AnalysisConfig, ArchiveConfig, SpillSettings};
+use obscor_hypersparse::spill::{MemMedium, SpillConfig, SpillMedium};
 use obscor_hypersparse::{ops, reduce, Coo, Csr, HierarchicalAccumulator, SpillReport};
 use obscor_netmodel::Scenario;
 use obscor_telescope::{
     archive_window, capture_window, matrix, restore, Fault, FaultKind, FaultPlan, FaultyMedium,
-    TelescopeWindow, WindowArchive,
+    RestoreReport, TelescopeWindow, WindowArchive,
 };
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 use std::sync::Arc;
@@ -27,6 +27,13 @@ use std::sync::Arc;
 fn window(nv: usize, seed: u64) -> TelescopeWindow {
     let s = Scenario::paper_scaled(nv, seed);
     capture_window(&s, &s.caida_windows[0])
+}
+
+/// Restore `archive` through `medium` into a fresh resident window fold.
+fn restored(archive: &WindowArchive, medium: &dyn SpillMedium) -> (Csr<u64>, RestoreReport) {
+    let (mut fold, _) = matrix::window_fold(archive.leaf_nv.max(1), None);
+    let report = restore(archive, medium, &mut fold);
+    (fold.finalize(), report)
 }
 
 /// The matrix a direct build would produce from only the packet ranges of
@@ -70,7 +77,7 @@ fn zero_fault_restore_is_bit_identical_to_direct_build() {
     let direct = matrix::build_matrix(&w);
     for n_leaves in [1usize, 3, 16, 50] {
         let archive = archive_window(&w, n_leaves);
-        let (restored, report) = restore(&archive, &archive.medium);
+        let (restored, report) = restored(&archive, &archive.medium);
         assert_eq!(restored, direct, "n_leaves = {n_leaves}");
         assert!(report.is_complete());
         assert_eq!(report.coverage(), 1.0);
@@ -85,7 +92,7 @@ fn degraded_restore_equals_direct_build_over_surviving_leaves() {
     for (seed, rate) in [(1u64, 0.2), (7, 0.5), (99, 0.8)] {
         let plan = FaultPlan::new(seed, rate).unwrap();
         let surviving = surviving_indices(&plan, &archive);
-        let (restored, report) = restore(&archive, &FaultyMedium::new(&archive.medium, plan));
+        let (restored, report) = restored(&archive, &FaultyMedium::new(&archive.medium, plan));
         let expected = matrix_of_surviving_leaves(&w, &archive, &surviving);
         assert_eq!(
             restored, expected,
@@ -102,7 +109,7 @@ fn coverage_accounting_is_integer_exact() {
     let archive = archive_window(&w, 32);
     let plan = FaultPlan::new(13, 0.4).unwrap();
     let surviving = surviving_indices(&plan, &archive);
-    let (restored, report) = restore(&archive, &FaultyMedium::new(&archive.medium, plan));
+    let (restored, report) = restored(&archive, &FaultyMedium::new(&archive.medium, plan));
 
     // Expected packets: the whole window. Restored packets: exactly the
     // sizes of the surviving leaves' packet chunks.
@@ -127,13 +134,13 @@ fn restore_is_deterministic_under_a_fixed_seed() {
     let archive = archive_window(&w, 24);
     let plan = FaultPlan::new(21, 0.6).unwrap();
     // Fresh FaultyMedium each time: transient budgets reset with it.
-    let (m1, r1) = restore(&archive, &FaultyMedium::new(&archive.medium, plan.clone()));
-    let (m2, r2) = restore(&archive, &FaultyMedium::new(&archive.medium, plan));
+    let (m1, r1) = restored(&archive, &FaultyMedium::new(&archive.medium, plan.clone()));
+    let (m2, r2) = restored(&archive, &FaultyMedium::new(&archive.medium, plan));
     assert_eq!(m1, m2);
     assert_eq!(r1, r2);
     // And a different seed genuinely changes the outcome at this rate.
     let other = FaultPlan::new(22, 0.6).unwrap();
-    let (_, r3) = restore(&archive, &FaultyMedium::new(&archive.medium, other));
+    let (_, r3) = restored(&archive, &FaultyMedium::new(&archive.medium, other));
     assert_ne!(r1.quarantined, r3.quarantined, "seed must steer the plan");
 }
 
@@ -144,7 +151,7 @@ fn transient_only_plans_always_recover_completely() {
     let direct = matrix::build_matrix(&w);
     for seed in [1u64, 2, 3] {
         let plan = FaultPlan::with_kinds(seed, 1.0, &[FaultKind::TransientRead]).unwrap();
-        let (restored, report) = restore(&archive, &FaultyMedium::new(&archive.medium, plan));
+        let (restored, report) = restored(&archive, &FaultyMedium::new(&archive.medium, plan));
         assert_eq!(restored, direct, "seed {seed}");
         assert!(report.is_complete());
         assert!(report.retries > 0, "full-rate transient plan must have retried");
@@ -158,7 +165,7 @@ fn fault_metrics_are_recorded_on_the_faulted_path_only() {
     let archive = archive_window(&w, 16);
 
     let before = obscor_obs::snapshot();
-    let (_, report) = restore(&archive, &archive.medium);
+    let (_, report) = restored(&archive, &archive.medium);
     let clean_delta = obscor_obs::snapshot().delta_since(&before);
     assert!(report.is_complete());
     // Tests share the process-global registry, so only assert what this
@@ -167,7 +174,7 @@ fn fault_metrics_are_recorded_on_the_faulted_path_only() {
     let plan = FaultPlan::new(4, 0.7).unwrap();
     let before = obscor_obs::snapshot();
     let n_faulted = plan.assignments(&archive).iter().flatten().count();
-    let (_, report) = restore(&archive, &FaultyMedium::new(&archive.medium, plan));
+    let (_, report) = restored(&archive, &FaultyMedium::new(&archive.medium, plan));
     let fault_delta = obscor_obs::snapshot().delta_since(&before);
     assert!(!report.is_complete(), "seed 4 at 0.7 must injure this archive");
     for name in [
@@ -198,6 +205,40 @@ fn pipeline_archive_path_without_faults_reproduces_every_artifact() {
     assert_eq!(direct.peaks, archived.peaks);
     assert_eq!(direct.curves, archived.curves);
     assert_eq!(direct.fits, archived.fits);
+}
+
+#[test]
+fn pipeline_archive_path_under_a_budget_matches_the_unbudgeted_runs() {
+    let s = Scenario::paper_scaled(1 << 12, 9);
+    let run = |rate: f64, spill: Option<SpillSettings>| {
+        let plan = FaultPlan::new(7, rate).unwrap();
+        let mut config = AnalysisConfig::fast().with_archive(ArchiveConfig::with_fault_plan(plan));
+        config.spill = spill;
+        pipeline::run(&s, &config)
+    };
+    // Zero-rate plan, zero budget: every artifact of the direct run, with
+    // a complete restore and an exact, evicting spill fold per window.
+    let direct = pipeline::run(&s, &AnalysisConfig::fast());
+    let archived = run(0.0, Some(SpillSettings::with_budget(0)));
+    assert_eq!(archived.restore.len(), 5);
+    assert_eq!(archived.spill.len(), 5);
+    for (restore, spill) in archived.restore.iter().zip(&archived.spill) {
+        assert!(restore.is_complete(), "{restore:?}");
+        assert!(spill.is_exact(), "{spill:?}");
+        assert!(spill.stats.evictions > 0, "budget 0 must evict: {spill:?}");
+        spill.check_invariants().unwrap();
+    }
+    assert_eq!(direct.quantities, archived.quantities);
+    assert_eq!(direct.peaks, archived.peaks);
+    assert_eq!(direct.curves, archived.curves);
+    assert_eq!(direct.to_tsv(), archived.to_tsv());
+    // A faulting plan: the budget moves neither a matrix nor a report.
+    let resident = run(0.3, None);
+    let spilled = run(0.3, Some(SpillSettings::with_budget(0)));
+    assert!(resident.restore.iter().any(|r| r.coverage() < 1.0));
+    assert_eq!(resident.restore, spilled.restore);
+    assert_eq!(resident.quantities, spilled.quantities);
+    assert_eq!(resident.to_tsv(), spilled.to_tsv());
 }
 
 // ---------------------------------------------------------------------
