@@ -287,15 +287,14 @@ fn reproduce(o: Options) -> Result<(), String> {
     let scenario = build_scenario(&o);
     let mut config = if o.fast { AnalysisConfig::fast() } else { AnalysisConfig::default() };
     if o.fault_plan.is_some() || o.strict_archive {
-        let archive =
-            ArchiveConfig { fault_plan: o.fault_plan.clone(), ..ArchiveConfig::default() };
         if let Some(plan) = &o.fault_plan {
             eprintln!(
-                "archive path: {} leaves/window, fault plan seed {} rate {}",
-                archive.n_leaves, plan.seed, plan.rate
+                "archive path: the fold's leaves per window, fault plan seed {} rate {} \
+                 (drawn per window)",
+                plan.seed, plan.rate
             );
         }
-        config = config.with_archive(archive);
+        config = config.with_archive(ArchiveConfig { fault_plan: o.fault_plan.clone() });
     }
     if let Some(spill) = &o.spill {
         eprintln!(

@@ -470,50 +470,71 @@ fn fault_plan_restore_reports_and_counters_are_pinned() {
     let out = obscor().args(FAULT_RUN).arg("--tsv").arg("--metrics").arg(&path).output().unwrap();
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(out.status.success(), "stderr:\n{stderr}");
-    assert_eq!(fnv1a(&out.stdout), 2_724_376_677_754_116_542, "stdout digest moved");
+    assert_eq!(fnv1a(&out.stdout), 825_850_157_173_287_554, "stdout digest moved");
 
-    // Every window loses the same leaves: the plan hashes only its seed
-    // and the leaf index.
+    // Each window draws its own assignment from the plan (the windows'
+    // 8 leaves are the fold's leaves), so the windows lose different
+    // leaves.
     let lines: Vec<&str> = stderr.lines().collect();
     let restores: Vec<usize> =
         (0..lines.len()).filter(|&i| lines[i].starts_with("restore ")).collect();
     assert_eq!(restores.len(), 5, "one restore line per window:\n{stderr}");
-    for &i in &restores {
-        assert!(
-            lines[i].ends_with(
-                "coverage 0.750000 (12288/16384 packets), 12/16 leaves, \
-                 1 recovered after retry, 5 retries, 4 quarantined"
-            ),
-            "{}",
-            lines[i]
-        );
+    let pinned: [(&str, &[&str]); 5] = [
+        (
+            "coverage 0.625000 (10240/16384 packets), 5/8 leaves, \
+             0 recovered after retry, 9 retries, 3 quarantined",
+            &["1 (transient)", "4 (transient)", "6 (transient)"],
+        ),
+        (
+            "coverage 0.750000 (12288/16384 packets), 6/8 leaves, \
+             0 recovered after retry, 0 retries, 2 quarantined",
+            &["4 (permanent)", "7 (permanent)"],
+        ),
+        (
+            "coverage 0.750000 (12288/16384 packets), 6/8 leaves, \
+             1 recovered after retry, 4 retries, 2 quarantined",
+            &["1 (transient)", "6 (permanent)"],
+        ),
+        (
+            "coverage 0.750000 (12288/16384 packets), 6/8 leaves, \
+             1 recovered after retry, 1 retries, 2 quarantined",
+            &["1 (permanent)", "4 (permanent)"],
+        ),
+        (
+            "coverage 0.625000 (10240/16384 packets), 5/8 leaves, \
+             1 recovered after retry, 1 retries, 3 quarantined",
+            &["2 (permanent)", "4 (permanent)", "7 (permanent)"],
+        ),
+    ];
+    let mut leaf_sets = BTreeSet::new();
+    for (&i, (summary, leaves)) in restores.iter().zip(pinned) {
+        assert!(lines[i].ends_with(summary), "{}", lines[i]);
         // Index and class only: the reason wording belongs to the store.
-        let quarantined: Vec<&str> = lines[i + 1..i + 5]
+        let quarantined: Vec<&str> = lines[i + 1..i + 1 + leaves.len()]
             .iter()
             .map(|l| l.trim().strip_prefix("quarantined leaf ").expect("quarantine line"))
             .map(|l| l.split_once(':').expect("a reason").0)
             .collect();
-        assert_eq!(
-            quarantined,
-            ["3 (permanent)", "6 (transient)", "12 (permanent)", "15 (permanent)"],
-            "{stderr}"
-        );
+        assert_eq!(quarantined, leaves, "{stderr}");
+        leaf_sets.insert(quarantined.iter().map(|q| q.split(' ').next()).collect::<Vec<_>>());
     }
+    assert!(leaf_sets.len() > 1, "every window lost the same leaves:\n{stderr}");
 
     let text = std::fs::read_to_string(&path).unwrap();
     let snap = obscor_obs::MetricsSnapshot::from_json(&text).expect("schema-valid JSON");
     for (name, want) in [
-        ("telescope.restore.leaves_total", 80),
-        ("telescope.restore.retries_total", 25),
-        ("telescope.restore.recovered_total", 5),
-        ("telescope.restore.quarantined_total", 20),
-        ("telescope.restore.transient_faults_total", 30),
-        ("telescope.restore.permanent_faults_total", 15),
-        ("telescope.faults.injected_total", 25),
-        ("telescope.faults.drop_total", 15),
-        ("telescope.faults.truncate_total", 5),
-        ("telescope.faults.transient_total", 5),
-        ("stage.matrices.nnz_total", 37_583),
+        ("telescope.restore.leaves_total", 40),
+        ("telescope.restore.retries_total", 15),
+        ("telescope.restore.recovered_total", 3),
+        ("telescope.restore.quarantined_total", 12),
+        ("telescope.restore.transient_faults_total", 19),
+        ("telescope.restore.permanent_faults_total", 8),
+        ("telescope.faults.injected_total", 15),
+        ("telescope.faults.drop_total", 6),
+        ("telescope.faults.truncate_total", 4),
+        ("telescope.faults.transient_total", 3),
+        ("telescope.faults.bitflip_total", 2),
+        ("stage.matrices.nnz_total", 35_368),
     ] {
         assert_eq!(snap.counters.get(name).copied(), Some(want), "{name}");
     }
@@ -527,6 +548,32 @@ fn zero_rate_fault_plan_prints_the_direct_bytes() {
     clean.push("--tsv");
     assert_eq!(stdout_digest(&direct), 2_883_744_622_206_496_623);
     assert_eq!(stdout_digest(&clean), 2_883_744_622_206_496_623);
+}
+
+#[test]
+fn zero_rate_archive_folds_the_direct_runs_leaves() {
+    let dir = ScratchDir::new("archive_leaves");
+    let mut counts = Vec::new();
+    for (file, plan) in [("direct.json", None), ("archived.json", Some("7:0.0"))] {
+        let path = dir.file(file);
+        let mut cmd = obscor();
+        cmd.args(&FAULT_RUN[..7]).arg("--metrics").arg(&path);
+        if let Some(plan) = plan {
+            cmd.args(["--fault-plan", plan]);
+        }
+        let out = cmd.output().unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let text = std::fs::read_to_string(&path).unwrap();
+        let snap = obscor_obs::MetricsSnapshot::from_json(&text).expect("schema-valid JSON");
+        let count = |name: &str| snap.counters.get(name).copied();
+        counts.push((
+            count("hypersparse.accumulator.leaves_total"),
+            count("hypersparse.accumulator.carry_merges_total"),
+        ));
+    }
+    // 5 windows of 2^14 packets: 8 leaves and 7 carry merges each, on
+    // both paths.
+    assert_eq!(counts, [(Some(40), Some(35)), (Some(40), Some(35))]);
 }
 
 #[test]

@@ -6,36 +6,23 @@ use obscor_telescope::FaultPlan;
 pub use obscor_telescope::SpillSettings;
 
 /// Configuration of the archive → restore matrix path: instead of
-/// folding each window's packets directly, serialize the window into leaf
-/// matrices (the paper's hierarchical LBNL archive), optionally injure
-/// them with a seeded [`FaultPlan`], and fold the leaves the recovering
-/// restore gets back. The default analysis path skips all of this
-/// (`AnalysisConfig::archive` is `None`).
-#[derive(Clone, Debug, PartialEq)]
+/// folding each window's packets directly, serialize the window into the
+/// leaf matrices its fold would cut (the paper's hierarchical LBNL
+/// archive), optionally injure them with a seeded [`FaultPlan`], and fold
+/// the leaves the recovering restore gets back. The default analysis path
+/// skips all of this (`AnalysisConfig::archive` is `None`).
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ArchiveConfig {
-    /// Leaf matrices per window archive (the paper uses `2^13` leaves of
-    /// `2^17` packets; scaled runs use fewer).
-    pub n_leaves: usize,
-    /// Seeded fault injection applied to every window's archive before
-    /// restoration; `None` archives and restores cleanly.
+    /// Seeded fault injection applied to the archives before restoration
+    /// (each window draws its own assignment, [`FaultPlan::for_window`]);
+    /// `None` archives and restores cleanly.
     pub fault_plan: Option<FaultPlan>,
 }
 
-impl Default for ArchiveConfig {
-    fn default() -> Self {
-        Self { n_leaves: 16, fault_plan: None }
-    }
-}
-
 impl ArchiveConfig {
-    /// A clean archive path with `n_leaves` leaves per window.
-    pub fn with_leaves(n_leaves: usize) -> Self {
-        Self { n_leaves, ..Self::default() }
-    }
-
     /// An archive path injured by `plan`.
     pub fn with_fault_plan(plan: FaultPlan) -> Self {
-        Self { fault_plan: Some(plan), ..Self::default() }
+        Self { fault_plan: Some(plan) }
     }
 }
 
@@ -137,8 +124,7 @@ mod tests {
     fn archive_path_is_off_by_default() {
         assert!(AnalysisConfig::default().archive.is_none());
         assert!(AnalysisConfig::fast().archive.is_none());
-        let with = AnalysisConfig::fast().with_archive(ArchiveConfig::with_leaves(4));
-        assert_eq!(with.archive.as_ref().map(|a| a.n_leaves), Some(4));
+        let with = AnalysisConfig::fast().with_archive(ArchiveConfig::default());
         assert!(with.archive.unwrap().fault_plan.is_none());
         let plan = FaultPlan::new(3, 0.5).unwrap();
         let faulted = ArchiveConfig::with_fault_plan(plan.clone());

@@ -159,7 +159,7 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
     let mut spill_fallbacks: Vec<(String, String)> = Vec::new();
     {
         let _s = obscor_obs::span("stage.matrices");
-        for w in &windows {
+        for (index, w) in windows.iter().enumerate() {
             let leaf_capacity = leaf_capacity_for(w.packets());
             let (mut fold, fallback) = matrix::window_fold(leaf_capacity, config.spill.as_ref());
             match &config.archive {
@@ -168,16 +168,18 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
                     w.window.packets.iter().map(|p| (p.src.0, p.dst.0)),
                 ),
                 // The paper's production shape: the window is serialized
-                // into leaf matrices (optionally injured by the fault
-                // plan) and its fold gets whatever the recovering restore
-                // reads back; the report says exactly how much that was.
+                // into the fold's own leaves (optionally injured by the
+                // window's share of the fault plan) and its fold gets
+                // whatever the recovering restore reads back; the report
+                // says exactly how much that was.
                 Some(ac) => {
-                    let archive = archive_window(w, ac.n_leaves);
+                    let n_leaves = w.packets().div_ceil(leaf_capacity).max(1);
+                    let archive = archive_window(w, n_leaves);
                     restore_reports.push(match &ac.fault_plan {
                         None => restore(&archive, &archive.medium, &mut fold),
                         Some(plan) => restore(
                             &archive,
-                            &FaultyMedium::new(&archive.medium, plan.clone()),
+                            &FaultyMedium::new(&archive.medium, plan.for_window(index)),
                             &mut fold,
                         ),
                     });
@@ -614,8 +616,7 @@ mod tests {
         use crate::config::ArchiveConfig;
         let s = Scenario::paper_scaled(1 << 13, 11);
         let direct = run(&s, &AnalysisConfig::fast());
-        let archived =
-            run(&s, &AnalysisConfig::fast().with_archive(ArchiveConfig::with_leaves(8)));
+        let archived = run(&s, &AnalysisConfig::fast().with_archive(ArchiveConfig::default()));
         assert_eq!(archived.restore.len(), 5);
         for r in &archived.restore {
             assert!(r.is_complete(), "clean archive must restore completely: {r:?}");
@@ -654,6 +655,12 @@ mod tests {
         assert_eq!(direct.peaks, a.peaks);
         assert_eq!(direct.curves, a.curves);
         assert_eq!(direct.to_tsv(), a.to_tsv());
+        // The archived leaves are the fold's leaves: the same leaf and
+        // carry-merge counts as the budgeted direct fold.
+        let spilled = run(&s, &AnalysisConfig::fast().with_spill(SpillSettings::with_budget(0)));
+        let shape = |r: &SpillReport| (r.stats.leaves, r.stats.carry_merges);
+        let want: Vec<_> = spilled.spill.iter().map(shape).collect();
+        assert_eq!(a.spill.iter().map(shape).collect::<Vec<_>>(), want);
         // A faulting plan: the budget changes neither the matrices nor
         // what the restore got back.
         let (resident, spilled) = (archived(0.4, None), archived(0.4, Some(0)));

@@ -8,7 +8,8 @@
 //! one [`Fault`] to each slot of a [`SpillMedium`] — a leaf of a
 //! [`WindowArchive`], or a carry part the out-of-core fold spilled — and
 //! [`FaultyMedium`] wraps the medium so its reads misbehave exactly as
-//! planned:
+//! planned. [`FaultPlan::for_window`] gives each window of a run its own
+//! plan, so windows do not all lose the same leaves:
 //!
 //! * [`Fault::Truncate`] — the stored frame loses its tail; every decode
 //!   sees a short read (transient *class*, but persistent — bounded retry
@@ -118,6 +119,15 @@ impl FaultPlan {
         FaultPlan::new(seed, rate)
     }
 
+    /// Window `window`'s share of this plan: the same rate and fault
+    /// families, with the seed mixed with the window index through
+    /// SplitMix64, so the windows of one run lose different leaves. Pure
+    /// in `(seed, window)`.
+    pub fn for_window(&self, window: usize) -> FaultPlan {
+        let mixed = splitmix64(self.seed ^ splitmix64(window as u64 ^ WINDOW_DOMAIN));
+        FaultPlan { seed: mixed, ..self.clone() }
+    }
+
     /// The fault (if any) this plan assigns to leaf `index` of a leaf
     /// whose encoding is `leaf_len` bytes long. Pure in
     /// `(seed, rate, kinds, index, leaf_len)`.
@@ -175,6 +185,10 @@ fn kind_counter(f: &Fault) -> &'static str {
         Fault::TransientRead { .. } => "telescope.faults.transient_total",
     }
 }
+
+/// Separates [`FaultPlan::for_window`]'s window stream from the per-leaf
+/// stream of [`FaultPlan::fault_for`].
+const WINDOW_DOMAIN: u64 = 0x5749_4E44_4F57_0000; // "WINDOW\0\0"
 
 /// SplitMix64: the derivation PRF behind every per-leaf decision.
 fn splitmix64(x: u64) -> u64 {
@@ -309,6 +323,18 @@ mod tests {
         assert_eq!(p.assignments(&a), p.assignments(&a));
         let q = FaultPlan::new(100, 0.5).unwrap();
         assert_ne!(p.assignments(&a), q.assignments(&a), "different seeds, same plan");
+    }
+
+    #[test]
+    fn window_plans_are_pure_and_differ_by_window() {
+        let a = archive();
+        let plan = FaultPlan::new(7, 0.3).unwrap();
+        assert_eq!(plan.for_window(2), plan.for_window(2));
+        assert_eq!(plan.for_window(2).assignments(&a), plan.for_window(2).assignments(&a));
+        let (w0, w1) = (plan.for_window(0), plan.for_window(1));
+        assert_eq!((w0.rate, &w0.kinds), (plan.rate, &plan.kinds));
+        assert_ne!(w0.seed, w1.seed);
+        assert_ne!(w0.assignments(&a), w1.assignments(&a), "two windows, one assignment");
     }
 
     #[test]

@@ -198,7 +198,7 @@ fn pipeline_archive_path_without_faults_reproduces_every_artifact() {
     let s = Scenario::paper_scaled(1 << 12, 9);
     let direct = pipeline::run(&s, &AnalysisConfig::fast());
     let archived =
-        pipeline::run(&s, &AnalysisConfig::fast().with_archive(ArchiveConfig::with_leaves(8)));
+        pipeline::run(&s, &AnalysisConfig::fast().with_archive(ArchiveConfig::default()));
     assert!(archived.restore.iter().all(|r| r.is_complete()));
     assert_eq!(direct.quantities, archived.quantities);
     assert_eq!(direct.distributions, archived.distributions);
