@@ -289,8 +289,7 @@ fn reproduce(o: Options) -> Result<(), String> {
     if o.fault_plan.is_some() || o.strict_archive {
         if let Some(plan) = &o.fault_plan {
             eprintln!(
-                "archive path: the fold's leaves per window, fault plan seed {} rate {} \
-                 (drawn per window)",
+                "archive path: fault plan seed {} rate {}, drawn per window",
                 plan.seed, plan.rate
             );
         }

@@ -173,8 +173,7 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
                 // whatever the recovering restore reads back; the report
                 // says exactly how much that was.
                 Some(ac) => {
-                    let n_leaves = w.packets().div_ceil(leaf_capacity).max(1);
-                    let archive = archive_window(w, n_leaves);
+                    let archive = archive_window(w, w.packets().div_ceil(leaf_capacity));
                     restore_reports.push(match &ac.fault_plan {
                         None => restore(&archive, &archive.medium, &mut fold),
                         Some(plan) => restore(

@@ -245,32 +245,6 @@ mod tests {
     }
 
     #[test]
-    fn window_fold_is_resident_spilling_or_a_reported_fallback() {
-        let w = window();
-        let oracle = build_matrix(&w);
-        let fold = |spill: Option<&SpillSettings>| {
-            let (mut fold, fallback) = window_fold(leaf_capacity_for(w.packets()), spill);
-            push_edges(&mut fold, w.window.packets.iter().map(|p| (p.src.0, p.dst.0)));
-            let (m, report) = fold.finalize_with_report();
-            assert_eq!(m, oracle);
-            (report, fallback)
-        };
-        let (resident, none) = fold(None);
-        assert!(none.is_none());
-        assert_eq!(resident.stats.evictions, 0);
-        let (spilled, none) = fold(Some(&SpillSettings::with_budget(0)));
-        assert!(none.is_none());
-        assert!(spilled.stats.evictions > 0, "{spilled:?}");
-        assert_eq!(spilled.stats.carry_merges, resident.stats.carry_merges);
-        // A regular file: no spill directory can be made under it.
-        let file = Path::new(env!("CARGO_MANIFEST_DIR")).join("Cargo.toml");
-        let settings = SpillSettings { memory_budget: 0, spill_dir: Some(file) };
-        let (fell_back, fault) = fold(Some(&settings));
-        assert!(fault.is_some_and(|f| f.to_string().starts_with("spill i/o error")));
-        assert_eq!(fell_back.stats.evictions, 0, "the fallback fold is resident");
-    }
-
-    #[test]
     fn anonymized_sources_deanonymize_back() {
         let w = window();
         let cp = CryptoPan::new(&[9u8; 32]);
