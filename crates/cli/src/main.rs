@@ -764,17 +764,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn serve_target_is_checked() {
-        assert_eq!(serve_target(3, 4096), Ok(3 * 4096));
-        assert_eq!(serve_target(1, usize::MAX), Ok(usize::MAX as u64));
-        let err = serve_target(4_611_686_018_427_387_905, 4).unwrap_err();
-        assert!(err.contains("--windows") && err.contains("--window-packets"), "{err}");
-        // The overflow is refused before any scenario is built.
-        let argv = "serve --nv 2^12 --windows 4611686018427387905 --window-packets 4";
-        assert!(run(args(argv)).is_err_and(|e| e.contains("overflows")));
-    }
-
     /// Every numeric flag, with the range its `Ok` values must lie in.
     #[allow(clippy::type_complexity)]
     const NUMERIC_FLAGS: [(&str, fn(&Options) -> bool); 10] = [
