@@ -84,10 +84,9 @@ corrupt leaves, and reports per-window packet coverage.
 carry-level CSR parts spill to disk whenever tracked live bytes exceed the
 budget, and the merge scheduler reloads them on demand — the matrices are
 bit-identical to the in-memory build. Applies to both reproduce and serve,
-and combines with --fault-plan (the restored leaves fold out-of-core; their
-spill line then counts stored entries, not packets); per-window spill
-accounting (evictions, reloads, peak live bytes) is printed and
-hypersparse.spill.* metrics are recorded.
+and combines with --fault-plan (the restored leaves fold out-of-core);
+per-window spill accounting (evictions, reloads, peak live bytes) is
+printed and hypersparse.spill.* metrics are recorded.
 --spill-dir PATH puts the spill files under PATH (default: system temp dir);
 it needs --memory-budget.
 

@@ -570,10 +570,37 @@ fn zero_rate_archive_folds_the_direct_runs_leaves() {
             count("hypersparse.accumulator.leaves_total"),
             count("hypersparse.accumulator.carry_merges_total"),
         ));
+        // The direct fold is fed one 2048-packet leaf at a time, and the
+        // gauge reports the fold's leaf, not the size of one push.
+        if plan.is_none() {
+            assert_eq!(snap.gauges.get("telescope.build_matrix.leaf_capacity"), Some(&2048));
+        }
     }
     // 5 windows of 2^14 packets: 8 leaves and 7 carry merges each, on
     // both paths.
     assert_eq!(counts, [(Some(40), Some(35)), (Some(40), Some(35))]);
+}
+
+#[test]
+fn archive_cut_follows_the_window_not_the_fold_leaf() {
+    // At N_V = 5000 the fold's leaf is 1024 packets, so the archive cuts
+    // each window into 5 leaves of 1000. The bytes are the ones the
+    // archive wrote from a held window.
+    let args = ["--nv", "5000", "--seed", "42", "--fast", "--fault-plan", "7:0.3"];
+    let out = obscor().args(args).output().unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(out.status.success(), "stderr:\n{stderr}");
+    assert_eq!(fnv1a(&out.stdout), 11_881_472_204_937_137_844, "stdout digest moved");
+    let restores: Vec<&str> = stderr.lines().filter(|l| l.starts_with("restore ")).collect();
+    assert_eq!(restores.len(), 5, "{stderr}");
+    assert!(
+        restores[0].ends_with(
+            "coverage 0.600000 (3000/5000 packets), 3/5 leaves, \
+             0 recovered after retry, 6 retries, 2 quarantined"
+        ),
+        "{stderr}"
+    );
+    assert!(restores.iter().all(|l| l.contains("000/5000 packets), ")), "{stderr}");
 }
 
 #[test]
@@ -582,10 +609,13 @@ fn archive_path_combines_with_a_memory_budget() {
     let mut args = FAULT_RUN.to_vec();
     args[8] = "7:0.0";
     let spill_dir = dir.file("spill");
+    let metrics = dir.file("metrics.json");
     let out = obscor()
         .args(args)
         .args(["--memory-budget", "0", "--tsv", "--spill-dir"])
         .arg(&spill_dir)
+        .arg("--metrics")
+        .arg(&metrics)
         .output()
         .unwrap();
     let stderr = String::from_utf8(out.stderr).unwrap();
@@ -597,10 +627,16 @@ fn archive_path_combines_with_a_memory_budget() {
     assert!(restores.iter().all(|l| l.contains("coverage 1.000000")), "{stderr}");
     let spills: Vec<&str> = stderr.lines().filter(|l| l.starts_with("spill: ")).collect();
     assert_eq!(spills.len(), 5, "one spill line per window:\n{stderr}");
+    // A restored leaf counts the packets it holds, not its entries.
     for line in spills {
-        assert!(line.starts_with("spill: coverage 1.000000"), "{line}");
+        assert!(line.starts_with("spill: coverage 1.000000 (16384/16384 packets)"), "{line}");
         assert!(!line.contains(" 0 evictions"), "{line}");
     }
+    let text = std::fs::read_to_string(&metrics).unwrap();
+    let snap = obscor_obs::MetricsSnapshot::from_json(&text).expect("schema-valid JSON");
+    let pushed = snap.counters["hypersparse.accumulator.pushed_total"];
+    assert_eq!(pushed, snap.counters["telescope.capture.valid_packets_total"]);
+    assert_eq!(pushed, 5 * 16384);
 }
 
 #[test]

@@ -6,19 +6,20 @@ use crate::distribution::{binned_distributions, DegreeDistribution};
 use crate::fitscan::{fit_curves, BinFit};
 use crate::peak::{peak_correlation_bits, PeakCorrelation};
 use crate::classes::{class_split, ClassCorrelation};
-use crate::scaling::source_scaling;
+use crate::scaling::ScalingLaw;
 use crate::subnets::{aggregate_by_prefix, SubnetRow};
 use crate::temporal::{temporal_curves_bits, TemporalCurve};
 use obscor_anonymize::sharing::Holder;
 use obscor_assoc::{BitSet, MonthMatrix};
 use obscor_honeyfarm::observe_all_month_sources;
 use obscor_hypersparse::reduce::{self, NetworkQuantities};
-use obscor_hypersparse::{Csr, SpillReport};
+use obscor_hypersparse::{Csr, HierarchicalAccumulator, SpillReport};
+use obscor_netmodel::scenario::CaidaWindowSpec;
 use obscor_netmodel::Scenario;
 use obscor_obs::MetricsSnapshot;
 use obscor_telescope::{
-    archive_window, capture_all_windows, inventory, leaf_capacity_for, matrix, restore,
-    FaultyMedium, InventoryRow, RestoreReport,
+    capture_archive, leaf_capacity_for, matrix, restore, FaultyMedium, InventoryRow,
+    RestoreReport, WindowCapture, WindowTally,
 };
 use rayon::prelude::*;
 
@@ -93,8 +94,7 @@ pub struct PaperAnalysis {
     /// matrices were folded under a memory budget
     /// (`AnalysisConfig::spill`); empty on the in-memory paths. A budget
     /// never changes a matrix, so the reports carry only eviction/reload
-    /// traffic and peak-footprint numbers. On the archive path the fold
-    /// is fed whole leaves, so its "packets" count stored entries.
+    /// traffic and peak-footprint numbers.
     pub spill: Vec<SpillReport>,
     /// Out-of-core fallbacks: `(window label, fault)` for every window
     /// whose spilled build failed and was built in memory instead (same
@@ -121,9 +121,12 @@ const QUANTITY_MENU: [(&str, Quantity); 4] = [
 /// Run the complete paper pipeline on a scenario.
 ///
 /// Stages (parallel where data-independent):
-/// 1. capture the five constant-packet telescope windows,
-/// 2. build hierarchical traffic matrices; compute Table II quantities and
-///    the Fig 1 quadrant check,
+/// 1. capture the five constant-packet telescope windows one at a time,
+///    each leaf-sized batch of packets going straight into the window's
+///    hierarchical traffic-matrix fold (or into its archive, which is then
+///    restored into the fold), with Table I's row and the scaling points
+///    counted on the way,
+/// 2. compute Table II quantities and the Fig 1 quadrant check,
 /// 3. reduce to per-source degrees and deanonymize via the send-back
 ///    workflow,
 /// 4. observe the fifteen honeyfarm months,
@@ -141,60 +144,66 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
     obscor_obs::gauge("config.month_count").set_max(scenario.grid.len() as u64);
     obscor_obs::gauge("config.min_bin_sources").set_max(config.min_bin_sources as u64);
 
-    // 1-2. Capture and matrix per window.
-    let windows = {
-        let _s = obscor_obs::span("stage.capture");
-        capture_all_windows(scenario)
-    };
-    obscor_obs::counter("stage.capture.windows_total").add(windows.len() as u64);
-    let caida_inventory = inventory(&windows);
-    // One fold per window, resident or — under a configured budget —
-    // spilling carry parts to disk, fed either the captured packets or
-    // the leaves the archive restore gets back. Serial across windows:
-    // the budget is per fold, and running folds concurrently would
-    // multiply the process footprint the budget exists to bound.
-    let mut matrices: Vec<Csr<u64>> = Vec::with_capacity(windows.len());
+    // 1-2. One window at a time: capture its packets a leaf at a time
+    // straight into the window's fold — resident or, under a configured
+    // budget, spilling carry parts to disk — or into the archive the fold
+    // is restored from, and keep only the matrix, Table I's row and the
+    // scaling points. No window's packets are ever held whole. Serial
+    // across windows: the budget is per fold, and running folds
+    // concurrently would multiply the process footprint the budget exists
+    // to bound.
+    let specs = &scenario.caida_windows;
+    let leaf_capacity = leaf_capacity_for(scenario.n_v);
+    let mut caida_inventory: Vec<InventoryRow> = Vec::with_capacity(specs.len());
+    let mut scaling_points: Vec<Option<Vec<(u64, u64)>>> = Vec::with_capacity(specs.len());
+    let mut matrices: Vec<Csr<u64>> = Vec::with_capacity(specs.len());
     let mut restore_reports: Vec<RestoreReport> = Vec::new();
     let mut spill_reports: Vec<SpillReport> = Vec::new();
     let mut spill_fallbacks: Vec<(String, String)> = Vec::new();
-    {
+    for (index, spec) in specs.iter().enumerate() {
+        let (mut fold, fallback) = {
+            let _s = obscor_obs::span("stage.matrices");
+            matrix::window_fold(leaf_capacity, config.spill.as_ref())
+        };
+        let tally = match &config.archive {
+            None => capture_into(scenario, spec, &mut fold),
+            // The paper's production shape: the telescope archives the
+            // window in the fold's own leaves as it captures it (timed as
+            // capture), the archive is optionally injured by the window's
+            // share of the fault plan, and the fold gets whatever the
+            // recovering restore reads back; the report says exactly how
+            // much that was.
+            Some(ac) => {
+                let (archive, tally) = {
+                    let _s = obscor_obs::span("stage.capture");
+                    capture_archive(scenario, spec, leaf_capacity)
+                };
+                let _s = obscor_obs::span("stage.matrices");
+                restore_reports.push(match &ac.fault_plan {
+                    None => restore(&archive, &archive.medium, &mut fold),
+                    Some(plan) => restore(
+                        &archive,
+                        &FaultyMedium::new(&archive.medium, plan.for_window(index)),
+                        &mut fold,
+                    ),
+                });
+                tally
+            }
+        };
+        caida_inventory.push(tally.row(&spec.label));
+        scaling_points.push(tally.scaling_points(8));
         let _s = obscor_obs::span("stage.matrices");
-        for (index, w) in windows.iter().enumerate() {
-            let leaf_capacity = leaf_capacity_for(w.packets());
-            let (mut fold, fallback) = matrix::window_fold(leaf_capacity, config.spill.as_ref());
-            match &config.archive {
-                None => matrix::push_edges(
-                    &mut fold,
-                    w.window.packets.iter().map(|p| (p.src.0, p.dst.0)),
-                ),
-                // The paper's production shape: the window is serialized
-                // into the fold's own leaves (optionally injured by the
-                // window's share of the fault plan) and its fold gets
-                // whatever the recovering restore reads back; the report
-                // says exactly how much that was.
-                Some(ac) => {
-                    let archive = archive_window(w, w.packets().div_ceil(leaf_capacity));
-                    restore_reports.push(match &ac.fault_plan {
-                        None => restore(&archive, &archive.medium, &mut fold),
-                        Some(plan) => restore(
-                            &archive,
-                            &FaultyMedium::new(&archive.medium, plan.for_window(index)),
-                            &mut fold,
-                        ),
-                    });
-                }
-            }
-            let (m, report) = fold.finalize_with_report();
-            match fallback {
-                // An unusable spill directory degrades to the resident
-                // fold (bit-identical, just bigger), and the run says so.
-                Some(fault) => spill_fallbacks.push((w.label.clone(), fault.to_string())),
-                None if config.spill.is_some() => spill_reports.push(report),
-                None => {}
-            }
-            matrices.push(m);
+        let (m, report) = fold.finalize_with_report();
+        match fallback {
+            // An unusable spill directory degrades to the resident
+            // fold (bit-identical, just bigger), and the run says so.
+            Some(fault) => spill_fallbacks.push((spec.label.clone(), fault.to_string())),
+            None if config.spill.is_some() => spill_reports.push(report),
+            None => {}
         }
+        matrices.push(m);
     }
+    obscor_obs::counter("stage.capture.windows_total").add(specs.len() as u64);
     if config.spill.is_some() {
         obscor_obs::counter("stage.matrices.spill_windows_total")
             .add(spill_reports.len() as u64);
@@ -214,10 +223,10 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
         .add(matrices.iter().map(|m| m.nnz() as u64).sum());
     let quantities: Vec<(String, NetworkQuantities)> = {
         let _s = obscor_obs::span("stage.quantities");
-        windows
+        specs
             .iter()
             .zip(&matrices)
-            .map(|(w, m)| (w.label.clone(), NetworkQuantities::compute(m)))
+            .map(|(spec, m)| (spec.label.clone(), NetworkQuantities::compute(m)))
             .collect()
     };
     obscor_obs::counter("stage.quantities.computed_total").add(quantities.len() as u64);
@@ -233,7 +242,7 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
     let degrees: Vec<WindowDegrees> = {
         let _s = obscor_obs::span("stage.degrees");
         let holder = Holder::new("telescope-operator", &holder_key(scenario.seed));
-        windows
+        specs
             .par_iter()
             .zip(&matrices)
             .map(|(w, m)| {
@@ -304,8 +313,8 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
         let per_window = degrees
             .iter()
             .map(|wd| (wd.label.as_str(), wd.degrees.iter().map(|&(_, d)| d).collect()));
-        let menu = matrices.first().zip(windows.first()).into_iter().flat_map(|(m, w)| {
-            QUANTITY_MENU.iter().map(move |(_, quantity)| (w.label.as_str(), quantity(m)))
+        let menu = matrices.first().zip(specs.first()).into_iter().flat_map(|(m, spec)| {
+            QUANTITY_MENU.iter().map(move |(_, quantity)| (spec.label.as_str(), quantity(m)))
         });
         let mut distributions = binned_distributions(per_window.chain(menu), config);
         let menu = distributions.split_off(degrees.len());
@@ -348,14 +357,15 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
         degrees.iter().map(|wd| class_split(wd, &months[wd.month])).collect()
     };
 
-    // Scaling extension: sources-vs-packets exponent per window.
+    // Scaling extension: sources-vs-packets exponent per window, fitted to
+    // the points the capture counted.
     let scaling: Vec<(String, f64, f64)> = {
         let _s = obscor_obs::span("stage.scaling");
-        windows
+        specs
             .iter()
-            .filter_map(|w| {
-                source_scaling(&w.window.packets, 8)
-                    .map(|l| (w.label.clone(), l.exponent, l.r_squared))
+            .zip(scaling_points)
+            .filter_map(|(spec, points)| {
+                ScalingLaw::fit(points?).map(|l| (spec.label.clone(), l.exponent, l.r_squared))
             })
             .collect()
     };
@@ -377,7 +387,7 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
     // covers all the work a run costs.
     {
         let _s = obscor_obs::span("stage.teardown");
-        drop((windows, matrices, months, monthly_bits, month_matrix));
+        drop((matrices, months, monthly_bits, month_matrix));
     }
 
     // Close the whole-run span, then freeze this run's metric delta.
@@ -414,6 +424,29 @@ fn stage_check(label: &str, result: Result<(), String>) {
         // audit:allow(panic-path) — invariant violations are programming errors; aborting is the stage contract
         panic!("pipeline invariant violated at stage `{label}`: {msg}");
     }
+}
+
+/// Capture `spec`'s window a fold leaf at a time, pushing each batch into
+/// `fold`: generation is timed by `stage.capture`, the push by
+/// `stage.matrices`. Returns the window's tally.
+fn capture_into(
+    scenario: &Scenario,
+    spec: &CaidaWindowSpec,
+    fold: &mut HierarchicalAccumulator<u64>,
+) -> WindowTally {
+    let octet = scenario.population.config.darkspace_octet;
+    let mut capture = WindowCapture::new(scenario, spec, octet, fold.leaf_capacity());
+    loop {
+        let packets = {
+            let _s = obscor_obs::span("stage.capture");
+            capture.next_batch()
+        };
+        let Some(packets) = packets else { break };
+        let _s = obscor_obs::span("stage.matrices");
+        matrix::push_edges(fold, packets.iter().map(|p| (p.src.0, p.dst.0)));
+    }
+    let _s = obscor_obs::span("stage.capture");
+    capture.finish()
 }
 
 /// Derive the telescope operator's CryptoPAN key from the scenario seed

@@ -4,13 +4,14 @@
 //! sources seen at the CAIDA Telescope and other locations is
 //! approximately proportional to `N_V^{1/2}`" — and speculates this is
 //! why the Fig 4 knee sits at `sqrt(N_V)`. This module measures the
-//! sources-vs-packets scaling exponent directly: take nested prefixes of
-//! a captured window (2^10, 2^11, ..., N_V packets) and regress
-//! `log(unique sources)` on `log(packets)`.
+//! sources-vs-packets scaling exponent directly: count unique sources at
+//! nested prefixes of a window (2^10, 2^11, ..., N_V packets) and regress
+//! `log(unique sources)` on `log(packets)`. The counts come from the
+//! window's [`WindowTally`], which the capture takes as the packets go by.
 
 use obscor_pcap::Packet;
 use obscor_stats::regress::power_law_exponent;
-use std::collections::HashSet;
+use obscor_telescope::WindowTally;
 
 /// The measured sources-vs-packets scaling of one window.
 #[derive(Clone, Debug, PartialEq)]
@@ -23,34 +24,25 @@ pub struct ScalingLaw {
     pub r_squared: f64,
 }
 
+impl ScalingLaw {
+    /// Fit the scaling exponent to `(packets, unique sources)` points, as
+    /// [`WindowTally::scaling_points`] gives them. `None` if the
+    /// regression is degenerate.
+    pub fn fit(points: Vec<(u64, u64)>) -> Option<Self> {
+        let xs: Vec<f64> = points.iter().map(|&(c, _)| c as f64).collect();
+        let ys: Vec<f64> = points.iter().map(|&(_, s)| s as f64).collect();
+        let (exponent, r_squared) = power_law_exponent(&xs, &ys)?;
+        Some(Self { points, exponent, r_squared })
+    }
+}
+
 /// Measure unique sources at nested prefix sizes `2^min_log2 ..= len`,
 /// then fit the scaling exponent.
 ///
 /// Returns `None` if the window is shorter than `2^min_log2` packets or
 /// the regression is degenerate.
 pub fn source_scaling(packets: &[Packet], min_log2: u32) -> Option<ScalingLaw> {
-    let n = packets.len() as u64;
-    if n < (1 << min_log2) {
-        return None;
-    }
-    let mut points = Vec::new();
-    let mut seen: HashSet<u32> = HashSet::new();
-    let mut next_mark = 1u64 << min_log2;
-    for (i, p) in packets.iter().enumerate() {
-        seen.insert(p.src.0);
-        let consumed = (i + 1) as u64;
-        if consumed == next_mark {
-            points.push((consumed, seen.len() as u64));
-            next_mark *= 2;
-        }
-    }
-    if points.last().map(|&(c, _)| c) != Some(n) && n > (1 << min_log2) {
-        points.push((n, seen.len() as u64));
-    }
-    let xs: Vec<f64> = points.iter().map(|&(c, _)| c as f64).collect();
-    let ys: Vec<f64> = points.iter().map(|&(_, s)| s as f64).collect();
-    let (exponent, r_squared) = power_law_exponent(&xs, &ys)?;
-    Some(ScalingLaw { points, exponent, r_squared })
+    ScalingLaw::fit(WindowTally::of(packets).scaling_points(min_log2)?)
 }
 
 #[cfg(test)]
@@ -89,6 +81,27 @@ mod tests {
         }
         // Unique sources never exceed packets.
         assert!(l.points.iter().all(|&(c, s)| s <= c));
+    }
+
+    #[test]
+    fn streamed_points_fit_the_held_windows_law() {
+        // The points a leaf-by-leaf capture counts give the law the held
+        // window's packets give.
+        use obscor_telescope::{capture_all_windows, leaf_capacity_for, WindowCapture};
+        for (n_v, seed) in
+            [(1 << 12, 42), (5000, 42), (1 << 15, 42), (1 << 12, 7), (5000, 7), (1 << 15, 7)]
+        {
+            let s = Scenario::paper_scaled(n_v, seed);
+            let octet = s.population.config.darkspace_octet;
+            for (spec, w) in s.caida_windows.iter().zip(capture_all_windows(&s)) {
+                let mut capture = WindowCapture::new(&s, spec, octet, leaf_capacity_for(n_v));
+                while capture.next_batch().is_some() {}
+                let streamed = capture.finish().scaling_points(8).and_then(ScalingLaw::fit);
+                let held = source_scaling(&w.window.packets, 8);
+                assert!(held.is_some(), "N_V {n_v}, seed {seed}");
+                assert_eq!(streamed, held, "N_V {n_v}, seed {seed}, {}", spec.label);
+            }
+        }
     }
 
     #[test]

@@ -225,17 +225,18 @@ impl<V: Value> HierarchicalAccumulator<V> {
     /// buffered partial leaf is flushed first so it keeps its place ahead of
     /// the incoming leaf in the merge order. Empty leaves are ignored.
     ///
-    /// Counting convention: the leaf's stored entries are added to
-    /// `stats.pushed` (the original pre-dedup triple count is gone after
-    /// compaction), and the leaf itself increments `stats.leaves`, so the
-    /// binary-counter law `carry_merges == leaves - popcount(leaves)` keeps
-    /// holding.
+    /// Counting convention: the sum of the leaf's values
+    /// ([`Value::to_u64`]) is added to `stats.pushed`, which for a leaf
+    /// compacted from unit-valued triples (one per packet, as the restore
+    /// and the ingest collector push) is exactly the packets it holds; the
+    /// leaf itself increments `stats.leaves`, so the binary-counter law
+    /// `carry_merges == leaves - popcount(leaves)` keeps holding.
     pub fn push_csr_leaf(&mut self, leaf: Csr<V>) {
         if leaf.is_empty() {
             return;
         }
         self.flush_leaf();
-        let packets = leaf.nnz() as u64;
+        let packets = leaf.values().iter().map(Value::to_u64).sum();
         self.stats.pushed += packets;
         self.carry_leaf(leaf, packets);
     }
@@ -266,6 +267,11 @@ impl<V: Value> HierarchicalAccumulator<V> {
     /// The current memory budget.
     pub fn budget(&self) -> Option<u64> {
         self.budget
+    }
+
+    /// Triples per compacted leaf.
+    pub fn leaf_capacity(&self) -> usize {
+        self.leaf_capacity
     }
 
     /// Lifetime counters so far.
@@ -934,6 +940,10 @@ mod tests {
                 let (m, report) = acc.finalize_with_report();
                 assert_eq!(m, flat, "{mode:?}, chunk = {chunk}");
                 assert!(report.is_exact());
+                // A leaf counts the packets it sums, not its entries.
+                assert!(flat.nnz() < t.len());
+                assert_eq!(report.stats.pushed, t.len() as u64, "{mode:?}, chunk = {chunk}");
+                assert_eq!(report.packets_restored, t.len() as u64, "{mode:?}, chunk = {chunk}");
             }
         }
     }

@@ -7,8 +7,10 @@
 //! `N_V = 2^30` traffic matrices used in this study are constructed by
 //! hierarchically summing `2^13` of these smaller matrices."
 //!
-//! [`WindowArchive`] is that storage layer: a captured window is split
-//! into contiguous leaf matrices (optionally CryptoPAN-anonymized), and
+//! [`WindowArchive`] is that storage layer: a window is written leaf by
+//! leaf, each leaf a contiguous run of packets compacted into a matrix
+//! (optionally CryptoPAN-anonymized) — as it is captured
+//! ([`capture_archive`]) or from a held window ([`archive_window`]) — and
 //! leaf `i` is stored as a CRC-protected codec-v2 frame in slot `i` of a
 //! [`MemMedium`] — the frame store the out-of-core fold spills to.
 //!
@@ -21,11 +23,15 @@
 //! [`crate::FaultPlan`] injures a restore the way it injures a spill
 //! store: by wrapping the medium in a [`crate::FaultyMedium`].
 
-use crate::capture::TelescopeWindow;
+use crate::capture::{TelescopeWindow, WindowCapture};
+use crate::inventory::WindowTally;
 use obscor_hypersparse::serialize::encode;
 use obscor_hypersparse::spill::{fetch_frame, MemMedium, SpillMedium};
 use obscor_hypersparse::{reduce, Coo, HierarchicalAccumulator};
+use obscor_netmodel::scenario::CaidaWindowSpec;
+use obscor_netmodel::Scenario;
 use obscor_obs::FaultClass;
+use obscor_pcap::Packet;
 
 /// A window stored as encoded leaf matrices.
 #[derive(Debug)]
@@ -45,9 +51,37 @@ pub struct WindowArchive {
 }
 
 impl WindowArchive {
+    /// An empty archive for the window labelled `label`, written
+    /// `leaf_nv` packets per leaf by [`WindowArchive::push_leaf`].
+    fn new(label: &str, leaf_nv: usize) -> Self {
+        Self {
+            label: label.to_owned(),
+            leaf_nv,
+            total_packets: 0,
+            medium: MemMedium::new(),
+            n_leaves: 0,
+        }
+    }
+
     /// Number of leaves.
     pub fn n_leaves(&self) -> usize {
         self.n_leaves
+    }
+
+    /// Append the window's next leaf: compact `packets` (one unit triple
+    /// per packet, indices through `map`), encode the leaf, and store it
+    /// in the next slot.
+    fn push_leaf(&mut self, packets: &[Packet], map: impl Fn(u32) -> u32) {
+        let mut coo = Coo::with_capacity(packets.len());
+        for p in packets {
+            coo.push(map(p.src.0), map(p.dst.0), 1u64);
+        }
+        self.medium
+            .store(self.n_leaves as u64, &encode(&coo.into_csr()))
+            // audit:allow(panic-path) — an in-memory medium's store cannot fail
+            .expect("in-memory store");
+        self.n_leaves += 1;
+        self.total_packets += packets.len() as u64;
     }
 }
 
@@ -204,28 +238,35 @@ pub fn archive_window_with(
     map: impl Fn(u32) -> u32,
 ) -> WindowArchive {
     assert!(n_leaves > 0, "need at least one leaf");
-    let total = w.window.packets.len();
-    let leaf_nv = total.div_ceil(n_leaves);
-    let medium = MemMedium::new();
-    let chunks = w.window.packets.chunks(leaf_nv.max(1));
-    let stored = chunks.len();
-    for (slot, chunk) in chunks.enumerate() {
-        let mut coo = Coo::with_capacity(chunk.len());
-        for p in chunk {
-            coo.push(map(p.src.0), map(p.dst.0), 1u64);
-        }
-        medium
-            .store(slot as u64, &encode(&coo.into_csr()))
-            // audit:allow(panic-path) — an in-memory medium's store cannot fail
-            .expect("in-memory store");
+    let leaf_nv = w.packets().div_ceil(n_leaves);
+    let mut archive = WindowArchive::new(&w.label, leaf_nv);
+    for chunk in w.window.packets.chunks(leaf_nv.max(1)) {
+        archive.push_leaf(chunk, &map);
     }
-    WindowArchive {
-        label: w.label.clone(),
-        leaf_nv,
-        total_packets: total as u64,
-        medium,
-        n_leaves: stored,
+    archive
+}
+
+/// Capture `spec`'s window straight into its archive, with raw indices:
+/// the window is cut into `leaves = N_V.div_ceil(leaf_capacity)` leaves of
+/// `N_V.div_ceil(leaves)` packets (the last may be shorter) — the cut
+/// [`archive_window`] makes of a held window into `leaves` leaves — and
+/// each leaf is compacted, encoded and stored as soon as its packets have
+/// been captured, so only one leaf's packets are ever held. Returns the
+/// archive and the window's tally.
+pub fn capture_archive(
+    scenario: &Scenario,
+    spec: &CaidaWindowSpec,
+    leaf_capacity: usize,
+) -> (WindowArchive, WindowTally) {
+    let n_v = scenario.n_v;
+    let leaf_nv = n_v.div_ceil(n_v.div_ceil(leaf_capacity).max(1));
+    let mut archive = WindowArchive::new(&spec.label, leaf_nv);
+    let octet = scenario.population.config.darkspace_octet;
+    let mut capture = WindowCapture::new(scenario, spec, octet, leaf_nv);
+    while let Some(packets) = capture.next_batch() {
+        archive.push_leaf(packets, |ip| ip);
     }
+    (archive, capture.finish())
 }
 
 /// Archive with raw indices.
@@ -277,6 +318,37 @@ mod tests {
             let (m, report) = restored(&archive, &archive.medium);
             assert!(report.is_complete(), "n_leaves = {n_leaves}");
             assert_eq!(m, direct, "n_leaves = {n_leaves}");
+        }
+    }
+
+    #[test]
+    fn captured_archive_stores_the_held_windows_slots() {
+        // Archiving while capturing cuts and encodes exactly as archiving
+        // the held window into the fold's leaf count; at N_V = 5000 that
+        // is 5 leaves of 1000 packets, not the fold's 1024.
+        for (n_v, seed) in
+            [(1 << 12, 42), (5000, 42), (1 << 15, 42), (1 << 12, 7), (5000, 7), (1 << 15, 7)]
+        {
+            let s = Scenario::paper_scaled(n_v, seed);
+            let leaf_capacity = matrix::leaf_capacity_for(n_v);
+            for spec in &s.caida_windows {
+                let (streamed, tally) = capture_archive(&s, spec, leaf_capacity);
+                let w = capture_window(&s, spec);
+                let held = archive_window(&w, n_v.div_ceil(leaf_capacity));
+                let at = format!("N_V {n_v}, seed {seed}, {}", spec.label);
+                assert_eq!(streamed.label, held.label, "{at}");
+                assert_eq!(streamed.leaf_nv, held.leaf_nv, "{at}");
+                assert_eq!(streamed.total_packets, held.total_packets, "{at}");
+                assert_eq!(streamed.n_leaves(), held.n_leaves(), "{at}");
+                for i in 0..held.n_leaves() {
+                    assert_eq!(frame(&streamed, i), frame(&held, i), "{at}, leaf {i}");
+                }
+                assert_eq!(tally.packets(), w.packets() as u64, "{at}");
+            }
+            if n_v == 5000 {
+                let (a, _) = capture_archive(&s, &s.caida_windows[0], leaf_capacity);
+                assert_eq!((a.n_leaves(), a.leaf_nv), (5, 1000));
+            }
         }
     }
 

@@ -1,10 +1,11 @@
 //! Window capture: drive the world model at a sampling instant and take
-//! exactly `N_V` valid packets.
+//! exactly `N_V` valid packets, handed out in leaf-sized batches.
 
-use crate::darkspace::Darkspace;
+use crate::darkspace::{Darkspace, DarkspaceFilter};
+use crate::inventory::WindowTally;
 use obscor_netmodel::scenario::CaidaWindowSpec;
 use obscor_netmodel::{PacketStream, Scenario};
-use obscor_pcap::{ConstantPacketWindower, Window};
+use obscor_pcap::{Packet, PacketFilter, Window};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
@@ -36,10 +37,7 @@ impl TelescopeWindow {
 
     /// Number of unique sources in the window.
     pub fn unique_sources(&self) -> usize {
-        let mut srcs: Vec<u32> = self.window.packets.iter().map(|p| p.src.0).collect();
-        srcs.sort_unstable();
-        srcs.dedup();
-        srcs.len()
+        WindowTally::of(&self.window.packets).sources() as usize
     }
 }
 
@@ -69,13 +67,13 @@ pub fn capture_window_at(
     spec: &CaidaWindowSpec,
     octet: u8,
 ) -> TelescopeWindow {
-    let w = capture_window_quiet(scenario, spec, octet);
-    record_capture_totals(std::slice::from_ref(&w));
+    let (w, tally) = capture_window_quiet(scenario, spec, octet);
+    record_capture_totals(std::slice::from_ref(&tally));
     w
 }
 
 /// The seeded endless packet stream and darkspace validity filter behind
-/// [`capture_window_at`] — the single source of truth for how a sampling
+/// every capture — the single source of truth for how a sampling
 /// instant's traffic is generated. Public so the streaming ingest service
 /// (`telescope::stream`, `cli serve`) can drain the *same* deterministic
 /// source the batch capture path reads, which is what makes the
@@ -84,7 +82,7 @@ pub fn window_traffic_source<'a>(
     scenario: &'a Scenario,
     spec: &CaidaWindowSpec,
     octet: u8,
-) -> (PacketStream<'a, StdRng>, crate::darkspace::DarkspaceFilter) {
+) -> (PacketStream<'a, StdRng>, DarkspaceFilter) {
     let ds = Darkspace::slash8(octet, scenario.traffic.n_allocated);
     let start_micros = (spec.coord * SECS_PER_MONTH * 1e6) as u64;
     let rng =
@@ -100,48 +98,116 @@ pub fn window_traffic_source<'a>(
     (stream, ds.validity_filter())
 }
 
-/// The capture itself, with no metric recording.
+/// The one capture loop: draws a window's traffic from
+/// [`window_traffic_source`], drops what the darkspace filter rejects, and
+/// hands the first `N_V` valid packets to the caller in batches of at most
+/// `batch` packets (a fold's leaf, an archive slot, or the whole window),
+/// counting them in a [`WindowTally`] as they go. The caller times and
+/// places each batch; only one batch is ever held.
+pub struct WindowCapture<'a> {
+    stream: PacketStream<'a, StdRng>,
+    filter: DarkspaceFilter,
+    remaining: usize,
+    batch_len: usize,
+    batch: Vec<Packet>,
+    tally: WindowTally,
+}
+
+impl<'a> WindowCapture<'a> {
+    /// Start capturing `spec`'s window of the scenario's `N_V` valid
+    /// packets at the darkspace `octet`, in batches of `batch` packets.
+    pub fn new(scenario: &'a Scenario, spec: &CaidaWindowSpec, octet: u8, batch: usize) -> Self {
+        let (stream, filter) = window_traffic_source(scenario, spec, octet);
+        let batch_len = batch.clamp(1, scenario.n_v.max(1));
+        Self {
+            stream,
+            filter,
+            remaining: scenario.n_v,
+            batch_len,
+            batch: Vec::with_capacity(batch_len),
+            tally: WindowTally::default(),
+        }
+    }
+
+    /// The next batch of valid packets in arrival order; `None` once the
+    /// window's `N_V` packets have all been handed out.
+    pub fn next_batch(&mut self) -> Option<&[Packet]> {
+        self.fill().then_some(self.batch.as_slice())
+    }
+
+    /// End the capture: the window's tally, with its packets added to the
+    /// `telescope.capture.*` counters.
+    pub fn finish(self) -> WindowTally {
+        record_capture_totals(std::slice::from_ref(&self.tally));
+        self.tally
+    }
+
+    /// Refill the batch buffer from the stream, timed by the
+    /// `telescope.capture_window` span; false when nothing is left.
+    fn fill(&mut self) -> bool {
+        self.batch.clear();
+        if self.remaining == 0 {
+            return false;
+        }
+        let _span = obscor_obs::span("telescope.capture_window");
+        let want = self.batch_len.min(self.remaining);
+        while self.batch.len() < want {
+            // The synthetic stream is endless; should one ever run dry the
+            // window just ends short, and its tally says how short.
+            let Some(p) = self.stream.next() else {
+                self.remaining = 0;
+                break;
+            };
+            if self.filter.accept(&p) {
+                self.tally.push(&p);
+                self.batch.push(p);
+            } else {
+                self.tally.discard();
+            }
+        }
+        self.remaining = self.remaining.saturating_sub(self.batch.len());
+        !self.batch.is_empty()
+    }
+}
+
+/// The capture itself, with no counter recording: the whole window as one
+/// batch of [`WindowCapture`], returned with its tally.
 ///
 /// This is the body the parallel driver runs on rayon workers: the
 /// registry's metric name lookup takes a lock, so counter updates stay
 /// out of the closure (blocking-in-par) and are recorded by the caller
-/// via [`record_capture_totals`]. Timing spans are fine — starting one
-/// touches no lock, and the drop-time recording is outside this fn.
+/// via [`record_capture_totals`]. The one `telescope.capture_window` span
+/// per window records once, when its batch is full.
 fn capture_window_quiet(
     scenario: &Scenario,
     spec: &CaidaWindowSpec,
     octet: u8,
-) -> TelescopeWindow {
-    let _span = obscor_obs::span("telescope.capture_window");
-    let (stream, filter) = window_traffic_source(scenario, spec, octet);
-    let mut windower = ConstantPacketWindower::new(stream, filter, scenario.n_v);
-    let window = windower
-        .next()
-        // audit:allow(panic-path) — the synthetic traffic stream is infinite by construction, so the windower can never run dry; a None here is a programming error
-        .expect("endless packet stream must always fill a window");
-    TelescopeWindow { label: spec.label.clone(), coord: spec.coord, window }
+) -> (TelescopeWindow, WindowTally) {
+    let mut capture = WindowCapture::new(scenario, spec, octet, scenario.n_v);
+    capture.fill();
+    let packets = std::mem::take(&mut capture.batch);
+    let window = Window { index: 0, packets, discarded: capture.tally.discarded() };
+    (TelescopeWindow { label: spec.label.clone(), coord: spec.coord, window }, capture.tally)
 }
 
-/// Record the valid/discarded packet counters for captured windows.
-fn record_capture_totals(windows: &[TelescopeWindow]) {
-    let valid: u64 = windows.iter().map(|w| w.packets() as u64).sum();
-    let discarded: u64 = windows.iter().map(|w| w.window.discarded).sum();
+/// Record the window/valid/discarded packet counters for captured windows.
+fn record_capture_totals(tallies: &[WindowTally]) {
+    let valid: u64 = tallies.iter().map(WindowTally::packets).sum();
+    let discarded: u64 = tallies.iter().map(WindowTally::discarded).sum();
+    obscor_obs::counter("telescope.capture.windows_total").add(tallies.len() as u64);
     obscor_obs::counter("telescope.capture.valid_packets_total").add(valid);
     obscor_obs::counter("telescope.capture.discarded_packets_total").add(discarded);
 }
 
 /// Capture every scenario window, in parallel.
 pub fn capture_all_windows(scenario: &Scenario) -> Vec<TelescopeWindow> {
-    let _span = obscor_obs::span("telescope.capture_all_windows");
-    obscor_obs::counter("telescope.capture.windows_total")
-        .add(scenario.caida_windows.len() as u64);
     let octet = scenario.population.config.darkspace_octet;
-    let windows: Vec<TelescopeWindow> = scenario
+    let (windows, tallies): (Vec<TelescopeWindow>, Vec<WindowTally>) = scenario
         .caida_windows
         .par_iter()
         .map(|spec| capture_window_quiet(scenario, spec, octet))
-        .collect();
-    record_capture_totals(&windows);
+        .unzip();
+    record_capture_totals(&tallies);
     windows
 }
 
@@ -218,6 +284,37 @@ mod tests {
         let serial = capture_window(&s, &s.caida_windows[3]);
         assert_eq!(all[3].window, serial.window);
         assert_eq!(all[3].label, "2020-10-28-00:00:00");
+    }
+
+    #[test]
+    fn batched_capture_matches_the_held_window() {
+        // Leaf-sized batches of the one capture loop concatenate to the
+        // held window, and the tally taken on the way gives its Table I
+        // row, its discarded count and its scaling points.
+        for (n_v, seed) in
+            [(1 << 12, 42), (5000, 42), (1 << 15, 42), (1 << 12, 7), (5000, 7), (1 << 15, 7)]
+        {
+            let s = Scenario::paper_scaled(n_v, seed);
+            let held = capture_all_windows(&s);
+            let rows = crate::inventory(&held);
+            let octet = s.population.config.darkspace_octet;
+            for ((spec, w), row) in s.caida_windows.iter().zip(&held).zip(&rows) {
+                let batch = crate::leaf_capacity_for(n_v);
+                let mut capture = WindowCapture::new(&s, spec, octet, batch);
+                let mut packets = Vec::new();
+                while let Some(b) = capture.next_batch() {
+                    assert!(b.len() <= batch);
+                    packets.extend_from_slice(b);
+                }
+                let tally = capture.finish();
+                let at = format!("N_V {n_v}, seed {seed}, {}", spec.label);
+                assert_eq!(packets, w.window.packets, "{at}");
+                assert_eq!(&tally.row(&spec.label), row, "{at}");
+                assert_eq!(tally.discarded(), w.window.discarded, "{at}");
+                let whole = WindowTally::of(&w.window.packets);
+                assert_eq!(tally.scaling_points(8), whole.scaling_points(8), "{at}");
+            }
+        }
     }
 
     #[test]

@@ -19,14 +19,16 @@ pub mod inventory;
 pub mod matrix;
 pub mod stream;
 
-pub use archive::{archive_window, restore, QuarantinedLeaf, RestoreReport, WindowArchive};
+pub use archive::{
+    archive_window, capture_archive, restore, QuarantinedLeaf, RestoreReport, WindowArchive,
+};
 pub use faults::{Fault, FaultKind, FaultPlan, FaultyMedium, ALL_FAULT_KINDS};
 pub use capture::{
     capture_all_windows, capture_window, capture_window_at, window_traffic_source,
-    TelescopeWindow,
+    TelescopeWindow, WindowCapture,
 };
 pub use darkspace::Darkspace;
-pub use inventory::{inventory, InventoryRow};
+pub use inventory::{inventory, InventoryRow, WindowTally};
 pub use matrix::{
     build_matrix, build_matrix_spilled, build_matrix_with, leaf_capacity_for, push_edges,
     window_fold, SpillSettings, PAPER_LEAF_COUNT,

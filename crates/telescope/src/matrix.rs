@@ -86,15 +86,15 @@ pub fn window_fold(
 }
 
 /// Push one `(src, dst)` edge per packet into `fold`: the packet side of
-/// every window build, timed by the `telescope.build_matrix` span.
+/// every window build, timed by the `telescope.build_matrix` span. A window
+/// may arrive whole or a batch at a time; the fold cuts its own leaves.
 pub fn push_edges(
     fold: &mut HierarchicalAccumulator<u64>,
     edges: impl ExactSizeIterator<Item = (u32, u32)>,
 ) {
     let _span = obscor_obs::span("telescope.build_matrix");
     let packets = edges.len();
-    obscor_obs::gauge("telescope.build_matrix.leaf_capacity")
-        .set_max(leaf_capacity_for(packets) as u64);
+    obscor_obs::gauge("telescope.build_matrix.leaf_capacity").set_max(fold.leaf_capacity() as u64);
     for (src, dst) in edges {
         fold.push_edge(src, dst);
     }

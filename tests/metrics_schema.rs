@@ -29,7 +29,7 @@ fn metrics() -> &'static MetricsSnapshot {
 /// Every metric name the pipeline emits, pinned. A missing name means an
 /// instrumentation point was dropped; a new name must be added here (and to
 /// DESIGN.md §10) deliberately.
-const PINNED_NAMES: [&str; 93] = [
+const PINNED_NAMES: [&str; 91] = [
     "config.min_bin_sources",
     "config.month_count",
     "config.n_v",
@@ -102,8 +102,6 @@ const PINNED_NAMES: [&str; 93] = [
     "span.stage.teardown.ns",
     "span.telescope.build_matrix.calls_total",
     "span.telescope.build_matrix.ns",
-    "span.telescope.capture_all_windows.calls_total",
-    "span.telescope.capture_all_windows.ns",
     "span.telescope.capture_window.calls_total",
     "span.telescope.capture_window.ns",
     "stage.capture.windows_total",

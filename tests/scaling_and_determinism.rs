@@ -1,9 +1,10 @@
 //! Integration: the scale-covariance rules of DESIGN.md §5 and strict
 //! determinism of the whole stack.
 
+use obscor::core::scaling::source_scaling;
 use obscor::core::{pipeline, AnalysisConfig};
 use obscor::netmodel::Scenario;
-use obscor::telescope::capture_window;
+use obscor::telescope::{capture_all_windows, capture_window, inventory};
 
 #[test]
 fn knee_moves_with_sqrt_nv() {
@@ -34,6 +35,18 @@ fn full_pipeline_is_deterministic() {
     assert_eq!(a.curves, b.curves);
     assert_eq!(a.greynoise_inventory, b.greynoise_inventory);
     assert_eq!(a.render_all(), b.render_all());
+    // The run streams each window leaf by leaf; its Table I rows and
+    // scaling laws are the held windows'.
+    let held = capture_all_windows(&s);
+    assert_eq!(a.caida_inventory, inventory(&held));
+    let laws: Vec<(String, f64, f64)> = held
+        .iter()
+        .filter_map(|w| {
+            source_scaling(&w.window.packets, 8).map(|l| (w.label.clone(), l.exponent, l.r_squared))
+        })
+        .collect();
+    assert_eq!(laws.len(), 5);
+    assert_eq!(a.scaling, laws);
 }
 
 #[test]
