@@ -6,42 +6,36 @@
 //!
 //! * **Array** — sorted unique `Vec<u16>`, 2 bytes/key; the sparse form.
 //! * **Bitmap** — 1024 packed `u64` words (8 KiB flat) with a cached
-//!   cardinality; the dense form, where intersection and overlap counting
-//!   are word-parallel `AND` + popcount.
+//!   cardinality; the dense form, where overlap counting is word-parallel
+//!   `AND` + popcount.
 //! * **Runs** — sorted, non-adjacent inclusive `(start, end)` intervals,
 //!   4 bytes/run; the form for contiguous slabs (full chunks, scanned
 //!   prefixes).
 //!
-//! Mutations move between the forms with *hysteresis*: an array promotes
-//! to a bitmap only above [`ARRAY_MAX`] keys, a bitmap demotes to an
-//! array only below [`BITMAP_MIN`] — the gap means a workload oscillating
-//! across the boundary does not thrash representations. `optimize()`
-//! additionally discovers run structure the mutation path never creates.
+//! A container is built once, from sorted keys, and never changes, so
+//! [`Container::from_sorted`] picks its form once: runs when they cost
+//! less than half the dense form, else an array up to [`ARRAY_MAX`] keys,
+//! else a bitmap.
 //!
-//! Every operation returns exact integer counts regardless of physical
-//! form — representation is a performance choice, never a semantic one —
-//! which is the determinism argument DESIGN.md §17 spells out.
+//! Every count is an exact integer regardless of physical form —
+//! representation is a performance choice, never a semantic one — which
+//! is the determinism argument DESIGN.md §17 spells out.
 
 use super::metrics;
 
 /// Words in one chunk bitmap: 2^16 bits / 64.
 pub(crate) const CHUNK_WORDS: usize = 1 << 10;
-/// An array container promotes to a bitmap when it grows *above* this.
+/// The most keys an array container holds; a denser chunk is a bitmap.
 pub(crate) const ARRAY_MAX: usize = 4096;
-/// A bitmap container demotes to an array when it shrinks *below* this.
-/// Strictly less than [`ARRAY_MAX`]: the `[BITMAP_MIN, ARRAY_MAX]` band
-/// is the hysteresis zone where either form is left alone.
-pub(crate) const BITMAP_MIN: usize = 3840;
 /// Byte cost of a bitmap container (the ceiling for every other form).
 const BITMAP_BYTES: usize = CHUNK_WORDS * 8;
 
-/// One chunk's key set, in its current physical form.
+/// One chunk's key set, in the physical form its density picked.
 #[derive(Clone, Debug)]
 pub(crate) enum Container {
-    /// Sorted unique low-16 keys, at most [`ARRAY_MAX`] of them
-    /// (except transiently inside a mutation, before reshaping).
+    /// Sorted unique low-16 keys, at most [`ARRAY_MAX`] of them.
     Array(Vec<u16>),
-    /// Packed bitmap with cached cardinality (`card` > 0).
+    /// Packed bitmap with cached cardinality (`card` > [`ARRAY_MAX`]).
     Bitmap { words: Box<[u64; CHUNK_WORDS]>, card: usize },
     /// Sorted inclusive intervals with at least one key of gap between
     /// consecutive runs (adjacent runs must have been merged).
@@ -51,6 +45,16 @@ pub(crate) enum Container {
 /// Byte cost of `n` runs.
 fn runs_bytes(n_runs: usize) -> usize {
     n_runs * 4
+}
+
+/// Byte cost of `card` keys in the dense form: two bytes a key in an
+/// array up to [`ARRAY_MAX`] keys, the flat bitmap above.
+fn dense_bytes(card: usize) -> usize {
+    if card > ARRAY_MAX {
+        BITMAP_BYTES
+    } else {
+        card * 2
+    }
 }
 
 /// Build a bitmap word array from sorted unique keys.
@@ -80,79 +84,26 @@ fn bitmap_range_count(words: &[u64; CHUNK_WORDS], s: u16, e: u16) -> (usize, u64
     (count, (we - ws + 1) as u64)
 }
 
-/// Set every bit of the inclusive key range `[s, e]`, word-parallel.
-fn bitmap_set_range(words: &mut [u64; CHUNK_WORDS], s: u16, e: u16) {
-    let (ws, we) = (usize::from(s >> 6), usize::from(e >> 6));
-    let lo_mask = !0u64 << (s & 63);
-    let hi_mask = !0u64 >> (63 - (e & 63));
-    if ws == we {
-        words[ws] |= lo_mask & hi_mask;
-        return;
-    }
-    words[ws] |= lo_mask;
-    for w in &mut words[ws + 1..we] {
-        *w = !0;
-    }
-    words[we] |= hi_mask;
-}
-
-/// Collect the set bits of `words` in ascending key order into `out`,
-/// restricted to the inclusive range `[s, e]`.
-fn bitmap_collect_range(words: &[u64; CHUNK_WORDS], s: u16, e: u16, out: &mut Vec<u16>) {
-    let (ws, we) = (usize::from(s >> 6), usize::from(e >> 6));
-    let lo_mask = !0u64 << (s & 63);
-    let hi_mask = !0u64 >> (63 - (e & 63));
-    for (wi, &word) in words.iter().enumerate().take(we + 1).skip(ws) {
-        let mut w = word;
-        if wi == ws {
-            w &= lo_mask;
-        }
-        if wi == we {
-            w &= hi_mask;
-        }
-        let base = (wi << 6) as u16;
-        while w != 0 {
-            let bit = w.trailing_zeros() as u16;
-            out.push(base + bit);
-            w &= w - 1;
-        }
-    }
-}
-
-/// Number of maximal runs in a sorted unique key slice.
-fn count_runs_array(keys: &[u16]) -> usize {
-    if keys.is_empty() {
-        return 0;
-    }
-    1 + keys.windows(2).filter(|w| w[1] != w[0] + 1).count()
-}
-
-/// Number of maximal runs in a bitmap, word-parallel: a run starts at
-/// every set bit whose predecessor bit is clear, so per word it is
-/// `popcount(w & !(w << 1 | carry))` with the carry threading the
-/// previous word's top bit across the boundary.
-fn count_runs_bitmap(words: &[u64; CHUNK_WORDS]) -> usize {
-    let mut runs = 0usize;
-    let mut carry = 0u64; // previous word's bit 63, shifted into bit 0
-    for &w in words.iter() {
-        runs += (w & !((w << 1) | carry)).count_ones() as usize;
-        carry = w >> 63;
-    }
-    runs
+/// The maximal runs `(start, end)` of a sorted unique key slice.
+fn runs_of(keys: &[u16]) -> impl Iterator<Item = (u16, u16)> + '_ {
+    keys.chunk_by(|a, b| a + 1 == *b).map(|r| (r[0], r[r.len() - 1]))
 }
 
 impl Container {
-    /// Build from sorted unique low-16 keys: array at or below
-    /// [`ARRAY_MAX`], bitmap above. Call [`Container::optimize`] after to
-    /// discover run structure.
+    /// Build from sorted unique low-16 keys, in the one form their density
+    /// picks: runs when they cost less than half the dense form (two bytes
+    /// a key up to [`ARRAY_MAX`] keys, the 8 KiB bitmap above), else an
+    /// array up to [`ARRAY_MAX`] keys, else a bitmap.
     pub(crate) fn from_sorted(keys: &[u16]) -> Container {
-        if keys.len() <= ARRAY_MAX {
-            metrics::container_built(metrics::Kind::Array);
+        let c = if runs_bytes(runs_of(keys).count()) * 2 < dense_bytes(keys.len()) {
+            Container::Runs(runs_of(keys).collect())
+        } else if keys.len() <= ARRAY_MAX {
             Container::Array(keys.to_vec())
         } else {
-            metrics::container_built(metrics::Kind::Bitmap);
             Container::Bitmap { words: bitmap_from_sorted(keys), card: keys.len() }
-        }
+        };
+        metrics::container_built(c.kind());
+        c
     }
 
     /// Number of keys in the container.
@@ -180,189 +131,24 @@ impl Container {
         }
     }
 
-    /// Insert `k`; returns whether it was new. May promote array → bitmap
-    /// or runs → bitmap once the cheaper form's cost ceiling is crossed.
-    pub(crate) fn insert(&mut self, k: u16) -> bool {
-        let added = match self {
-            Container::Array(v) => match v.binary_search(&k) {
-                Ok(_) => false,
-                Err(i) => {
-                    v.insert(i, k);
-                    true
-                }
-            },
+    /// All keys as a sorted vector.
+    pub(crate) fn to_vec(&self) -> Vec<u16> {
+        match self {
+            Container::Array(v) => v.clone(),
             Container::Bitmap { words, card } => {
-                let w = &mut words[usize::from(k >> 6)];
-                let mask = 1u64 << (k & 63);
-                let added = *w & mask == 0;
-                *w |= mask;
-                *card += usize::from(added);
-                added
-            }
-            Container::Runs(r) => insert_into_runs(r, k),
-        };
-        if added {
-            self.reshape_after_insert();
-        }
-        added
-    }
-
-    /// Remove `k`; returns whether it was present. May demote a bitmap
-    /// that falls below [`BITMAP_MIN`] back to an array.
-    pub(crate) fn remove(&mut self, k: u16) -> bool {
-        let removed = match self {
-            Container::Array(v) => match v.binary_search(&k) {
-                Ok(i) => {
-                    v.remove(i);
-                    true
-                }
-                Err(_) => false,
-            },
-            Container::Bitmap { words, card } => {
-                let w = &mut words[usize::from(k >> 6)];
-                let mask = 1u64 << (k & 63);
-                let removed = *w & mask != 0;
-                *w &= !mask;
-                *card -= usize::from(removed);
-                removed
-            }
-            Container::Runs(r) => remove_from_runs(r, k),
-        };
-        if removed {
-            self.reshape_after_remove();
-        }
-        removed
-    }
-
-    /// Promotion edge: applied after a successful insert.
-    fn reshape_after_insert(&mut self) {
-        match self {
-            Container::Array(v) if v.len() > ARRAY_MAX => {
-                metrics::promotion();
-                metrics::container_built(metrics::Kind::Bitmap);
-                let card = v.len();
-                *self = Container::Bitmap { words: bitmap_from_sorted(v), card };
-            }
-            Container::Runs(r) if runs_bytes(r.len()) > BITMAP_BYTES => {
-                // Pathologically fragmented runs cost more than the flat
-                // bitmap; promote (insert-driven, so cost only grows).
-                metrics::promotion();
-                metrics::container_built(metrics::Kind::Bitmap);
-                let card = self.card();
-                let mut words = Box::new([0u64; CHUNK_WORDS]);
-                if let Container::Runs(r) = self {
-                    for &(s, e) in r.iter() {
-                        bitmap_set_range(&mut words, s, e);
-                    }
-                }
-                *self = Container::Bitmap { words, card };
-            }
-            _ => {}
-        }
-    }
-
-    /// Demotion edge: applied after a successful remove. The demote
-    /// threshold sits *below* the promote threshold, so flapping across a
-    /// single boundary key cannot thrash representations.
-    fn reshape_after_remove(&mut self) {
-        if let Container::Bitmap { words, card } = self {
-            if *card < BITMAP_MIN {
-                metrics::demotion();
-                metrics::container_built(metrics::Kind::Array);
-                let mut keys = Vec::with_capacity(*card);
-                bitmap_collect_range(words, 0, u16::MAX, &mut keys);
-                *self = Container::Array(keys);
-            }
-        }
-    }
-
-    /// Re-pick the cheapest physical form for the current contents:
-    /// converts to a run container when the run count makes intervals
-    /// strictly cheaper than both the array and the bitmap form (with a
-    /// 2× stickiness margin so near-ties keep the simpler form), and
-    /// otherwise restores the canonical array/bitmap split.
-    pub(crate) fn optimize(&mut self) {
-        let card = self.card();
-        let n_runs = match self {
-            Container::Array(v) => count_runs_array(v),
-            Container::Bitmap { words, .. } => count_runs_bitmap(words),
-            Container::Runs(r) => r.len(),
-        };
-        let dense_bytes = if card > ARRAY_MAX { BITMAP_BYTES } else { card * 2 };
-        if runs_bytes(n_runs) * 2 < dense_bytes {
-            if !matches!(self, Container::Runs(_)) {
-                metrics::container_built(metrics::Kind::Runs);
-                let mut runs = Vec::with_capacity(n_runs);
-                self.for_each_run(|s, e| runs.push((s, e)));
-                *self = Container::Runs(runs);
-            }
-        } else if matches!(self, Container::Runs(_)) {
-            let mut keys = Vec::with_capacity(card);
-            self.for_each_key(|k| keys.push(k));
-            *self = Container::from_sorted(&keys);
-        }
-    }
-
-    /// Visit every maximal run `(start, end)` in ascending order.
-    fn for_each_run(&self, mut f: impl FnMut(u16, u16)) {
-        match self {
-            Container::Runs(r) => {
-                for &(s, e) in r {
-                    f(s, e);
-                }
-            }
-            _ => {
-                // Derive runs from the ascending key stream.
-                let mut cur: Option<(u16, u16)> = None;
-                self.for_each_key(|k| match cur {
-                    Some((s, e)) if k == e + 1 => cur = Some((s, k)),
-                    Some((s, e)) => {
-                        f(s, e);
-                        cur = Some((k, k));
-                    }
-                    None => cur = Some((k, k)),
-                });
-                if let Some((s, e)) = cur {
-                    f(s, e);
-                }
-            }
-        }
-    }
-
-    /// Visit every key in ascending order.
-    pub(crate) fn for_each_key(&self, mut f: impl FnMut(u16)) {
-        match self {
-            Container::Array(v) => {
-                for &k in v {
-                    f(k);
-                }
-            }
-            Container::Bitmap { words, .. } => {
+                let mut out = Vec::with_capacity(*card);
                 for (wi, &word) in words.iter().enumerate() {
                     let mut w = word;
                     let base = (wi << 6) as u16;
                     while w != 0 {
-                        let bit = w.trailing_zeros() as u16;
-                        f(base + bit);
+                        out.push(base + w.trailing_zeros() as u16);
                         w &= w - 1;
                     }
                 }
+                out
             }
-            Container::Runs(r) => {
-                for &(s, e) in r {
-                    for k in s..=e {
-                        f(k);
-                    }
-                }
-            }
+            Container::Runs(r) => r.iter().flat_map(|&(s, e)| s..=e).collect(),
         }
-    }
-
-    /// All keys as a sorted vector.
-    pub(crate) fn to_vec(&self) -> Vec<u16> {
-        let mut out = Vec::with_capacity(self.card());
-        self.for_each_key(|k| out.push(k));
-        out
     }
 
     /// `|self ∩ other|` without materializing the intersection: pure
@@ -397,238 +183,7 @@ impl Container {
         }
     }
 
-    /// `self ∩ other`, or `None` when the intersection is empty. The
-    /// result takes the canonical form for its cardinality (array at or
-    /// below [`ARRAY_MAX`], else bitmap; runs ∩ runs stays runs).
-    pub(crate) fn intersect(&self, other: &Container) -> Option<Container> {
-        use Container::{Array, Bitmap, Runs};
-        let out = match (self, other) {
-            (Array(a), Array(b)) => {
-                let mut out = Vec::new();
-                let (mut i, mut j) = (0, 0);
-                while i < a.len() && j < b.len() {
-                    match a[i].cmp(&b[j]) {
-                        std::cmp::Ordering::Less => i += 1,
-                        std::cmp::Ordering::Greater => j += 1,
-                        std::cmp::Ordering::Equal => {
-                            out.push(a[i]);
-                            i += 1;
-                            j += 1;
-                        }
-                    }
-                }
-                Container::Array(out)
-            }
-            (Array(a), Bitmap { words, .. }) | (Bitmap { words, .. }, Array(a)) => {
-                metrics::words_scanned(a.len() as u64);
-                Container::Array(
-                    a.iter()
-                        .copied()
-                        .filter(|&k| words[usize::from(k >> 6)] & (1u64 << (k & 63)) != 0)
-                        .collect(),
-                )
-            }
-            (Bitmap { words: wa, .. }, Bitmap { words: wb, .. }) => {
-                metrics::words_scanned(2 * CHUNK_WORDS as u64);
-                let mut words = Box::new([0u64; CHUNK_WORDS]);
-                let mut card = 0usize;
-                for ((o, &x), &y) in words.iter_mut().zip(wa.iter()).zip(wb.iter()) {
-                    *o = x & y;
-                    card += o.count_ones() as usize;
-                }
-                if card <= ARRAY_MAX {
-                    let mut keys = Vec::with_capacity(card);
-                    bitmap_collect_range(&words, 0, u16::MAX, &mut keys);
-                    Container::Array(keys)
-                } else {
-                    Container::Bitmap { words, card }
-                }
-            }
-            (Runs(r), Bitmap { words, .. }) | (Bitmap { words, .. }, Runs(r)) => {
-                let mut keys = Vec::new();
-                for &(s, e) in r {
-                    bitmap_collect_range(words, s, e, &mut keys);
-                }
-                Container::from_sorted(&keys)
-            }
-            (Runs(r), Array(a)) | (Array(a), Runs(r)) => {
-                let mut out = Vec::new();
-                let mut i = 0usize;
-                for &(s, e) in r {
-                    i += a[i..].partition_point(|&k| k < s);
-                    let j = i + a[i..].partition_point(|&k| k <= e);
-                    out.extend_from_slice(&a[i..j]);
-                    i = j;
-                    if i >= a.len() {
-                        break;
-                    }
-                }
-                Container::Array(out)
-            }
-            (Runs(a), Runs(b)) => {
-                let mut out = Vec::new();
-                let (mut i, mut j) = (0, 0);
-                while i < a.len() && j < b.len() {
-                    let (s, e) = (a[i].0.max(b[j].0), a[i].1.min(b[j].1));
-                    if s <= e {
-                        out.push((s, e));
-                    }
-                    if a[i].1 <= b[j].1 {
-                        i += 1;
-                    } else {
-                        j += 1;
-                    }
-                }
-                Container::Runs(out)
-            }
-        };
-        (out.card() > 0).then_some(out)
-    }
-
-    /// `self ∪ other`, in canonical form for the result cardinality
-    /// (runs ∪ runs stays runs via interval merging).
-    pub(crate) fn union(&self, other: &Container) -> Container {
-        use Container::{Array, Bitmap, Runs};
-        match (self, other) {
-            (Bitmap { words: wa, .. }, Bitmap { words: wb, .. }) => {
-                metrics::words_scanned(2 * CHUNK_WORDS as u64);
-                let mut words = Box::new([0u64; CHUNK_WORDS]);
-                let mut card = 0usize;
-                for ((o, &x), &y) in words.iter_mut().zip(wa.iter()).zip(wb.iter()) {
-                    *o = x | y;
-                    card += o.count_ones() as usize;
-                }
-                Container::Bitmap { words, card }
-            }
-            (Bitmap { words, .. }, other_c) | (other_c, Bitmap { words, .. }) => {
-                let mut out = Box::new(**words);
-                match other_c {
-                    Array(a) => {
-                        for &k in a {
-                            out[usize::from(k >> 6)] |= 1u64 << (k & 63);
-                        }
-                    }
-                    Runs(r) => {
-                        for &(s, e) in r {
-                            bitmap_set_range(&mut out, s, e);
-                        }
-                    }
-                    Bitmap { .. } => {} // handled by the arm above
-                }
-                let card = out.iter().map(|w| w.count_ones() as usize).sum();
-                Container::Bitmap { words: out, card }
-            }
-            (Runs(a), Runs(b)) => Container::Runs(union_runs(a, b)),
-            (Array(a), Array(b)) => {
-                let mut out = Vec::with_capacity(a.len() + b.len());
-                let (mut i, mut j) = (0, 0);
-                while i < a.len() || j < b.len() {
-                    match (a.get(i), b.get(j)) {
-                        (Some(&x), Some(&y)) if x < y => {
-                            out.push(x);
-                            i += 1;
-                        }
-                        (Some(&x), Some(&y)) if y < x => {
-                            out.push(y);
-                            j += 1;
-                        }
-                        (Some(&x), Some(_)) => {
-                            out.push(x);
-                            i += 1;
-                            j += 1;
-                        }
-                        (Some(&x), None) => {
-                            out.push(x);
-                            i += 1;
-                        }
-                        (None, Some(&y)) => {
-                            out.push(y);
-                            j += 1;
-                        }
-                        (None, None) => {}
-                    }
-                }
-                Container::from_sorted(&out)
-            }
-            (Runs(r), Array(a)) | (Array(a), Runs(r)) => {
-                // Merge the array into the interval set, then re-pick the
-                // canonical form (the merged result may no longer be
-                // run-cheap).
-                let mut runs = r.clone();
-                for &k in a {
-                    insert_into_runs(&mut runs, k);
-                }
-                let mut out = Container::Runs(runs);
-                out.optimize();
-                out
-            }
-        }
-    }
-
-    /// Number of keys strictly below `k`.
-    pub(crate) fn rank(&self, k: u16) -> usize {
-        match self {
-            Container::Array(v) => v.partition_point(|&x| x < k),
-            Container::Bitmap { words, .. } => {
-                if k == 0 {
-                    return 0;
-                }
-                let (count, touched) = bitmap_range_count(words, 0, k - 1);
-                metrics::words_scanned(touched);
-                count
-            }
-            Container::Runs(r) => {
-                let mut count = 0;
-                for &(s, e) in r {
-                    if s >= k {
-                        break;
-                    }
-                    count += usize::from(e.min(k - 1) - s) + 1;
-                }
-                count
-            }
-        }
-    }
-
-    /// The `i`-th smallest key (0-based), if `i < card`.
-    pub(crate) fn select(&self, i: usize) -> Option<u16> {
-        match self {
-            Container::Array(v) => v.get(i).copied(),
-            Container::Bitmap { words, card } => {
-                if i >= *card {
-                    return None;
-                }
-                let mut remaining = i;
-                for (wi, &word) in words.iter().enumerate() {
-                    let pop = word.count_ones() as usize;
-                    if remaining < pop {
-                        // Select the `remaining`-th set bit of `word` by
-                        // clearing the lower set bits one at a time.
-                        let mut w = word;
-                        for _ in 0..remaining {
-                            w &= w - 1;
-                        }
-                        return Some(((wi << 6) as u16) + w.trailing_zeros() as u16);
-                    }
-                    remaining -= pop;
-                }
-                None
-            }
-            Container::Runs(r) => {
-                let mut remaining = i;
-                for &(s, e) in r {
-                    let len = usize::from(e - s) + 1;
-                    if remaining < len {
-                        return Some(s + remaining as u16);
-                    }
-                    remaining -= len;
-                }
-                None
-            }
-        }
-    }
-
-    /// Which physical form the container currently uses.
+    /// Which physical form the container uses.
     pub(crate) fn kind(&self) -> metrics::Kind {
         match self {
             Container::Array(_) => metrics::Kind::Array,
@@ -637,7 +192,10 @@ impl Container {
         }
     }
 
-    /// Representation invariants of the current form.
+    /// Representation invariants of its form, and the bounds
+    /// [`Container::from_sorted`] picks it by: an array holds at most
+    /// [`ARRAY_MAX`] keys, a bitmap more, and runs cost under half the
+    /// dense form.
     pub(crate) fn check_invariants(&self) -> Result<(), String> {
         match self {
             Container::Array(v) => {
@@ -658,8 +216,8 @@ impl Container {
                 if real != *card {
                     return Err(format!("bitmap cached card {card} != popcount {real}"));
                 }
-                if *card < BITMAP_MIN {
-                    return Err(format!("bitmap card {card} below demote floor {BITMAP_MIN}"));
+                if *card <= ARRAY_MAX {
+                    return Err(format!("bitmap holds {card} <= {ARRAY_MAX} keys"));
                 }
             }
             Container::Runs(r) => {
@@ -676,8 +234,8 @@ impl Container {
                         return Err(format!("runs {:?} and {:?} overlap or touch", w[0], w[1]));
                     }
                 }
-                if runs_bytes(r.len()) > BITMAP_BYTES {
-                    return Err(format!("{} runs cost more than a bitmap", r.len()));
+                if runs_bytes(r.len()) * 2 >= dense_bytes(self.card()) {
+                    return Err(format!("{} runs cost at least half the dense form", r.len()));
                 }
             }
         }
@@ -759,83 +317,4 @@ fn overlap_runs_runs(a: &[(u16, u16)], b: &[(u16, u16)]) -> usize {
         }
     }
     count
-}
-
-/// Insert one key into a sorted non-adjacent interval set, merging with
-/// its neighbors when it closes a gap. Returns whether the key was new.
-fn insert_into_runs(runs: &mut Vec<(u16, u16)>, k: u16) -> bool {
-    let i = runs.partition_point(|&(s, _)| s <= k);
-    if i > 0 && runs[i - 1].1 >= k {
-        return false; // already inside run i-1
-    }
-    let extends_prev = i > 0 && k > 0 && runs[i - 1].1 == k - 1;
-    let extends_next = i < runs.len() && k < u16::MAX && runs[i].0 == k + 1;
-    match (extends_prev, extends_next) {
-        (true, true) => {
-            runs[i - 1].1 = runs[i].1;
-            runs.remove(i);
-        }
-        (true, false) => runs[i - 1].1 = k,
-        (false, true) => runs[i].0 = k,
-        (false, false) => runs.insert(i, (k, k)),
-    }
-    true
-}
-
-/// Remove one key from a sorted interval set, splitting a run when the
-/// key is interior. Returns whether the key was present.
-fn remove_from_runs(runs: &mut Vec<(u16, u16)>, k: u16) -> bool {
-    let i = runs.partition_point(|&(s, _)| s <= k);
-    if i == 0 || runs[i - 1].1 < k {
-        return false;
-    }
-    let (s, e) = runs[i - 1];
-    match (s == k, e == k) {
-        (true, true) => {
-            runs.remove(i - 1);
-        }
-        (true, false) => runs[i - 1].0 = s + 1,
-        (false, true) => runs[i - 1].1 = e - 1,
-        (false, false) => {
-            runs[i - 1].1 = k - 1;
-            runs.insert(i, (k + 1, e));
-        }
-    }
-    true
-}
-
-/// Interval union of two sorted non-adjacent interval sets.
-fn union_runs(a: &[(u16, u16)], b: &[(u16, u16)]) -> Vec<(u16, u16)> {
-    let mut out: Vec<(u16, u16)> = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() || j < b.len() {
-        let next = match (a.get(i), b.get(j)) {
-            (Some(&x), Some(&y)) => {
-                if x.0 <= y.0 {
-                    i += 1;
-                    x
-                } else {
-                    j += 1;
-                    y
-                }
-            }
-            (Some(&x), None) => {
-                i += 1;
-                x
-            }
-            (None, Some(&y)) => {
-                j += 1;
-                y
-            }
-            (None, None) => break,
-        };
-        match out.last_mut() {
-            // Merge when overlapping or adjacent (gap of zero keys).
-            Some(last) if next.0 <= last.1 || next.0 - last.1 <= 1 => {
-                last.1 = last.1.max(next.1);
-            }
-            _ => out.push(next),
-        }
-    }
-    out
 }

@@ -100,22 +100,6 @@ impl MonthMatrix {
         counts
     }
 
-    /// Reconstruct month `m`'s full set (cross-check / oracle use only;
-    /// the hot path never materializes a month).
-    pub fn month_set(&self, m: usize) -> BitSet {
-        let mut out = BitSet::new();
-        for entry in &self.chunks {
-            for (month, c) in &entry.months {
-                if *month == m {
-                    c.for_each_key(|lo| {
-                        out.insert((u32::from(entry.hi) << 16) | u32::from(lo));
-                    });
-                }
-            }
-        }
-        out
-    }
-
     /// Container census `(arrays, bitmaps, runs)` across all cells.
     pub fn container_census(&self) -> (usize, usize, usize) {
         let mut census = (0usize, 0usize, 0usize);

@@ -5,12 +5,14 @@
 //! each non-empty chunk stores its low-16 residues in whichever of three
 //! container forms is cheapest for its density (sorted array, packed
 //! 1024-word bitmap, or run intervals — see [`container`]). On dense
-//! chunks, intersection and overlap counting become word-parallel
-//! `AND` + popcount over `u64` words; on sparse chunks they stay the
-//! merge/gallop of a sorted vector (`NumKeySet`), so the hybrid never
-//! loses to either pure form. It is the one set type of the correlation
-//! path: honeyfarm months enter through [`BitSet::from_ip_keys`] and
-//! telescope degree bins through `from_sorted_unique`.
+//! chunks, overlap counting becomes word-parallel `AND` + popcount over
+//! `u64` words; on sparse chunks it stays the merge/gallop of a sorted
+//! vector (`NumKeySet`), so the hybrid never loses to either pure form.
+//! It is the one set type of the correlation path, built once from
+//! sorted unique keys and then only counted and probed: the pipeline's
+//! honeyfarm months and telescope degree bins both enter through
+//! [`BitSet::from_sorted_unique`], and the `KeySet` adapters through
+//! [`BitSet::from_ip_keys`].
 //!
 //! [`MonthMatrix`] (in [`matrix`]) layers a month×source membership
 //! matrix on the same containers so the temporal-curve analysis counts a
@@ -30,8 +32,8 @@
 //!
 //! Recorded only at `obscor_obs::Level::Detail` (CLI:
 //! `--fast-path-metrics`), so the pinned default metrics schema never
-//! changes: `assoc.bitset.containers_{array,bitmap,runs}_total`,
-//! `assoc.bitset.{promotions,demotions}_total`, and
+//! changes: `assoc.bitset.containers_{array,bitmap,runs}_total` (each
+//! container counted once, by its form) and
 //! `assoc.bitset.words_scanned_total`, all pinned by
 //! `tests/metrics_optin.rs`.
 
@@ -64,18 +66,6 @@ pub(crate) mod metrics {
         }
     }
 
-    pub(crate) fn promotion() {
-        if obscor_obs::detail() {
-            obscor_obs::counter("assoc.bitset.promotions_total").inc();
-        }
-    }
-
-    pub(crate) fn demotion() {
-        if obscor_obs::detail() {
-            obscor_obs::counter("assoc.bitset.demotions_total").inc();
-        }
-    }
-
     pub(crate) fn words_scanned(n: u64) {
         if obscor_obs::detail() {
             obscor_obs::counter("assoc.bitset.words_scanned_total").add(n);
@@ -95,11 +85,12 @@ fn join(hi: u16, lo: u16) -> u32 {
     (u32::from(hi) << 16) | u32::from(lo)
 }
 
-/// A roaring-style compressed set of `u32` keys.
+/// A roaring-style compressed set of `u32` keys, built once and then only
+/// counted and probed.
 ///
 /// Semantically identical to [`NumKeySet`] — same keys, same counts, same
 /// overlap fractions bit-for-bit — but with density-adaptive physical
-/// containers that make dense-set intersection word-parallel.
+/// containers that make dense-set overlap counts word-parallel.
 #[derive(Clone, Debug, Default)]
 pub struct BitSet {
     /// Non-empty chunks in strictly increasing `hi` order.
@@ -107,41 +98,18 @@ pub struct BitSet {
 }
 
 impl BitSet {
-    /// The empty set.
-    pub fn new() -> Self {
-        Self { chunks: Vec::new() }
-    }
-
-    /// Build from any iterator of keys; sorts and deduplicates.
-    #[allow(clippy::should_implement_trait)]
-    pub fn from_iter<I: IntoIterator<Item = u32>>(iter: I) -> Self {
-        let mut keys: Vec<u32> = iter.into_iter().collect();
-        keys.sort_unstable();
-        keys.dedup();
-        Self::from_sorted_unique(&keys)
-    }
-
     /// Build from keys known to be sorted and unique (checked in debug).
     pub fn from_sorted_unique(keys: &[u32]) -> Self {
         debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "keys must be sorted unique");
-        let mut chunks: Vec<(u16, Container)> = Vec::new();
         let mut lows: Vec<u16> = Vec::new();
-        let mut i = 0usize;
-        while i < keys.len() {
-            let (hi, _) = split(keys[i]);
-            lows.clear();
-            while i < keys.len() {
-                let (h, lo) = split(keys[i]);
-                if h != hi {
-                    break;
-                }
-                lows.push(lo);
-                i += 1;
-            }
-            let mut c = Container::from_sorted(&lows);
-            c.optimize();
-            chunks.push((hi, c));
-        }
+        let chunks = keys
+            .chunk_by(|&a, &b| split(a).0 == split(b).0)
+            .map(|chunk| {
+                lows.clear();
+                lows.extend(chunk.iter().map(|&k| split(k).1));
+                (split(chunk[0]).0, Container::from_sorted(&lows))
+            })
+            .collect();
         Self { chunks }
     }
 
@@ -157,15 +125,6 @@ impl BitSet {
     /// Intern a [`NumKeySet`] (already sorted unique).
     pub fn from_num_key_set(ks: &NumKeySet) -> Self {
         Self::from_sorted_unique(ks.as_slice())
-    }
-
-    /// Render back to the sorted-vector domain.
-    pub fn to_num_key_set(&self) -> NumKeySet {
-        let mut keys = Vec::with_capacity(self.len());
-        for (hi, c) in &self.chunks {
-            c.for_each_key(|lo| keys.push(join(*hi, lo)));
-        }
-        NumKeySet::from_sorted_unique(keys)
     }
 
     /// Number of keys.
@@ -184,43 +143,6 @@ impl BitSet {
         match self.chunks.binary_search_by_key(&hi, |&(h, _)| h) {
             Ok(i) => self.chunks[i].1.contains(lo),
             Err(_) => false,
-        }
-    }
-
-    /// Insert a key; returns whether it was new. Containers promote
-    /// array → bitmap across [`container::ARRAY_MAX`] with hysteresis.
-    pub fn insert(&mut self, key: u32) -> bool {
-        let (hi, lo) = split(key);
-        match self.chunks.binary_search_by_key(&hi, |&(h, _)| h) {
-            Ok(i) => self.chunks[i].1.insert(lo),
-            Err(i) => {
-                self.chunks.insert(i, (hi, Container::from_sorted(&[lo])));
-                true
-            }
-        }
-    }
-
-    /// Remove a key; returns whether it was present. Dense containers
-    /// demote back to arrays below [`container::BITMAP_MIN`].
-    pub fn remove(&mut self, key: u32) -> bool {
-        let (hi, lo) = split(key);
-        match self.chunks.binary_search_by_key(&hi, |&(h, _)| h) {
-            Ok(i) => {
-                let removed = self.chunks[i].1.remove(lo);
-                if removed && self.chunks[i].1.card() == 0 {
-                    self.chunks.remove(i);
-                }
-                removed
-            }
-            Err(_) => false,
-        }
-    }
-
-    /// Re-pick the cheapest container form for every chunk (discovers run
-    /// structure the mutation path never creates).
-    pub fn optimize(&mut self) {
-        for (_, c) in &mut self.chunks {
-            c.optimize();
         }
     }
 
@@ -251,92 +173,6 @@ impl BitSet {
             }
         }
         count
-    }
-
-    /// `self ∩ other` as a new set.
-    pub fn intersect(&self, other: &BitSet) -> BitSet {
-        let (mut i, mut j) = (0, 0);
-        let mut chunks = Vec::new();
-        while i < self.chunks.len() && j < other.chunks.len() {
-            match self.chunks[i].0.cmp(&other.chunks[j].0) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    if let Some(c) = self.chunks[i].1.intersect(&other.chunks[j].1) {
-                        chunks.push((self.chunks[i].0, c));
-                    }
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        BitSet { chunks }
-    }
-
-    /// `self ∪ other` as a new set.
-    pub fn union(&self, other: &BitSet) -> BitSet {
-        let (mut i, mut j) = (0, 0);
-        let mut chunks = Vec::new();
-        loop {
-            match (self.chunks.get(i), other.chunks.get(j)) {
-                (Some((ha, ca)), Some((hb, cb))) => match ha.cmp(hb) {
-                    std::cmp::Ordering::Less => {
-                        chunks.push((*ha, ca.clone()));
-                        i += 1;
-                    }
-                    std::cmp::Ordering::Greater => {
-                        chunks.push((*hb, cb.clone()));
-                        j += 1;
-                    }
-                    std::cmp::Ordering::Equal => {
-                        chunks.push((*ha, ca.union(cb)));
-                        i += 1;
-                        j += 1;
-                    }
-                },
-                (Some((ha, ca)), None) => {
-                    chunks.push((*ha, ca.clone()));
-                    i += 1;
-                }
-                (None, Some((hb, cb))) => {
-                    chunks.push((*hb, cb.clone()));
-                    j += 1;
-                }
-                (None, None) => break,
-            }
-        }
-        BitSet { chunks }
-    }
-
-    /// Number of keys strictly below `key` — the positional index a
-    /// sorted vector would give, without the vector.
-    pub fn rank(&self, key: u32) -> usize {
-        let (hi, lo) = split(key);
-        let mut count = 0usize;
-        for (h, c) in &self.chunks {
-            match h.cmp(&hi) {
-                std::cmp::Ordering::Less => count += c.card(),
-                std::cmp::Ordering::Equal => {
-                    count += c.rank(lo);
-                    break;
-                }
-                std::cmp::Ordering::Greater => break,
-            }
-        }
-        count
-    }
-
-    /// The `i`-th smallest key (0-based), if `i < len`.
-    pub fn select(&self, i: usize) -> Option<u32> {
-        let mut remaining = i;
-        for (hi, c) in &self.chunks {
-            let card = c.card();
-            if remaining < card {
-                return c.select(remaining).map(|lo| join(*hi, lo));
-            }
-            remaining -= card;
-        }
-        None
     }
 
     /// The fraction of `self`'s keys also present in `other` — the
@@ -384,12 +220,6 @@ impl BitSet {
     /// Chunk view for [`MonthMatrix`] construction and probes.
     pub(crate) fn chunks(&self) -> &[(u16, Container)] {
         &self.chunks
-    }
-}
-
-impl FromIterator<u32> for BitSet {
-    fn from_iter<I: IntoIterator<Item = u32>>(iter: I) -> Self {
-        BitSet::from_iter(iter)
     }
 }
 

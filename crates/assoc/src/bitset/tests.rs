@@ -1,6 +1,6 @@
 //! Unit suite for the compressed bitmap substrate: container form
-//! selection and hysteresis, every container-pair operation combination,
-//! rank/select, the month matrix sweep, and constructor invariants.
+//! selection, every container-pair overlap count, membership, the month
+//! matrix sweep, and constructor and form invariants.
 //!
 //! The whole file sits inside an explicitly `#[cfg(test)]`-marked module
 //! (not just the gated `mod tests;` declaration in `mod.rs`) so the audit
@@ -10,13 +10,18 @@
 #[cfg(test)]
 mod suite {
 
-use crate::bitset::container::{Container, ARRAY_MAX, BITMAP_MIN};
+use crate::bitset::container::{Container, ARRAY_MAX, CHUNK_WORDS};
 use crate::bitset::{metrics, BitSet, MonthMatrix};
 use crate::keys::NumKeySet;
 
-/// Keys that land entirely in chunk 0 with the given lows.
-fn set_of(lows: &[u32]) -> BitSet {
-    BitSet::from_iter(lows.iter().copied())
+/// The set of `keys`, given in any order and with repeats.
+fn set_of(keys: impl IntoIterator<Item = u32>) -> BitSet {
+    BitSet::from_num_key_set(&NumKeySet::from_iter(keys))
+}
+
+/// The set's keys as the sorted-vector reference.
+fn num_of(s: &BitSet) -> NumKeySet {
+    NumKeySet::from_sorted_unique(s.iter().collect())
 }
 
 fn kind_name(k: metrics::Kind) -> &'static str {
@@ -42,11 +47,11 @@ fn only_kind(s: &BitSet) -> &'static str {
 
 #[test]
 fn bitset_constructors_uphold_invariants() {
-    let e = BitSet::new();
+    let e = BitSet::default();
     e.check_invariants().unwrap();
     assert!(e.is_empty());
 
-    let a = BitSet::from_iter([5u32, 1, 5, 1 << 20, 3]);
+    let a = set_of([5u32, 1, 5, 1 << 20, 3]);
     a.check_invariants().unwrap();
     assert_eq!(a.len(), 4);
 
@@ -57,11 +62,7 @@ fn bitset_constructors_uphold_invariants() {
     let n = NumKeySet::from_iter([9u32, 7, 7, 1 << 17]);
     let c = BitSet::from_num_key_set(&n);
     c.check_invariants().unwrap();
-    assert_eq!(c.to_num_key_set(), n);
-
-    // Collected form too.
-    let d: BitSet = [3u32, 1].into_iter().collect();
-    d.check_invariants().unwrap();
+    assert_eq!(num_of(&c), n);
 
     // From D4M keys: only `ip_key` renders are kept.
     let keys: crate::KeySet =
@@ -83,15 +84,16 @@ fn month_matrix_constructors_uphold_invariants() {
     mm.check_invariants().unwrap();
     assert_eq!(mm.n_months(), 4);
     for (m, month) in months.iter().enumerate() {
+        // A month probed against the matrix finds all of itself in its row.
+        assert_eq!(mm.overlap_counts(&sets[m])[m], mm.month_len(m));
         assert_eq!(mm.month_len(m), month.len());
-        assert_eq!(mm.month_set(m).to_num_key_set(), *month);
     }
 
     // Empty months are representable: no chunks, zero lens.
-    let empty = MonthMatrix::from_bit_sets(&[BitSet::new(), BitSet::new()]);
+    let empty = MonthMatrix::from_bit_sets(&[BitSet::default(), BitSet::default()]);
     empty.check_invariants().unwrap();
     assert_eq!(empty.month_len(0), 0);
-    assert_eq!(empty.overlap_counts(&set_of(&[1, 2, 3])), vec![0, 0]);
+    assert_eq!(empty.overlap_counts(&set_of([1, 2, 3])), vec![0, 0]);
 }
 
 // --- container form selection ---------------------------------------------
@@ -99,107 +101,85 @@ fn month_matrix_constructors_uphold_invariants() {
 #[test]
 fn density_picks_container_form() {
     // Sparse scatter: array.
-    let sparse = BitSet::from_iter((0..100u32).map(|i| i * 631));
+    let sparse = set_of((0..100u32).map(|i| i * 631));
     assert_eq!(only_kind(&sparse), "array");
     sparse.check_invariants().unwrap();
 
     // Dense scatter above ARRAY_MAX (stride 2 defeats run compression): bitmap.
-    let dense = BitSet::from_iter((0..6000u32).map(|i| i * 2));
+    let dense = set_of((0..6000u32).map(|i| i * 2));
     assert_eq!(only_kind(&dense), "bitmap");
     dense.check_invariants().unwrap();
 
     // One contiguous slab: runs.
-    let slab = BitSet::from_iter(0..10_000u32);
+    let slab = set_of(0..10_000u32);
     assert_eq!(only_kind(&slab), "runs");
     slab.check_invariants().unwrap();
 
     // A full chunk is a single run.
-    let full = BitSet::from_iter(0..65_536u32);
+    let full = set_of(0..65_536u32);
     assert_eq!(only_kind(&full), "runs");
     assert_eq!(full.len(), 65_536);
     full.check_invariants().unwrap();
 }
 
 #[test]
-fn hysteresis_promotes_above_array_max_only() {
-    let mut s = BitSet::from_iter((0..ARRAY_MAX as u32).map(|i| i * 3));
-    assert_eq!(only_kind(&s), "array");
-    // At the boundary: still an array.
-    assert_eq!(s.len(), ARRAY_MAX);
-    // One past the boundary: promotes.
-    assert!(s.insert(1));
-    assert_eq!(only_kind(&s), "bitmap");
-    s.check_invariants().unwrap();
-    // Removing back to ARRAY_MAX does NOT demote (hysteresis band).
-    assert!(s.remove(1));
-    assert_eq!(only_kind(&s), "bitmap");
-    s.check_invariants().unwrap();
-    // Flapping across the promote boundary never changes form again.
-    for _ in 0..10 {
-        assert!(s.insert(1));
-        assert!(s.remove(1));
+fn array_max_is_the_array_bitmap_edge() {
+    // Stride 3 defeats run compression, so the key count alone decides.
+    let at = set_of((0..ARRAY_MAX as u32).map(|i| i * 3));
+    assert_eq!(at.len(), ARRAY_MAX);
+    assert_eq!(only_kind(&at), "array");
+    at.check_invariants().unwrap();
+    let past = set_of((0..=ARRAY_MAX as u32).map(|i| i * 3));
+    assert_eq!(past.len(), ARRAY_MAX + 1);
+    assert_eq!(only_kind(&past), "bitmap");
+    past.check_invariants().unwrap();
+    assert_eq!(num_of(&past), NumKeySet::from_iter((0..=ARRAY_MAX as u32).map(|i| i * 3)));
+    // A contiguous slab of as many keys is one run on either side.
+    for n in [ARRAY_MAX, ARRAY_MAX + 1] {
+        let slab = set_of(0..n as u32);
+        assert_eq!(only_kind(&slab), "runs", "{n}-key slab");
+        assert_eq!(slab.len(), n);
+        slab.check_invariants().unwrap();
     }
-    assert_eq!(only_kind(&s), "bitmap");
 }
 
 #[test]
-fn hysteresis_demotes_below_bitmap_min() {
-    let mut s = BitSet::from_iter((0..(ARRAY_MAX as u32 + 1)).map(|i| i * 3));
-    assert_eq!(only_kind(&s), "bitmap");
-    // Shrink to exactly BITMAP_MIN: still a bitmap.
-    let keys: Vec<u32> = s.iter().collect();
-    for &k in &keys[BITMAP_MIN..] {
-        assert!(s.remove(k));
+fn runs_cost_less_than_half_the_dense_form() {
+    // `n_runs` runs of five keys, three keys apart, in chunk 0.
+    let runs_of_five =
+        |n_runs: u32| set_of((0..n_runs).flat_map(|r| (0..5).map(move |k| r * 8 + k)));
+    // Arrays: 100 runs cost 400 bytes, the array form 2 bytes a key.
+    let four = set_of((0..100u32).flat_map(|r| (0..4).map(move |k| r * 8 + k)));
+    assert_eq!((four.len(), only_kind(&four)), (400, "array"), "exactly half stays an array");
+    assert_eq!(only_kind(&runs_of_five(100)), "runs");
+    // Bitmaps: 1024 runs cost 4 KiB, exactly half the 8 KiB bitmap.
+    assert_eq!(only_kind(&runs_of_five(1024)), "bitmap");
+    let runs = runs_of_five(1023);
+    assert_eq!((runs.len(), only_kind(&runs)), (5115, "runs"));
+    for s in [four, runs_of_five(100), runs_of_five(1024), runs] {
+        s.check_invariants().unwrap();
     }
-    assert_eq!(s.len(), BITMAP_MIN);
-    assert_eq!(only_kind(&s), "bitmap");
-    s.check_invariants().unwrap();
-    // One below: demotes to an array with identical contents.
-    assert!(s.remove(keys[0]));
-    assert_eq!(only_kind(&s), "array");
-    assert_eq!(s.len(), BITMAP_MIN - 1);
-    s.check_invariants().unwrap();
-    assert_eq!(
-        s.to_num_key_set().as_slice(),
-        &keys[1..BITMAP_MIN],
-        "demotion must preserve contents"
-    );
 }
 
 #[test]
-fn mutation_matches_rebuild_across_forms() {
-    // Drive one set through array → bitmap → runs-optimized → array
-    // territory and compare against from_iter rebuilds at every stage.
-    let mut s = BitSet::new();
-    let mut model: Vec<u32> = Vec::new();
-    // Grow a slab (run territory) plus scatter.
-    for k in 0..5000u32 {
-        s.insert(k);
-        model.push(k);
-    }
-    for k in (100_000..101_000u32).step_by(7) {
-        s.insert(k);
-        model.push(k);
-    }
-    s.optimize();
-    s.check_invariants().unwrap();
-    assert_eq!(s.to_num_key_set(), NumKeySet::from_iter(model.iter().copied()));
-    // Punch holes in the slab (runs must split) and re-verify.
-    for k in (0..5000u32).step_by(3) {
-        assert!(s.remove(k));
-        model.retain(|&x| x != k);
-    }
-    s.check_invariants().unwrap();
-    assert_eq!(s.to_num_key_set(), NumKeySet::from_iter(model.iter().copied()));
-    // Inserting into run gaps merges runs back.
-    for k in (0..5000u32).step_by(3) {
-        assert!(s.insert(k));
-        assert!(!s.insert(k));
-        model.push(k);
-    }
-    s.optimize();
-    s.check_invariants().unwrap();
-    assert_eq!(s.to_num_key_set(), NumKeySet::from_iter(model.iter().copied()));
+fn check_invariants_holds_each_container_to_its_form() {
+    let stride3 = |n: usize| -> Vec<u16> { (0..n).map(|i| (i * 3) as u16).collect() };
+    let bitmap_of = |keys: &[u16]| {
+        let mut words = Box::new([0u64; CHUNK_WORDS]);
+        for &k in keys {
+            words[usize::from(k >> 6)] |= 1u64 << (k & 63);
+        }
+        Container::Bitmap { words, card: keys.len() }
+    };
+    // A bitmap of at most ARRAY_MAX keys belongs in an array, and an
+    // array of more in a bitmap.
+    assert!(bitmap_of(&stride3(ARRAY_MAX)).check_invariants().is_err());
+    bitmap_of(&stride3(ARRAY_MAX + 1)).check_invariants().unwrap();
+    assert!(Container::Array(stride3(ARRAY_MAX + 1)).check_invariants().is_err());
+    Container::Array(stride3(ARRAY_MAX)).check_invariants().unwrap();
+    // Runs costing at least half the dense form belong in an array.
+    assert!(Container::Runs(vec![(0, 0), (2, 2)]).check_invariants().is_err());
+    Container::Runs(vec![(0, 9), (20, 29)]).check_invariants().unwrap();
 }
 
 // --- cross-form operation grid --------------------------------------------
@@ -207,58 +187,40 @@ fn mutation_matches_rebuild_across_forms() {
 /// One single-chunk set per physical form, with varied contents.
 fn form_zoo() -> Vec<(&'static str, BitSet)> {
     vec![
-        ("empty", BitSet::new()),
-        ("singleton", set_of(&[777])),
-        ("array", BitSet::from_iter((0..1000u32).map(|i| i * 61))),
-        ("bitmap", BitSet::from_iter((0..9000u32).map(|i| i * 7))),
-        ("runs", BitSet::from_iter(2000..30_000u32)),
-        ("full-chunk", BitSet::from_iter(0..65_536u32)),
-        ("multi-chunk", BitSet::from_iter((0..40_000u32).map(|i| i * 11))),
+        ("empty", BitSet::default()),
+        ("singleton", set_of([777])),
+        ("array", set_of((0..1000u32).map(|i| i * 61))),
+        ("bitmap", set_of((0..9000u32).map(|i| i * 7))),
+        ("runs", set_of(2000..30_000u32)),
+        ("full-chunk", set_of(0..65_536u32)),
+        ("multi-chunk", set_of((0..40_000u32).map(|i| i * 11))),
     ]
 }
 
 #[test]
 fn operation_grid_matches_num_key_set() {
     let zoo = form_zoo();
+    // The three single-chunk forms all meet, so the grid runs all nine
+    // container-pair overlap kernels.
+    for (name, s) in &zoo[2..5] {
+        assert_eq!(only_kind(s), *name);
+    }
     for (na, a) in &zoo {
-        let oa = a.to_num_key_set();
+        let oa = num_of(a);
         for (nb, b) in &zoo {
-            let ob = b.to_num_key_set();
+            let ob = num_of(b);
             let ctx = format!("{na} vs {nb}");
             assert_eq!(a.overlap_count(b), oa.overlap_count(&ob), "overlap {ctx}");
-            assert_eq!(a.overlap_fraction(b), oa.overlap_fraction(&ob), "fraction {ctx}");
-            let isect = a.intersect(b);
-            isect.check_invariants().unwrap();
-            assert_eq!(isect.to_num_key_set(), oa.intersect(&ob), "intersect {ctx}");
-            let un = a.union(b);
-            un.check_invariants().unwrap();
-            let mut expect: Vec<u32> = oa.iter().chain(ob.iter()).collect();
-            expect.sort_unstable();
-            expect.dedup();
-            assert_eq!(un.to_num_key_set().as_slice(), &expect[..], "union {ctx}");
+            let (fa, fo) = (a.overlap_fraction(b), oa.overlap_fraction(&ob));
+            assert_eq!(fa.map(f64::to_bits), fo.map(f64::to_bits), "fraction {ctx}");
         }
-    }
-}
-
-#[test]
-fn rank_select_round_trip() {
-    for (name, s) in form_zoo() {
-        let keys: Vec<u32> = s.iter().collect();
-        for (i, &k) in keys.iter().enumerate() {
-            assert_eq!(s.rank(k), i, "rank of {k} in {name}");
-            assert_eq!(s.select(i), Some(k), "select {i} in {name}");
-        }
-        assert_eq!(s.select(keys.len()), None, "select past end in {name}");
-        // rank of a key past everything is the cardinality.
-        assert_eq!(s.rank(u32::MAX), keys.iter().filter(|&&k| k < u32::MAX).count());
-        assert_eq!(s.rank(0), 0);
     }
 }
 
 #[test]
 fn contains_and_membership_queries() {
     for (name, s) in form_zoo() {
-        let oracle = s.to_num_key_set();
+        let oracle = num_of(&s);
         // Probe members, near-misses, and chunk edges.
         let probes: Vec<u32> = oracle
             .iter()
@@ -315,7 +277,7 @@ fn month_matrix_sweep_equals_pairwise() {
 fn census_reports_forms_without_metrics() {
     // container_census is a pure query: usable with metrics off, and the
     // Kind names stay stable for the bench labels.
-    let s = BitSet::from_iter(0..70_000u32);
+    let s = set_of(0..70_000u32);
     let (arrays, bitmaps, runs) = s.container_census();
     assert_eq!(arrays + bitmaps + runs, 2, "two chunks");
     assert_eq!(kind_name(metrics::Kind::Array), "array");
@@ -338,40 +300,33 @@ fn container_boundary_keys() {
     assert_eq!(c.to_vec(), edges);
 
     // A runs container touching both chunk ends.
-    let mut r = Container::from_sorted(&[0]);
-    for k in 1..200u16 {
-        r.insert(k);
-    }
-    r.insert(65_535);
-    r.optimize();
+    let keys: Vec<u16> = (0..200u16).chain([65_535]).collect();
+    let r = Container::from_sorted(&keys);
+    assert_eq!(kind_name(r.kind()), "runs");
     r.check_invariants().unwrap();
     assert_eq!(r.card(), 201);
-    assert_eq!(r.rank(65_535), 200);
-    assert_eq!(r.select(200), Some(65_535));
-
-    // Removing the interior of a run splits it cleanly.
-    assert!(r.remove(100));
-    r.check_invariants().unwrap();
-    assert!(!r.contains(100));
-    assert!(r.contains(99) && r.contains(101));
+    assert_eq!(r.to_vec(), keys);
+    assert!(r.contains(0) && r.contains(199) && r.contains(65_535));
+    assert!(!r.contains(200) && !r.contains(65_534));
 }
 
 #[test]
-fn select_walks_bitmap_words() {
-    // Bitmap select must skip whole words by popcount, including words
-    // that are all-zero or all-ones.
-    let keys: Vec<u16> = (0..ARRAY_MAX as u32 + 64)
-        .map(|i| (i * 3 % 60_000) as u16)
+fn bitmap_read_out_walks_words() {
+    // The key walk crosses empty, partial and full words: stride-3 keys
+    // (too many runs for the runs form) plus two full words.
+    let keys: Vec<u16> = (0..ARRAY_MAX as u16)
+        .map(|i| i * 3)
+        .chain(25_600..25_728)
         .collect::<std::collections::BTreeSet<u16>>()
         .into_iter()
         .collect();
     let c = Container::from_sorted(&keys);
     assert_eq!(kind_name(c.kind()), "bitmap");
-    for (i, &k) in keys.iter().enumerate().step_by(97) {
-        assert_eq!(c.select(i), Some(k));
-        assert_eq!(c.rank(k), i);
-    }
-    assert_eq!(c.select(keys.len()), None);
+    c.check_invariants().unwrap();
+    assert_eq!(c.card(), keys.len());
+    assert_eq!(c.to_vec(), keys);
+    assert!(keys.iter().all(|&k| c.contains(k)));
+    assert!(!c.contains(1) && !c.contains(25_599) && !c.contains(25_728));
 }
 
 }

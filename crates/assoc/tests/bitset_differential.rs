@@ -1,13 +1,13 @@
 //! Differential properties: `BitSet ≡ NumKeySet ≡ string-key oracle`.
 //!
-//! Every public operation of the compressed bitmap substrate is compared
+//! Every public query of the compressed bitmap substrate is compared
 //! against the sorted-`Vec<u32>` [`NumKeySet`] and, through
 //! [`NumKeySet::to_key_set`], the string-keyed [`KeySet`] oracle — over
 //! random density regimes and the adversarial shapes that sit on the
-//! container representation boundaries (empty, singleton, dense runs,
-//! full chunks, the array→bitmap promotion edge). Fractions must match
-//! *bit for bit*, not approximately: the fast path divides the same two
-//! integers as the oracles.
+//! container form boundaries (empty, singleton, dense runs, full chunks,
+//! the array/bitmap edge at 4096 keys). Fractions must match *bit for
+//! bit*, not approximately: the fast path divides the same two integers
+//! as the oracles.
 //!
 //! Replay seeds live in `proptest-regressions/bitset_differential.txt`.
 
@@ -17,7 +17,7 @@ use rand::{rngs::StdRng, RngExt, SeedableRng};
 
 /// One random set in a density regime chosen by `shape`, as sorted
 /// unique keys. The regimes deliberately include every container form
-/// and both sides of the promotion threshold (`ARRAY_MAX` = 4096).
+/// and both sides of the array/bitmap edge (`ARRAY_MAX` = 4096).
 fn gen_keys(rng: &mut StdRng, shape: u32) -> Vec<u32> {
     let mut keys: Vec<u32> = match shape % 8 {
         // Empty and singleton sets.
@@ -34,7 +34,7 @@ fn gen_keys(rng: &mut StdRng, shape: u32) -> Vec<u32> {
             let base = rng.random_range(0u32..4) << 16;
             (base..base + 65_536).collect()
         }
-        // The promotion boundary: 4095..=4097 distinct keys in one chunk.
+        // The array/bitmap edge: 4095..=4097 distinct keys in one chunk.
         4 => {
             let target = 4095 + rng.random_range(0u32..3);
             let mut v: Vec<u32> = (0..target * 2).step_by(2).collect();
@@ -64,6 +64,11 @@ fn gen_keys(rng: &mut StdRng, shape: u32) -> Vec<u32> {
     keys
 }
 
+/// The set's keys as the sorted-vector reference.
+fn num_of(bits: &BitSet) -> NumKeySet {
+    NumKeySet::from_sorted_unique(bits.iter().collect())
+}
+
 /// All three representations of one key list.
 fn triplet(keys: &[u32]) -> (BitSet, NumKeySet, KeySet) {
     let num = NumKeySet::from_iter(keys.iter().copied());
@@ -73,8 +78,8 @@ fn triplet(keys: &[u32]) -> (BitSet, NumKeySet, KeySet) {
 }
 
 proptest! {
-    /// Overlap count, overlap fraction (bit-identical `f64`), intersect,
-    /// and union agree with both oracles across random density pairings.
+    /// Overlap count, overlap fraction (bit-identical `f64`) and
+    /// membership agree with both oracles across random density pairings.
     #[test]
     fn random_density_sets_agree_with_oracles(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -88,18 +93,14 @@ proptest! {
         prop_assert_eq!(ba.overlap_count(&bb), na.overlap_count(&nb));
         prop_assert_eq!(ba.overlap_count(&bb), sa.intersect(&sb).len());
         // Fractions bit-identical through both oracles.
-        prop_assert_eq!(ba.overlap_fraction(&bb), na.overlap_fraction(&nb));
-        prop_assert_eq!(ba.overlap_fraction(&bb), sa.overlap_fraction(&sb));
-        // Materialized set algebra.
-        let isect = ba.intersect(&bb);
-        isect.check_invariants().unwrap();
-        prop_assert_eq!(isect.to_num_key_set(), na.intersect(&nb));
-        prop_assert_eq!(isect.to_num_key_set().to_key_set(), sa.intersect(&sb));
-        let un = ba.union(&bb);
-        un.check_invariants().unwrap();
-        prop_assert_eq!(un.to_num_key_set().to_key_set(), sa.union(&sb));
-        // Inclusion-exclusion ties all four numbers together.
-        prop_assert_eq!(un.len() + isect.len(), ba.len() + bb.len());
+        let bits = ba.overlap_fraction(&bb).map(f64::to_bits);
+        prop_assert_eq!(bits, na.overlap_fraction(&nb).map(f64::to_bits));
+        prop_assert_eq!(bits, sa.overlap_fraction(&sb).map(f64::to_bits));
+        // Membership of the other set's keys and of random probes.
+        let probes: Vec<u32> = (0..50).map(|_| rng.random_range(0u32..1 << 28)).collect();
+        for key in nb.iter().step_by(97).chain(probes) {
+            prop_assert_eq!(ba.contains(key), na.contains(key));
+        }
     }
 
     /// Round trip through the sorted-vector and string domains is lossless.
@@ -108,71 +109,9 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let shape = rng.random_range(0u32..8);
         let (bits, num, strs) = triplet(&gen_keys(&mut rng, shape));
-        prop_assert_eq!(bits.to_num_key_set(), num.clone());
-        prop_assert_eq!(BitSet::from_num_key_set(&bits.to_num_key_set()).to_num_key_set(), num);
-        prop_assert_eq!(bits.to_num_key_set().to_key_set(), strs);
-        // from_iter over shuffled duplicates builds the same set.
-        let mut noisy: Vec<u32> = bits.iter().collect();
-        noisy.extend(bits.iter().take(10));
-        let rebuilt = BitSet::from_iter(noisy);
-        rebuilt.check_invariants().unwrap();
-        prop_assert_eq!(rebuilt.to_num_key_set(), bits.to_num_key_set());
-    }
-
-    /// Random insert/remove streams match a `BTreeSet` model, with
-    /// invariants (including promotion/demotion hysteresis bounds)
-    /// holding at every checkpoint.
-    #[test]
-    fn mutation_stream_matches_model(seed in any::<u64>()) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut bits = BitSet::new();
-        let mut model = std::collections::BTreeSet::new();
-        // Concentrate keys in two chunks so containers actually cross the
-        // promotion/demotion thresholds during the stream.
-        for step in 0..rng.random_range(500u32..6000) {
-            let key = (rng.random_range(0u32..2) << 16) + rng.random_range(0u32..9000);
-            if rng.random_range(0u32..3) == 0 {
-                prop_assert_eq!(bits.remove(key), model.remove(&key));
-            } else {
-                prop_assert_eq!(bits.insert(key), model.insert(key));
-            }
-            if step % 512 == 0 {
-                bits.check_invariants().unwrap();
-            }
-        }
-        bits.check_invariants().unwrap();
-        prop_assert_eq!(bits.len(), model.len());
-        let keys: Vec<u32> = bits.iter().collect();
-        let expect: Vec<u32> = model.iter().copied().collect();
-        prop_assert_eq!(keys, expect);
-        // contains agrees on hits and misses.
-        for _ in 0..100 {
-            let probe = (rng.random_range(0u32..2) << 16) + rng.random_range(0u32..9000);
-            prop_assert_eq!(bits.contains(probe), model.contains(&probe));
-        }
-        // optimize() may change physical form but never contents.
-        bits.optimize();
-        bits.check_invariants().unwrap();
-        prop_assert_eq!(bits.len(), model.len());
-    }
-
-    /// `rank`/`select` agree with positional indexing of the sorted vector.
-    #[test]
-    fn rank_select_match_sorted_vector(seed in any::<u64>()) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let shape = rng.random_range(0u32..8);
-        let keys = gen_keys(&mut rng, shape);
-        let (bits, _, _) = triplet(&keys);
-        // Every 37th member plus random probes (members or not).
-        for (i, &k) in keys.iter().enumerate().step_by(37) {
-            prop_assert_eq!(bits.rank(k), i);
-            prop_assert_eq!(bits.select(i), Some(k));
-        }
-        prop_assert_eq!(bits.select(keys.len()), None);
-        for _ in 0..50 {
-            let probe = rng.random_range(0u32..1 << 28);
-            prop_assert_eq!(bits.rank(probe), keys.partition_point(|&k| k < probe));
-        }
+        prop_assert_eq!(num_of(&bits), num.clone());
+        prop_assert_eq!(num_of(&BitSet::from_num_key_set(&num_of(&bits))), num);
+        prop_assert_eq!(num_of(&bits).to_key_set(), strs);
     }
 
     /// The month-matrix one-sweep overlap equals the pairwise overlaps
@@ -193,8 +132,8 @@ proptest! {
     }
 }
 
-/// Invariants, per-month cardinality and round trip, and the one-sweep
-/// overlap counts against pairwise `NumKeySet` overlaps on random probes.
+/// Invariants, each month's row, and the one-sweep overlap counts against
+/// pairwise `NumKeySet` overlaps on random probes.
 fn check_month_matrix(
     mm: &MonthMatrix,
     months: &[NumKeySet],
@@ -203,10 +142,10 @@ fn check_month_matrix(
     mm.check_invariants().unwrap();
     prop_assert_eq!(mm.n_months(), months.len());
     for (m, month) in months.iter().enumerate() {
+        // A month probed against the matrix finds all of itself in its row.
+        let counts = mm.overlap_counts(&BitSet::from_num_key_set(month));
+        prop_assert_eq!(counts[m], mm.month_len(m));
         prop_assert_eq!(mm.month_len(m), month.len());
-        let back = mm.month_set(m);
-        back.check_invariants().unwrap();
-        prop_assert_eq!(back.to_num_key_set(), month.clone());
     }
     for _ in 0..3 {
         let shape = rng.random_range(0u32..8);

@@ -588,6 +588,33 @@ mod tests {
         assert!(decays >= a.curves.len() / 3, "too few decaying curves: {decays}");
     }
 
+    /// Fig 4 is the coeval column of Figs 5–6: every peak point is its
+    /// window's curve for the same bin, read at the window's own month.
+    /// The peak counts through `BitSet::overlap_count`, the curve through
+    /// `MonthMatrix::overlap_counts`, so this ties the two kernels.
+    fn assert_peaks_are_the_coeval_column(a: &PaperAnalysis) {
+        assert_eq!(a.peaks.len(), 5);
+        for peak in &a.peaks {
+            let curves: Vec<&TemporalCurve> =
+                a.curves.iter().filter(|c| c.window_label == peak.window_label).collect();
+            assert!(!peak.points.is_empty(), "window {}", peak.window_label);
+            assert_eq!(peak.points.len(), curves.len(), "window {}", peak.window_label);
+            for (p, c) in peak.points.iter().zip(&curves) {
+                let at = format!("window {} bin {}", peak.window_label, p.bin);
+                assert_eq!((p.bin, p.d, p.n_sources), (c.bin, c.d, c.n_sources), "{at}");
+                assert_eq!(p.fraction.to_bits(), c.fractions[peak.month].to_bits(), "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn peaks_are_the_coeval_column_of_the_curves() {
+        let (_, a) = analysis();
+        assert_peaks_are_the_coeval_column(a);
+        let s = Scenario::paper_scaled(1 << 15, 7);
+        assert_peaks_are_the_coeval_column(&run(&s, &AnalysisConfig::fast()));
+    }
+
     #[test]
     fn run_is_deterministic() {
         let (s, a) = analysis();

@@ -8,7 +8,6 @@ use obscor_netmodel::{PacketStream, Scenario};
 use obscor_pcap::{Packet, PacketFilter, Window};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 /// Seconds per model month (30-day months, matching the model clock).
 const SECS_PER_MONTH: f64 = 30.0 * 24.0 * 3600.0;
@@ -22,6 +21,8 @@ pub struct TelescopeWindow {
     pub coord: f64,
     /// The captured constant-packet window.
     pub window: Window,
+    /// Unique sources among the window's packets, counted by the capture.
+    sources: u64,
 }
 
 impl TelescopeWindow {
@@ -35,9 +36,9 @@ impl TelescopeWindow {
         self.window.duration_secs()
     }
 
-    /// Number of unique sources in the window.
+    /// Number of unique sources in the window, as the capture counted them.
     pub fn unique_sources(&self) -> usize {
-        WindowTally::of(&self.window.packets).sources() as usize
+        self.sources as usize
     }
 }
 
@@ -67,9 +68,13 @@ pub fn capture_window_at(
     spec: &CaidaWindowSpec,
     octet: u8,
 ) -> TelescopeWindow {
-    let (w, tally) = capture_window_quiet(scenario, spec, octet);
-    record_capture_totals(std::slice::from_ref(&tally));
-    w
+    let mut capture = WindowCapture::new(scenario, spec, octet, scenario.n_v);
+    capture.fill();
+    let packets = std::mem::take(&mut capture.batch);
+    let tally = capture.finish();
+    let window = Window { index: 0, packets, discarded: tally.discarded() };
+    let (label, coord) = (spec.label.clone(), spec.coord);
+    TelescopeWindow { label, coord, window, sources: tally.sources() }
 }
 
 /// The seeded endless packet stream and darkspace validity filter behind
@@ -138,7 +143,10 @@ impl<'a> WindowCapture<'a> {
     /// End the capture: the window's tally, with its packets added to the
     /// `telescope.capture.*` counters.
     pub fn finish(self) -> WindowTally {
-        record_capture_totals(std::slice::from_ref(&self.tally));
+        obscor_obs::counter("telescope.capture.windows_total").inc();
+        obscor_obs::counter("telescope.capture.valid_packets_total").add(self.tally.packets());
+        obscor_obs::counter("telescope.capture.discarded_packets_total")
+            .add(self.tally.discarded());
         self.tally
     }
 
@@ -170,45 +178,9 @@ impl<'a> WindowCapture<'a> {
     }
 }
 
-/// The capture itself, with no counter recording: the whole window as one
-/// batch of [`WindowCapture`], returned with its tally.
-///
-/// This is the body the parallel driver runs on rayon workers: the
-/// registry's metric name lookup takes a lock, so counter updates stay
-/// out of the closure (blocking-in-par) and are recorded by the caller
-/// via [`record_capture_totals`]. The one `telescope.capture_window` span
-/// per window records once, when its batch is full.
-fn capture_window_quiet(
-    scenario: &Scenario,
-    spec: &CaidaWindowSpec,
-    octet: u8,
-) -> (TelescopeWindow, WindowTally) {
-    let mut capture = WindowCapture::new(scenario, spec, octet, scenario.n_v);
-    capture.fill();
-    let packets = std::mem::take(&mut capture.batch);
-    let window = Window { index: 0, packets, discarded: capture.tally.discarded() };
-    (TelescopeWindow { label: spec.label.clone(), coord: spec.coord, window }, capture.tally)
-}
-
-/// Record the window/valid/discarded packet counters for captured windows.
-fn record_capture_totals(tallies: &[WindowTally]) {
-    let valid: u64 = tallies.iter().map(WindowTally::packets).sum();
-    let discarded: u64 = tallies.iter().map(WindowTally::discarded).sum();
-    obscor_obs::counter("telescope.capture.windows_total").add(tallies.len() as u64);
-    obscor_obs::counter("telescope.capture.valid_packets_total").add(valid);
-    obscor_obs::counter("telescope.capture.discarded_packets_total").add(discarded);
-}
-
-/// Capture every scenario window, in parallel.
+/// Capture every scenario window, in window order.
 pub fn capture_all_windows(scenario: &Scenario) -> Vec<TelescopeWindow> {
-    let octet = scenario.population.config.darkspace_octet;
-    let (windows, tallies): (Vec<TelescopeWindow>, Vec<WindowTally>) = scenario
-        .caida_windows
-        .par_iter()
-        .map(|spec| capture_window_quiet(scenario, spec, octet))
-        .unzip();
-    record_capture_totals(&tallies);
-    windows
+    scenario.caida_windows.iter().map(|spec| capture_window(scenario, spec)).collect()
 }
 
 #[cfg(test)]
@@ -277,7 +249,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_capture_matches_serial() {
+    fn capture_all_windows_matches_single_captures() {
         let s = scenario();
         let all = capture_all_windows(&s);
         assert_eq!(all.len(), 5);

@@ -102,9 +102,18 @@ impl WindowTally {
     }
 }
 
-/// Build the inventory from captured windows.
+/// Build the inventory from captured windows, reading the source count
+/// each capture took.
 pub fn inventory(windows: &[TelescopeWindow]) -> Vec<InventoryRow> {
-    windows.iter().map(|w| WindowTally::of(&w.window.packets).row(&w.label)).collect()
+    windows
+        .iter()
+        .map(|w| InventoryRow {
+            start_time: w.label.clone(),
+            duration_secs: w.duration_secs(),
+            packets: w.packets() as u64,
+            sources: w.unique_sources() as u64,
+        })
+        .collect()
 }
 
 /// Render rows in the shape of Table I's CAIDA columns.

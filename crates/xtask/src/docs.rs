@@ -186,8 +186,8 @@ pub const RULE_DOCS: &[RuleDoc] = &[
                lane splits (`>> 6` with `& 63`/`& 0x3f` on one line) and masked \
                popcounts (`count_ones` beside a binary `&`) anywhere outside \
                `assoc/src/bitset/` — a hand-rolled copy drifts from the \
-               containers' promotion/demotion semantics and overlap counts. Fix: \
-               build a `BitSet` (or `Container`) and use its set operations. \
+               containers' form choice and overlap counts. Fix: build a \
+               `BitSet` and use its overlap counts and membership tests. \
                Suppress with `// audit:allow(word-bit-manip) — reason`.",
     },
 ];

@@ -511,7 +511,7 @@ fn int_literal_value(text: &str) -> Option<u64> {
 /// outside `assoc/src/bitset/`. The compressed bitmap substrate owns the
 /// word-parallel membership layout (word = key >> 6, bit = key & 63,
 /// masked popcounts); a hand-rolled copy elsewhere forks that layout and
-/// silently drifts from the containers' promotion/demotion semantics. A
+/// silently drifts from the containers' form choice and counts. A
 /// line trips when it either splits a key into the u64 lane pair — a
 /// `>> 6` / `<< 6` shift together with a `& 63` (or `& 0x3f`) mask — or
 /// popcounts a masked word (`count_ones` on the same line as a binary

@@ -12,7 +12,7 @@
 //!    `telescope.ingest.*`, `ingest.backpressure.*`) appear exactly,
 //!    because their paths (a store-owning fold, the ingest service) ran;
 //!    and
-//! 2. once `obscor_obs::set_level(Level::Detail)` is called, the 16
+//! 2. once `obscor_obs::set_level(Level::Detail)` is called, the 14
 //!    detail names appear too — the exact documented set, and nothing
 //!    else.
 
@@ -27,7 +27,7 @@ use std::sync::Arc;
 /// Every name outside the default schema, sorted — the schema-pin
 /// strategy applied to the detail and path families (a new name must be
 /// added here and to DESIGN.md §12 deliberately).
-const OPTIN_NAMES: [&str; 31] = [
+const OPTIN_NAMES: [&str; 29] = [
     "anonymize.cache.batch_dup_hits_total",
     "anonymize.cache.prefix_hits_total",
     "anonymize.cache.suffix_aes_total",
@@ -35,8 +35,6 @@ const OPTIN_NAMES: [&str; 31] = [
     "assoc.bitset.containers_array_total",
     "assoc.bitset.containers_bitmap_total",
     "assoc.bitset.containers_runs_total",
-    "assoc.bitset.demotions_total",
-    "assoc.bitset.promotions_total",
     "assoc.bitset.words_scanned_total",
     "hypersparse.radix.compactions_total",
     "hypersparse.radix.digit_passes_total",
@@ -111,25 +109,20 @@ fn exercise_fast_paths() {
 }
 
 /// Drive the compressed-bitmap substrate through every `assoc.bitset.*`
-/// site with a deterministic footprint: even keys defeat run compression,
-/// so the builds land exactly where the hysteresis edges put them.
+/// site with a deterministic footprint: one set of each container form
+/// and one overlap. Even keys defeat run compression, so 4096 of them
+/// make an array and 8192 a bitmap; a contiguous slab makes one run.
 fn exercise_bitset() {
-    // Array at the 4096-key ceiling; one more key promotes to a bitmap.
-    let mut s = BitSet::from_iter((0..4096u32).map(|k| 2 * k));
-    assert!(s.insert(1), "odd key must be new");
-    // Shrink below the 3840 demote floor: exactly one demotion fires.
-    for k in 0..258u32 {
-        assert!(s.remove(2 * k));
-    }
-    assert_eq!(s.len(), 3839);
-    // A contiguous range optimizes array → runs (1 run = 4 bytes).
-    let mut r = BitSet::from_iter(0..1024u32);
-    r.optimize();
-    // Two dense even-key chunks stay bitmaps; their overlap is one
-    // word-parallel pass over both 1024-word chunks.
-    let a = BitSet::from_iter((0..8192u32).map(|k| 2 * k));
-    let b = BitSet::from_iter((0..8192u32).map(|k| 2 * k + 2));
-    assert_eq!(a.overlap_count(&b), 8191);
+    let keys = |range: std::ops::Range<u32>, step: u32| -> Vec<u32> {
+        range.map(|k| step * k).collect()
+    };
+    let array = BitSet::from_sorted_unique(&keys(0..4096, 2));
+    let bitmap = BitSet::from_sorted_unique(&keys(1..8193, 2));
+    let runs = BitSet::from_sorted_unique(&keys(0..1024, 1));
+    let census = [array.container_census(), bitmap.container_census(), runs.container_census()];
+    assert_eq!(census, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]);
+    // The one run covers the bitmap's first 16 words.
+    assert_eq!(bitmap.overlap_count(&runs), 511);
 }
 
 /// Drive the out-of-core fold through every `hypersparse.spill.*` site
@@ -216,28 +209,24 @@ fn fast_path_metrics_are_opt_in_with_a_pinned_name_set() {
     assert!(run.counters["telescope.ingest.merges_total"] >= 1);
     assert!(run.counters["ingest.backpressure.blocked"] >= 1);
 
-    // Phase 2: `Level::Detail` — the 16 detail names join, and the whole
+    // Phase 2: `Level::Detail` — the 14 detail names join, and the whole
     // set is exactly the pin.
     obscor_obs::set_level(Level::Detail);
     let (got, detail) = exercise_all();
     assert_eq!(got, OPTIN_NAMES, "detail- and path-family names drifted");
-    assert_eq!(got.iter().filter(|n| is_detail(n)).count(), 16);
+    assert_eq!(got.iter().filter(|n| is_detail(n)).count(), 14);
 
     // The counters carry real work, and the span algebra holds.
     assert!(detail.counters["hypersparse.radix.keys_total"] >= 40_000);
     assert!(detail.counters["anonymize.cache.table_builds_total"] >= 1);
     assert!(detail.counters["anonymize.cache.prefix_hits_total"] >= 1);
     assert!(detail.counters["anonymize.cache.batch_dup_hits_total"] >= 1);
-    // The bitset drive lands exactly where the hysteresis edges put it:
-    // three array builds (ceiling set, demotion target, runs precursor),
-    // three bitmap builds (one promotion, two dense even-key sets), one
-    // runs conversion, and one word-parallel overlap over both chunks.
-    assert_eq!(detail.counters["assoc.bitset.containers_array_total"], 3);
-    assert_eq!(detail.counters["assoc.bitset.containers_bitmap_total"], 3);
+    // The bitset drive: each container counts once, by its form, and the
+    // overlap scans 16 bitmap words.
+    assert_eq!(detail.counters["assoc.bitset.containers_array_total"], 1);
+    assert_eq!(detail.counters["assoc.bitset.containers_bitmap_total"], 1);
     assert_eq!(detail.counters["assoc.bitset.containers_runs_total"], 1);
-    assert_eq!(detail.counters["assoc.bitset.promotions_total"], 1);
-    assert_eq!(detail.counters["assoc.bitset.demotions_total"], 1);
-    assert_eq!(detail.counters["assoc.bitset.words_scanned_total"], 2048);
+    assert_eq!(detail.counters["assoc.bitset.words_scanned_total"], 16);
     assert_eq!(
         detail.histograms["span.hypersparse.radix.digit_passes.ns"].count,
         detail.counters["span.hypersparse.radix.digit_passes.calls_total"]
