@@ -117,20 +117,6 @@ impl Container {
         }
     }
 
-    /// Membership test.
-    pub(crate) fn contains(&self, k: u16) -> bool {
-        match self {
-            Container::Array(v) => v.binary_search(&k).is_ok(),
-            Container::Bitmap { words, .. } => {
-                words[usize::from(k >> 6)] & (1u64 << (k & 63)) != 0
-            }
-            Container::Runs(r) => {
-                let i = r.partition_point(|&(s, _)| s <= k);
-                i > 0 && r[i - 1].1 >= k
-            }
-        }
-    }
-
     /// All keys as a sorted vector.
     pub(crate) fn to_vec(&self) -> Vec<u16> {
         match self {

@@ -39,28 +39,34 @@ pub struct MonthMatrix {
 }
 
 impl MonthMatrix {
-    /// Build from already-compressed monthly sets, preserving order.
+    /// Build from the monthly sets, preserving order, by moving their
+    /// containers into the matrix.
     ///
     /// One gather of every `(hi, month, container)` cell, one stable sort
     /// by `hi`, and one grouping pass: `O(cells · log cells)` however the
     /// months' chunks interleave. Cells are gathered month by month, so
     /// the stable sort leaves each chunk's months in ascending order.
-    pub fn from_bit_sets(months: &[BitSet]) -> Self {
+    pub fn from_months(months: Vec<BitSet>) -> Self {
         let month_lens = months.iter().map(BitSet::len).collect();
-        let mut cells: Vec<(u16, usize, &Container)> = months
-            .iter()
+        let mut cells: Vec<(u16, usize, Container)> = months
+            .into_iter()
             .enumerate()
-            .flat_map(|(m, set)| set.chunks().iter().map(move |(hi, c)| (*hi, m, c)))
+            .flat_map(|(m, set)| set.chunks.into_iter().map(move |(hi, c)| (hi, m, c)))
             .collect();
         cells.sort_by_key(|&(hi, _, _)| hi);
         let mut chunks: Vec<ChunkEntry> = Vec::new();
         for (hi, m, c) in cells {
             match chunks.last_mut() {
-                Some(entry) if entry.hi == hi => entry.months.push((m, c.clone())),
-                _ => chunks.push(ChunkEntry { hi, months: vec![(m, c.clone())] }),
+                Some(entry) if entry.hi == hi => entry.months.push((m, c)),
+                _ => chunks.push(ChunkEntry { hi, months: vec![(m, c)] }),
             }
         }
         Self { chunks, month_lens }
+    }
+
+    /// [`MonthMatrix::from_months`] over clones of borrowed sets.
+    pub fn from_bit_sets(months: &[BitSet]) -> Self {
+        Self::from_months(months.to_vec())
     }
 
     /// Number of months (rows).
@@ -81,7 +87,7 @@ impl MonthMatrix {
     /// `NumKeySet` intersections would produce.
     pub fn overlap_counts(&self, probe: &BitSet) -> Vec<usize> {
         let mut counts = vec![0usize; self.month_lens.len()];
-        let probe_chunks = probe.chunks();
+        let probe_chunks = &probe.chunks;
         let (mut i, mut j) = (0, 0);
         while i < probe_chunks.len() && j < self.chunks.len() {
             match probe_chunks[i].0.cmp(&self.chunks[j].hi) {

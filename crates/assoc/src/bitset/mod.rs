@@ -9,8 +9,8 @@
 //! `u64` words; on sparse chunks it stays the merge/gallop of a sorted
 //! vector (`NumKeySet`), so the hybrid never loses to either pure form.
 //! It is the one set type of the correlation path, built once from
-//! sorted unique keys and then only counted and probed: the pipeline's
-//! honeyfarm months and telescope degree bins both enter through
+//! sorted unique keys and then only counted: the pipeline's honeyfarm
+//! months and telescope degree bins both enter through
 //! [`BitSet::from_sorted_unique`], and the `KeySet` adapters through
 //! [`BitSet::from_ip_keys`].
 //!
@@ -86,7 +86,7 @@ fn join(hi: u16, lo: u16) -> u32 {
 }
 
 /// A roaring-style compressed set of `u32` keys, built once and then only
-/// counted and probed.
+/// counted.
 ///
 /// Semantically identical to [`NumKeySet`] — same keys, same counts, same
 /// overlap fractions bit-for-bit — but with density-adaptive physical
@@ -135,15 +135,6 @@ impl BitSet {
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
         self.chunks.is_empty()
-    }
-
-    /// Membership test.
-    pub fn contains(&self, key: u32) -> bool {
-        let (hi, lo) = split(key);
-        match self.chunks.binary_search_by_key(&hi, |&(h, _)| h) {
-            Ok(i) => self.chunks[i].1.contains(lo),
-            Err(_) => false,
-        }
     }
 
     /// Iterate over keys in ascending order.
@@ -215,11 +206,6 @@ impl BitSet {
             c.check_invariants().map_err(|e| format!("chunk {hi}: {e}"))?;
         }
         Ok(())
-    }
-
-    /// Chunk view for [`MonthMatrix`] construction and probes.
-    pub(crate) fn chunks(&self) -> &[(u16, Container)] {
-        &self.chunks
     }
 }
 

@@ -78,8 +78,8 @@ fn triplet(keys: &[u32]) -> (BitSet, NumKeySet, KeySet) {
 }
 
 proptest! {
-    /// Overlap count, overlap fraction (bit-identical `f64`) and
-    /// membership agree with both oracles across random density pairings.
+    /// Overlap count and overlap fraction (bit-identical `f64`) agree
+    /// with both oracles across random density pairings.
     #[test]
     fn random_density_sets_agree_with_oracles(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -96,11 +96,6 @@ proptest! {
         let bits = ba.overlap_fraction(&bb).map(f64::to_bits);
         prop_assert_eq!(bits, na.overlap_fraction(&nb).map(f64::to_bits));
         prop_assert_eq!(bits, sa.overlap_fraction(&sb).map(f64::to_bits));
-        // Membership of the other set's keys and of random probes.
-        let probes: Vec<u32> = (0..50).map(|_| rng.random_range(0u32..1 << 28)).collect();
-        for key in nb.iter().step_by(97).chain(probes) {
-            prop_assert_eq!(ba.contains(key), na.contains(key));
-        }
     }
 
     /// Round trip through the sorted-vector and string domains is lossless.
@@ -115,7 +110,8 @@ proptest! {
     }
 
     /// The month-matrix one-sweep overlap equals the pairwise overlaps
-    /// for every month, across random month populations and probes.
+    /// for every month, across random month populations and probes, and
+    /// the by-value constructor builds the borrowing one's matrix.
     #[test]
     fn month_matrix_sweep_matches_pairwise(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -128,7 +124,10 @@ proptest! {
             .collect();
         let sets: Vec<BitSet> = months.iter().map(BitSet::from_num_key_set).collect();
         let mm = MonthMatrix::from_bit_sets(&sets);
-        check_month_matrix(&mm, &months, &mut rng)?;
+        check_month_matrix(&mm, &months, &mut rng.clone())?;
+        let moved = MonthMatrix::from_months(sets);
+        prop_assert_eq!(moved.container_census(), mm.container_census());
+        check_month_matrix(&moved, &months, &mut rng)?;
     }
 }
 
@@ -183,8 +182,13 @@ fn month_matrix_interleaved_fifteen_months() {
     // Sparse scatter: one array container per (month, occupied chunk).
     assert_eq!((bitmaps, runs), (0, 0));
     assert!(arrays > 15 * 3000 / 2, "chunks should barely repeat within a month: {arrays}");
-    check_month_matrix(&mm, &months, &mut rng).unwrap();
+    check_month_matrix(&mm, &months, &mut rng.clone()).unwrap();
     // Probing with a month itself counts its full size in its own row.
     let probe = BitSet::from_num_key_set(&months[7]);
     assert_eq!(mm.overlap_counts(&probe)[7], months[7].len());
+    // The by-value constructor builds the same matrix.
+    let moved = MonthMatrix::from_months(sets);
+    assert_eq!(moved.container_census(), (arrays, bitmaps, runs));
+    check_month_matrix(&moved, &months, &mut rng).unwrap();
+    assert_eq!(moved.overlap_counts(&probe), mm.overlap_counts(&probe));
 }

@@ -210,7 +210,6 @@ fn metrics_flag_writes_schema_valid_json_with_all_stage_spans() {
         "stage.honeyfarm",
         "stage.quadrants",
         "stage.distributions",
-        "stage.peaks",
         "stage.curves",
         "stage.fits",
         "stage.classes",
@@ -224,7 +223,6 @@ fn metrics_flag_writes_schema_valid_json_with_all_stage_spans() {
         "core.degrees",
         "core.binning",
         "core.zm_fit",
-        "core.peak_correlation",
         "core.temporal_curves",
         "core.fit_curves",
     ] {

@@ -70,17 +70,19 @@ pub fn class_correlation(
 /// Count `(address, class label)` rows into the per-class table. A row
 /// with no address counts only in its class's size; one with no class,
 /// or a label outside the table, counts only in the detected total.
+/// Telescope membership is a binary search of the window's ip-sorted
+/// degrees.
 fn split<'a>(
     window: &WindowDegrees,
     month: usize,
     rows: impl Iterator<Item = (Option<u32>, Option<&'a str>)>,
 ) -> ClassCorrelation {
-    let telescope = window.bit_set();
+    let is_source = |ip: u32| window.degrees.binary_search_by_key(&ip, |&(s, _)| s).is_ok();
     let n = labels().count();
     let (mut shared, mut class_size) = (vec![0usize; n], vec![0usize; n]);
     let mut detected = 0usize;
     for (ip, label) in rows {
-        let seen = ip.is_some_and(|ip| telescope.contains(ip));
+        let seen = ip.is_some_and(is_source);
         detected += usize::from(seen);
         if let Some(c) = label.and_then(|label| labels().position(|l| l == label)) {
             class_size[c] += 1;

@@ -92,12 +92,6 @@ impl WindowDegrees {
             .map(|(bin, ips)| (bin, BitSet::from_sorted_unique(&ips)))
             .collect()
     }
-
-    /// The full source set of the window as a compressed bit set.
-    pub fn bit_set(&self) -> BitSet {
-        let ips: Vec<u32> = self.degrees.iter().map(|&(ip, _)| ip).collect();
-        BitSet::from_sorted_unique(&ips)
-    }
 }
 
 /// Capture, build and reduce scenario window `index` (the in-crate tests'
@@ -172,13 +166,12 @@ mod tests {
         let bins = wd.bin_bit_sets(1);
         let total: usize = bins.values().map(BitSet::len).sum();
         assert_eq!(total, wd.n_sources());
-        // Each source sits in its own degree's bin, so with the total
-        // equal no bin holds anything else.
-        for &(ip, d) in &wd.degrees {
-            assert!(bins[&log2_bin(d)].contains(ip), "source {ip:#x} missing from its bin");
-        }
-        for keys in bins.values() {
+        // Each bin reads out exactly the sources of its degree bin.
+        for (&bin, keys) in &bins {
             keys.check_invariants().unwrap();
+            let in_bin = wd.degrees.iter().filter(|&&(_, d)| log2_bin(d) == bin);
+            let want: Vec<u32> = in_bin.map(|&(ip, _)| ip).collect();
+            assert_eq!(keys.iter().collect::<Vec<_>>(), want, "bin {bin}");
         }
     }
 
@@ -190,14 +183,5 @@ mod tests {
         assert!(filtered.len() <= all.len());
         assert!(filtered.values().all(|k| k.len() >= 50));
         assert!(all.iter().all(|(bin, k)| filtered.contains_key(bin) == (k.len() >= 50)));
-    }
-
-    #[test]
-    fn bit_set_has_one_key_per_source() {
-        let (_, wd) = fixture();
-        let all = wd.bit_set();
-        all.check_invariants().unwrap();
-        let ips: Vec<u32> = wd.degrees.iter().map(|&(ip, _)| ip).collect();
-        assert_eq!(all.iter().collect::<Vec<_>>(), ips);
     }
 }

@@ -5,8 +5,15 @@
 //! For each log2 degree bin of a window, the fraction of its sources
 //! present in the same-month honeyfarm row-key set, next to the paper's
 //! empirical law `log2(d)/log2(sqrt(N_V))`.
+//!
+//! That fraction is the `t = t0` column of the Figs 5–6 curves, so the
+//! pipeline reads it off them ([`coeval_peaks`]).
+//! [`peak_correlation_bits`] counts it on its own, one bin against one
+//! month, and is kept as the reference the pipeline's tests hold the
+//! column to.
 
 use crate::degree::WindowDegrees;
+use crate::temporal::TemporalCurve;
 use obscor_assoc::{BitSet, KeySet};
 use obscor_stats::binning::bin_representative;
 
@@ -37,12 +44,31 @@ pub struct PeakCorrelation {
     pub points: Vec<PeakPoint>,
 }
 
-impl PeakCorrelation {
-    /// The fraction at the bin containing degree `d`, if measured.
-    pub fn fraction_at(&self, d: u64) -> Option<f64> {
-        let bin = obscor_stats::binning::log2_bin(d);
-        self.points.iter().find(|p| p.bin == bin).map(|p| p.fraction)
-    }
+/// The paper's empirical law at representative degree `d`:
+/// `min(1, log2(d)/log2(sqrt(N_V)))`, never below 0.
+fn empirical_law(d: u64, bright_log2: f64) -> f64 {
+    ((d as f64).log2() / bright_log2).clamp(0.0, 1.0)
+}
+
+/// Read the Fig 4 series off `window`'s own Figs 5–6 curves: each bin's
+/// fraction in the window's month. The curves count every bin against
+/// every month, so this is the bin's coeval fraction, bit for bit.
+pub fn coeval_peaks(
+    window: &WindowDegrees,
+    curves: &[TemporalCurve],
+    bright_log2: f64,
+) -> PeakCorrelation {
+    let points = curves
+        .iter()
+        .map(|c| PeakPoint {
+            bin: c.bin,
+            d: c.d,
+            n_sources: c.n_sources,
+            fraction: c.fractions[window.month],
+            empirical_law: empirical_law(c.d, bright_log2),
+        })
+        .collect();
+    PeakCorrelation { window_label: window.label.clone(), month: window.month, points }
 }
 
 /// Compute the Fig 4 series: per-bin overlap of `window` sources with the
@@ -71,15 +97,13 @@ pub fn peak_correlation_bits(
     bright_log2: f64,
     min_bin_sources: usize,
 ) -> PeakCorrelation {
-    let _span = obscor_obs::span("core.peak_correlation");
-    obscor_obs::counter("core.peak_correlation.windows_total").inc();
     let points = window
         .bin_bit_sets(min_bin_sources)
         .into_iter()
         .map(|(bin, keys)| {
             let d = bin_representative(bin);
             let fraction = keys.overlap_fraction(coeval_sources).unwrap_or(0.0);
-            let empirical_law = ((d as f64).log2() / bright_log2).clamp(0.0, 1.0);
+            let empirical_law = empirical_law(d, bright_log2);
             PeakPoint { bin, d, n_sources: keys.len(), fraction, empirical_law }
         })
         .collect();
@@ -114,6 +138,34 @@ mod tests {
         assert_eq!(peak.points[0].n_sources, 8);
         assert!((peak.points[0].fraction - 0.5).abs() < 1e-12);
         assert!((peak.points[1].fraction - 0.5).abs() < 1e-12);
+    }
+
+    /// The pipeline reads each window's Fig 4 series off its Figs 5–6
+    /// curves. `peak_correlation_bits` counts every bin of the same window
+    /// against the coeval month's own set, pairwise (`BitSet::overlap_count`,
+    /// not the matrix sweep), so the two kernels check each other.
+    #[test]
+    fn peaks_are_the_coeval_column_of_the_curves() {
+        use crate::{pipeline, AnalysisConfig};
+        use obscor_anonymize::sharing::Holder;
+        use obscor_honeyfarm::observe_month_sources;
+        use obscor_netmodel::Scenario;
+        let config = AnalysisConfig::fast();
+        for seed in [11, 7] {
+            let s = Scenario::paper_scaled(1 << 15, seed);
+            let a = pipeline::run(&s, &config);
+            let holder = Holder::new("telescope-operator", &pipeline::holder_key(seed));
+            assert_eq!(a.peaks.len(), s.caida_windows.len());
+            for (index, peak) in a.peaks.iter().enumerate() {
+                let wd = crate::degree::captured(&s, index, &holder);
+                let month = observe_month_sources(&s, wd.month);
+                let coeval = BitSet::from_sorted_unique(month.ips());
+                let want =
+                    peak_correlation_bits(&wd, &coeval, s.bright_log2(), config.min_bin_sources);
+                assert!(!want.points.is_empty(), "seed {seed} window {}", wd.label);
+                assert_eq!(peak, &want, "seed {seed} window {}", wd.label);
+            }
+        }
     }
 
     #[test]
@@ -152,14 +204,5 @@ mod tests {
         let peak = peak_correlation(&w, &gn, 8.0, 1);
         assert_eq!(peak.points[0].n_sources, 8);
         assert!((peak.points[0].fraction - 0.125).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fraction_at_looks_up_by_degree() {
-        let w = window_with_bins();
-        let gn = keys_of(&[1, 2]);
-        let peak = peak_correlation(&w, &gn, 8.0, 1);
-        assert!((peak.fraction_at(2).unwrap() - 0.25).abs() < 1e-12);
-        assert_eq!(peak.fraction_at(1 << 20), None);
     }
 }

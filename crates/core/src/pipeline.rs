@@ -4,7 +4,7 @@ use crate::config::AnalysisConfig;
 use crate::degree::WindowDegrees;
 use crate::distribution::{binned_distributions, DegreeDistribution};
 use crate::fitscan::{fit_curves, BinFit};
-use crate::peak::{peak_correlation_bits, PeakCorrelation};
+use crate::peak::{coeval_peaks, PeakCorrelation};
 use crate::classes::{class_split, ClassCorrelation};
 use crate::scaling::ScalingLaw;
 use crate::subnets::{aggregate_by_prefix, SubnetRow};
@@ -130,8 +130,9 @@ const QUANTITY_MENU: [(&str, Quantity); 4] = [
 /// 3. reduce to per-source degrees and deanonymize via the send-back
 ///    workflow,
 /// 4. observe the fifteen honeyfarm months,
-/// 5. per window: Fig 3 distribution + ZM fit, Fig 4 coeval correlation,
-///    Figs 5/6 temporal curves,
+/// 5. per window: Fig 3 distribution + ZM fit, then Figs 5/6 temporal
+///    curves from one sweep of the window's bins over all months, with
+///    Fig 4 read off them as the window's own month,
 /// 6. fit every curve (Figs 5-8).
 pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
     // Scope this run's metrics against the process-global registry so
@@ -254,16 +255,15 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
     obscor_obs::counter("stage.degrees.windows_total").add(degrees.len() as u64);
 
     // 4. Honeyfarm months as sorted numeric sources (DESIGN.md §19), and
-    // the correlation sets built from them once per analysis: per-month
-    // BitSets for the coeval (peak) stage, and one month×source membership
-    // matrix for the temporal stage's one-sweep overlap counts.
-    let (months, monthly_bits, month_matrix) = {
+    // the one month×source membership matrix the correlation stage
+    // sweeps, its rows built straight from them once per analysis.
+    let (months, month_matrix) = {
         let _s = obscor_obs::span("stage.honeyfarm");
         let months = observe_all_month_sources(scenario);
-        let bits: Vec<BitSet> =
-            months.iter().map(|m| BitSet::from_sorted_unique(m.ips())).collect();
-        let matrix = MonthMatrix::from_bit_sets(&bits);
-        (months, bits, matrix)
+        let matrix = MonthMatrix::from_months(
+            months.iter().map(|m| BitSet::from_sorted_unique(m.ips())).collect(),
+        );
+        (months, matrix)
     };
     obscor_obs::counter("stage.honeyfarm.months_total").add(months.len() as u64);
     let greynoise_inventory: Vec<GreyNoiseInventoryRow> = months
@@ -274,15 +274,14 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
     obscor_obs::counter("stage.honeyfarm.sources_total").add(honeyfarm_seen);
     if cfg!(any(debug_assertions, feature = "strict-invariants")) {
         stage_check("month-matrix", month_matrix.check_invariants());
-        for (m, (month, bits)) in months.iter().zip(&monthly_bits).enumerate() {
+        for (m, month) in months.iter().enumerate() {
             stage_check(&month.label, month.check_invariants(scenario));
-            stage_check("monthly-bits", bits.check_invariants());
-            // The set and the matrix row hold exactly the month's sources.
+            // The matrix row holds exactly the month's sources.
             let (n, row) = (month.n_sources(), month_matrix.month_len(m));
             stage_check(
-                "monthly-bits",
-                (bits.len() == n && row == n).then_some(()).ok_or_else(|| {
-                    format!("month {m}: {} bits, {row} matrix keys, {n} sources", bits.len())
+                "month-matrix",
+                (row == n).then_some(()).ok_or_else(|| {
+                    format!("month {m}: {row} matrix keys, {n} sources")
                 }),
             );
         }
@@ -322,26 +321,20 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
         (distributions, names.zip(menu).collect::<Vec<(String, DegreeDistribution)>>())
     };
     obscor_obs::counter("stage.distributions.computed_total").add(distributions.len() as u64);
-    let peaks: Vec<PeakCorrelation> = {
-        let _s = obscor_obs::span("stage.peaks");
-        degrees
-            .par_iter()
-            .map(|wd| {
-                let coeval = &monthly_bits[wd.month];
-                // audit:allow(blocking-in-par) — chain ends at the obs registry name-lookup mutex, a leaf lock with an O(1) critical section never held while calling user code
-                peak_correlation_bits(wd, coeval, scenario.bright_log2(), config.min_bin_sources)
-            })
-            .collect()
+    // Each window's bins are built and swept over every month once; Fig 4
+    // is the curves' column at the window's own month.
+    let (peaks, curves) = {
+        let _s = obscor_obs::span("stage.curves");
+        let mut peaks: Vec<PeakCorrelation> = Vec::with_capacity(degrees.len());
+        let mut curves: Vec<TemporalCurve> = Vec::new();
+        for wd in &degrees {
+            let window_curves = temporal_curves_bits(wd, &month_matrix, config.min_bin_sources);
+            peaks.push(coeval_peaks(wd, &window_curves, scenario.bright_log2()));
+            curves.extend(window_curves);
+        }
+        (peaks, curves)
     };
     obscor_obs::counter("stage.peaks.computed_total").add(peaks.len() as u64);
-    let curves: Vec<TemporalCurve> = {
-        let _s = obscor_obs::span("stage.curves");
-        degrees
-            .par_iter()
-            // audit:allow(blocking-in-par) — chain ends at the obs registry name-lookup mutex, a leaf lock with an O(1) critical section never held while calling user code
-            .flat_map(|wd| temporal_curves_bits(wd, &month_matrix, config.min_bin_sources))
-            .collect()
-    };
     obscor_obs::counter("stage.curves.computed_total").add(curves.len() as u64);
 
     // 6. Fits.
@@ -387,7 +380,7 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
     // covers all the work a run costs.
     {
         let _s = obscor_obs::span("stage.teardown");
-        drop((matrices, months, monthly_bits, month_matrix));
+        drop((matrices, months, month_matrix));
     }
 
     // Close the whole-run span, then freeze this run's metric delta.
@@ -451,7 +444,7 @@ fn capture_into(
 
 /// Derive the telescope operator's CryptoPAN key from the scenario seed
 /// (deterministic, but distinct from every model RNG stream).
-fn holder_key(seed: u64) -> [u8; 32] {
+pub(crate) fn holder_key(seed: u64) -> [u8; 32] {
     let mut key = [0u8; 32];
     let mut x = seed ^ 0xA5A5_5A5A_DEAD_BEEF;
     for chunk in key.chunks_exact_mut(8) {
@@ -586,33 +579,6 @@ mod tests {
             }
         }
         assert!(decays >= a.curves.len() / 3, "too few decaying curves: {decays}");
-    }
-
-    /// Fig 4 is the coeval column of Figs 5–6: every peak point is its
-    /// window's curve for the same bin, read at the window's own month.
-    /// The peak counts through `BitSet::overlap_count`, the curve through
-    /// `MonthMatrix::overlap_counts`, so this ties the two kernels.
-    fn assert_peaks_are_the_coeval_column(a: &PaperAnalysis) {
-        assert_eq!(a.peaks.len(), 5);
-        for peak in &a.peaks {
-            let curves: Vec<&TemporalCurve> =
-                a.curves.iter().filter(|c| c.window_label == peak.window_label).collect();
-            assert!(!peak.points.is_empty(), "window {}", peak.window_label);
-            assert_eq!(peak.points.len(), curves.len(), "window {}", peak.window_label);
-            for (p, c) in peak.points.iter().zip(&curves) {
-                let at = format!("window {} bin {}", peak.window_label, p.bin);
-                assert_eq!((p.bin, p.d, p.n_sources), (c.bin, c.d, c.n_sources), "{at}");
-                assert_eq!(p.fraction.to_bits(), c.fractions[peak.month].to_bits(), "{at}");
-            }
-        }
-    }
-
-    #[test]
-    fn peaks_are_the_coeval_column_of_the_curves() {
-        let (_, a) = analysis();
-        assert_peaks_are_the_coeval_column(a);
-        let s = Scenario::paper_scaled(1 << 15, 7);
-        assert_peaks_are_the_coeval_column(&run(&s, &AnalysisConfig::fast()));
     }
 
     #[test]

@@ -13,6 +13,7 @@ use obscor_core::WindowDegrees;
 use obscor_honeyfarm::{observe_all_month_sources, MonthlyObservation};
 use obscor_netmodel::{Scenario, SourceClass};
 use obscor_telescope::{build_matrix, capture_window};
+use std::collections::HashSet;
 
 /// Capture, build and reduce scenario window `index`.
 fn captured(s: &Scenario, index: usize, holder: &Holder) -> WindowDegrees {
@@ -24,9 +25,9 @@ fn captured(s: &Scenario, index: usize, holder: &Holder) -> WindowDegrees {
 
 /// The reference split: five `rows_where` scans of the "class" column.
 fn oracle(window: &WindowDegrees, coeval: &MonthlyObservation) -> ClassCorrelation {
-    let telescope = window.bit_set();
+    let telescope: HashSet<u32> = window.degrees.iter().map(|&(ip, _)| ip).collect();
     let detected = |keys: &KeySet| {
-        keys.iter().filter_map(parse_ip_key).filter(|&ip| telescope.contains(ip)).count()
+        keys.iter().filter_map(parse_ip_key).filter(|ip| telescope.contains(ip)).count()
     };
     let detected_total = detected(coeval.source_keys()).max(1);
     let mut labels: Vec<String> =

@@ -29,7 +29,7 @@ fn metrics() -> &'static MetricsSnapshot {
 /// Every metric name the pipeline emits, pinned. A missing name means an
 /// instrumentation point was dropped; a new name must be added here (and to
 /// DESIGN.md §10) deliberately.
-const PINNED_NAMES: [&str; 91] = [
+const PINNED_NAMES: [&str; 86] = [
     "config.min_bin_sources",
     "config.month_count",
     "config.n_v",
@@ -38,7 +38,6 @@ const PINNED_NAMES: [&str; 91] = [
     "core.degrees.sources_total",
     "core.fit_curves.dropped_total",
     "core.fit_curves.fitted_total",
-    "core.peak_correlation.windows_total",
     "core.temporal_curves.curves_total",
     "core.zm_fit.fits_total",
     "hypersparse.accumulator.carry_merges_total",
@@ -54,8 +53,6 @@ const PINNED_NAMES: [&str; 91] = [
     "span.core.degrees.ns",
     "span.core.fit_curves.calls_total",
     "span.core.fit_curves.ns",
-    "span.core.peak_correlation.calls_total",
-    "span.core.peak_correlation.ns",
     "span.core.tail_fit.calls_total",
     "span.core.tail_fit.ns",
     "span.core.temporal_curves.calls_total",
@@ -88,8 +85,6 @@ const PINNED_NAMES: [&str; 91] = [
     "span.stage.honeyfarm.ns",
     "span.stage.matrices.calls_total",
     "span.stage.matrices.ns",
-    "span.stage.peaks.calls_total",
-    "span.stage.peaks.ns",
     "span.stage.quadrants.calls_total",
     "span.stage.quadrants.ns",
     "span.stage.quantities.calls_total",
