@@ -108,10 +108,9 @@ fn month_matrix_constructors_uphold_invariants() {
     }
 
     // Empty months are representable: no chunks, zero lens.
-    let probe = set_of([1, 2, 3]);
     let empty = by_value_matrix_equals_borrowed(&[BitSet::default(), BitSet::default()], &[]);
     assert_eq!(empty.month_len(0), 0);
-    assert_eq!(empty.overlap_counts(&probe), vec![0, 0]);
+    assert_eq!(empty.overlap_counts(&set_of([1, 2, 3])), vec![0, 0]);
 }
 
 // --- container form selection ---------------------------------------------
