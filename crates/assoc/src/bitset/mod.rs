@@ -4,7 +4,7 @@
 //! space is cut into 2^16-key chunks addressed by the high 16 bits, and
 //! each non-empty chunk stores its low-16 residues in whichever of three
 //! container forms is cheapest for its density (sorted array, packed
-//! 1024-word bitmap, or run intervals — see [`container`]). On dense
+//! 1024-word bitmap, or run intervals — see `container`). On dense
 //! chunks, overlap counting becomes word-parallel `AND` + popcount over
 //! `u64` words; on sparse chunks it stays the merge/gallop of a sorted
 //! vector (`NumKeySet`), so the hybrid never loses to either pure form.
@@ -14,7 +14,7 @@
 //! [`BitSet::from_sorted_unique`], and the `KeySet` adapters through
 //! [`BitSet::from_ip_keys`].
 //!
-//! [`MonthMatrix`] (in [`matrix`]) layers a month×source membership
+//! [`MonthMatrix`] (in `matrix`) layers a month×source membership
 //! matrix on the same containers so the temporal-curve analysis counts a
 //! bin's overlap with **all** months in one sweep over the bin's chunks.
 //!

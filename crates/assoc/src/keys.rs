@@ -288,7 +288,7 @@ impl NumKeySet {
 
     /// `|self ∩ other|` without allocating: a linear two-pointer merge for
     /// comparably-sized sets, galloping binary search of the larger set
-    /// when the sizes differ by more than [`GALLOP_RATIO`]×.
+    /// when it is at least `GALLOP_RATIO` (16) times the smaller.
     pub fn overlap_count(&self, other: &NumKeySet) -> usize {
         let (small, large) = if self.len() <= other.len() {
             (&self.keys, &other.keys)

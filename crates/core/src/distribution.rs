@@ -36,27 +36,17 @@ pub fn binned_distribution(
     config: &AnalysisConfig,
 ) -> DegreeDistribution {
     let mut dist = bin_quantity(label, degrees);
-    fit_zm(std::slice::from_mut(&mut dist), config);
+    fit_zm([&mut dist], config);
     dist
 }
 
-/// [`binned_distribution`] for several `(label, values)` quantities at
-/// once, in input order. Each is binned and tail-fitted in turn (so only
-/// one quantity's raw values are alive at a time), then every ZM fit
-/// comes out of one shared grid sweep instead of one sweep per quantity.
-/// The results equal the one-at-a-time calls bit for bit.
-pub fn binned_distributions<'a>(
-    quantities: impl IntoIterator<Item = (&'a str, Vec<u64>)>,
-    config: &AnalysisConfig,
-) -> Vec<DegreeDistribution> {
-    let mut dists: Vec<DegreeDistribution> =
-        quantities.into_iter().map(|(label, degrees)| bin_quantity(label, degrees)).collect();
-    fit_zm(&mut dists, config);
-    dists
-}
-
-/// Bin one quantity and fit its CSN tail; the ZM fit is left to [`fit_zm`].
-fn bin_quantity(label: &str, degrees: impl IntoIterator<Item = u64>) -> DegreeDistribution {
+/// Bin one quantity and fit its CSN tail; the ZM fit is left to [`fit_zm`],
+/// so a caller can bin each quantity as it arrives (only one quantity's
+/// raw values alive at a time) and fit them all in one sweep.
+pub(crate) fn bin_quantity(
+    label: &str,
+    degrees: impl IntoIterator<Item = u64>,
+) -> DegreeDistribution {
     let raw: Vec<u64> = degrees.into_iter().filter(|&d| d > 0).collect();
     let (binned, d_max) = {
         let _span = obscor_obs::span("core.binning");
@@ -72,13 +62,18 @@ fn bin_quantity(label: &str, degrees: impl IntoIterator<Item = u64>) -> DegreeDi
 }
 
 /// Fill in every distribution's ZM fit from one sweep of the config grid.
-fn fit_zm(dists: &mut [DegreeDistribution], config: &AnalysisConfig) {
+/// Each fit equals the distribution's own one-element sweep bit for bit.
+pub(crate) fn fit_zm<'a>(
+    dists: impl IntoIterator<Item = &'a mut DegreeDistribution>,
+    config: &AnalysisConfig,
+) {
     let _span = obscor_obs::span("core.zm_fit");
+    let dists: Vec<&mut DegreeDistribution> = dists.into_iter().collect();
     obscor_obs::counter("core.zm_fit.fits_total").add(dists.len() as u64);
     let inputs: Vec<(&Log2Binned, u64)> =
         dists.iter().map(|d| (&d.binned, d.d_max.max(2))).collect();
     let fits = fit_zipf_mandelbrot_many(&inputs, &config.zm_alphas, &config.zm_deltas);
-    for (dist, fit) in dists.iter_mut().zip(fits) {
+    for (dist, fit) in dists.into_iter().zip(fits) {
         dist.fit = fit;
     }
 }
@@ -132,7 +127,9 @@ mod tests {
             ("empty", vec![0, 0]),
             ("two", vec![1, 2]),
         ];
-        let shared = binned_distributions(quantities.clone(), &cfg);
+        let mut shared: Vec<DegreeDistribution> =
+            quantities.iter().map(|(l, d)| bin_quantity(l, d.iter().copied())).collect();
+        fit_zm(&mut shared, &cfg);
         let one_by_one: Vec<DegreeDistribution> =
             quantities.into_iter().map(|(l, d)| binned_distribution(l, d, &cfg)).collect();
         assert_eq!(shared, one_by_one);

@@ -2,7 +2,7 @@
 
 use crate::config::AnalysisConfig;
 use crate::degree::WindowDegrees;
-use crate::distribution::{binned_distributions, DegreeDistribution};
+use crate::distribution::{bin_quantity, fit_zm, DegreeDistribution};
 use crate::fitscan::{fit_curves, BinFit};
 use crate::peak::{coeval_peaks, PeakCorrelation};
 use crate::classes::{class_split, ClassCorrelation};
@@ -21,7 +21,6 @@ use obscor_telescope::{
     capture_archive, leaf_capacity_for, matrix, restore, FaultyMedium, InventoryRow,
     RestoreReport, WindowCapture, WindowTally,
 };
-use rayon::prelude::*;
 
 /// One GreyNoise row of Table I.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -120,20 +119,20 @@ const QUANTITY_MENU: [(&str, Quantity); 4] = [
 
 /// Run the complete paper pipeline on a scenario.
 ///
-/// Stages (parallel where data-independent):
-/// 1. capture the five constant-packet telescope windows one at a time,
-///    each leaf-sized batch of packets going straight into the window's
-///    hierarchical traffic-matrix fold (or into its archive, which is then
-///    restored into the fold), with Table I's row and the scaling points
-///    counted on the way,
-/// 2. compute Table II quantities and the Fig 1 quadrant check,
-/// 3. reduce to per-source degrees and deanonymize via the send-back
-///    workflow,
-/// 4. observe the fifteen honeyfarm months,
-/// 5. per window: Fig 3 distribution + ZM fit, then Figs 5/6 temporal
-///    curves from one sweep of the window's bins over all months, with
-///    Fig 4 read off them as the window's own month,
-/// 6. fit every curve (Figs 5-8).
+/// Stages, in order:
+/// 1. per window: capture its packets a leaf at a time straight into the
+///    window's traffic-matrix fold (or into its archive, which is then
+///    restored into the fold), counting Table I's row and the scaling
+///    points on the way; then reduce the finished matrix to Table II, the
+///    per-source degrees (deanonymized via the send-back workflow), its
+///    Fig 1 entry count and its binned Fig 2-3 distributions, and drop it,
+/// 2. observe the fifteen honeyfarm months and check the Fig 1 quadrants,
+/// 3. fit every binned distribution in one shared ZM sweep,
+/// 4. per window: Figs 5/6 temporal curves from one sweep of the window's
+///    bins over all months, with Fig 4 read off them as the window's own
+///    month,
+/// 5. fit every curve (Figs 5-8), then the class, scaling and subnet
+///    extensions.
 pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
     // Scope this run's metrics against the process-global registry so
     // `PaperAnalysis::metrics` reports only what this call recorded (the
@@ -145,19 +144,27 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
     obscor_obs::gauge("config.month_count").set_max(scenario.grid.len() as u64);
     obscor_obs::gauge("config.min_bin_sources").set_max(config.min_bin_sources as u64);
 
-    // 1-2. One window at a time: capture its packets a leaf at a time
+    // 1. One window at a time: capture its packets a leaf at a time
     // straight into the window's fold — resident or, under a configured
     // budget, spilling carry parts to disk — or into the archive the fold
-    // is restored from, and keep only the matrix, Table I's row and the
-    // scaling points. No window's packets are ever held whole. Serial
-    // across windows: the budget is per fold, and running folds
+    // is restored from. The finished matrix is reduced to what the later
+    // stages read and dropped before the next window's capture, so no
+    // window is held as packets and at most one window matrix is alive.
+    // Serial across windows: the budget is per fold, and running folds
     // concurrently would multiply the process footprint the budget exists
     // to bound.
     let specs = &scenario.caida_windows;
     let leaf_capacity = leaf_capacity_for(scenario.n_v);
+    // The telescope operator's CryptoPAN key, made in the first window's
+    // `stage.degrees` span so its 2^16-call prefix table is timed there.
+    let mut holder: Option<Holder> = None;
     let mut caida_inventory: Vec<InventoryRow> = Vec::with_capacity(specs.len());
     let mut scaling_points: Vec<Option<Vec<(u64, u64)>>> = Vec::with_capacity(specs.len());
-    let mut matrices: Vec<Csr<u64>> = Vec::with_capacity(specs.len());
+    let mut quantities: Vec<(String, NetworkQuantities)> = Vec::with_capacity(specs.len());
+    let mut degrees: Vec<WindowDegrees> = Vec::with_capacity(specs.len());
+    let mut distributions: Vec<DegreeDistribution> = Vec::with_capacity(specs.len());
+    let mut quantity_distributions: Vec<(String, DegreeDistribution)> = Vec::new();
+    let mut telescope_ext_to_int: u64 = 0;
     let mut restore_reports: Vec<RestoreReport> = Vec::new();
     let mut spill_reports: Vec<SpillReport> = Vec::new();
     let mut spill_fallbacks: Vec<(String, String)> = Vec::new();
@@ -193,8 +200,10 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
         };
         caida_inventory.push(tally.row(&spec.label));
         scaling_points.push(tally.scaling_points(8));
-        let _s = obscor_obs::span("stage.matrices");
-        let (m, report) = fold.finalize_with_report();
+        let (m, report) = {
+            let _s = obscor_obs::span("stage.matrices");
+            fold.finalize_with_report()
+        };
         match fallback {
             // An unusable spill directory degrades to the resident
             // fold (bit-identical, just bigger), and the run says so.
@@ -202,7 +211,46 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
             None if config.spill.is_some() => spill_reports.push(report),
             None => {}
         }
-        matrices.push(m);
+        telescope_ext_to_int += m.nnz() as u64;
+
+        // Table II, checked at the stage boundary.
+        let q = {
+            let _s = obscor_obs::span("stage.quantities");
+            let q = NetworkQuantities::compute(&m);
+            if cfg!(any(debug_assertions, feature = "strict-invariants")) {
+                stage_check(&spec.label, m.check_invariants());
+                stage_check(&spec.label, q.check_invariants());
+            }
+            q
+        };
+        quantities.push((spec.label.clone(), q));
+
+        // Degrees through the anonymization workflow.
+        let wd = {
+            let _s = obscor_obs::span("stage.degrees");
+            let holder = holder.get_or_insert_with(|| {
+                Holder::new("telescope-operator", &holder_key(scenario.seed))
+            });
+            let month = (spec.coord.floor() as usize).min(scenario.grid.len() - 1);
+            WindowDegrees::from_matrix(&spec.label, spec.coord, month, &m, holder)
+        };
+
+        // Fig 3's distribution for every window and Fig 2's wider
+        // quantity menu on the first, binned and tail-fitted now; their ZM
+        // fits wait for the one shared sweep after the loop.
+        {
+            let _s = obscor_obs::span("stage.distributions");
+            distributions.push(bin_quantity(&spec.label, wd.degrees.iter().map(|&(_, d)| d)));
+            if index == 0 {
+                quantity_distributions = QUANTITY_MENU
+                    .iter()
+                    .map(|(name, quantity)| {
+                        (name.to_string(), bin_quantity(&spec.label, quantity(&m)))
+                    })
+                    .collect();
+            }
+        }
+        degrees.push(wd);
     }
     obscor_obs::counter("stage.capture.windows_total").add(specs.len() as u64);
     if config.spill.is_some() {
@@ -219,42 +267,12 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
         obscor_obs::counter("stage.matrices.archive_quarantined_total")
             .add(restore_reports.iter().map(|r| r.quarantined.len() as u64).sum());
     }
-    obscor_obs::counter("stage.matrices.built_total").add(matrices.len() as u64);
-    obscor_obs::counter("stage.matrices.nnz_total")
-        .add(matrices.iter().map(|m| m.nnz() as u64).sum());
-    let quantities: Vec<(String, NetworkQuantities)> = {
-        let _s = obscor_obs::span("stage.quantities");
-        specs
-            .iter()
-            .zip(&matrices)
-            .map(|(spec, m)| (spec.label.clone(), NetworkQuantities::compute(m)))
-            .collect()
-    };
+    obscor_obs::counter("stage.matrices.built_total").add(quantities.len() as u64);
+    obscor_obs::counter("stage.matrices.nnz_total").add(telescope_ext_to_int);
     obscor_obs::counter("stage.quantities.computed_total").add(quantities.len() as u64);
-    if cfg!(any(debug_assertions, feature = "strict-invariants")) {
-        for (m, (label, q)) in matrices.iter().zip(&quantities) {
-            stage_check(label, m.check_invariants());
-            stage_check(label, q.check_invariants());
-        }
-    }
-
-    // 3. Degrees through the anonymization workflow (reusing the
-    // already-built matrices).
-    let degrees: Vec<WindowDegrees> = {
-        let _s = obscor_obs::span("stage.degrees");
-        let holder = Holder::new("telescope-operator", &holder_key(scenario.seed));
-        specs
-            .par_iter()
-            .zip(&matrices)
-            .map(|(w, m)| {
-                let month = (w.coord.floor() as usize).min(scenario.grid.len() - 1);
-                WindowDegrees::from_matrix(&w.label, w.coord, month, m, &holder)
-            })
-            .collect()
-    };
     obscor_obs::counter("stage.degrees.windows_total").add(degrees.len() as u64);
 
-    // 4. Honeyfarm months as sorted numeric sources (DESIGN.md §19), and
+    // 2. Honeyfarm months as sorted numeric sources (DESIGN.md §19), and
     // the one month×source membership matrix the correlation stage
     // sweeps, its rows built straight from them once per analysis.
     let (months, month_matrix) = {
@@ -289,8 +307,6 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
 
     // Fig 1 quadrant occupancy.
     let _quadrant_span = obscor_obs::span("stage.quadrants");
-    let telescope_ext_to_int: u64 =
-        matrices.iter().map(|m| m.nnz() as u64).sum();
     let honeyfarm_engaged: u64 = months.iter().map(|m| m.handshakes() as u64).sum();
     let quadrants = QuadrantSummary {
         telescope_ext_to_int,
@@ -305,24 +321,16 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
     );
     drop(_quadrant_span);
 
-    // 5. Per-window analyses. Fig 3 for every window and Fig 2's wider
-    // quantity menu on the first window's matrix share one ZM grid sweep.
-    let (distributions, quantity_distributions) = {
+    // 3. Fig 3 for every window and Fig 2's wider quantity menu on the
+    // first share one ZM grid sweep.
+    {
         let _s = obscor_obs::span("stage.distributions");
-        let per_window = degrees
-            .iter()
-            .map(|wd| (wd.label.as_str(), wd.degrees.iter().map(|&(_, d)| d).collect()));
-        let menu = matrices.first().zip(specs.first()).into_iter().flat_map(|(m, spec)| {
-            QUANTITY_MENU.iter().map(move |(_, quantity)| (spec.label.as_str(), quantity(m)))
-        });
-        let mut distributions = binned_distributions(per_window.chain(menu), config);
-        let menu = distributions.split_off(degrees.len());
-        let names = QUANTITY_MENU.iter().map(|(name, _)| name.to_string());
-        (distributions, names.zip(menu).collect::<Vec<(String, DegreeDistribution)>>())
-    };
+        let menu = quantity_distributions.iter_mut().map(|(_, d)| d);
+        fit_zm(distributions.iter_mut().chain(menu), config);
+    }
     obscor_obs::counter("stage.distributions.computed_total").add(distributions.len() as u64);
-    // Each window's bins are built and swept over every month once; Fig 4
-    // is the curves' column at the window's own month.
+    // 4. Each window's bins are built and swept over every month once;
+    // Fig 4 is the curves' column at the window's own month.
     let (peaks, curves) = {
         let _s = obscor_obs::span("stage.curves");
         let mut peaks: Vec<PeakCorrelation> = Vec::with_capacity(degrees.len());
@@ -337,7 +345,7 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
     obscor_obs::counter("stage.peaks.computed_total").add(peaks.len() as u64);
     obscor_obs::counter("stage.curves.computed_total").add(curves.len() as u64);
 
-    // 6. Fits.
+    // 5. Fits.
     let fits = {
         let _s = obscor_obs::span("stage.fits");
         fit_curves(&curves, config)
@@ -380,7 +388,7 @@ pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> PaperAnalysis {
     // covers all the work a run costs.
     {
         let _s = obscor_obs::span("stage.teardown");
-        drop((matrices, months, month_matrix));
+        drop((degrees, months, month_matrix));
     }
 
     // Close the whole-run span, then freeze this run's metric delta.

@@ -21,7 +21,6 @@
 //! * [`summary`] — scalar summaries (mean, variance, quantiles).
 
 pub mod binning;
-pub mod bootstrap;
 pub mod fit;
 pub mod histogram;
 pub mod interval;

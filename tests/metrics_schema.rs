@@ -186,6 +186,13 @@ fn counters_reflect_the_run_deterministically() {
     );
     // 5 windows + 4 first-window quantities, each tail-fitted once.
     assert_eq!(m.counters["span.core.tail_fit.calls_total"], 9);
+    // Each window is reduced as its fold closes: Table II, the degrees and
+    // the binning open once per window, and the one shared ZM sweep that
+    // fits all nine distributions opens `stage.distributions` once more.
+    assert_eq!(m.counters["span.stage.quantities.calls_total"], 5);
+    assert_eq!(m.counters["span.stage.degrees.calls_total"], 5);
+    assert_eq!(m.counters["span.stage.distributions.calls_total"], 6);
+    assert_eq!(m.counters["span.core.zm_fit.calls_total"], 1);
     // Each window is 8 leaves of 1,024 packets joined by 7 carry merges,
     // and every carry merge runs under its own span.
     assert_eq!(m.counters["hypersparse.accumulator.leaves_total"], 5 * 8);
