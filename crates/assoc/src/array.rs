@@ -299,45 +299,9 @@ impl<V: Clone + PartialEq> Assoc<V> {
             .collect();
         KeySet::from_sorted_unique(keys)
     }
-
-    /// Per-row entry counts (fan-out in D4M terms).
-    pub fn row_degrees(&self) -> Vec<(&str, usize)> {
-        (0..self.n_rows())
-            .map(|ri| (self.row_keys.key(ri), self.row_ptr[ri + 1] - self.row_ptr[ri]))
-            .collect()
-    }
-
-    /// Per-column entry counts (fan-in in D4M terms).
-    pub fn col_degrees(&self) -> Vec<(&str, usize)> {
-        let mut counts = vec![0usize; self.n_cols()];
-        for &ci in &self.col_idx {
-            counts[ci] += 1;
-        }
-        counts
-            .into_iter()
-            .enumerate()
-            .map(|(ci, n)| (self.col_keys.key(ci), n))
-            .collect()
-    }
-
-    /// Sub-array restricted to columns whose keys start with `prefix`.
-    pub fn cols_with_prefix(&self, prefix: &str) -> Assoc<V> {
-        self.filter(|_r, c| c.starts_with(prefix))
-    }
 }
 
 impl Assoc<f64> {
-    /// Per-row value sums (`A 1` in D4M/GraphBLAS terms).
-    pub fn row_sums(&self) -> Vec<(&str, f64)> {
-        (0..self.n_rows())
-            .map(|ri| {
-                let lo = self.row_ptr[ri];
-                let hi = self.row_ptr[ri + 1];
-                (self.row_keys.key(ri), self.vals[lo..hi].iter().sum())
-            })
-            .collect()
-    }
-
     /// Total of all stored values.
     pub fn total(&self) -> f64 {
         self.vals.iter().sum()
@@ -451,16 +415,14 @@ mod tests {
     }
 
     #[test]
-    fn row_degrees_and_sums() {
-        let a = sample();
-        let deg: Vec<usize> = a.row_degrees().into_iter().map(|(_, d)| d).collect();
-        assert_eq!(deg, vec![2, 1, 1]);
+    fn sums_duplicates_and_totals() {
         let n = Assoc::from_triples_sum(vec![
             ("r".into(), "c1".into(), 1.5),
             ("r".into(), "c2".into(), 2.5),
+            ("r".into(), "c2".into(), 1.0),
         ]);
-        assert_eq!(n.row_sums(), vec![("r", 4.0)]);
-        assert_eq!(n.total(), 4.0);
+        assert_eq!(n.get("r", "c2"), Some(&3.5));
+        assert_eq!(n.total(), 5.0);
     }
 
     #[test]
@@ -483,27 +445,6 @@ mod tests {
         assert_eq!(e.n_rows(), 0);
         assert_eq!(e.iter().count(), 0);
         assert_eq!(e.transpose(), e);
-    }
-
-    #[test]
-    fn col_degrees_count_fan_in() {
-        let a = sample();
-        let deg: std::collections::HashMap<&str, usize> =
-            a.col_degrees().into_iter().collect();
-        assert_eq!(deg["class"], 3);
-        assert_eq!(deg["proto"], 1);
-        // Column degrees sum to nnz, like row degrees.
-        let total: usize = a.col_degrees().into_iter().map(|(_, n)| n).sum();
-        assert_eq!(total, a.nnz());
-    }
-
-    #[test]
-    fn cols_with_prefix_selects_columns() {
-        let a = sample();
-        let sub = a.cols_with_prefix("cl");
-        assert_eq!(sub.n_cols(), 1);
-        assert_eq!(sub.nnz(), 3);
-        assert!(a.cols_with_prefix("zz").is_empty());
     }
 
     #[test]

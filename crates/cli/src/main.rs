@@ -8,8 +8,7 @@
 //! ```
 //!
 //! * `reproduce` runs the full pipeline and prints every table and figure
-//!   (or one artifact: `table1`, `table2`, `fig1`, `fig3`, `fig4`,
-//!   `fig5`, `fig6`, `fig7`, `fig8`).
+//!   (or the one artifact `--only` names; the usage lists them).
 //! * `generate` captures one telescope window and writes it as a real
 //!   libpcap file (openable in tcpdump/wireshark).
 //! * `forecast` fits the temporal model on the first `--cutoff` months
@@ -17,7 +16,7 @@
 //!   persistence baseline.
 //! * `info` prints the scenario calibration summary.
 
-use obscor_core::{pipeline, AnalysisConfig, ArchiveConfig, SpillSettings};
+use obscor_core::{pipeline, AnalysisConfig, ArchiveConfig, PaperAnalysis, SpillSettings};
 use obscor_netmodel::Scenario;
 use obscor_obs::Level;
 use obscor_pcap::PcapWriter;
@@ -92,6 +91,35 @@ it needs --memory-budget.
 
 ARTIFACT: table1 table2 fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 classes subnets scaling";
 
+/// A render that prints one artifact of the analysis.
+type Render = fn(&PaperAnalysis) -> String;
+
+/// The artifacts `--only` can name, each with the render that prints it.
+const ARTIFACTS: [(&str, Render); 13] = [
+    ("table1", PaperAnalysis::render_table1),
+    ("table2", PaperAnalysis::render_table2),
+    ("fig1", PaperAnalysis::render_fig1),
+    ("fig2", PaperAnalysis::render_fig2),
+    ("fig3", PaperAnalysis::render_fig3),
+    ("fig4", PaperAnalysis::render_fig4),
+    ("fig5", PaperAnalysis::render_fig5),
+    ("fig6", PaperAnalysis::render_fig6),
+    ("fig7", PaperAnalysis::render_fig7),
+    ("fig8", PaperAnalysis::render_fig8),
+    ("classes", PaperAnalysis::render_classes),
+    ("subnets", PaperAnalysis::render_subnets),
+    ("scaling", PaperAnalysis::render_scaling),
+];
+
+/// The render of the artifact called `name`.
+fn artifact(name: &str) -> Result<Render, String> {
+    ARTIFACTS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|&(_, render)| render)
+        .ok_or_else(|| format!("unknown artifact {name}"))
+}
+
 struct Options {
     nv: usize,
     seed: u64,
@@ -157,7 +185,11 @@ fn parse(args: &[String]) -> Result<Options, String> {
             "--fast" => o.fast = true,
             "--tsv" => o.tsv = true,
             "--check" => o.check = true,
-            "--only" => o.only = Some(value("--only")?),
+            "--only" => {
+                let v = value("--only")?;
+                artifact(&v)?;
+                o.only = Some(v);
+            }
             "--window" => {
                 o.window = value("--window")?.parse().map_err(|_| "bad --window")?;
                 if o.window > 4 {
@@ -383,20 +415,7 @@ fn reproduce(o: Options) -> Result<(), String> {
     }
     let out = match o.only.as_deref() {
         None => analysis.render_all(),
-        Some("table1") => analysis.render_table1(),
-        Some("table2") => analysis.render_table2(),
-        Some("fig1") => analysis.render_fig1(),
-        Some("fig2") => analysis.render_fig2(),
-        Some("fig3") => analysis.render_fig3(),
-        Some("fig4") => analysis.render_fig4(),
-        Some("fig5") => analysis.render_fig5(),
-        Some("fig6") => analysis.render_fig6(),
-        Some("fig7") => analysis.render_fig7(),
-        Some("fig8") => analysis.render_fig8(),
-        Some("classes") => analysis.render_classes(),
-        Some("subnets") => analysis.render_subnets(),
-        Some("scaling") => analysis.render_scaling(),
-        Some(other) => return Err(format!("unknown artifact {other}")),
+        Some(name) => artifact(name)?(&analysis),
     };
     println!("{out}");
     Ok(())
@@ -653,6 +672,19 @@ mod tests {
         assert_eq!(o.only.as_deref(), Some("fig4"));
         assert_eq!(o.window, 3);
         assert_eq!(o.out.as_deref(), Some("x.pcap"));
+    }
+
+    #[test]
+    fn only_accepts_every_listed_artifact_and_nothing_else() {
+        for (name, _) in ARTIFACTS {
+            let o = parse(&args(&format!("--only {name}"))).unwrap();
+            assert_eq!(o.only.as_deref(), Some(name));
+        }
+        for unknown in ["fig9", "Table1", ""] {
+            assert!(parse(&["--only".to_string(), unknown.to_string()]).is_err(), "{unknown:?}");
+        }
+        let names: Vec<&str> = ARTIFACTS.iter().map(|(name, _)| *name).collect();
+        assert!(USAGE.ends_with(&format!("ARTIFACT: {}", names.join(" "))), "the usage lists them");
     }
 
     #[test]

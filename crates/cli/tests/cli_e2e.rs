@@ -219,7 +219,6 @@ fn metrics_flag_writes_schema_valid_json_with_all_stage_spans() {
         "hypersparse.leaf_compact",
         "hypersparse.carry_merge",
         "hypersparse.accumulator.finalize",
-        "hypersparse.merge_all",
         "core.degrees",
         "core.binning",
         "core.zm_fit",
@@ -428,6 +427,7 @@ fn strict_archive_fails_on_degraded_restore_and_passes_clean() {
 fn bad_invocations_fail_with_usage() {
     for args in [
         vec!["reproduce", "--only", "fig99"],
+        vec!["reproduce", "--nv", "2^12", "--fast", "--tsv", "--only", "fig9"],
         vec!["generate"], // missing --out
         vec!["nonsense"],
         vec!["reproduce", "--nv", "banana"],
@@ -439,6 +439,10 @@ fn bad_invocations_fail_with_usage() {
         assert!(!out.status.success(), "should fail: {args:?}");
         let stderr = String::from_utf8(out.stderr).unwrap();
         assert!(stderr.contains("usage:"), "no usage in stderr for {args:?}");
+        if args.contains(&"--only") {
+            // An unknown artifact is refused before any work is done.
+            assert!(!stderr.contains("building scenario"), "ran before refusing {args:?}");
+        }
     }
 }
 

@@ -47,26 +47,6 @@ pub fn aggregate_by_prefix(window: &WindowDegrees, prefix_len: u8) -> Vec<Subnet
     rows
 }
 
-/// The multiset of per-prefix group sizes — the anonymization-invariant
-/// signature of the subnet structure.
-pub fn group_size_signature(window: &WindowDegrees, prefix_len: u8) -> Vec<usize> {
-    let mut sizes: Vec<usize> =
-        aggregate_by_prefix(window, prefix_len).into_iter().map(|r| r.sources).collect();
-    sizes.sort_unstable();
-    sizes
-}
-
-/// The fraction of window packets carried by the top `k` prefixes.
-pub fn top_k_share(window: &WindowDegrees, prefix_len: u8, k: usize) -> f64 {
-    let rows = aggregate_by_prefix(window, prefix_len);
-    let total: u64 = rows.iter().map(|r| r.packets).sum();
-    if total == 0 {
-        return 0.0;
-    }
-    let top: u64 = rows.iter().take(k).map(|r| r.packets).sum();
-    top as f64 / total as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,6 +61,15 @@ mod tests {
             w.degrees.iter().map(|&(ip, d)| (f(ip), d)).collect();
         degrees.sort_unstable();
         window(degrees)
+    }
+
+    /// The multiset of per-prefix group sizes: the anonymization-invariant
+    /// signature of the subnet structure.
+    fn group_size_signature(window: &WindowDegrees, prefix_len: u8) -> Vec<usize> {
+        let mut sizes: Vec<usize> =
+            aggregate_by_prefix(window, prefix_len).into_iter().map(|r| r.sources).collect();
+        sizes.sort_unstable();
+        sizes
     }
 
     #[test]
@@ -140,22 +129,9 @@ mod tests {
     }
 
     #[test]
-    fn top_k_share_monotone_in_k() {
-        let w = window(vec![(0x01000000, 50), (0x02000000, 30), (0x03000000, 20)]);
-        let s1 = top_k_share(&w, 8, 1);
-        let s2 = top_k_share(&w, 8, 2);
-        let s3 = top_k_share(&w, 8, 3);
-        assert!((s1 - 0.5).abs() < 1e-12);
-        assert!(s1 < s2 && s2 < s3);
-        assert!((s3 - 1.0).abs() < 1e-12);
-        assert_eq!(top_k_share(&w, 8, 100), s3);
-    }
-
-    #[test]
     fn empty_window_has_empty_aggregation() {
         let w = window(vec![]);
         assert!(aggregate_by_prefix(&w, 16).is_empty());
-        assert_eq!(top_k_share(&w, 16, 5), 0.0);
     }
 
     #[test]

@@ -25,7 +25,6 @@
 pub mod detect;
 pub mod engage;
 pub mod monthly;
-pub mod sensors;
 
 pub use detect::DetectionModel;
 pub use engage::Engagement;
@@ -33,4 +32,3 @@ pub use monthly::{
     observe_all_month_sources, observe_all_months, observe_month, observe_month_sources,
     MonthSources, MonthlyObservation, UNKNOWN_CLASS,
 };
-pub use sensors::SensorFleet;

@@ -16,10 +16,15 @@
 //! [`HierarchicalAccumulator::spilling`] it owns a [`SpillStore`] and a
 //! memory budget: each carry-level CSR part can be *evicted* to the store
 //! (encoded with the CRC-protected codec-v2 frames from
-//! [`crate::serialize`]) and *reloaded* when the carry chain or the final
-//! tree reduction needs it again. When placing or reloading a part would
-//! exceed the budget, the coldest (least recently touched) resident level
-//! is spilled first.
+//! [`crate::serialize`]) and *reloaded* when the carry chain or finalize
+//! needs it again. When placing or reloading a part would exceed the
+//! budget, the highest resident level is spilled first: it holds the
+//! earliest leaves, and both the carry chain and finalize reach it last.
+//!
+//! One merge step serves the carry chain and finalize alike: it merges a
+//! part with the carry that follows it in leaf order. Finalize takes the
+//! surviving levels bottom-up, so a power-of-two leaf count (the paper's
+//! `2^13`) ends with one part and merges nothing there.
 //!
 //! Degradation, not corruption: a spill frame that fails to decode after
 //! bounded retry ([`crate::spill::fetch_frame`], the read the archive
@@ -53,9 +58,9 @@
 //!
 //! Every fold emits the default names: the `hypersparse.leaf_compact` span
 //! (the compaction alone) and triple histogram per leaf, the
-//! `hypersparse.carry_merge` span and
-//! `hypersparse.accumulator.carry_merges_total` per carry merge, and at
-//! finalize the `hypersparse.accumulator.finalize` span and
+//! `hypersparse.carry_merge` span per merge, the
+//! `hypersparse.accumulator.carry_merges_total` counter per carry merge,
+//! and at finalize the `hypersparse.accumulator.finalize` span and
 //! `hypersparse.accumulator.{pushed,leaves,merges}_total`. A fold
 //! that owns a store also emits the
 //! `hypersparse.spill.{evictions,reloads}_total` counters and per-level
@@ -77,7 +82,8 @@ use crate::Index;
 /// Default leaf size, matching the paper's archived `2^17`-packet matrices.
 pub const DEFAULT_LEAF_CAPACITY: usize = 1 << 17;
 
-/// A carry part: its leaf interval, packet count, and residency state.
+/// A carry part in the level table: its leaf interval, packet count, and
+/// residency state.
 struct Part<V: Value> {
     first_leaf: u64,
     n_leaves: u64,
@@ -86,32 +92,23 @@ struct Part<V: Value> {
 }
 
 enum PartState<V: Value> {
-    /// In memory, charged against the budget; `touch` is the LRU clock.
-    Resident { csr: Csr<V>, bytes: u64, touch: u64 },
-    /// Offloaded; `est_bytes` is the heap size it had when evicted.
-    Spilled { handle: SpillHandle, est_bytes: u64 },
+    /// In memory, its [`Csr::heap_bytes`] charged against the budget.
+    Resident(Csr<V>),
+    /// Offloaded to the store.
+    Spilled(SpillHandle),
 }
 
-impl<V: Value> Part<V> {
-    fn size_est(&self) -> u64 {
-        match &self.state {
-            PartState::Resident { bytes, .. } => *bytes,
-            PartState::Spilled { est_bytes, .. } => *est_bytes,
-        }
-    }
-}
-
-/// A loaded part ready to merge.
+/// A part out of the level table and in memory, its bytes charged: the
+/// carry, or a part taken to merge into it.
 struct Loaded<V: Value> {
     csr: Csr<V>,
-    bytes: u64,
     first_leaf: u64,
     n_leaves: u64,
     packets: u64,
 }
 
-/// `floor(log2(n))` for `n >= 1` (`0` for `n == 0`), used to label merge
-/// spans and quarantined parts by carry level.
+/// `floor(log2(n))` for `n >= 1` (`0` for `n == 0`), used to label
+/// quarantined parts by carry level.
 fn floor_log2(n: u64) -> usize {
     usize::try_from(u64::BITS - 1 - n.max(1).leading_zeros()).unwrap_or(63)
 }
@@ -129,7 +126,6 @@ pub struct HierarchicalAccumulator<V: Value> {
     levels: Vec<Option<Part<V>>>,
     /// Where evicted parts go; `None` keeps every part resident.
     store: Option<SpillStore>,
-    clock: u64,
     live_bytes: u64,
     stats: SpillStats,
     quarantined: Vec<QuarantinedPart>,
@@ -179,7 +175,6 @@ impl<V: Value> HierarchicalAccumulator<V> {
             buffer: Coo::with_capacity(leaf_capacity),
             levels: Vec::new(),
             store,
-            clock: 0,
             live_bytes: 0,
             stats: SpillStats::default(),
             quarantined: Vec::new(),
@@ -314,12 +309,9 @@ impl<V: Value> HierarchicalAccumulator<V> {
                 if part.n_leaves == 0 {
                     return Err(format!("level {k}: part covers zero leaves"));
                 }
-                if let PartState::Resident { csr, bytes, .. } = &part.state {
+                if let PartState::Resident(csr) = &part.state {
                     csr.check_invariants().map_err(|e| format!("level {k}: {e}"))?;
-                    if *bytes != csr.heap_bytes() {
-                        return Err(format!("level {k}: stale byte accounting"));
-                    }
-                    resident += bytes;
+                    resident += csr.heap_bytes();
                 }
             }
         }
@@ -338,11 +330,6 @@ impl<V: Value> HierarchicalAccumulator<V> {
         Ok(())
     }
 
-    fn tick(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
-    }
-
     fn charge(&mut self, bytes: u64) {
         self.live_bytes += bytes;
         if self.live_bytes > self.stats.peak_live_bytes {
@@ -354,15 +341,15 @@ impl<V: Value> HierarchicalAccumulator<V> {
         self.live_bytes = self.live_bytes.saturating_sub(bytes);
     }
 
-    /// Make room for `bytes` *before* charging them: evict coldest-first
-    /// until the addition fits the budget, then charge. Counting the
-    /// overrun here (rather than after the fact) keeps the tracked peak
-    /// within the budget whenever the budget is feasible at all.
-    /// `reserve(0)` enforces the budget on what is already resident.
+    /// Make room for `bytes` *before* charging them: evict the highest
+    /// resident level until the addition fits the budget, then charge.
+    /// Counting the overrun here (rather than after the fact) keeps the
+    /// tracked peak within the budget whenever the budget is feasible at
+    /// all. `reserve(0)` enforces the budget on what is already resident.
     fn reserve(&mut self, bytes: u64) {
         if let Some(budget) = self.budget {
             while self.live_bytes.saturating_add(bytes) > budget {
-                match self.coldest_resident() {
+                match self.highest_resident() {
                     Some(k) if self.evict_level(k) => {}
                     _ => {
                         self.stats.budget_overruns += 1;
@@ -374,60 +361,41 @@ impl<V: Value> HierarchicalAccumulator<V> {
         self.charge(bytes);
     }
 
-    /// Index of the least-recently-touched resident level, if any.
-    fn coldest_resident(&self) -> Option<usize> {
-        let mut best: Option<(u64, usize)> = None;
-        for (k, slot) in self.levels.iter().enumerate() {
-            if let Some(Part { state: PartState::Resident { touch, .. }, .. }) = slot {
-                if best.is_none_or(|(t, _)| *touch < t) {
-                    best = Some((*touch, k));
-                }
-            }
-        }
-        best.map(|(_, k)| k)
+    /// Index of the highest resident level, if any. A part settles at
+    /// level `k` only after the carry has emptied every level below `k`,
+    /// so a higher level holds earlier leaves and is needed last.
+    fn highest_resident(&self) -> Option<usize> {
+        self.levels
+            .iter()
+            .rposition(|slot| matches!(slot, Some(Part { state: PartState::Resident(_), .. })))
     }
 
-    /// Spill the resident part at level `k`. Returns `false` (leaving the
-    /// part resident) if there is no store or it cannot persist the part.
+    /// Write the resident part at level `k` to the store and release its
+    /// bytes. Returns `false`, leaving the part resident, if there is no
+    /// store or it refuses the part: the budget is best-effort when the
+    /// spill device itself fails, and no data is ever dropped.
     fn evict_level(&mut self, k: usize) -> bool {
-        let Some(part) = self.levels[k].take() else { return false };
-        let part = self.spill_part(part);
-        let evicted = matches!(part.state, PartState::Spilled { .. });
-        self.levels[k] = Some(part);
-        evicted
+        let (Some(store), Some(part)) = (&self.store, &mut self.levels[k]) else { return false };
+        let PartState::Resident(csr) = &part.state else { return false };
+        let Ok(handle) = store.store_csr(csr) else { return false };
+        let bytes = csr.heap_bytes();
+        part.state = PartState::Spilled(handle);
+        self.stats.evictions += 1;
+        obscor_obs::counter("hypersparse.spill.evictions_total").inc();
+        self.release(bytes);
+        true
     }
 
-    /// Write a resident part to the store and release its bytes. A part
-    /// the store refuses (or that has no store to go to) stays resident:
-    /// the budget is best-effort when the spill device itself fails, and
-    /// no data is ever dropped.
-    fn spill_part(&mut self, part: Part<V>) -> Part<V> {
-        let Part { first_leaf, n_leaves, packets, state } = part;
-        let state = match state {
-            PartState::Resident { csr, bytes, touch } => {
-                match self.store.as_ref().map(|store| store.store_csr(&csr)) {
-                    Some(Ok(handle)) => {
-                        self.stats.evictions += 1;
-                        obscor_obs::counter("hypersparse.spill.evictions_total").inc();
-                        self.release(bytes);
-                        PartState::Spilled { handle, est_bytes: bytes }
-                    }
-                    _ => PartState::Resident { csr, bytes, touch },
-                }
-            }
-            spilled => spilled,
-        };
-        Part { first_leaf, n_leaves, packets, state }
-    }
-
-    /// Bring a part into memory (charging its bytes) or quarantine it.
-    fn load_part(&mut self, part: Part<V>) -> Result<Loaded<V>, QuarantinedPart> {
-        let Part { first_leaf, n_leaves, packets, state } = part;
+    /// Take the part at level `k`, if any, out of the table and bring it
+    /// into memory (charging its bytes), or quarantine it if it cannot be
+    /// read.
+    fn take_level(&mut self, k: usize) -> Option<Result<Loaded<V>, QuarantinedPart>> {
+        let Part { first_leaf, n_leaves, packets, state } = self.levels.get_mut(k)?.take()?;
         let handle = match state {
-            PartState::Resident { csr, bytes, .. } => {
-                return Ok(Loaded { csr, bytes, first_leaf, n_leaves, packets });
+            PartState::Resident(csr) => {
+                return Some(Ok(Loaded { csr, first_leaf, n_leaves, packets }));
             }
-            PartState::Spilled { handle, .. } => handle,
+            PartState::Spilled(handle) => handle,
         };
         let (fetched, retries) = self.store.as_ref().map_or((Err(SpillFault::Missing), 0), |store| {
             let fetched = store.fetch_csr::<V>(&handle);
@@ -435,13 +403,12 @@ impl<V: Value> HierarchicalAccumulator<V> {
             fetched
         });
         self.stats.retries += u64::from(retries);
-        match fetched {
+        Some(match fetched {
             Ok(csr) => {
                 self.stats.reloads += 1;
                 obscor_obs::counter("hypersparse.spill.reloads_total").inc();
-                let bytes = csr.heap_bytes();
-                self.reserve(bytes);
-                Ok(Loaded { csr, bytes, first_leaf, n_leaves, packets })
+                self.reserve(csr.heap_bytes());
+                Ok(Loaded { csr, first_leaf, n_leaves, packets })
             }
             Err(fault) => Err(QuarantinedPart {
                 level: floor_log2(n_leaves),
@@ -450,75 +417,49 @@ impl<V: Value> HierarchicalAccumulator<V> {
                 packets,
                 error: fault.to_string(),
             }),
+        })
+    }
+
+    /// The fold's one merge: `part`, taken from level `k`, with the carry
+    /// that follows it in leaf order. The output is reserved before the
+    /// inputs release, so the tracked peak covers the merge working set
+    /// (both inputs are out of the level table, so the reservation can
+    /// only evict parts needed later). The merged part is labelled with
+    /// the full span up to the carry's end: a quarantine may have punched
+    /// a hole between the two, and a span keeps later quarantine reports a
+    /// superset of the true loss (holes are already reported by their own
+    /// quarantine entries).
+    fn merge_into_carry(&mut self, k: usize, part: Loaded<V>, carry: Loaded<V>) -> Loaded<V> {
+        let csr = {
+            let _span = obscor_obs::span("hypersparse.carry_merge");
+            let _level = self
+                .store
+                .is_some()
+                .then(|| obscor_obs::span(&format!("hypersparse.spill.merge.level{k}")));
+            ewise_add(&part.csr, &carry.csr)
+        };
+        self.reserve(csr.heap_bytes());
+        self.release(part.csr.heap_bytes() + carry.csr.heap_bytes());
+        Loaded {
+            csr,
+            first_leaf: part.first_leaf,
+            n_leaves: (carry.first_leaf + carry.n_leaves) - part.first_leaf,
+            packets: part.packets + carry.packets,
         }
-    }
-
-    /// One pairwise merge; a fold that owns a store times it under its
-    /// per-level span.
-    fn merge(&self, level: usize, a: &Csr<V>, b: &Csr<V>) -> Csr<V> {
-        let _span = self
-            .store
-            .is_some()
-            .then(|| obscor_obs::span(&format!("hypersparse.spill.merge.level{level}")));
-        ewise_add(a, b)
-    }
-
-    /// Place a part into the empty level `k` as resident, then enforce the
-    /// budget.
-    fn settle(&mut self, k: usize, csr: Csr<V>, bytes: u64, meta: (u64, u64, u64)) {
-        let touch = self.tick();
-        self.levels[k] = Some(Part {
-            first_leaf: meta.0,
-            n_leaves: meta.1,
-            packets: meta.2,
-            state: PartState::Resident { csr, bytes, touch },
-        });
-        self.reserve(0);
     }
 
     /// Carry one compacted leaf up the level chain, binary-counter style:
     /// level `k` holds the sum of `2^k` leaves, and a collision merges and
-    /// propagates upward, evicting/reloading around the budget as it goes.
+    /// propagates upward. The carry settles, resident, in the first empty
+    /// level, or in the level of a part that had to be quarantined.
     fn carry_in(&mut self, leaf: Csr<V>, first_leaf: u64, packets: u64) {
-        let mut carry = leaf;
-        let mut carry_bytes = carry.heap_bytes();
-        let mut meta = (first_leaf, 1u64, packets);
-        self.reserve(carry_bytes);
+        self.reserve(leaf.heap_bytes());
+        let mut carry = Loaded { csr: leaf, first_leaf, n_leaves: 1, packets };
         let mut k = 0usize;
-        loop {
-            if k == self.levels.len() {
-                self.levels.push(None);
-            }
-            let Some(existing) = self.levels[k].take() else {
-                self.settle(k, carry, carry_bytes, meta);
-                return;
-            };
-            match self.load_part(existing) {
-                Ok(loaded) => {
-                    let merged = {
-                        let _span = obscor_obs::span("hypersparse.carry_merge");
-                        self.merge(k, &loaded.csr, &carry)
-                    };
-                    let merged_bytes = merged.heap_bytes();
-                    // Reserve the output before the inputs release so the
-                    // tracked peak covers the merge working set (the
-                    // inputs are out of the level table, so the
-                    // reservation can only evict colder levels).
-                    self.reserve(merged_bytes);
-                    self.release(loaded.bytes + carry_bytes);
-                    carry = merged;
-                    carry_bytes = merged_bytes;
-                    // The existing part covers leaves before the carry's.
-                    // The merged part is labelled with the full span up to
-                    // the carry's end: a quarantine may have punched a hole
-                    // between the two, and a span keeps later quarantine
-                    // reports a superset of the true loss (holes are
-                    // already reported by their own quarantine entries).
-                    meta = (
-                        loaded.first_leaf,
-                        (meta.0 + meta.1) - loaded.first_leaf,
-                        loaded.packets + meta.2,
-                    );
+        while let Some(taken) = self.take_level(k) {
+            match taken {
+                Ok(part) => {
+                    carry = self.merge_into_carry(k, part, carry);
                     self.stats.carry_merges += 1;
                     obscor_obs::counter("hypersparse.accumulator.carry_merges_total").inc();
                     k += 1;
@@ -528,11 +469,17 @@ impl<V: Value> HierarchicalAccumulator<V> {
                     // and let the carry take the slot — degraded coverage,
                     // never a wrong matrix.
                     self.quarantined.push(q);
-                    self.settle(k, carry, carry_bytes, meta);
-                    return;
+                    break;
                 }
             }
         }
+        if k == self.levels.len() {
+            self.levels.push(None);
+        }
+        let Loaded { csr, first_leaf, n_leaves, packets } = carry;
+        let state = PartState::Resident(csr);
+        self.levels[k] = Some(Part { first_leaf, n_leaves, packets, state });
+        self.reserve(0);
     }
 
     /// Finish: flush the partial leaf and fold all levels into one matrix.
@@ -542,44 +489,41 @@ impl<V: Value> HierarchicalAccumulator<V> {
 
     /// [`finalize`](Self::finalize), also returning the coverage report.
     ///
-    /// Every surviving part is reduced to one matrix. When every part fits
-    /// in the budget at once (always, without a budget) the reduction is
-    /// the rayon pairwise tree ([`crate::ops::merge_all`]); otherwise an
-    /// adjacent-pair tree runs sequentially, loading pairs and re-spilling
-    /// intermediates so the tracked live bytes stay budgeted. Both shapes
-    /// perform exactly `parts - 1` merges and yield the identical matrix.
+    /// The surviving levels are taken bottom-up: each is loaded (or
+    /// quarantined), the lowest loaded part becomes the carry, and every
+    /// later part, which precedes it in leaf order, is merged into it by
+    /// the same step as the carry chain's. Parts stay in the level table
+    /// until they are taken, so under a budget a reload evicts the highest
+    /// untaken parts, the ones needed last.
     ///
     /// The binary-counter law `carry_merges == leaves - popcount(leaves)`
-    /// holds only mid-stream; the tree's `popcount(leaves) - 1` merges
+    /// holds only mid-stream; finalize's `popcount(leaves) - 1` merges
     /// land in `stats.tree_merges`, so post-finalize `stats.merges() ==
     /// leaves - 1` (for `leaves >= 1`, no quarantine). The lifetime
     /// counters surface in `hypersparse.accumulator.{pushed,leaves,
-    /// merges}_total`, where `merges_total` keeps its carry-only meaning
-    /// (the tree's merges are counted by
-    /// `hypersparse.merge_all.pair_merges_total`).
+    /// merges}_total`, where `merges_total` keeps its carry-only meaning.
     pub fn finalize_with_report(mut self) -> (Csr<V>, SpillReport) {
         let _span = obscor_obs::span("hypersparse.accumulator.finalize");
         self.flush_leaf();
         obscor_obs::counter("hypersparse.accumulator.pushed_total").add(self.stats.pushed);
         obscor_obs::counter("hypersparse.accumulator.leaves_total").add(self.stats.leaves);
         obscor_obs::counter("hypersparse.accumulator.merges_total").add(self.stats.carry_merges);
-        let mut work: Vec<Part<V>> = self.levels.drain(..).flatten().collect();
-        // Adjacent parts in leaf order cover contiguous spans; merging
-        // neighbours keeps every intermediate's span contiguous, so
-        // quarantine reports stay span-exact even for intermediates.
-        work.sort_by_key(|p| p.first_leaf);
-        let total_est: u64 = work.iter().map(Part::size_est).sum();
-        let fits = match self.budget {
-            None => true,
-            // merge_all's transient working set is bounded by twice the
-            // input total (outputs of a round never exceed its inputs).
-            Some(b) => total_est.saturating_mul(2) <= b,
-        };
-        let matrix = if fits {
-            self.reduce_in_memory(work)
-        } else {
-            self.reduce_budgeted(work)
-        };
+        let mut carry: Option<Loaded<V>> = None;
+        for k in 0..self.levels.len() {
+            match self.take_level(k) {
+                Some(Ok(part)) => {
+                    carry = Some(match carry.take() {
+                        None => part,
+                        Some(c) => {
+                            self.stats.tree_merges += 1;
+                            self.merge_into_carry(k, part, c)
+                        }
+                    });
+                }
+                Some(Err(q)) => self.quarantined.push(q),
+                None => {}
+            }
+        }
         let lost: u64 = self.quarantined.iter().map(|q| q.packets).sum();
         let report = SpillReport {
             packets_expected: self.stats.pushed,
@@ -587,107 +531,7 @@ impl<V: Value> HierarchicalAccumulator<V> {
             quarantined: std::mem::take(&mut self.quarantined),
             stats: self.stats,
         };
-        (matrix, report)
-    }
-
-    /// Everything fits: load all parts and hand them to the rayon tree.
-    fn reduce_in_memory(&mut self, work: Vec<Part<V>>) -> Csr<V> {
-        let mut parts: Vec<Csr<V>> = Vec::with_capacity(work.len());
-        let mut loaded_bytes = 0u64;
-        for part in work {
-            match self.load_part(part) {
-                Ok(loaded) => {
-                    loaded_bytes += loaded.bytes;
-                    parts.push(loaded.csr);
-                }
-                Err(q) => self.quarantined.push(q),
-            }
-        }
-        self.stats.tree_merges += (parts.len() as u64).saturating_sub(1);
-        let matrix = crate::ops::merge_all(parts);
-        self.release(loaded_bytes);
-        self.reserve(matrix.heap_bytes());
-        matrix
-    }
-
-    /// Budget-aware sequential pairwise tree: rounds of adjacent-pair
-    /// merges, spilling each round's outputs whenever the tracked live
-    /// bytes exceed the budget.
-    fn reduce_budgeted(&mut self, mut work: Vec<Part<V>>) -> Csr<V> {
-        // Park every input on the medium first: within a round the live
-        // set is then exactly one pair plus its output, so the peak stays
-        // at the merge working set instead of a whole round's residue.
-        work = work.into_iter().map(|p| self.spill_part(p)).collect();
-        while work.len() > 1 {
-            let mut next: Vec<Part<V>> = Vec::with_capacity(work.len() / 2 + 1);
-            let mut pending: Option<Part<V>> = None;
-            for part in work {
-                let Some(a) = pending.take() else {
-                    pending = Some(part);
-                    continue;
-                };
-                let a = match self.load_part(a) {
-                    Ok(l) => l,
-                    Err(q) => {
-                        self.quarantined.push(q);
-                        pending = Some(part);
-                        continue;
-                    }
-                };
-                let b = match self.load_part(part) {
-                    Ok(l) => l,
-                    Err(q) => {
-                        self.quarantined.push(q);
-                        // `a` survives: re-wrap it, park it, keep pairing.
-                        let a = self.repack(a);
-                        pending = Some(self.spill_part(a));
-                        continue;
-                    }
-                };
-                let level = floor_log2(a.n_leaves.max(b.n_leaves));
-                let merged = self.merge(level, &a.csr, &b.csr);
-                let merged_bytes = merged.heap_bytes();
-                self.reserve(merged_bytes);
-                self.release(a.bytes + b.bytes);
-                self.stats.tree_merges += 1;
-                let touch = self.tick();
-                let out = Part {
-                    first_leaf: a.first_leaf,
-                    // Span, not sum: quarantined holes between the pair
-                    // are already reported by their own entries.
-                    n_leaves: (b.first_leaf + b.n_leaves) - a.first_leaf,
-                    packets: a.packets + b.packets,
-                    state: PartState::Resident { csr: merged, bytes: merged_bytes, touch },
-                };
-                // The output is not needed again until the next round:
-                // park it so the next pair starts from an empty live set.
-                next.push(self.spill_part(out));
-            }
-            // An odd tail rejoins the reduction next round, untouched.
-            next.extend(pending.take());
-            work = next;
-        }
-        match work.pop() {
-            Some(last) => match self.load_part(last) {
-                Ok(loaded) => loaded.csr,
-                Err(q) => {
-                    self.quarantined.push(q);
-                    Csr::empty()
-                }
-            },
-            None => Csr::empty(),
-        }
-    }
-
-    /// Re-wrap a loaded part as a resident [`Part`].
-    fn repack(&mut self, loaded: Loaded<V>) -> Part<V> {
-        let touch = self.tick();
-        Part {
-            first_leaf: loaded.first_leaf,
-            n_leaves: loaded.n_leaves,
-            packets: loaded.packets,
-            state: PartState::Resident { csr: loaded.csr, bytes: loaded.bytes, touch },
-        }
+        (carry.map_or_else(Csr::empty, |c| c.csr), report)
     }
 }
 
@@ -824,12 +668,11 @@ mod tests {
 
     #[test]
     fn finalize_tree_restores_the_leaves_minus_one_closed_form() {
-        // The carry law above stops short of the finalize tree. After
-        // finalize, ANY pairwise merge tree over L leaves has performed
+        // The carry law above stops short of finalize. After finalize,
+        // ANY pairwise merge tree over L leaves has performed
         // exactly L - 1 merges: (leaves - popcount) carries plus
-        // (popcount - 1) tree merges. Pin the full closed form so neither
-        // the merge_all reduction nor the budgeted adjacent-pair tree can
-        // ever silently drop merges.
+        // (popcount - 1) finalize merges. Pin the full closed form so
+        // finalize can never silently drop merges.
         for mode in MODES {
             for c in [1usize, 2, 3, 7, 16] {
                 for n in 0..200usize {
@@ -851,6 +694,50 @@ mod tests {
                     assert_eq!(m, flat, "matrix ({mode:?}, c={c}, n={n})");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_zero_budget_writes_each_part_once_and_reads_it_once() {
+        // One part settles per leaf, and a zero budget writes it out as it
+        // settles. Each is read back once, when it is taken to merge or,
+        // for the last one, to become the result; no merge output is
+        // parked on the way.
+        for c in [1usize, 2, 3, 7, 16] {
+            for n in 0..200usize {
+                let mut acc = fold(Mode::Spilling(Some(0)), c);
+                acc.extend(triples(n));
+                let (m, report) = acc.finalize_with_report();
+                let s = report.stats;
+                assert_eq!(m, Coo::from_triples(triples(n)).into_csr(), "c={c}, n={n}");
+                assert_eq!((s.evictions, s.reloads), (s.leaves, s.leaves), "c={c}, n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_highest_resident_level_is_evicted_first() {
+        // Three leaves of four triples on distinct rows: level 1 holds
+        // leaves 0-1 and level 0 leaf 2. A budget that holds one leaf part
+        // but not two must spill level 1, which finalize takes last, and
+        // keep level 0, whether it applies from the start or is imposed
+        // once both levels are resident.
+        let t: Vec<(Index, Index, u64)> = (0..12).map(|i| (i, i % 4, 1)).collect();
+        let leaf_bytes = Coo::from_triples(t[..4].iter().copied()).into_csr().heap_bytes();
+        let budget = leaf_bytes + leaf_bytes / 2;
+        for from_start in [true, false] {
+            let mut acc = fold(Mode::Spilling(from_start.then_some(budget)), 4);
+            acc.extend(t.iter().copied());
+            if !from_start {
+                acc.set_budget(Some(budget));
+            }
+            let resident: Vec<bool> = acc
+                .levels
+                .iter()
+                .map(|slot| matches!(slot, Some(Part { state: PartState::Resident(_), .. })))
+                .collect();
+            assert_eq!(resident, [true, false], "from_start = {from_start}");
+            assert_eq!(acc.finalize(), Coo::from_triples(t.iter().copied()).into_csr());
         }
     }
 

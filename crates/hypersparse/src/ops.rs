@@ -2,9 +2,9 @@
 //!
 //! The paper's analytics need only a small GraphBLAS subset: element-wise
 //! addition over the `(+, +)` semiring reduct (for hierarchical window
-//! accumulation), the zero-norm `| |_0` (pattern extraction), scalar
-//! scaling, and index permutation (which models anonymization — Table II
-//! notes all network quantities are invariant under it).
+//! accumulation), the zero-norm `| |_0` (pattern extraction), and index
+//! permutation (which models anonymization — Table II notes all network
+//! quantities are invariant under it).
 
 use std::cmp::Ordering;
 
@@ -107,57 +107,10 @@ fn add_row<V: Value>(
     extend_row((&cb[j..], &vb[j..]), cols, vals);
 }
 
-/// Sum many matrices with a parallel pairwise reduction tree (rayon).
-///
-/// Equivalent to folding [`ewise_add`] left to right (addition is
-/// associative and commutative), but `O(log n)` depth: the shape used to
-/// re-assemble a window from its archived leaves.
-pub fn merge_all<V: Value>(mut parts: Vec<Csr<V>>) -> Csr<V> {
-    use rayon::prelude::*;
-    let _span = obscor_obs::span("hypersparse.merge_all");
-    obscor_obs::counter("hypersparse.merge_all.parts_total").add(parts.len() as u64);
-    let pair_merges = obscor_obs::counter("hypersparse.merge_all.pair_merges_total");
-    while parts.len() > 1 {
-        // An odd tail is popped off and re-appended after the round, so it
-        // is moved — never cloned — and rejoins the reduction next round.
-        let tail = if parts.len() % 2 == 1 { parts.pop() } else { None };
-        let mut merged: Vec<Csr<V>> = parts
-            .par_chunks(2)
-            .map(|pair| match pair {
-                [a, b] => ewise_add(a, b),
-                // len is even here and par_chunks(2) never yields empty
-                // chunks, so only full pairs occur.
-                _ => Csr::empty(),
-            })
-            .collect();
-        pair_merges.add(merged.len() as u64);
-        merged.extend(tail);
-        parts = merged;
-    }
-    parts.pop().unwrap_or_else(Csr::empty)
-}
-
 /// The zero-norm `|A|_0`: every stored nonzero becomes `1`. This is the
 /// operator behind every "unique ..." quantity in Table II.
 pub fn zero_norm<V: Value>(a: &Csr<V>) -> Csr<V> {
     let triples: Vec<(Index, Index, V)> = a.iter().map(|(r, c, _)| (r, c, V::one())).collect();
-    Csr::from_sorted_dedup_triples(triples)
-}
-
-/// Scale every stored value: `C(i,j) = f(A(i,j))`, dropping entries that `f`
-/// maps to zero.
-pub fn map_values<V: Value, W: Value, F: Fn(V) -> W>(a: &Csr<V>, f: F) -> Csr<W> {
-    let triples: Vec<(Index, Index, W)> = a
-        .iter()
-        .filter_map(|(r, c, v)| {
-            let w = f(v);
-            if w.is_zero() {
-                None
-            } else {
-                Some((r, c, w))
-            }
-        })
-        .collect();
     Csr::from_sorted_dedup_triples(triples)
 }
 
@@ -229,37 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_all_equals_sequential_fold() {
-        let parts: Vec<Csr<u64>> = (0..7u32)
-            .map(|k| m(&[(k, k, 1), (0, 0, 1), (k % 3, 5, 2)]))
-            .collect();
-        let folded = parts.iter().skip(1).fold(parts[0].clone(), |acc, x| ewise_add(&acc, x));
-        assert_eq!(merge_all(parts), folded);
-    }
-
-    #[test]
-    fn merge_all_matches_left_fold_for_all_small_part_counts() {
-        // 1..=9 covers even, odd, power-of-two, and repeated-odd-tail
-        // rounds (9 -> 5 -> 3 -> 2 -> 1); each part is distinct so a
-        // dropped or double-counted tail changes the result.
-        for n in 1..=9u32 {
-            let parts: Vec<Csr<u64>> = (0..n)
-                .map(|k| m(&[(k, k, 1), (0, 0, 1), (k % 3, 5, 2), (7, k % 4, u64::from(k) + 1)]))
-                .collect();
-            let folded =
-                parts.iter().skip(1).fold(parts[0].clone(), |acc, x| ewise_add(&acc, x));
-            assert_eq!(merge_all(parts), folded, "n = {n}");
-        }
-    }
-
-    #[test]
-    fn merge_all_edge_cases() {
-        assert!(merge_all(Vec::<Csr<u64>>::new()).is_empty());
-        let single = m(&[(1, 2, 3)]);
-        assert_eq!(merge_all(vec![single.clone()]), single);
-    }
-
-    #[test]
     fn zero_norm_patterns() {
         let a = m(&[(1, 1, 100), (2, 3, 42)]);
         let z = zero_norm(&a);
@@ -273,14 +195,6 @@ mod tests {
         let a = m(&[(1, 1, 100), (2, 3, 42), (9, 0, 7)]);
         let z = zero_norm(&a);
         assert_eq!(zero_norm(&z), z);
-    }
-
-    #[test]
-    fn map_values_drops_zeros() {
-        let a = m(&[(1, 1, 1), (2, 2, 10)]);
-        let c = map_values(&a, |v| if v > 5 { v } else { 0 });
-        assert_eq!(c.nnz(), 1);
-        assert_eq!(c.get(2, 2), Some(10));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! A [`crate::HierarchicalAccumulator`] built with
 //! [`crate::HierarchicalAccumulator::spilling`] evicts carry-level CSR
 //! parts to a [`SpillStore`] whenever its tracked live bytes would exceed
-//! the memory budget, and reloads them when the carry chain or the final
-//! tree reduction needs them again. This module is that storage layer:
+//! the memory budget, and reloads them when the carry chain or finalize
+//! needs them again. This module is that storage layer:
 //! the [`SpillMedium`] byte stores ([`DirMedium`] for real directories,
 //! [`MemMedium`] in memory), the CRC-framed [`SpillStore`], the
 //! [`SpillFault`] taxonomy, and the fold's [`SpillConfig`],
@@ -392,7 +392,8 @@ pub struct SpillStats {
     pub leaves: u64,
     /// Pairwise merges performed by the binary-counter carry chain.
     pub carry_merges: u64,
-    /// Pairwise merges performed by the finalize tree reduction.
+    /// Pairwise merges performed by finalize, which folds the parts the
+    /// carry chain left into one.
     pub tree_merges: u64,
     /// Resident parts written out to the spill store.
     pub evictions: u64,
@@ -412,10 +413,8 @@ pub struct SpillStats {
 impl SpillStats {
     /// Total pairwise merges. Closed form with no quarantined parts:
     /// `leaves - popcount(leaves)` carry merges mid-stream, and after
-    /// finalize the tree reduction brings the total to `leaves - 1` —
-    /// *any* pairwise merge tree over `L` parts performs exactly `L - 1`
-    /// merges (each merge destroys one part), which replaces the pure
-    /// binary-counter identity once the finalize tree runs.
+    /// finalize, whose `popcount(leaves) - 1` merges fold the remaining
+    /// parts into one, exactly `leaves - 1`: each merge destroys one part.
     pub fn merges(&self) -> u64 {
         self.carry_merges + self.tree_merges
     }

@@ -57,12 +57,6 @@ impl Log2Binned {
         self.values.iter().enumerate().map(|(i, &v)| (bin_representative(i as u32), v))
     }
 
-    /// The pooled value of the bin containing degree `d` (0.0 outside).
-    pub fn value_for_degree(&self, d: u64) -> f64 {
-        let i = log2_bin(d) as usize;
-        self.values.get(i).copied().unwrap_or(0.0)
-    }
-
     /// Total pooled mass.
     pub fn total(&self) -> f64 {
         self.values.iter().sum()
@@ -95,69 +89,6 @@ pub fn differential_cumulative(h: &DegreeHistogram) -> Log2Binned {
         *v /= total;
     }
     Log2Binned { values }
-}
-
-/// Pool a histogram into *linear* bins of the given width — the baseline
-/// the paper's logarithmic binning is chosen against. On heavy-tailed
-/// data, linear bins leave the tail as isolated single-count spikes
-/// (large relative fluctuations), which is exactly why Clauset-Shalizi-
-/// Newman-style log binning is used instead; the ablation tests
-/// demonstrate the difference quantitatively.
-pub fn linear_binned(h: &DegreeHistogram, width: u64) -> Vec<(u64, f64)> {
-    assert!(width > 0, "bin width must be positive");
-    if h.total() == 0 {
-        return Vec::new();
-    }
-    let total = h.total() as f64;
-    let mut out: Vec<(u64, f64)> = Vec::new();
-    for (d, c) in h.iter() {
-        let bin_start = ((d - 1) / width) * width + 1;
-        let mass = c as f64 / total;
-        match out.last_mut() {
-            Some((s, acc)) if *s == bin_start => *acc += mass,
-            _ => out.push((bin_start, mass)),
-        }
-    }
-    out
-}
-
-/// The fraction of occupied bins holding fewer than `min_count` raw
-/// observations. Starved bins carry ~100 % relative sampling error; a
-/// binning suited to heavy tails keeps this fraction small by pooling the
-/// sparse tail — the quantitative argument for the paper's logarithmic
-/// bins over linear ones.
-pub fn starved_bin_fraction(counts: &[u64], min_count: u64) -> f64 {
-    let occupied: Vec<u64> = counts.iter().copied().filter(|&c| c > 0).collect();
-    if occupied.is_empty() {
-        return 0.0;
-    }
-    occupied.iter().filter(|&&c| c < min_count).count() as f64 / occupied.len() as f64
-}
-
-/// Raw per-bin counts under log2 binning.
-pub fn log2_bin_counts(h: &DegreeHistogram) -> Vec<u64> {
-    if h.total() == 0 {
-        return Vec::new();
-    }
-    let mut counts = vec![0u64; log2_bin(h.d_max()) as usize + 1];
-    for (d, c) in h.iter() {
-        counts[log2_bin(d) as usize] += c;
-    }
-    counts
-}
-
-/// Raw per-bin counts under linear binning of the given width.
-pub fn linear_bin_counts(h: &DegreeHistogram, width: u64) -> Vec<u64> {
-    assert!(width > 0, "bin width must be positive");
-    if h.total() == 0 {
-        return Vec::new();
-    }
-    let n_bins = ((h.d_max() - 1) / width + 1) as usize;
-    let mut counts = vec![0u64; n_bins];
-    for (d, c) in h.iter() {
-        counts[((d - 1) / width) as usize] += c;
-    }
-    counts
 }
 
 /// Pool an arbitrary pmf `(d, p(d))` into the same bins (used to bin model
@@ -224,16 +155,6 @@ mod tests {
     }
 
     #[test]
-    fn value_for_degree_indexes_bins() {
-        let h = DegreeHistogram::from_degrees(vec![1, 2, 2, 4]);
-        let binned = differential_cumulative(&h);
-        assert!((binned.value_for_degree(1) - 0.25).abs() < 1e-12);
-        assert!((binned.value_for_degree(2) - 0.5).abs() < 1e-12);
-        assert!((binned.value_for_degree(3) - 0.25).abs() < 1e-12); // bin of 4 is (2,4]
-        assert_eq!(binned.value_for_degree(1 << 40), 0.0);
-    }
-
-    #[test]
     fn pool_pmf_matches_histogram_pooling() {
         let degrees = vec![1u64, 2, 2, 5, 9, 9, 9];
         let h = DegreeHistogram::from_degrees(degrees.clone());
@@ -249,57 +170,6 @@ mod tests {
     #[test]
     fn empty_histogram_gives_empty_binning() {
         assert!(differential_cumulative(&DegreeHistogram::new()).is_empty());
-        assert!(linear_binned(&DegreeHistogram::new(), 10).is_empty());
-    }
-
-    #[test]
-    fn linear_binning_conserves_mass() {
-        let h = DegreeHistogram::from_degrees((1..=500).map(|d| d % 37 + 1));
-        let binned = linear_binned(&h, 8);
-        let mass: f64 = binned.iter().map(|(_, v)| v).sum();
-        assert!((mass - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn linear_bin_starts_are_aligned() {
-        let h = DegreeHistogram::from_degrees(vec![1, 5, 9, 10, 11, 25]);
-        let binned = linear_binned(&h, 10);
-        let starts: Vec<u64> = binned.iter().map(|(s, _)| *s).collect();
-        assert_eq!(starts, vec![1, 11, 21]);
-    }
-
-    #[test]
-    fn log_binning_starves_fewer_bins_on_heavy_tails() {
-        // Ablation (DESIGN.md §6): on a power-law sample, linear bins in
-        // the tail hold 0-or-1 counts (useless statistics) while log bins
-        // pool the tail into well-populated bins.
-        use rand::SeedableRng;
-        let zm = crate::zipf::ZipfMandelbrot::new(1.5, 0.0, 1 << 14);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(77);
-        let h = DegreeHistogram::from_degrees(zm.sample_n(&mut rng, 50_000));
-        // The sampled tail must actually reach isolated large degrees for
-        // the comparison to be meaningful.
-        assert!(h.d_max() > 1000, "d_max {}", h.d_max());
-        let log_starved = starved_bin_fraction(&log2_bin_counts(&h), 10);
-        let lin_starved = starved_bin_fraction(&linear_bin_counts(&h, 16), 10);
-        assert!(
-            log_starved + 0.3 < lin_starved,
-            "log starved {log_starved:.2} vs linear starved {lin_starved:.2}"
-        );
-    }
-
-    #[test]
-    fn bin_counts_conserve_observations() {
-        let h = DegreeHistogram::from_degrees(vec![1, 2, 3, 100, 1000, 1000]);
-        assert_eq!(log2_bin_counts(&h).iter().sum::<u64>(), h.total());
-        assert_eq!(linear_bin_counts(&h, 7).iter().sum::<u64>(), h.total());
-    }
-
-    #[test]
-    fn starved_fraction_edge_cases() {
-        assert_eq!(starved_bin_fraction(&[], 10), 0.0);
-        assert_eq!(starved_bin_fraction(&[0, 0], 10), 0.0);
-        assert_eq!(starved_bin_fraction(&[5, 20], 10), 0.5);
     }
 
     #[test]

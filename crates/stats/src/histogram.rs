@@ -63,11 +63,6 @@ impl DegreeHistogram {
         self.total
     }
 
-    /// Number of distinct degree values observed.
-    pub fn support_size(&self) -> usize {
-        self.counts.len()
-    }
-
     /// The largest observed degree `d_max`.
     pub fn d_max(&self) -> u64 {
         self.counts.keys().next_back().copied().unwrap_or(0)
@@ -127,7 +122,6 @@ mod tests {
         assert_eq!(h.count(4), 2);
         assert_eq!(h.count(3), 0);
         assert_eq!(h.total(), 7);
-        assert_eq!(h.support_size(), 4);
         assert_eq!(h.d_max(), 8);
     }
 

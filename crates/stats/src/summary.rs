@@ -46,14 +46,6 @@ pub fn median(xs: &[f64]) -> Option<f64> {
     quantile(xs, 0.5)
 }
 
-/// Geometric mean of positive values; `None` if empty or any value ≤ 0.
-pub fn geometric_mean(xs: &[f64]) -> Option<f64> {
-    if xs.is_empty() || xs.iter().any(|&x| x <= 0.0) {
-        return None;
-    }
-    Some((xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,13 +73,6 @@ mod tests {
         assert_eq!(quantile(&xs, 1.0), Some(4.0));
         assert!((quantile(&xs, 0.5).unwrap() - 2.5).abs() < 1e-12);
         assert!((quantile(&xs, 0.25).unwrap() - 1.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn geometric_mean_basics() {
-        assert!((geometric_mean(&[1.0, 4.0]).unwrap() - 2.0).abs() < 1e-12);
-        assert_eq!(geometric_mean(&[1.0, 0.0]), None);
-        assert_eq!(geometric_mean(&[]), None);
     }
 
     #[test]

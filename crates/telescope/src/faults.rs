@@ -54,13 +54,6 @@ pub enum Fault {
     },
 }
 
-impl Fault {
-    /// Whether bounded retry can ever recover this fault.
-    pub fn is_recoverable(&self) -> bool {
-        matches!(self, Fault::TransientRead { .. })
-    }
-}
-
 /// Fault families a plan draws from (see [`FaultPlan::with_kinds`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {

@@ -15,7 +15,7 @@
 
 use obscor_core::{pipeline, AnalysisConfig, ArchiveConfig, SpillSettings};
 use obscor_hypersparse::spill::{MemMedium, SpillConfig, SpillMedium};
-use obscor_hypersparse::{ops, reduce, Coo, Csr, HierarchicalAccumulator, SpillReport};
+use obscor_hypersparse::{reduce, Coo, Csr, HierarchicalAccumulator, SpillReport};
 use obscor_netmodel::Scenario;
 use obscor_telescope::{
     archive_window, capture_window, matrix, restore, Fault, FaultKind, FaultPlan, FaultyMedium,
@@ -44,17 +44,11 @@ fn matrix_of_surviving_leaves(
     surviving: &[usize],
 ) -> Csr<u64> {
     let chunks: Vec<_> = w.window.packets.chunks(archive.leaf_nv).collect();
-    let leaves: Vec<Csr<u64>> = surviving
-        .iter()
-        .map(|&i| {
-            let mut coo = Coo::with_capacity(chunks[i].len());
-            for p in chunks[i] {
-                coo.push(p.src.0, p.dst.0, 1u64);
-            }
-            coo.into_csr()
-        })
-        .collect();
-    ops::merge_all(leaves)
+    let mut coo = Coo::new();
+    for p in surviving.iter().flat_map(|&i| chunks[i]) {
+        coo.push(p.src.0, p.dst.0, 1u64);
+    }
+    coo.into_csr()
 }
 
 /// Leaf indices the bounded-retry read keeps, under `plan`: unfaulted

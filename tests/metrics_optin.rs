@@ -1,7 +1,7 @@
 //! Integration: the metric families outside the default schema, and the
 //! one level that gates the detail ones.
 //!
-//! The default 86-name schema is pinned byte-for-byte by
+//! The default 82-name schema is pinned byte-for-byte by
 //! `tests/metrics_schema.rs`; this binary (a separate process, so the
 //! level it sets cannot leak into that pin) proves the two halves of the
 //! contract:

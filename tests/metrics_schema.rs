@@ -29,7 +29,7 @@ fn metrics() -> &'static MetricsSnapshot {
 /// Every metric name the pipeline emits, pinned. A missing name means an
 /// instrumentation point was dropped; a new name must be added here (and to
 /// DESIGN.md §10) deliberately.
-const PINNED_NAMES: [&str; 86] = [
+const PINNED_NAMES: [&str; 82] = [
     "config.min_bin_sources",
     "config.month_count",
     "config.n_v",
@@ -45,8 +45,6 @@ const PINNED_NAMES: [&str; 86] = [
     "hypersparse.accumulator.merges_total",
     "hypersparse.accumulator.pushed_total",
     "hypersparse.leaf_compact.triples",
-    "hypersparse.merge_all.pair_merges_total",
-    "hypersparse.merge_all.parts_total",
     "span.core.binning.calls_total",
     "span.core.binning.ns",
     "span.core.degrees.calls_total",
@@ -65,8 +63,6 @@ const PINNED_NAMES: [&str; 86] = [
     "span.hypersparse.carry_merge.ns",
     "span.hypersparse.leaf_compact.calls_total",
     "span.hypersparse.leaf_compact.ns",
-    "span.hypersparse.merge_all.calls_total",
-    "span.hypersparse.merge_all.ns",
     "span.pipeline.run.calls_total",
     "span.pipeline.run.ns",
     "span.stage.capture.calls_total",

@@ -130,7 +130,7 @@ fn mid_stream_budget_changes_preserve_bit_identity() {
 #[test]
 fn spill_accounting_grid_has_exact_closed_forms() {
     // Structural invariants at every grid point: the carry law bounds the
-    // mid-stream merges and the finalize tree always does leaves-1 total.
+    // mid-stream merges and finalize always brings the total to leaves-1.
     for &n in &[1usize, 63, 64, 65, 1_000] {
         for &leaf in &[1usize, 7, 64] {
             let p = pairs(n, 5);
