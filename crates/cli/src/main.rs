@@ -54,10 +54,11 @@ const USAGE: &str = "usage:
                    [--window-packets P] [--queue-depth D] [--windows K]
                    [--anonymize] [--check] [--metrics FILE] [--fast-path-metrics]
                    [--memory-budget BYTES] [--spill-dir PATH]
-  obscor forecast  [--nv N] [--seed S] [--cutoff K]
+  obscor forecast  [--nv N] [--seed S] [--fast] [--cutoff K]
   obscor info      [--nv N] [--seed S]
 
 Flags given without a subcommand run `reproduce` (e.g. `obscor --metrics m.json`).
+A subcommand refuses any flag it does not list above.
 --nv N (accepts 2^K) is the window size in packets, 2^12..=2^30.
 serve runs the streaming line-rate ingest service on the scenario's live
 traffic stream: packets are sharded over --workers threads through bounded
@@ -111,6 +112,36 @@ const ARTIFACTS: [(&str, Render); 13] = [
     ("scaling", PaperAnalysis::render_scaling),
 ];
 
+/// A subcommand: its name, what it runs, and every flag it reads.
+type Subcommand = (&'static str, fn(Options) -> Result<(), String>, &'static [&'static str]);
+
+/// The subcommands, each with the flags it reads (as the usage lists
+/// them). `run` refuses any other flag before any work, so no flag is
+/// silently ignored.
+const SUBCOMMANDS: [Subcommand; 5] = [
+    (
+        "reproduce",
+        reproduce,
+        &[
+            "--nv", "--seed", "--fast", "--tsv", "--check", "--only", "--metrics",
+            "--fast-path-metrics", "--fault-plan", "--strict-archive", "--memory-budget",
+            "--spill-dir",
+        ],
+    ),
+    ("generate", generate, &["--nv", "--seed", "--window", "--filter", "--out"]),
+    (
+        "serve",
+        serve,
+        &[
+            "--nv", "--seed", "--window", "--workers", "--window-packets", "--queue-depth",
+            "--windows", "--anonymize", "--check", "--metrics", "--fast-path-metrics",
+            "--memory-budget", "--spill-dir",
+        ],
+    ),
+    ("forecast", forecast, &["--nv", "--seed", "--fast", "--cutoff"]),
+    ("info", info, &["--nv", "--seed"]),
+];
+
 /// The render of the artifact called `name`.
 fn artifact(name: &str) -> Result<Render, String> {
     ARTIFACTS
@@ -141,6 +172,8 @@ struct Options {
     serve_windows: usize,
     anonymize: bool,
     spill: Option<SpillSettings>,
+    /// Every flag given, in order, for the subcommand to vet.
+    given: Vec<String>,
 }
 
 fn parse(args: &[String]) -> Result<Options, String> {
@@ -165,6 +198,7 @@ fn parse(args: &[String]) -> Result<Options, String> {
         serve_windows: 3,
         anonymize: false,
         spill: None,
+        given: Vec::new(),
     };
     let mut memory_budget: Option<u64> = None;
     let mut spill_dir: Option<String> = None;
@@ -244,6 +278,7 @@ fn parse(args: &[String]) -> Result<Options, String> {
             }
             other => return Err(format!("unknown flag {other}")),
         }
+        o.given.push(flag.clone());
     }
     o.spill = match (memory_budget, spill_dir) {
         (Some(memory_budget), dir) => {
@@ -285,23 +320,26 @@ fn run(args: Vec<String>) -> Result<(), String> {
     } else {
         (cmd.as_str(), rest)
     };
+    if matches!(cmd, "help" | "--help" | "-h") {
+        if let Some(flag) = rest.first() {
+            return Err(format!("help does not read {flag}"));
+        }
+        println!("{USAGE}");
+        return Ok(());
+    }
+    let &(_, command, reads) = SUBCOMMANDS
+        .iter()
+        .find(|(name, _, _)| *name == cmd)
+        .ok_or_else(|| format!("unknown subcommand {cmd}"))?;
     let o = parse(rest)?;
+    if let Some(flag) = o.given.iter().find(|flag| !reads.contains(&flag.as_str())) {
+        return Err(format!("{cmd} does not read {flag}"));
+    }
     if o.fast_path_metrics {
         obscor_obs::set_level(Level::Detail);
         eprintln!("detail metrics enabled (hypersparse.radix.*, anonymize.cache.*, assoc.bitset.*)");
     }
-    match cmd {
-        "reproduce" => reproduce(o),
-        "generate" => generate(o),
-        "serve" => serve(o),
-        "forecast" => forecast(o),
-        "info" => info(o),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown subcommand {other}")),
-    }
+    command(o)
 }
 
 fn build_scenario(o: &Options) -> Scenario {
@@ -634,6 +672,7 @@ fn info(o: Options) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -834,6 +873,38 @@ mod tests {
                 });
                 assert!(target.is_ok(), "{flag} {spelling:?}: serve target panicked");
             }
+        }
+    }
+
+    #[test]
+    fn each_subcommand_reads_the_flags_its_usage_lists() {
+        let synopsis = USAGE.split("\n\n").next().expect("the usage opens with a synopsis");
+        for (name, _, reads) in SUBCOMMANDS {
+            let block = synopsis
+                .split("\n  obscor ")
+                .find(|block| block.split_whitespace().next() == Some(name))
+                .unwrap_or_else(|| panic!("no usage line for {name}"));
+            let listed: BTreeSet<&str> = block
+                .split(|c: char| c.is_whitespace() || c == '[' || c == ']')
+                .filter(|word| word.starts_with("--"))
+                .collect();
+            assert_eq!(listed, reads.iter().copied().collect(), "{name}");
+        }
+    }
+
+    #[test]
+    fn subcommands_refuse_flags_they_do_not_read() {
+        for (line, flag) in [
+            ("info --nv 2^12 --only fig1 --tsv --memory-budget 0", "--only"),
+            ("serve --nv 2^12 --windows 1 --fault-plan 7:0.3", "--fault-plan"),
+            ("forecast --nv 2^12 --memory-budget 0", "--memory-budget"),
+            ("generate --out x.pcap --fast-path-metrics", "--fast-path-metrics"),
+            ("reproduce --workers 2", "--workers"),
+            ("--nv 2^12 --cutoff 8", "--cutoff"),
+            ("help --nv", "--nv"),
+        ] {
+            let err = run(args(line)).expect_err(line);
+            assert!(err.ends_with(&format!("does not read {flag}")), "{line}: {err}");
         }
     }
 

@@ -446,6 +446,27 @@ fn bad_invocations_fail_with_usage() {
     }
 }
 
+#[test]
+fn subcommands_refuse_flags_they_do_not_read() {
+    for (args, flag) in [
+        (&["info", "--nv", "2^12", "--only", "fig1", "--tsv", "--memory-budget", "0"][..], "--only"),
+        (&["serve", "--nv", "2^12", "--windows", "1", "--only", "fig1", "--tsv"], "--only"),
+        // A fault plan `serve` would not inject is refused, not ignored.
+        (&["serve", "--nv", "2^12", "--windows", "1", "--fault-plan", "7:0.3"], "--fault-plan"),
+        (&["forecast", "--nv", "2^12", "--memory-budget", "0"], "--memory-budget"),
+        (&["generate", "--nv", "2^12", "--out", "/nonexistent/x.pcap", "--check"], "--check"),
+        (&["--nv", "2^12", "--fast", "--workers", "2"], "--workers"),
+    ] {
+        let out = obscor().args(args).output().unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?} stderr:\n{stderr}");
+        assert!(stderr.contains(&format!("does not read {flag}")), "{args:?} stderr:\n{stderr}");
+        assert!(stderr.contains("usage:"), "{args:?} stderr:\n{stderr}");
+        assert!(!stderr.contains("building scenario"), "{args:?} ran before refusing");
+        assert!(out.stdout.is_empty(), "{args:?} printed output");
+    }
+}
+
 /// The standard 64-bit FNV-1a digest, as `tests/paper_reproduction.rs`
 /// computes it.
 fn fnv1a(bytes: &[u8]) -> u64 {

@@ -43,8 +43,10 @@ impl<V: Value> Csr<V> {
     }
 
     /// Build from triples that are already sorted by `(row, col)`, contain no
-    /// duplicate coordinates, and no zero values. This is the only
-    /// constructor; [`crate::Coo`] compaction produces exactly this input.
+    /// duplicate coordinates, and no zero values: the serial [`crate::Coo`]
+    /// compaction, `ops::zero_norm` and the radix kernel's one-key case
+    /// build through it. Kernels that assemble the CSR arrays themselves
+    /// use [`Csr::from_parts`].
     pub(crate) fn from_sorted_dedup_triples(triples: Vec<(Index, Index, V)>) -> Self {
         let mut row_keys = Vec::new();
         let mut row_ptr = vec![0usize];
@@ -78,10 +80,12 @@ impl<V: Value> Csr<V> {
     }
 
     /// Build directly from pre-assembled CSR arrays. The radix compaction
-    /// kernel ([`crate::radix`]) produces these without ever materializing
-    /// a dedup'd triple `Vec`; the caller is responsible for upholding the
-    /// type invariants (checked here in debug builds and by the
-    /// strict-invariants feature at the compaction boundary).
+    /// kernel ([`crate::radix`]), the carry merge (`ops::ewise_add`) and
+    /// the codec's decode ([`crate::serialize::decode`]) produce these
+    /// without ever materializing a dedup'd triple `Vec`; the caller is
+    /// responsible for upholding the type invariants (checked here in
+    /// debug builds and by the strict-invariants feature at the compaction
+    /// boundary).
     pub(crate) fn from_parts(
         row_keys: Vec<Index>,
         row_ptr: Vec<usize>,

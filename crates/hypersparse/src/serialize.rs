@@ -19,8 +19,9 @@
 //! returns the latter for quarantine.
 
 use crate::csr::Csr;
+use crate::keypack::pack_key;
 use crate::value::Value;
-use crate::{Coo, Index};
+use crate::Index;
 use obscor_obs::FaultClass;
 
 /// Magic bytes of the CRC-protected v2 layout ("OBSCbla2").
@@ -75,27 +76,57 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) lookup table.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i: u32 = 0;
+/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) slicing-by-8
+/// tables (8 KiB). `CRC32_TABLES[0]` is the classic byte-at-a-time table;
+/// `CRC32_TABLES[k][b]` is the CRC register after byte `b` is followed by
+/// `k` zero bytes, so eight independent lookups advance the CRC over
+/// eight input bytes at once.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
     while i < 256 {
-        let mut c = i;
+        let mut c = i as u32;
         let mut bit = 0;
         while bit < 8 {
             c = if c & 1 != 0 { (c >> 1) ^ 0xEDB8_8320 } else { c >> 1 };
             bit += 1;
         }
-        table[i as usize] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
+/// Advance the (pre-inverted) CRC register `crc` over `data`: eight bytes
+/// per step through [`CRC32_TABLES`], the tail byte by byte. The result
+/// equals the byte-at-a-time walk for any split of the input.
 fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
-    for &b in data {
-        let idx = ((crc ^ u32::from(b)) & 0xFF) as usize;
-        crc = (crc >> 8) ^ CRC32_TABLE[idx];
+    let t = &CRC32_TABLES;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let [a, b, c, d] = (crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]])).to_le_bytes();
+        crc = t[7][usize::from(a)]
+            ^ t[6][usize::from(b)]
+            ^ t[5][usize::from(c)]
+            ^ t[4][usize::from(d)]
+            ^ t[3][usize::from(w[4])]
+            ^ t[2][usize::from(w[5])]
+            ^ t[1][usize::from(w[6])]
+            ^ t[0][usize::from(w[7])];
+    }
+    for &byte in words.remainder() {
+        let [low, ..] = crc.to_le_bytes();
+        crc = (crc >> 8) ^ t[0][usize::from(low ^ byte)];
     }
     crc
 }
@@ -130,7 +161,10 @@ pub fn encode<V: Value>(a: &Csr<V>) -> Vec<u8> {
 }
 
 /// Deserialize a matrix produced by [`encode`]. Never panics on
-/// arbitrary input.
+/// arbitrary input. The magic, the lengths and the CRC are checked before
+/// any record is parsed, so a damaged frame keeps its fault class; a
+/// CRC-valid frame whose records are not in strictly increasing
+/// `(row, col)` order, or hold a zero, is [`CodecError::Corrupt`].
 pub fn decode<V: Value>(bytes: &[u8]) -> Result<Csr<V>, CodecError> {
     if bytes.len() < 8 {
         return Err(CodecError::Truncated);
@@ -169,9 +203,17 @@ pub fn decode<V: Value>(bytes: &[u8]) -> Result<Csr<V>, CodecError> {
     parse_records(payload, nnz)
 }
 
-/// Parse `nnz` 16-byte records (already length-checked) into a matrix.
+/// Parse `nnz` 16-byte records (already length- and CRC-checked) straight
+/// into the CSR arrays. [`encode`] writes the entries in CSR order, so one
+/// pass builds the matrix: each record must follow the previous one
+/// strictly in `(row, col)` order (a repeated coordinate is out of order)
+/// and hold a nonzero value, or the frame is corrupt.
 fn parse_records<V: Value>(payload: &[u8], nnz: usize) -> Result<Csr<V>, CodecError> {
-    let mut coo = Coo::with_capacity(nnz);
+    let mut row_keys: Vec<Index> = Vec::new();
+    let mut row_ptr: Vec<usize> = Vec::new();
+    let mut col_keys: Vec<Index> = Vec::with_capacity(nnz);
+    let mut vals: Vec<V> = Vec::with_capacity(nnz);
+    let mut prev: Option<u64> = None;
     for record in payload.chunks_exact(RECORD) {
         let r = Index::from_le_bytes(record[..4].try_into().map_err(|_| CodecError::Truncated)?);
         let c =
@@ -182,14 +224,28 @@ fn parse_records<V: Value>(payload: &[u8], nnz: usize) -> Result<Csr<V>, CodecEr
         if v.is_zero() {
             return Err(CodecError::Corrupt("explicit zero entry"));
         }
-        coo.push(r, c, v);
+        let key = pack_key(r, c);
+        if prev.is_some_and(|p| key <= p) {
+            return Err(CodecError::Corrupt("records not strictly increasing in (row, col)"));
+        }
+        prev = Some(key);
+        if row_keys.last() != Some(&r) {
+            row_keys.push(r);
+            row_ptr.push(col_keys.len());
+        }
+        col_keys.push(c);
+        vals.push(v);
     }
-    Ok(coo.into_csr())
+    row_ptr.push(col_keys.len());
+    Ok(Csr::from_parts(row_keys, row_ptr, col_keys, vals))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spill::{fetch_frame, MemMedium, SpillFault, SpillMedium};
+    use crate::Coo;
+    use proptest::prelude::*;
 
     fn sample() -> Csr<u64> {
         Coo::from_triples(vec![(1u32, 2u32, 3u64), (5, 5, 1), (u32::MAX, 0, 1 << 60)]).into_csr()
@@ -286,11 +342,85 @@ mod tests {
         for b in &mut bytes[36..44] {
             *b = 0;
         }
+        reseal(&mut bytes);
+        assert_eq!(decode::<u64>(&bytes), Err(CodecError::Corrupt("explicit zero entry")));
+    }
+
+    /// Recompute a frame's CRC after its protected bytes were edited, so
+    /// decode gets past the checksum to the structural checks.
+    fn reseal(bytes: &mut [u8]) {
         let mut protected = bytes[8..24].to_vec();
         protected.extend_from_slice(&bytes[HEADER_V2..]);
         let crc = crc32(&protected);
         bytes[24..28].copy_from_slice(&crc.to_le_bytes());
-        assert_eq!(decode::<u64>(&bytes), Err(CodecError::Corrupt("explicit zero entry")));
+    }
+
+    #[test]
+    fn records_out_of_order_are_permanently_corrupt() {
+        // `sample()` encodes (1, 2), (5, 5), (MAX, 0). Move the second
+        // record (row at 44, col at 48) to a coordinate that does not
+        // follow the first.
+        for (what, row, col) in [
+            ("row goes back", 0u32, 9u32),
+            ("repeated coordinate", 1, 2),
+            ("column goes back within a row", 1, 1),
+        ] {
+            let mut bytes = encode(&sample());
+            bytes[44..48].copy_from_slice(&row.to_le_bytes());
+            bytes[48..52].copy_from_slice(&col.to_le_bytes());
+            reseal(&mut bytes);
+            let err = decode::<u64>(&bytes).expect_err(what);
+            assert!(matches!(err, CodecError::Corrupt(_)), "{what}: {err:?}");
+            assert_eq!(err.class(), FaultClass::Permanent, "{what}");
+            // Permanent, so the frame read gives up at once: no retry.
+            let medium = MemMedium::new();
+            medium.store(0, &bytes).unwrap();
+            let (got, retries) = fetch_frame::<u64>(&medium, 0);
+            assert_eq!(got, Err(SpillFault::Corrupt(err)), "{what}");
+            assert_eq!(retries, 0, "{what}");
+        }
+    }
+
+    /// CRC-32 by its definition, one bit at a time: the reference the
+    /// table-driven [`crc32_update`] must agree with.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &byte in data {
+            crc ^= u32::from(byte);
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+            }
+        }
+        !crc
+    }
+
+    proptest! {
+        /// The slicing-by-8 CRC equals the bitwise definition at every
+        /// length from 0 to 64 (each tail length after each 8-byte step),
+        /// over the whole buffer, and when chained across two arbitrary
+        /// split points, as `encode` and `decode` chain the header words
+        /// into the payload.
+        #[test]
+        fn crc32_matches_the_bitwise_reference(
+            data in prop::collection::vec(any::<u8>(), 64..2048),
+            cuts in (0usize..2048, 0usize..2048),
+        ) {
+            for len in 0..=64 {
+                prop_assert_eq!(
+                    crc32(&data[..len]),
+                    crc32_bitwise(&data[..len]),
+                    "length {}",
+                    len
+                );
+            }
+            let want = crc32_bitwise(&data);
+            prop_assert_eq!(crc32(&data), want);
+            let (a, b) = (cuts.0 % (data.len() + 1), cuts.1 % (data.len() + 1));
+            let (a, b) = (a.min(b), a.max(b));
+            let head = crc32_update(0xFFFF_FFFF, &data[..a]);
+            let chained = !crc32_update(crc32_update(head, &data[a..b]), &data[b..]);
+            prop_assert_eq!(chained, want, "split at {} and {}", a, b);
+        }
     }
 
     #[test]

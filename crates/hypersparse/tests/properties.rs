@@ -254,6 +254,44 @@ proptest! {
         prop_assert!(serialize::decode::<u64>(&bytes).is_err(), "flip at {}", pos % len);
     }
 
+    /// Decode accepts a CRC-valid frame exactly when its records are what
+    /// `encode` writes (strictly increasing `(row, col)`, no zero value),
+    /// and then re-encodes it byte for byte; any other record sequence,
+    /// repeated coordinates included, is `Corrupt`.
+    #[test]
+    fn decode_accepts_exactly_the_record_order_encode_writes(
+        t in prop::collection::vec((0u32..6, 0u32..6, 1u64..4), 0..20),
+        edit in (0u8..4, any::<usize>()),
+    ) {
+        // Start from the order `encode` writes, then maybe break it once:
+        // repeat a record, swap two neighbours, or zero a value.
+        let mut records = t;
+        records.sort_unstable_by_key(|&(r, c, _)| (r, c));
+        records.dedup_by_key(|&mut (r, c, _)| (r, c));
+        if !records.is_empty() {
+            let i = edit.1 % records.len();
+            match edit.0 {
+                1 => records.insert(i, records[i]),
+                2 if i + 1 < records.len() => records.swap(i, i + 1),
+                3 => records[i].2 = 0,
+                _ => {}
+            }
+        }
+        let bytes = sealed_frame(&records);
+        let as_encoded = records.iter().all(|&(_, _, v)| v != 0)
+            && records.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1));
+        match serialize::decode::<u64>(&bytes) {
+            Ok(a) => {
+                prop_assert!(as_encoded, "accepted {:?}", records);
+                prop_assert_eq!(serialize::encode(&a), bytes);
+            }
+            Err(e) => {
+                prop_assert!(!as_encoded, "refused {:?}: {}", records, e);
+                prop_assert!(matches!(e, serialize::CodecError::Corrupt(_)), "{:?}", e);
+            }
+        }
+    }
+
     /// Codec v2 round-trips exactly for every `Value` type.
     #[test]
     fn codec_v2_round_trips_all_value_types(t in arb_triples()) {
@@ -268,6 +306,24 @@ proptest! {
             .into_csr();
         prop_assert_eq!(serialize::decode::<f64>(&serialize::encode(&af)).unwrap(), af);
     }
+}
+
+/// A v2 frame holding `records` as given, in any order, with a valid CRC.
+fn sealed_frame(records: &[(Index, Index, u64)]) -> Vec<u8> {
+    let mut bytes = serialize::MAGIC_V2.to_vec();
+    bytes.extend_from_slice(&(records.len() as u64).to_le_bytes());
+    bytes.extend_from_slice(&(16 * records.len() as u64).to_le_bytes());
+    bytes.extend_from_slice(&[0; 4]);
+    for &(r, c, v) in records {
+        bytes.extend_from_slice(&r.to_le_bytes());
+        bytes.extend_from_slice(&c.to_le_bytes());
+        bytes.extend_from_slice(&v.to_le_bytes());
+    }
+    let mut protected = bytes[8..24].to_vec();
+    protected.extend_from_slice(&bytes[28..]);
+    let crc = serialize::crc32(&protected);
+    bytes[24..28].copy_from_slice(&crc.to_le_bytes());
+    bytes
 }
 
 /// Up to 8 xor-style byte corruptions at arbitrary offsets.
