@@ -61,7 +61,8 @@
 //! `hypersparse.carry_merge` span per merge, the
 //! `hypersparse.accumulator.carry_merges_total` counter per carry merge,
 //! and at finalize the `hypersparse.accumulator.finalize` span and
-//! `hypersparse.accumulator.{pushed,leaves,merges}_total`. A fold
+//! `hypersparse.accumulator.{pushed,leaves,merges}_total`, where
+//! `merges_total` counts the carry merges and finalize's alike. A fold
 //! that owns a store also emits the
 //! `hypersparse.spill.{evictions,reloads}_total` counters and per-level
 //! merge spans `span.hypersparse.spill.merge.level{k}.{ns,calls_total}`,
@@ -501,13 +502,14 @@ impl<V: Value> HierarchicalAccumulator<V> {
     /// land in `stats.tree_merges`, so post-finalize `stats.merges() ==
     /// leaves - 1` (for `leaves >= 1`, no quarantine). The lifetime
     /// counters surface in `hypersparse.accumulator.{pushed,leaves,
-    /// merges}_total`, where `merges_total` keeps its carry-only meaning.
+    /// merges}_total`, where `merges_total` counts every pairwise merge
+    /// (`stats.merges()`, added once finalize's merges have run) and
+    /// `carry_merges_total` the carry chain's alone.
     pub fn finalize_with_report(mut self) -> (Csr<V>, SpillReport) {
         let _span = obscor_obs::span("hypersparse.accumulator.finalize");
         self.flush_leaf();
         obscor_obs::counter("hypersparse.accumulator.pushed_total").add(self.stats.pushed);
         obscor_obs::counter("hypersparse.accumulator.leaves_total").add(self.stats.leaves);
-        obscor_obs::counter("hypersparse.accumulator.merges_total").add(self.stats.carry_merges);
         let mut carry: Option<Loaded<V>> = None;
         for k in 0..self.levels.len() {
             match self.take_level(k) {
@@ -524,6 +526,7 @@ impl<V: Value> HierarchicalAccumulator<V> {
                 None => {}
             }
         }
+        obscor_obs::counter("hypersparse.accumulator.merges_total").add(self.stats.merges());
         let lost: u64 = self.quarantined.iter().map(|q| q.packets).sum();
         let report = SpillReport {
             packets_expected: self.stats.pushed,

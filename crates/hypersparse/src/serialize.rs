@@ -164,7 +164,8 @@ pub fn encode<V: Value>(a: &Csr<V>) -> Vec<u8> {
 /// arbitrary input. The magic, the lengths and the CRC are checked before
 /// any record is parsed, so a damaged frame keeps its fault class; a
 /// CRC-valid frame whose records are not in strictly increasing
-/// `(row, col)` order, or hold a zero, is [`CodecError::Corrupt`].
+/// `(row, col)` order, hold a zero, or hold a value `V` cannot represent
+/// exactly, is [`CodecError::Corrupt`].
 pub fn decode<V: Value>(bytes: &[u8]) -> Result<Csr<V>, CodecError> {
     if bytes.len() < 8 {
         return Err(CodecError::Truncated);
@@ -207,7 +208,8 @@ pub fn decode<V: Value>(bytes: &[u8]) -> Result<Csr<V>, CodecError> {
 /// into the CSR arrays. [`encode`] writes the entries in CSR order, so one
 /// pass builds the matrix: each record must follow the previous one
 /// strictly in `(row, col)` order (a repeated coordinate is out of order)
-/// and hold a nonzero value, or the frame is corrupt.
+/// and hold a nonzero value that `V` represents exactly, or the frame is
+/// corrupt.
 fn parse_records<V: Value>(payload: &[u8], nnz: usize) -> Result<Csr<V>, CodecError> {
     let mut row_keys: Vec<Index> = Vec::new();
     let mut row_ptr: Vec<usize> = Vec::new();
@@ -221,6 +223,11 @@ fn parse_records<V: Value>(payload: &[u8], nnz: usize) -> Result<Csr<V>, CodecEr
         let bits =
             u64::from_le_bytes(record[8..16].try_into().map_err(|_| CodecError::Truncated)?);
         let v = V::from_bits(bits);
+        // A narrower `V` must hold the written value exactly; for `u64`
+        // and `f64` the round trip is the identity and this compiles away.
+        if v.to_bits() != bits {
+            return Err(CodecError::Corrupt("value out of range"));
+        }
         if v.is_zero() {
             return Err(CodecError::Corrupt("explicit zero entry"));
         }
@@ -378,6 +385,25 @@ mod tests {
             let (got, retries) = fetch_frame::<u64>(&medium, 0);
             assert_eq!(got, Err(SpillFault::Corrupt(err)), "{what}");
             assert_eq!(retries, 0, "{what}");
+        }
+    }
+
+    #[test]
+    fn values_a_u32_cannot_hold_are_permanently_corrupt() {
+        // A CRC-valid frame written from a `Csr<u64>` and read as `u32`:
+        // `2^32 + 5` must not come back as 5, and `2^32` must not pass as
+        // (or be refused as) an explicit zero.
+        for value in [(1u64 << 32) + 5, 1 << 32] {
+            let wide = Coo::from_triples(vec![(1u32, 2u32, 3u64), (5, 5, value)]).into_csr();
+            let bytes = encode(&wide);
+            let err = decode::<u32>(&bytes).expect_err("out of range");
+            assert_eq!(err, CodecError::Corrupt("value out of range"), "{value}");
+            assert_eq!(err.class(), FaultClass::Permanent, "{value}");
+            let medium = MemMedium::new();
+            medium.store(0, &bytes).unwrap();
+            let (got, retries) = fetch_frame::<u32>(&medium, 0);
+            assert_eq!(got, Err(SpillFault::Corrupt(err)), "{value}");
+            assert_eq!(retries, 0, "{value}");
         }
     }
 

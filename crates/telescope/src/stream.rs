@@ -144,7 +144,10 @@ pub struct WindowSnapshot {
     pub packets: u64,
     /// Compacted leaves merged into the matrix.
     pub leaves: u64,
-    /// Pairwise carry merges performed by the hierarchical fold.
+    /// Pairwise merges performed by the hierarchical fold, its carry
+    /// chain's and finalize's alike
+    /// ([`SpillStats::merges`](obscor_hypersparse::SpillStats::merges)):
+    /// `leaves - 1` when no part is quarantined.
     pub merges: u64,
     /// Whether this window was cut short by a drain ([`IngestService::finish`]
     /// before the boundary) rather than closing at `window_packets`.
@@ -600,9 +603,8 @@ fn collector_loop(
 }
 
 /// Fold a closed window's leaves — in `(worker, seq)` order — through
-/// one [`window_fold`] and build its snapshot. The fold's carry-merge
-/// count is the same resident or spilling: residency never changes the
-/// merge tree.
+/// one [`window_fold`] and build its snapshot. The fold's merge count is
+/// the same resident or spilling: residency never changes the merge tree.
 fn close_window(index: u64, mut state: OpenWindow, cfg: &IngestConfig) -> WindowSnapshot {
     // The determinism fix: leaves arrive in worker-completion order, which
     // varies run to run; the merge must not. Sort by the sequence key
@@ -614,7 +616,7 @@ fn close_window(index: u64, mut state: OpenWindow, cfg: &IngestConfig) -> Window
         fold.push_csr_leaf(csr);
     }
     let (matrix, report) = fold.finalize_with_report();
-    let merges = report.stats.carry_merges;
+    let merges = report.stats.merges();
     let spilled = cfg.spill.is_some() && fallback.is_none();
     obscor_obs::counter("telescope.ingest.windows_closed_total").inc();
     obscor_obs::counter("telescope.ingest.packets_total").add(state.packets);
@@ -668,6 +670,10 @@ mod tests {
         assert!(!snaps[0].partial);
         assert_eq!(snaps[0].packets, 10_000);
         assert_eq!(snaps[0].matrix, flat(&p));
+        // Three workers cut 21 leaves: 18 carry merges leave three parts,
+        // and finalize's two more merges count too.
+        assert_eq!(snaps[0].leaves, 21);
+        assert_eq!(snaps[0].merges, snaps[0].leaves - 1);
         assert!(drain.is_exact(), "{drain:?}");
         assert_eq!(drain.windows_closed, 1);
     }

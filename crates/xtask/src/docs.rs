@@ -94,9 +94,8 @@ pub const RULE_DOCS: &[RuleDoc] = &[
         long: "Float addition is not associative, so a rayon `sum()` / `reduce()` \
                / `fold()` over float accumulators yields run-to-run different \
                results depending on work splitting. The paper's hierarchical sums \
-               must be bit-identical. Fix: use the blessed fixed-shape \
-               tree-reduction helpers. Suppress with \
-               `// audit:allow(nonassoc-reduce) — reason`.",
+               must be bit-identical. Fix: reduce sequentially (fixed order). \
+               Suppress with `// audit:allow(nonassoc-reduce) — reason`.",
     },
     RuleDoc {
         name: "atomic-ordering",

@@ -568,77 +568,6 @@ impl CallGraph {
             .collect::<Vec<_>>()
             .join(" → ")
     }
-
-    /// Serialize as `obscor.callgraph.v1` JSON: one object per node with
-    /// resolved edges, in node-id order (deterministic).
-    pub fn to_json(&self) -> String {
-        use crate::json_escape;
-        let mut s = String::from("{\"schema\":\"obscor.callgraph.v1\",\"functions\":[");
-        for (n, node) in self.nodes.iter().enumerate() {
-            if n > 0 {
-                s.push(',');
-            }
-            let mut sinks: Vec<&str> = Vec::new();
-            if node.json_codec {
-                sinks.push("json-codec");
-            }
-            if node.archive_codec {
-                sinks.push("archive-codec");
-            }
-            if !node.blocking.is_empty() {
-                sinks.push("blocking");
-            }
-            if !node.panics.is_empty() {
-                sinks.push("panic");
-            }
-            let sinks_json =
-                sinks.iter().map(|x| format!("\"{x}\"")).collect::<Vec<_>>().join(",");
-            let edges_json =
-                self.edges[n].iter().map(|e| e.to_string()).collect::<Vec<_>>().join(",");
-            let calls_json = node
-                .calls
-                .iter()
-                .map(|c| {
-                    format!("{{\"callee\":\"{}\",\"line\":{}}}", json_escape(&c.callee), c.line)
-                })
-                .collect::<Vec<_>>()
-                .join(",");
-            s.push_str(&format!(
-                "{{\"id\":{n},\"name\":\"{}\",\"file\":\"{}\",\"line\":{},\"test\":{},\
-                 \"sinks\":[{sinks_json}],\"edges\":[{edges_json}],\"calls\":[{calls_json}]}}",
-                json_escape(&node.name),
-                json_escape(&node.file_rel),
-                node.line,
-                node.is_test,
-            ));
-        }
-        s.push_str("]}");
-        s
-    }
-
-    /// Serialize as Graphviz DOT; sink nodes are shaped/colored so the
-    /// taint structure is visible at a glance.
-    pub fn to_dot(&self) -> String {
-        let mut s = String::from("digraph callgraph {\n  rankdir=LR;\n  node [shape=box];\n");
-        for (n, node) in self.nodes.iter().enumerate() {
-            let mut attrs = format!("label=\"{}\\n{}:{}\"", node.name, node.file_rel, node.line);
-            if node.json_codec || node.archive_codec {
-                attrs.push_str(", style=filled, fillcolor=lightblue");
-            } else if !node.blocking.is_empty() {
-                attrs.push_str(", style=filled, fillcolor=orange");
-            } else if !node.panics.is_empty() {
-                attrs.push_str(", style=filled, fillcolor=mistyrose");
-            }
-            s.push_str(&format!("  n{n} [{attrs}];\n"));
-        }
-        for n in 0..self.nodes.len() {
-            for &t in &self.edges[n] {
-                s.push_str(&format!("  n{n} -> n{t};\n"));
-            }
-        }
-        s.push_str("}\n");
-        s
-    }
 }
 
 /// A reachability closure over the call graph: which nodes reach a sink
@@ -955,24 +884,6 @@ mod tests {
         let g = &an.graph;
         assert!(an.blocking_reach().reaches(g.by_name["a"][0]));
         assert!(an.blocking_reach().reaches(g.by_name["b"][0]));
-    }
-
-    #[test]
-    fn exports_are_deterministic_and_well_formed() {
-        let f = prep(
-            "crates/a/src/lib.rs",
-            "pub fn f() { g(); }\npub fn g() { h.lock(); }\n",
-        );
-        let g1 = build_graph(&[&f]).to_json();
-        let g2 = build_graph(&[&f]).to_json();
-        assert_eq!(g1, g2);
-        assert!(g1.starts_with("{\"schema\":\"obscor.callgraph.v1\""));
-        assert!(g1.contains("\"name\":\"f\""));
-        assert!(g1.contains("\"blocking\""));
-        let dot = build_graph(&[&f]).to_dot();
-        assert!(dot.starts_with("digraph callgraph {"));
-        assert!(dot.contains("n0 -> n1;"));
-        assert!(dot.ends_with("}\n"));
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!    cross-file symbol index, one call hop — the `obscor_obs::json`
 //!    codec).
 //! 8. **`nonassoc-reduce`** — no rayon `reduce`/`fold`/`sum`/`product`
-//!    over float accumulators outside blessed tree-reduction helpers.
+//!    over float accumulators.
 //! 9. **`atomic-ordering`** — every `Ordering::*` site carries an
 //!    `// ordering:` justification; stricter-than-Relaxed notes must name
 //!    the happens-before edge.
@@ -45,6 +45,9 @@
 //!     including holds that cross function boundaries.
 //! 15. **`panic-in-drop`** — panic-path sites directly or transitively
 //!     reachable from `Drop::drop` bodies.
+//! 16. **`word-bit-manip`** — no ad-hoc u64 word/bit set logic (a
+//!     `>> 6` lane split with a `& 63` mask, or a masked popcount) outside
+//!     `assoc::bitset`, which owns the membership layout.
 //!
 //! The engine lexes each file into spanned tokens ([`lex`]), parses a
 //! brace-tree of items ([`parse`]), and builds a workspace call graph
@@ -53,13 +56,11 @@
 //! registry ([`docs`]) that `--explain` and the README table share.
 //!
 //! Violations print as `file:line: [rule] message` (or as JSON with
-//! `--format json`) and the process exits non-zero. Individual sites are
-//! suppressed with `// audit:allow(<rule>) — justification` on the same or
-//! the preceding line; pre-existing debt is frozen in a ratchet baseline
-//! ([`baseline`], `--baseline audit-baseline.json`) keyed by stable
-//! line-number-free fingerprints.
+//! `--format json`, SARIF with `--format sarif`) and any finding fails the
+//! run. The one way to accept a site is a justified
+//! `// audit:allow(<rule>) — justification` marker on the same or the
+//! preceding line.
 
-pub mod baseline;
 pub mod docs;
 pub mod index;
 pub mod sarif;
@@ -80,8 +81,7 @@ pub struct AuditReport {
     pub diagnostics: Vec<Diagnostic>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// The workspace call graph the interprocedural rules ran over
-    /// (exported by `--call-graph`).
+    /// The workspace call graph the interprocedural rules ran over.
     pub call_graph: index::CallGraph,
 }
 
@@ -93,43 +93,22 @@ impl AuditReport {
 
     /// Render as a JSON object (machine-readable `--format json` mode).
     pub fn to_json(&self) -> String {
-        self.to_json_gated(None)
-    }
-
-    /// Render as JSON; when gated against a baseline, `ok` reflects *new*
-    /// findings only and each violation carries a `baselined` flag.
-    pub fn to_json_gated(&self, gate: Option<&baseline::Gate>) -> String {
-        let ok = match gate {
-            Some(g) => g.new.is_empty(),
-            None => self.is_clean(),
-        };
-        let mut s = String::from("{");
-        s.push_str(&format!("\"ok\":{ok},\"files_scanned\":{},", self.files_scanned));
-        if let Some(g) = gate {
-            s.push_str(&format!(
-                "\"new\":{},\"baselined\":{},\"stale\":{},",
-                g.new.len(),
-                g.baselined,
-                g.stale.len()
-            ));
-        }
-        s.push_str("\"violations\":[");
+        let mut s = format!(
+            "{{\"ok\":{},\"files_scanned\":{},\"violations\":[",
+            self.is_clean(),
+            self.files_scanned
+        );
         for (i, d) in self.diagnostics.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
-            let baselined = gate.map(|g| !g.new.contains(&i));
             s.push_str(&format!(
-                "{{\"rule\":\"{}\",\"file\":\"{}\",\"line\":{},\"fingerprint\":\"{}\",",
+                "{{\"rule\":\"{}\",\"file\":\"{}\",\"line\":{},\"message\":\"{}\"}}",
                 json_escape(d.rule),
                 json_escape(&d.file),
                 d.line,
-                json_escape(&d.fingerprint),
+                json_escape(&d.message),
             ));
-            if let Some(b) = baselined {
-                s.push_str(&format!("\"baselined\":{b},"));
-            }
-            s.push_str(&format!("\"message\":\"{}\"}}", json_escape(&d.message)));
         }
         s.push_str("]}");
         s
@@ -293,11 +272,6 @@ pub fn audit(root: &Path) -> io::Result<AuditReport> {
 
     diagnostics.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
 
-    // Stable, line-number-free fingerprints for the ratchet baseline.
-    let sources: std::collections::HashMap<&str, &SourceFile> =
-        lib_files.iter().map(|(_, f)| (f.rel.as_str(), f)).collect();
-    baseline::assign_fingerprints(&mut diagnostics, &sources);
-
     Ok(AuditReport { diagnostics, files_scanned, call_graph: analyses.graph })
 }
 
@@ -346,7 +320,6 @@ mod tests {
                 file: "crates/core/src/lib.rs".into(),
                 line: 7,
                 message: "`unwrap()` in panic-free library code".into(),
-                fingerprint: "deadbeefdeadbeef".into(),
             }],
             files_scanned: 3,
             call_graph: Default::default(),
@@ -354,46 +327,6 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("\"ok\":false"));
         assert!(json.contains("\"line\":7"));
-        assert!(json.contains("\"fingerprint\":\"deadbeefdeadbeef\""));
         assert!(json.starts_with('{') && json.ends_with('}'));
-    }
-
-    #[test]
-    fn gated_json_reports_new_vs_baselined() {
-        let report = AuditReport {
-            diagnostics: vec![
-                Diagnostic {
-                    rule: "panic-path",
-                    file: "a.rs".into(),
-                    line: 1,
-                    message: "m".into(),
-                    fingerprint: "aaaaaaaaaaaaaaaa".into(),
-                },
-                Diagnostic {
-                    rule: "float-eq",
-                    file: "b.rs".into(),
-                    line: 2,
-                    message: "m".into(),
-                    fingerprint: "bbbbbbbbbbbbbbbb".into(),
-                },
-            ],
-            files_scanned: 2,
-            call_graph: Default::default(),
-        };
-        let b = baseline::Baseline {
-            entries: vec![baseline::BaselineEntry {
-                fingerprint: "aaaaaaaaaaaaaaaa".into(),
-                rule: "panic-path".into(),
-                file: "a.rs".into(),
-                why: "test".into(),
-            }],
-        };
-        let g = baseline::gate(&report.diagnostics, &b);
-        let json = report.to_json_gated(Some(&g));
-        assert!(json.contains("\"ok\":false"));
-        assert!(json.contains("\"new\":1"));
-        assert!(json.contains("\"baselined\":1,"));
-        assert!(json.contains("\"baselined\":true"));
-        assert!(json.contains("\"baselined\":false"));
     }
 }

@@ -1,16 +1,12 @@
 //! CLI entry point:
 //! `cargo xtask audit [--format text|json|sarif] [--root <dir>]
-//! [--baseline <file>] [--update-baseline] [--allow-stale]
-//! [--call-graph <file>[.dot]] [--explain <rule>]`.
+//! [--explain <rule>]`.
 //!
-//! Exit codes: `0` clean (or all findings baselined), `1` new violations
-//! or stale baseline entries without `--allow-stale`, `2` usage or I/O
-//! error.
+//! Exit codes: `0` clean, `1` any finding, `2` usage or I/O error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use xtask::baseline::{self, Baseline};
 use xtask::docs;
 
 /// Static usage header; the rule list is appended from the doc registry
@@ -18,19 +14,11 @@ use xtask::docs;
 const USAGE_HEAD: &str = "usage: cargo xtask audit [options]
 
 Options:
-  --format <text|json|sarif>  output format (default text); --json is an alias
-  --root <dir>           workspace root to audit (default .)
-  --baseline <file>      ratchet baseline: only findings NOT in the file fail
-  --update-baseline      regenerate the baseline from current findings,
-                         preserving `why` justifications (requires --baseline),
-                         and exit 0
-  --allow-stale          tolerate stale baseline entries (default: they fail
-                         the gate so the ratchet can only shrink)
-  --call-graph <file>    export the workspace call graph (JSON; a `.dot`
-                         extension selects Graphviz DOT)
-  --explain <rule>       print one rule's full documentation and exit
+  --format <text|json|sarif>  output format (default text)
+  --root <dir>                workspace root to audit (default .)
+  --explain <rule>            print one rule's full documentation and exit
 
-Runs the workspace static-analysis gate. Rules:";
+Runs the workspace static-analysis gate; any finding fails it. Rules:";
 
 /// Full usage text: header plus the registry-driven rule list.
 fn usage() -> String {
@@ -39,7 +27,7 @@ fn usage() -> String {
     for d in docs::RULE_DOCS {
         s.push_str(&format!("\n  {:width$}  {}", d.name, d.short));
     }
-    s.push_str("\n\nSuppress a single site with `// audit:allow(<rule>) — justification`.");
+    s.push_str("\n\nAccept a single site with `// audit:allow(<rule>) — justification`.");
     s
 }
 
@@ -47,16 +35,11 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut format = Format::Text;
     let mut root: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut update_baseline = false;
-    let mut allow_stale = false;
-    let mut call_graph: Option<PathBuf> = None;
     let mut explain: Option<String> = None;
     let mut command: Option<String> = None;
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--json" => format = Format::Json,
             "--format" => match it.next().as_deref() {
                 Some("json") => format = Format::Json,
                 Some("text") => format = Format::Text,
@@ -74,22 +57,6 @@ fn main() -> ExitCode {
                 Some(dir) => root = Some(PathBuf::from(dir)),
                 None => {
                     eprintln!("error: --root requires a directory argument\n\n{}", usage());
-                    return ExitCode::from(2);
-                }
-            },
-            "--baseline" => match it.next() {
-                Some(p) => baseline_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("error: --baseline requires a file argument\n\n{}", usage());
-                    return ExitCode::from(2);
-                }
-            },
-            "--update-baseline" => update_baseline = true,
-            "--allow-stale" => allow_stale = true,
-            "--call-graph" => match it.next() {
-                Some(p) => call_graph = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("error: --call-graph requires a file argument\n\n{}", usage());
                     return ExitCode::from(2);
                 }
             },
@@ -129,15 +96,10 @@ fn main() -> ExitCode {
             }
         };
     }
-    if update_baseline && baseline_path.is_none() {
-        eprintln!("error: --update-baseline requires --baseline <file>\n\n{}", usage());
-        return ExitCode::from(2);
-    }
 
     // Default root: the workspace directory `cargo xtask` runs from (cargo
     // sets the cwd to the invocation directory; the alias lives in the
-    // workspace `.cargo/config.toml`, so this is the workspace root), or
-    // CARGO_MANIFEST_DIR's grandparent when run via `cargo run -p xtask`.
+    // workspace `.cargo/config.toml`, so this is the workspace root).
     let root = root.unwrap_or_else(|| PathBuf::from("."));
 
     let report = match xtask::audit(&root) {
@@ -148,95 +110,9 @@ fn main() -> ExitCode {
         }
     };
 
-    if let Some(path) = call_graph {
-        let out = if path.extension().is_some_and(|e| e == "dot") {
-            report.call_graph.to_dot()
-        } else {
-            report.call_graph.to_json()
-        };
-        if let Err(e) = std::fs::write(&path, out) {
-            eprintln!("error: cannot write call graph `{}`: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!("audit: call graph written to `{}`", path.display());
-    }
-
-    if update_baseline {
-        let path = baseline_path.expect("checked above");
-        let mut b = Baseline::from_diagnostics(&report.diagnostics);
-        // Keep the written justifications of entries that survive.
-        if let Ok(old) = Baseline::load(&path) {
-            b.adopt_whys(&old);
-        }
-        if let Err(e) = b.save(&path) {
-            eprintln!("error: cannot write baseline `{}`: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "audit: baseline `{}` updated ({} entr{})",
-            path.display(),
-            b.entries.len(),
-            if b.entries.len() == 1 { "y" } else { "ies" }
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    if let Some(path) = baseline_path {
-        let b = match Baseline::load(&path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("error: cannot read baseline `{}`: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let gate = baseline::gate(&report.diagnostics, &b);
-        let stale_fails = !gate.stale.is_empty() && !allow_stale;
-        match format {
-            Format::Json => println!("{}", report.to_json_gated(Some(&gate))),
-            Format::Sarif => println!("{}", xtask::sarif::to_sarif(&report, Some((&gate, &b)))),
-            Format::Text => {
-                for &i in &gate.new {
-                    println!("{}", report.diagnostics[i].render());
-                }
-                if !gate.stale.is_empty() {
-                    println!(
-                        "audit: {} stale baseline entr{} (fixed or moved){}",
-                        gate.stale.len(),
-                        if gate.stale.len() == 1 { "y" } else { "ies" },
-                        if allow_stale {
-                            "; tolerated by --allow-stale"
-                        } else {
-                            "; the ratchet only shrinks — run --update-baseline \
-                             (or pass --allow-stale)"
-                        }
-                    );
-                }
-                if gate.new.is_empty() && !stale_fails {
-                    println!(
-                        "audit: clean ({} files scanned, {} baselined finding(s))",
-                        report.files_scanned, gate.baselined
-                    );
-                } else {
-                    println!(
-                        "audit: {} new violation(s) ({} files scanned, {} baselined{})",
-                        gate.new.len(),
-                        report.files_scanned,
-                        gate.baselined,
-                        if stale_fails { ", stale baseline" } else { "" }
-                    );
-                }
-            }
-        }
-        return if gate.new.is_empty() && !stale_fails {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::from(1)
-        };
-    }
-
     match format {
         Format::Json => println!("{}", report.to_json()),
-        Format::Sarif => println!("{}", xtask::sarif::to_sarif(&report, None)),
+        Format::Sarif => println!("{}", xtask::sarif::to_sarif(&report)),
         Format::Text => {
             for d in &report.diagnostics {
                 println!("{}", d.render());

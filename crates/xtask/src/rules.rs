@@ -44,9 +44,6 @@ pub struct Diagnostic {
     pub line: usize,
     /// Human-readable explanation of the finding.
     pub message: String,
-    /// Stable fingerprint (hex), filled by the audit driver; rules leave it
-    /// empty.
-    pub fingerprint: String,
 }
 
 impl Diagnostic {
@@ -57,7 +54,7 @@ impl Diagnostic {
 }
 
 fn diag(rule: &'static str, file: &SourceFile, line: usize, message: String) -> Diagnostic {
-    Diagnostic { rule, file: file.rel.clone(), line, message, fingerprint: String::new() }
+    Diagnostic { rule, file: file.rel.clone(), line, message }
 }
 
 /// Crates whose library code must be panic-free. `telescope` and `pcap`
@@ -69,10 +66,6 @@ pub const PANIC_FREE_CRATES: &[&str] =
 
 /// Crates whose public constructors require invariant-test coverage.
 pub const INVARIANT_CRATES: &[&str] = &["hypersparse", "assoc"];
-
-/// Function names blessed as deterministic tree-reduction helpers; float
-/// reductions inside them are exempt from `nonassoc-reduce`.
-pub const BLESSED_REDUCERS: &[&str] = &["merge_all"];
 
 const PAR_SOURCES: &[&str] = &[
     "par_iter",
@@ -225,15 +218,6 @@ fn line_runs(file: &SourceFile) -> Vec<(usize, std::ops::Range<usize>)> {
         }
     }
     out
-}
-
-/// Innermost `fn` item whose body contains token `i`.
-fn enclosing_fn(file: &SourceFile, i: usize) -> Option<&Item> {
-    file.items
-        .iter()
-        .filter(|it| matches!(it.kind, ItemKind::Fn))
-        .filter(|it| it.body.is_some_and(|(open, close)| open < i && i < close))
-        .max_by_key(|it| it.body.unwrap().0)
 }
 
 fn line_exempt(file: &SourceFile, rule: &str, line: usize) -> bool {
@@ -691,7 +675,6 @@ pub fn rule_invariant_coverage(
                          `check_invariants()` method",
                         ctor.type_name, ctor.fn_name
                     ),
-                    fingerprint: String::new(),
                 });
                 continue;
             }
@@ -707,7 +690,6 @@ pub fn rule_invariant_coverage(
                          `check_invariants` test",
                         ctor.type_name, ctor.fn_name
                     ),
-                    fingerprint: String::new(),
                 });
             }
         }
@@ -823,9 +805,7 @@ pub fn rule_shared_static_mut(file: &SourceFile) -> Vec<Diagnostic> {
 /// statement, with floating-point evidence in the statement, is a
 /// non-associative reduction whose result depends on work-stealing split
 /// points. Sequential float reductions *inside* a parallel closure (one
-/// brace level deeper) are associative per-item work and pass. Functions
-/// named in [`BLESSED_REDUCERS`] are exempt — they implement the sanctioned
-/// deterministic tree shape.
+/// brace level deeper) are associative per-item work and pass.
 pub fn rule_nonassoc_reduce(file: &SourceFile) -> Vec<Diagnostic> {
     const RULE: &str = "nonassoc-reduce";
     let depths = brace_depths(file);
@@ -847,11 +827,6 @@ pub fn rule_nonassoc_reduce(file: &SourceFile) -> Vec<Diagnostic> {
         let line = file.tok_line(i);
         if line_exempt(file, RULE, line) {
             continue;
-        }
-        if let Some(f) = enclosing_fn(file, i) {
-            if BLESSED_REDUCERS.contains(&f.name.as_str()) {
-                continue;
-            }
         }
         let d = depths[i];
         let start = stmt_start(file, &depths, i);
@@ -879,8 +854,8 @@ pub fn rule_nonassoc_reduce(file: &SourceFile) -> Vec<Diagnostic> {
             line,
             format!(
                 "non-associative floating-point `.{term}(...)` over `{}`; the result \
-                 depends on rayon split points — use the blessed tree-reduction \
-                 helpers (`merge_all`) or annotate with audit:allow({RULE})",
+                 depends on rayon split points — reduce sequentially or annotate \
+                 with audit:allow({RULE})",
                 file.tok_text(par_j)
             ),
         ));
@@ -1958,13 +1933,9 @@ mod tests {
     }
 
     #[test]
-    fn nonassoc_reduce_ignores_integer_reductions_and_blessed_fns() {
+    fn nonassoc_reduce_ignores_integer_reductions() {
         let int = prep("fn f(xs: &[u64]) -> u64 { xs.par_iter().sum() }\n");
         assert!(rule_nonassoc_reduce(&int).is_empty());
-        let blessed = prep(
-            "fn merge_all(xs: &[f64]) -> f64 { xs.par_iter().map(|x| *x).reduce(|| 0.0, |a, b| a + b) }\n",
-        );
-        assert!(rule_nonassoc_reduce(&blessed).is_empty());
     }
 
     #[test]

@@ -2,25 +2,17 @@
 //!
 //! Emits the minimal valid subset GitHub code scanning consumes: one run,
 //! one driver with per-rule metadata from the [`crate::docs`] registry,
-//! one `result` per finding with a physical location, the audit's stable
-//! fingerprint under `partialFingerprints`, and — when gated against a
-//! baseline — a `suppressions` entry carrying the baseline justification
-//! so accepted debt does not annotate PRs. The finding set round-trips
-//! `--format json` exactly: same (rule, file, line, fingerprint) tuples.
+//! and one `result` per finding with a physical location. Results carry
+//! no fingerprints (the upload action computes its own) and no
+//! suppressions (an accepted site is `audit:allow`-marked and never
+//! reported). The finding set round-trips `--format json` exactly: same
+//! (rule, file, line) tuples.
 
-use crate::baseline::{Baseline, Gate};
 use crate::docs::RULE_DOCS;
 use crate::{json_escape, AuditReport};
 
-/// The partialFingerprints key naming our fingerprint scheme. Versioned
-/// so a future fingerprint change does not silently match old results.
-pub const FINGERPRINT_KEY: &str = "obscorAudit/v1";
-
-/// Render `report` as a SARIF 2.1.0 document. When `gate` is given,
-/// baselined findings carry an accepted `suppressions` entry whose
-/// justification is the matching baseline `why` (looked up in
-/// `baseline`); new findings have an empty `suppressions` array.
-pub fn to_sarif(report: &AuditReport, gate: Option<(&Gate, &Baseline)>) -> String {
+/// Render `report` as a SARIF 2.1.0 document.
+pub fn to_sarif(report: &AuditReport) -> String {
     let mut s = String::from(
         "{\"$schema\":\
          \"https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/\
@@ -49,36 +41,17 @@ pub fn to_sarif(report: &AuditReport, gate: Option<(&Gate, &Baseline)>) -> Strin
             s.push(',');
         }
         let rule_index = RULE_DOCS.iter().position(|r| r.name == d.rule);
-        let baselined = gate.is_some_and(|(g, _)| !g.new.contains(&i));
-        let suppressions = if baselined {
-            let why = gate
-                .and_then(|(_, b)| {
-                    b.entries.iter().find(|e| e.fingerprint == d.fingerprint)
-                })
-                .map(|e| e.why.as_str())
-                .unwrap_or("");
-            format!(
-                "[{{\"kind\":\"external\",\"status\":\"accepted\",\
-                 \"justification\":\"{}\"}}]",
-                json_escape(why)
-            )
-        } else {
-            "[]".to_string()
-        };
         s.push_str(&format!(
             "{{\"ruleId\":\"{}\",{}\"level\":\"error\",\
              \"message\":{{\"text\":\"{}\"}},\
              \"locations\":[{{\"physicalLocation\":{{\
              \"artifactLocation\":{{\"uri\":\"{}\",\"uriBaseId\":\"SRCROOT\"}},\
-             \"region\":{{\"startLine\":{}}}}}}}],\
-             \"partialFingerprints\":{{\"{FINGERPRINT_KEY}\":\"{}\"}},\
-             \"suppressions\":{suppressions}}}",
+             \"region\":{{\"startLine\":{}}}}}}}]}}",
             json_escape(d.rule),
             rule_index.map(|r| format!("\"ruleIndex\":{r},")).unwrap_or_default(),
             json_escape(&d.message),
             json_escape(&d.file),
             d.line,
-            json_escape(&d.fingerprint),
         ));
     }
     s.push_str(
@@ -101,14 +74,12 @@ mod tests {
                     file: "crates/core/src/lib.rs".into(),
                     line: 7,
                     message: "`unwrap()` in panic-free \"library\" code".into(),
-                    fingerprint: "deadbeefdeadbeef".into(),
                 },
                 Diagnostic {
                     rule: "nondet-reach",
                     file: "crates/cli/src/emit.rs".into(),
                     line: 12,
                     message: "hash iteration reaches the codec".into(),
-                    fingerprint: "0123456789abcdef".into(),
                 },
             ],
             files_scanned: 2,
@@ -118,31 +89,17 @@ mod tests {
 
     #[test]
     fn sarif_has_required_structure() {
-        let s = to_sarif(&report(), None);
+        let s = to_sarif(&report());
         assert!(s.contains("\"version\":\"2.1.0\""));
         assert!(s.contains("sarif-schema-2.1.0.json"));
         assert!(s.contains("\"name\":\"obscor-audit\""));
         assert!(s.contains("\"ruleId\":\"panic-path\""));
         assert!(s.contains("\"startLine\":7"));
-        assert!(s.contains(&format!("\"{FINGERPRINT_KEY}\":\"deadbeefdeadbeef\"")));
         // Message quotes are escaped, not raw.
         assert!(s.contains("panic-free \\\"library\\\" code"));
         // Every engine rule is declared in driver metadata.
         for d in RULE_DOCS {
             assert!(s.contains(&format!("\"id\":\"{}\"", d.name)), "{} missing", d.name);
         }
-    }
-
-    #[test]
-    fn gated_sarif_suppresses_baselined_findings() {
-        let r = report();
-        let mut b = Baseline::from_diagnostics(&r.diagnostics[..1]);
-        b.entries[0].why = "frozen legacy debt".into();
-        let g = crate::baseline::gate(&r.diagnostics, &b);
-        let s = to_sarif(&r, Some((&g, &b)));
-        assert!(s.contains("\"justification\":\"frozen legacy debt\""));
-        // Exactly one suppressed result; the new finding has none.
-        assert_eq!(s.matches("\"status\":\"accepted\"").count(), 1);
-        assert!(s.contains("\"suppressions\":[]"));
     }
 }

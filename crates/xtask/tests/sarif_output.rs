@@ -4,10 +4,9 @@
 //! test carries its own strict JSON parser and checks the emitted
 //! document against the SARIF 2.1.0 *required-property* subset by hand:
 //! version/runs at the root, tool.driver.name per run, message + location
-//! per result, legal suppression kinds/statuses. The finding set must
-//! round-trip `--format json` exactly — same (rule, file, line,
-//! fingerprint) tuples — so code-scanning uploads and the machine-read
-//! gate can never disagree.
+//! per result. The finding set must round-trip `--format json` exactly —
+//! same (rule, file, line) tuples — so code-scanning uploads and the
+//! machine-read gate can never disagree.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -229,8 +228,8 @@ fn audit(extra: &[&str]) -> (Option<i32>, String) {
 }
 
 /// Validate `doc` against the SARIF 2.1.0 required-property subset and
-/// return the `(ruleId, uri, startLine, fingerprint)` tuple per result.
-fn validate_sarif(doc: &Json) -> Vec<(String, String, u64, String)> {
+/// return the `(ruleId, uri, startLine)` tuple per result.
+fn validate_sarif(doc: &Json) -> Vec<(String, String, u64)> {
     assert_eq!(doc.req("version").str(), "2.1.0");
     assert!(
         doc.req("$schema").str().ends_with("sarif-schema-2.1.0.json"),
@@ -264,16 +263,7 @@ fn validate_sarif(doc: &Json) -> Vec<(String, String, u64, String)> {
         assert_eq!(phys.req("artifactLocation").req("uriBaseId").str(), "SRCROOT");
         let line = phys.req("region").req("startLine").num();
         assert!(line >= 1.0 && line.fract() == 0.0, "startLine must be a positive integer");
-        let fp = result
-            .req("partialFingerprints")
-            .req(xtask::sarif::FINGERPRINT_KEY)
-            .str()
-            .to_string();
-        for sup in result.req("suppressions").arr() {
-            assert!(matches!(sup.req("kind").str(), "external" | "inSource"));
-            assert!(matches!(sup.req("status").str(), "accepted" | "underReview" | "rejected"));
-        }
-        tuples.push((rule_id, uri, line as u64, fp));
+        tuples.push((rule_id, uri, line as u64));
     }
     tuples
 }
@@ -303,10 +293,10 @@ fn sarif_output_is_valid_2_1_0() {
 fn sarif_round_trips_the_json_finding_set() {
     let (_, sarif_out) = audit(&["--format", "sarif"]);
     let (_, json_out) = audit(&["--format", "json"]);
-    let sarif_set: BTreeSet<(String, String, u64, String)> =
+    let sarif_set: BTreeSet<(String, String, u64)> =
         validate_sarif(&parse_json(&sarif_out)).into_iter().collect();
     let json_doc = parse_json(&json_out);
-    let json_set: BTreeSet<(String, String, u64, String)> = json_doc
+    let json_set: BTreeSet<(String, String, u64)> = json_doc
         .req("violations")
         .arr()
         .iter()
@@ -315,38 +305,9 @@ fn sarif_round_trips_the_json_finding_set() {
                 v.req("rule").str().to_string(),
                 v.req("file").str().to_string(),
                 v.req("line").num() as u64,
-                v.req("fingerprint").str().to_string(),
             )
         })
         .collect();
     assert_eq!(sarif_set, json_set, "SARIF and JSON must report identical findings");
     assert_eq!(sarif_set.len(), validate_sarif(&parse_json(&sarif_out)).len(), "no dup collapse");
-}
-
-#[test]
-fn gated_sarif_marks_baselined_findings_as_suppressed() {
-    let tmp = Path::new(env!("CARGO_TARGET_TMPDIR")).join("sarif_gate");
-    std::fs::create_dir_all(&tmp).expect("mkdir");
-    let baseline = tmp.join("baseline.json");
-    let (code, _) = audit(&[
-        "--baseline",
-        baseline.to_str().expect("utf8 path"),
-        "--update-baseline",
-    ]);
-    assert_eq!(code, Some(0));
-
-    let (code, stdout) =
-        audit(&["--format", "sarif", "--baseline", baseline.to_str().expect("utf8 path")]);
-    assert_eq!(code, Some(0), "fully baselined run passes");
-    let doc = parse_json(&stdout);
-    validate_sarif(&doc);
-    let results = doc.req("runs").arr()[0].req("results").arr();
-    assert!(!results.is_empty());
-    for result in results {
-        let sups = result.req("suppressions").arr();
-        assert_eq!(sups.len(), 1, "every baselined finding carries a suppression");
-        assert_eq!(sups[0].req("kind").str(), "external");
-        assert_eq!(sups[0].req("status").str(), "accepted");
-        assert!(sups[0].get("justification").is_some());
-    }
 }

@@ -12,12 +12,16 @@ use obscor_obs::MetricsSnapshot;
 use std::sync::{Mutex, OnceLock};
 
 fn run(seed: u64) -> PaperAnalysis {
+    run_at(1 << 13, seed)
+}
+
+fn run_at(n_v: usize, seed: u64) -> PaperAnalysis {
     // The pipeline deltas the process-global registry around each run, so
     // concurrent runs in this test binary would bleed into each other's
     // snapshots. Serializing them keeps every delta exact.
     static LOCK: Mutex<()> = Mutex::new(());
     let _guard = LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    let s = Scenario::paper_scaled(1 << 13, seed);
+    let s = Scenario::paper_scaled(n_v, seed);
     pipeline::run(&s, &AnalysisConfig::fast())
 }
 
@@ -189,14 +193,18 @@ fn counters_reflect_the_run_deterministically() {
     assert_eq!(m.counters["span.stage.degrees.calls_total"], 5);
     assert_eq!(m.counters["span.stage.distributions.calls_total"], 6);
     assert_eq!(m.counters["span.core.zm_fit.calls_total"], 1);
-    // Each window is 8 leaves of 1,024 packets joined by 7 carry merges,
-    // and every carry merge runs under its own span.
-    assert_eq!(m.counters["hypersparse.accumulator.leaves_total"], 5 * 8);
-    assert_eq!(m.counters["hypersparse.accumulator.carry_merges_total"], 5 * 7);
-    assert_eq!(
-        m.counters["span.hypersparse.carry_merge.calls_total"],
-        m.counters["hypersparse.accumulator.carry_merges_total"]
-    );
+    // Every merge runs under its own span, and `merges_total` counts them
+    // all. At 2^13 each window is 8 leaves of 1,024 packets joined by 7
+    // carry merges. At N_V = 5000 each is 5 leaves: 3 carry merges leave
+    // two parts, which finalize joins with a fourth.
+    let odd = run_at(5000, 7).metrics;
+    for (m, leaves, carry_merges, merges) in [(m, 8, 7, 7), (&odd, 5, 3, 4)] {
+        let count = |name: &str| m.counters[name];
+        assert_eq!(count("hypersparse.accumulator.leaves_total"), 5 * leaves);
+        assert_eq!(count("hypersparse.accumulator.carry_merges_total"), 5 * carry_merges);
+        assert_eq!(count("hypersparse.accumulator.merges_total"), 5 * merges);
+        assert_eq!(count("span.hypersparse.carry_merge.calls_total"), 5 * merges);
+    }
 }
 
 #[test]
